@@ -31,13 +31,7 @@ import numpy as np
 
 from .checks import run_invariant_checks
 from .dynamics import Trajectory, connection_from, integrate_geodesic, project_to_shell
-from .errors import (
-    DomainError,
-    NonPositiveG,
-    ProjectiveInfinity,
-    RelMechError,
-    StepRejected,
-)
+from .errors import DomainError, ProjectiveInfinity, RelMechError, StepRejected
 from .geometry import (
     CATALOG_IDS,
     GTensorField,
@@ -324,9 +318,15 @@ def _run_three_velocity(cfg: ScenarioConfig, gfield: GTensorField,
     h = cfg.dt
     samples = [ThreeVelocity(q0, q.copy(), v.copy())]
 
+    def chart_state(q0_, q_, v_):
+        try:
+            return ThreeVelocity(q0_, q_, v_)
+        except ValueError as exc:  # a non-finite entry, in a stage or a step
+            raise StepRejected("non-finite chart state (last good chart "
+                               f"time q^0 = {_fmt(samples[-1].q0)})") from exc
+
     def rhs(q0_, q_, v_):
-        t = ThreeVelocity(q0_, q_, v_)
-        return v_, three_acceleration(model, t)
+        return v_, three_acceleration(model, chart_state(q0_, q_, v_))
 
     for _ in range(cfg.steps):
         k1q, k1v = rhs(q0, q, v)
@@ -336,9 +336,7 @@ def _run_three_velocity(cfg: ScenarioConfig, gfield: GTensorField,
         q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         q0 += h
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(v))):
-            raise StepRejected("non-finite chart state", tau=q0)
-        samples.append(ThreeVelocity(q0, q.copy(), v.copy()))
+        samples.append(chart_state(q0, q.copy(), v.copy()))
 
     # lift on the full grid (best tau quadrature), then thin the records
     traj = lift_three_solution(samples, gfield, cfg.sign)
@@ -350,6 +348,17 @@ def _run_three_velocity(cfg: ScenarioConfig, gfield: GTensorField,
     traj.u = traj.u[keep]
     traj.G = traj.G[keep]
     return traj
+
+
+#: errors that end an integration; each maps to exit code 3
+_INTEGRATION_ERRORS = (RelMechError, np.linalg.LinAlgError)
+
+
+def _integration_failed(exc: Exception) -> int:
+    tau = getattr(exc, "tau", None)
+    where = f" (last good tau = {_fmt(tau)})" if tau is not None else ""
+    print(f"integration failed{where}: {exc}", file=sys.stderr)
+    return 3
 
 
 def cmd_simulate(config_path: str) -> int:
@@ -397,14 +406,8 @@ def cmd_simulate(config_path: str) -> int:
             write_trajectory_csv(traj, cfg.csv)
             print(f"wrote {cfg.csv}: {len(traj)} samples, "
                   f"max |G-1| = {_fmt(traj.max_constraint_drift)}")
-    except (DomainError, StepRejected, NonPositiveG) as exc:
-        tau = getattr(exc, "tau", None)
-        where = f" (last good tau = {_fmt(tau)})" if tau is not None else ""
-        print(f"integration failed{where}: {exc}", file=sys.stderr)
-        return 3
-    except np.linalg.LinAlgError as exc:
-        print(f"integration failed: {exc}", file=sys.stderr)
-        return 3
+    except _INTEGRATION_ERRORS as exc:
+        return _integration_failed(exc)
     return 0
 
 
@@ -426,8 +429,12 @@ def cmd_check(metric_id: str, samples: int, seed: int,
             print(f"--diag: expected comma-separated reals, got {raw!r}",
                   file=sys.stderr)
             return 2
-    report = run_invariant_checks(metric_id, samples=samples, seed=seed,
-                                  diag=diag_entries)
+    try:
+        report = run_invariant_checks(metric_id, samples=samples, seed=seed,
+                                      diag=diag_entries)
+    except (RelMechError, ValueError) as exc:
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["pass"] else 1
 
@@ -473,11 +480,8 @@ def cmd_compare(config_path: str) -> int:
         p0 = on_shell_momentum(ham, state.x, state.u)
         ptraj = integrate_hamiltonian(ham, PhaseState(state.x, p0),
                                       cfg.dt, cfg.steps, cfg.every)
-    except (DomainError, StepRejected, NonPositiveG) as exc:
-        tau = getattr(exc, "tau", None)
-        where = f" (last good tau = {_fmt(tau)})" if tau is not None else ""
-        print(f"integration failed{where}: {exc}", file=sys.stderr)
-        return 3
+    except _INTEGRATION_ERRORS as exc:
+        return _integration_failed(exc)
 
     divergence = float(np.max(np.abs(traj.x - ptraj.x)))
     report = {

@@ -91,7 +91,7 @@ def _symmetrize_tail(t: Array) -> Array:
 def contract_all(t: Array, u: Array, count: int) -> Array:
     """Contract the last ``count`` axes of ``t`` with the vector ``u``."""
     for _ in range(count):
-        t = np.tensordot(t, u, axes=(t.ndim - 1, 0))
+        t = t @ u
     return t
 
 

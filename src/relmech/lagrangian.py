@@ -221,19 +221,18 @@ def _reduced_pieces(model: LagrangianModel, t: ThreeVelocity):
     n2 = 2 * gf.order_half
     uhat = np.concatenate(([1.0], t.v))
     gt = np.asarray(gf.value(x), dtype=float)
-    dg = np.asarray(gf.partials(x), dtype=float)
     gbar = float(contract_all(gt, uhat, n2))
-    return x, uhat, gt, dg, gbar, n2
-
-
-def three_lagrangian_value(model: LagrangianModel, t: ThreeVelocity) -> float:
-    """Chart-local Lagrangian Lbar = mass Gbar^(1/2N) + charge (v.A_i + A_0)."""
-    x, _, _, _, gbar, n2 = _reduced_pieces(model, t)
     if not gbar > 0.0:
         raise NonPositiveG(
             f"reduced form Gbar = {gbar:g} is not positive; the chart-local "
             "three-velocity picture breaks down here"
         )
+    return x, uhat, gt, gbar, n2
+
+
+def three_lagrangian_value(model: LagrangianModel, t: ThreeVelocity) -> float:
+    """Chart-local Lagrangian Lbar = mass Gbar^(1/2N) + charge (v.A_i + A_0)."""
+    x, _, _, gbar, n2 = _reduced_pieces(model, t)
     a_form = np.asarray(model.potential.value(x), dtype=float)
     return (model.mass * gbar ** (1.0 / n2)
             + model.charge * float(t.v @ a_form[1:] + a_form[0]))
@@ -251,19 +250,15 @@ def three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w) -> Array:
 
     where d0 is the total chart-time derivative along the jet (q^0, q, v, w).
     """
-    x, uhat, gt, dg, gbar, n2 = _reduced_pieces(model, t)
-    if not gbar > 0.0:
-        raise NonPositiveG(
-            f"reduced form Gbar = {gbar:g} is not positive; the chart-local "
-            "three-velocity picture breaks down here"
-        )
+    x, uhat, gt, gbar, n2 = _reduced_pieces(model, t)
     w = np.asarray(w, dtype=float)
     if w.shape != t.v.shape:
         raise DimensionMismatch("w must match the shape of the three-velocity")
     what = np.concatenate(([0.0], w))
 
-    c = contract_all(gt, uhat, n2 - 1)
+    dg = np.asarray(model.gfield.partials(x), dtype=float)
     g_red = contract_all(gt, uhat, n2 - 2)
+    c = g_red @ uhat
     dgbar_coord = contract_all(dg, uhat, n2)
     # directional coordinate derivative along (1, v)
     dg_dir = dg[0] + np.tensordot(t.v, dg[1:], axes=(0, 0))
@@ -283,14 +278,19 @@ def three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w) -> Array:
 def three_acceleration(model: LagrangianModel, t: ThreeVelocity) -> Array:
     """Solve Ebar(t, w) = 0 for the three-acceleration w.
 
-    Ebar is affine in w, so the coefficient matrix is assembled column by
-    column and inverted with one linear solve.
+    Ebar is affine in w: Ebar(t, w) = Ebar(t, 0) + M w, where, with
+    g_red = G_{. . ...} (1,v)...(1,v) (two slots free) and spatial i, j,
+
+        M_ij = -mass [ (2N - 1) g_red_ij / Gbar^e1
+                       - e1 2N c_i c_j / Gbar^(e1 + 1) ].
+
+    So one evaluation of Ebar at w = 0 and one linear solve give w.
     """
-    n = t.v.size
-    base = three_euler_lagrange(model, t, np.zeros(n))
-    mat = np.empty((n, n))
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = 1.0
-        mat[:, j] = three_euler_lagrange(model, t, ej) - base
+    _, uhat, gt, gbar, n2 = _reduced_pieces(model, t)
+    base = three_euler_lagrange(model, t, np.zeros(t.v.size))
+    g_red = contract_all(gt, uhat, n2 - 2)
+    c = (g_red @ uhat)[1:]
+    e1 = 1.0 - 1.0 / n2
+    mat = -model.mass * ((n2 - 1) * g_red[1:, 1:] / gbar ** e1
+                         - e1 * n2 * np.outer(c, c) / gbar ** (e1 + 1.0))
     return np.linalg.solve(mat, -base)

@@ -5,7 +5,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import relmech.cli as cli
 from relmech.cli import main
+from relmech.geometry import PotentialField
 
 LN2 = math.log(2.0)
 
@@ -14,6 +16,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_one_line_error(err):
+    assert "Traceback" not in err
+    assert err.strip() and "\n" not in err.strip()
 
 
 def write_config(tmp_path, name, text):
@@ -244,6 +251,38 @@ every = 10
     assert np.max(np.abs(rows[:, -1] - 1.0)) <= 1e-10
 
 
+def test_three_velocity_failure_reports_chart_time(tmp_path, capsys, monkeypatch):
+    # a potential with NaN partials makes the first chart step non-finite;
+    # the message names the last good chart time q^0, not a proper time
+    nan_potential = PotentialField(4, lambda x: np.zeros(4),
+                                   lambda x: np.full((4, 4), np.nan))
+    monkeypatch.setattr(cli, "build_potential", lambda cfg: nan_potential)
+    cfg = write_config(tmp_path, "nan.ini", """
+[scenario]
+kind = three_velocity
+
+[manifold]
+metric = minkowski
+
+[particle]
+charge = 1
+x0 = 0.5, 0, 0, 0
+v0 = 0.3, 0, 0
+
+[integrator]
+dt = 0.01
+steps = 10
+
+[output]
+csv = {csv}
+""".format(csv=tmp_path / "nan.csv"))
+    code, _, err = run_cli(capsys, "simulate", cfg)
+    assert code == 3
+    assert_one_line_error(err)
+    assert "last good chart time q^0 = 0.5)" in err
+    assert "tau" not in err
+
+
 def test_three_velocity_inside_horizon_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "tvbad.ini", """
 [scenario]
@@ -388,6 +427,41 @@ csv = out.csv
     assert "particle.x0" in err
 
 
+SINGULAR_DIAGONAL = """
+[scenario]
+kind = {kind}
+
+[manifold]
+metric = diagonal
+diag = 1, -1e-13, -1, -1
+
+[particle]
+x0 = 0, 0, 0, 0
+v0 = 0.1, 0, 0
+
+[integrator]
+dt = 0.01
+steps = 10
+
+[output]
+csv = {csv}
+"""
+
+
+@pytest.mark.parametrize("command, kind", [("simulate", "geodesic"),
+                                           ("simulate", "hamiltonian"),
+                                           ("compare", "compare")])
+def test_singular_metric_exits_3(tmp_path, capsys, command, kind):
+    # condition number 1e13: the metric inversion fails inside the run
+    cfg = write_config(tmp_path, "singular.ini", SINGULAR_DIAGONAL.format(
+        kind=kind, csv=tmp_path / "singular.csv"))
+    code, _, err = run_cli(capsys, command, cfg)
+    assert code == 3
+    assert_one_line_error(err)
+    assert err.startswith("integration failed")
+    assert "singular" in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent/path.ini")
     assert code == 2
@@ -420,6 +494,15 @@ def test_check_unknown_metric(capsys):
     code, _, err = run_cli(capsys, "check", "--metric", "kerr")
     assert code == 2
     assert "kerr" in err
+
+
+def test_check_diag_wrong_length_exits_2(capsys):
+    code, out, err = run_cli(capsys, "check", "--metric", "diagonal",
+                             "--diag", "1,-1,-1")
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert "4 entries" in err
 
 
 def test_check_determinism(capsys):

@@ -272,6 +272,35 @@ def test_three_acceleration_circular_value(charged_model):
     assert np.max(np.abs(resid)) <= 1e-14
 
 
+def _three_acceleration_by_columns(model, t):
+    """Reference solve: Ebar's coefficient matrix assembled column by column
+    from n + 1 evaluations, since Ebar is affine in w."""
+    n = t.v.size
+    base = rm.three_euler_lagrange(model, t, np.zeros(n))
+    mat = np.empty((n, n))
+    for j in range(n):
+        mat[:, j] = rm.three_euler_lagrange(model, t, np.eye(n)[j]) - base
+    return np.linalg.solve(mat, -base), base
+
+
+def test_three_acceleration_matches_column_construction(mink, mink_gf, schw,
+                                                        schw_gf, n2_gfield):
+    # the closed-form coefficient matrix on an N = 1 flat, an N = 1
+    # x-dependent and an N = 2 form, all with a uniform E/B field
+    field = rm.uniform_field((0.3, -0.2, 0.5), (0.1, 0.4, -0.7))
+    rng = np.random.default_rng(17)
+    for metric, gf in ((mink, mink_gf), (schw, schw_gf), (mink, n2_gfield)):
+        model = rm.LagrangianModel(gf, field, mass=1.3, charge=0.7)
+        for _ in range(200):
+            x, u = random_state(metric, gf, rng)
+            t = rm.ThreeVelocity(x[0], x[1:], u[1:] / u[0])
+            w = rm.three_acceleration(model, t)
+            ref, base = _three_acceleration_by_columns(model, t)
+            assert np.max(np.abs(w - ref)) <= 1e-12 * np.max(np.abs(ref))
+            resid = rm.three_euler_lagrange(model, t, w)
+            assert np.max(np.abs(resid)) <= 1e-12 * np.max(np.abs(base))
+
+
 def test_three_el_consistent_with_full_derivative(charged_model, mink_gf):
     # lift (q0, q, v, w) to (x, u, a) with u0 = Gbar^(-1/2N) and a = du/dtau,
     # then calE_i must equal u0 * Ebar_i and calE_0 = -u0 v . Ebar
