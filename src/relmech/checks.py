@@ -22,6 +22,7 @@ from .dynamics import (
     levi_civita_connection,
     project_to_shell,
 )
+from .errors import ConstraintUnreachable
 from .geometry import (
     GTensorField,
     MetricField,
@@ -86,7 +87,7 @@ def sample_velocity(metric: MetricField, x, rng: np.random.Generator,
         uhat[k] = math.copysign(1.0 + abs(n[k]), n[k])
         if float(np.sum(sig * uhat * uhat)) > margin:
             return scale * uhat
-    raise RuntimeError("velocity sampling failed to find G > margin")
+    raise ConstraintUnreachable("velocity sampling failed to find G > margin")
 
 
 def _check_record(name: str, samples: int, worst: float) -> dict:

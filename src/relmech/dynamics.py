@@ -22,7 +22,7 @@ from .geometry import (
     GTensorField,
     MetricField,
     PotentialField,
-    christoffel_at,
+    _christoffel_and_inverse,
     faraday_at,
     g_value,
     inverse_metric_at,
@@ -85,15 +85,17 @@ def connection_from(metric: MetricField, potential: PotentialField,
         raise ValueError("metric and potential dimensions differ")
     ratio = float(charge) / float(mass)
 
-    def soldering(x, u):
-        ginv = inverse_metric_at(metric, x)
+    def solder(ginv, x):
         return ratio * ginv @ faraday_at(potential, x)
 
+    def soldering(x, u):
+        return solder(inverse_metric_at(metric, x), x)
+
     def coeffs(x, u):
-        c = christoffel_at(metric, x)
+        c, ginv = _christoffel_and_inverse(metric, x)
         k = np.einsum("lmn,n->ml", c, u)
         if ratio != 0.0:
-            k = k + soldering(x, u)
+            k = k + solder(ginv, x)
         return k
 
     return Connection(metric.dim, coeffs, metric, soldering)

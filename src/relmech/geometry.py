@@ -159,6 +159,12 @@ def diagonal_metric(entries: Sequence[float]) -> MetricField:
     d = np.asarray(entries, dtype=float)
     if d.ndim != 1 or d.size < 2:
         raise DimensionMismatch("diagonal metric needs at least 2 entries")
+    for i, entry in enumerate(d.tolist()):
+        if entry == 0.0 or not math.isfinite(entry):
+            raise ValueError(
+                f"diag[{i}] = {entry!r}: diagonal metric entries must be "
+                "finite and nonzero"
+            )
     g = np.diag(d)
     dg = np.zeros((d.size,) * 3)
     return MetricField(d.size, lambda x: g.copy(), lambda x: dg.copy(),
@@ -249,20 +255,44 @@ def metric_at(metric: MetricField, x) -> Array:
 def inverse_metric_at(metric: MetricField, x) -> Array:
     """Inverse metric g^{mu nu} at ``x``.
 
+    A diagonal metric (every nonzero entry on a nonzero diagonal) is inverted
+    in closed form, ``diag(1 / d)``; every other metric goes through LAPACK
+    and is symmetrized.  The two agree exactly on diagonal input.
+
     Raises :class:`SingularMetric` when the metric cannot be inverted or its
-    condition number (infinity norm estimate) exceeds 1e12.
+    condition number (infinity norm estimate) exceeds 1e12.  For a diagonal
+    metric that estimate is ``max|d| * max|1/d|``, the same number the
+    infinity norms give, so both paths reject the same metrics.
     """
     g = metric_at(metric, x)
+    d = g.diagonal()
+    if np.count_nonzero(g) == np.count_nonzero(d) == d.size:
+        dinv = 1.0 / d
+        _check_condition(abs(d).max() * abs(dinv).max(), x)
+        return np.diag(dinv)
     try:
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         raise SingularMetric(f"metric is singular at x = {x}") from exc
-    cond = np.linalg.norm(g, np.inf) * np.linalg.norm(inv, np.inf)
+    _check_condition(np.linalg.norm(g, np.inf) * np.linalg.norm(inv, np.inf), x)
+    return 0.5 * (inv + inv.T)
+
+
+def _check_condition(cond, x) -> None:
     if not cond < _COND_LIMIT:
         raise SingularMetric(
             f"metric is numerically singular at x = {x} (cond ~ {cond:.3e})"
         )
-    return 0.5 * (inv + inv.T)
+
+
+def _christoffel_and_inverse(metric: MetricField, x) -> tuple[Array, Array]:
+    """Connection symbols and inverse metric at ``x`` from one inversion."""
+    dg = np.asarray(metric.partials(_check_point(x, metric.dim)), dtype=float)
+    ginv = inverse_metric_at(metric, x)
+    # S[mu, beta, nu] = d_mu g_{beta nu} + d_nu g_{beta mu} - d_beta g_{mu nu}
+    s = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
+    c = -0.5 * np.einsum("lb,mbn->mln", ginv, s)
+    return 0.5 * (c + c.transpose(2, 1, 0)), ginv
 
 
 def christoffel_at(metric: MetricField, x) -> Array:
@@ -272,12 +302,7 @@ def christoffel_at(metric: MetricField, x) -> Array:
     negative of the textbook Christoffel symbols); they are symmetric in the
     outer indices mu, nu.  Constant metrics give identically zero.
     """
-    dg = np.asarray(metric.partials(_check_point(x, metric.dim)), dtype=float)
-    ginv = inverse_metric_at(metric, x)
-    # S[mu, beta, nu] = d_mu g_{beta nu} + d_nu g_{beta mu} - d_beta g_{mu nu}
-    s = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
-    c = -0.5 * np.einsum("lb,mbn->mln", ginv, s)
-    return 0.5 * (c + c.transpose(2, 1, 0))
+    return _christoffel_and_inverse(metric, x)[0]
 
 
 # ---------------------------------------------------------------------------

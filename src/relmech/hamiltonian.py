@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .geometry import (
 
 PhaseFn = Callable[[Array, Array], float]
 PhaseGrad = Callable[[Array, Array], Array]
+PhaseFlow = Callable[[Array, Array], Tuple[Array, Array]]
 
 
 @dataclass(frozen=True)
@@ -69,16 +70,31 @@ class HamiltonianModel:
     """A scalar on phase space with its two gradients.
 
     ``value(x, p)``, ``grad_x(x, p)`` (covector d_lam H) and
-    ``grad_p(x, p)`` (vector dH/dp_lam).  ``standard`` is set for the
-    metric-plus-potential family, unlocking the analytic second-order
-    reduction and shell helpers.
+    ``grad_p(x, p)`` (vector dH/dp_lam).  ``flow(x, p)`` returns the
+    canonical flow (dH/dp, -dH/dx) as float arrays in one call; the standard
+    family shares one metric inversion between its two halves.  ``standard``
+    is set for the metric-plus-potential family, unlocking the analytic
+    second-order reduction and shell helpers.
     """
 
     dim: int
     value: PhaseFn
     grad_x: PhaseGrad
     grad_p: PhaseGrad
+    flow: PhaseFlow
     standard: Optional[StandardData] = None
+
+
+def _composed_flow(grad_x: PhaseGrad, grad_p: PhaseGrad) -> PhaseFlow:
+    """The canonical flow (dH/dp, -dH/dx) from two separate gradients."""
+    def flow(x, p):
+        return np.asarray(grad_p(x, p), float), -np.asarray(grad_x(x, p), float)
+    return flow
+
+
+def _dginv(ginv: Array, dg: Array) -> Array:
+    """d_lam g^{ab} = -g^{ac} d_lam g_{cd} g^{db}, derivative index first."""
+    return -np.einsum("ac,lcd,db->lab", ginv, dg, ginv)
 
 
 @dataclass
@@ -128,9 +144,10 @@ def custom_hamiltonian(dim: int, value: PhaseFn,
     """Wrap a user-supplied scalar; missing gradients fall back to central
     finite differences of ``value``."""
     fd_x, fd_p = _fd_phase_grads(value, dim)
-    return HamiltonianModel(dim, value,
-                            grad_x if grad_x is not None else fd_x,
-                            grad_p if grad_p is not None else fd_p)
+    grad_x = grad_x if grad_x is not None else fd_x
+    grad_p = grad_p if grad_p is not None else fd_p
+    return HamiltonianModel(dim, value, grad_x, grad_p,
+                            _composed_flow(grad_x, grad_p))
 
 
 def standard_hamiltonian(metric: MetricField, potential: PotentialField,
@@ -148,27 +165,35 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
     if not m > 0.0:
         raise ValueError("mass must be positive")
 
+    def kinetic(x, p):
+        return p - e * np.asarray(potential.value(x), float)
+
     def value(x, p):
-        w = p - e * np.asarray(potential.value(x), float)
+        w = kinetic(x, p)
         ginv = inverse_metric_at(metric, x)
         return 0.5 * float(w @ ginv @ w) / m
 
     def grad_p(x, p):
-        w = p - e * np.asarray(potential.value(x), float)
+        w = kinetic(x, p)
         return inverse_metric_at(metric, x) @ w / m
 
-    def grad_x(x, p):
-        w = p - e * np.asarray(potential.value(x), float)
-        ginv = inverse_metric_at(metric, x)
+    def dh_dx(x, w, ginv):
         dg = np.asarray(metric.partials(x), float)
         da = np.asarray(potential.partials(x), float)
-        # d_lam g^{ab} = -g^{ac} d_lam g_{cd} g^{db}
-        dginv = -np.einsum("ac,lcd,db->lab", ginv, dg, ginv)
-        t_metric = 0.5 * np.einsum("lab,a,b->l", dginv, w, w) / m
+        t_metric = 0.5 * np.einsum("lab,a,b->l", _dginv(ginv, dg), w, w) / m
         t_pot = -(e / m) * np.einsum("ab,a,lb->l", ginv, w, da)
         return t_metric + t_pot
 
-    return HamiltonianModel(metric.dim, value, grad_x, grad_p,
+    def grad_x(x, p):
+        w = kinetic(x, p)
+        return dh_dx(x, w, inverse_metric_at(metric, x))
+
+    def flow(x, p):
+        w = kinetic(x, p)
+        ginv = inverse_metric_at(metric, x)
+        return ginv @ w / m, -dh_dx(x, w, ginv)
+
+    return HamiltonianModel(metric.dim, value, grad_x, grad_p, flow,
                             StandardData(metric, potential, m, e))
 
 
@@ -211,7 +236,7 @@ def mass_shell_scalar(h: HamiltonianModel,
 
     if h.standard is None:
         fd_x, fd_p = _fd_phase_grads(value, h.dim)
-        return HamiltonianModel(h.dim, value, fd_x, fd_p)
+        return HamiltonianModel(h.dim, value, fd_x, fd_p, _composed_flow(fd_x, fd_p))
 
     std = h.standard
     e, m2 = std.charge, std.mass ** 2
@@ -225,17 +250,15 @@ def mass_shell_scalar(h: HamiltonianModel,
         ginv = inverse_metric_at(std.metric, x)
         dg = np.asarray(std.metric.partials(x), float)
         da = np.asarray(std.potential.partials(x), float)
-        dginv = -np.einsum("ac,lcd,db->lab", ginv, dg, ginv)
-        return (np.einsum("lab,a,b->l", dginv, w, w)
+        return (np.einsum("lab,a,b->l", _dginv(ginv, dg), w, w)
                 - 2.0 * e * np.einsum("ab,a,lb->l", ginv, w, da)) / m2
 
-    return HamiltonianModel(h.dim, value, grad_x, grad_p)
+    return HamiltonianModel(h.dim, value, grad_x, grad_p, _composed_flow(grad_x, grad_p))
 
 
 def hamiltonian_vector_field(h: HamiltonianModel, s: PhaseState):
     """Canonical flow (xdot, pdot) = (dH/dp, -dH/dx)."""
-    return (np.asarray(h.grad_p(s.x, s.p), float),
-            -np.asarray(h.grad_x(s.x, s.p), float))
+    return h.flow(s.x, s.p)
 
 
 def poisson_bracket(f: HamiltonianModel, g: HamiltonianModel,
@@ -254,8 +277,9 @@ def coordinate_scalar(dim: int, lam: int) -> HamiltonianModel:
     ex = np.zeros(dim)
     ex[lam] = 1.0
     zero = np.zeros(dim)
-    return HamiltonianModel(dim, lambda x, p: float(x[lam]),
-                            lambda x, p: ex.copy(), lambda x, p: zero.copy())
+    grad_x, grad_p = lambda x, p: ex.copy(), lambda x, p: zero.copy()
+    return HamiltonianModel(dim, lambda x, p: float(x[lam]), grad_x, grad_p,
+                            _composed_flow(grad_x, grad_p))
 
 
 def momentum_scalar(dim: int, lam: int) -> HamiltonianModel:
@@ -263,8 +287,9 @@ def momentum_scalar(dim: int, lam: int) -> HamiltonianModel:
     ep = np.zeros(dim)
     ep[lam] = 1.0
     zero = np.zeros(dim)
-    return HamiltonianModel(dim, lambda x, p: float(p[lam]),
-                            lambda x, p: zero.copy(), lambda x, p: ep.copy())
+    grad_x, grad_p = lambda x, p: zero.copy(), lambda x, p: ep.copy()
+    return HamiltonianModel(dim, lambda x, p: float(p[lam]), grad_x, grad_p,
+                            _composed_flow(grad_x, grad_p))
 
 
 def on_shell_momentum(h: HamiltonianModel, x, u) -> Array:
@@ -301,7 +326,7 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     ginv = inverse_metric_at(std.metric, x)
     dg = np.asarray(std.metric.partials(x), float)
     da = np.asarray(std.potential.partials(x), float)
-    dginv = -np.einsum("ac,lcd,db->lab", ginv, dg, ginv)
+    dginv = _dginv(ginv, dg)
 
     w = m * (g @ u)                      # kinetic momenta p - eA
     p = w + e * np.asarray(std.potential.value(x), float)
@@ -321,6 +346,9 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     samples always kept) and tracks the largest |H_T| over the run.  A start
     with |H_T| > 1e-8 triggers a warning.  For non-standard Hamiltonians a
     ``metric`` must be supplied to evaluate the shell residual.
+
+    A step calls ``h.flow`` four times: its last call, at the updated point,
+    is the next step's first stage, and its velocity dH/dp gives H_T there.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -333,12 +361,13 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     x = np.array(s0.x, dtype=float)
     p = np.array(s0.p, dtype=float)
 
-    def shell(xx, pp):
+    def first_stage(xx, pp):
+        """The flow at (xx, pp) and the shell residual of its velocity."""
         g = metric_at(shell_metric, xx)
-        v = np.asarray(h.grad_p(xx, pp), float)
-        return float(v @ g @ v) - 1.0
+        k = h.flow(xx, pp)
+        return k, float(k[0] @ g @ k[0]) - 1.0
 
-    ht0 = shell(x, p)
+    (k1x, k1p), ht0 = first_stage(x, p)
     if abs(ht0) > 1e-8:
         warnings.warn(
             f"initial phase point is off the mass shell: H_T = {ht0!r}",
@@ -353,15 +382,11 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     drift = abs(ht0)
     tau = 0.0
 
-    def flow(xx, pp):
-        return np.asarray(h.grad_p(xx, pp), float), -np.asarray(h.grad_x(xx, pp), float)
-
     for k in range(1, steps + 1):
         try:
-            k1x, k1p = flow(x, p)
-            k2x, k2p = flow(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-            k3x, k3p = flow(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-            k4x, k4p = flow(x + dt * k3x, p + dt * k3p)
+            k2x, k2p = h.flow(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+            k3x, k3p = h.flow(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+            k4x, k4p = h.flow(x + dt * k3x, p + dt * k3p)
         except DomainError as exc:
             raise DomainError(
                 f"left the metric domain during step {k}: {exc}", tau=tau
@@ -371,7 +396,8 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
             raise StepRejected(f"non-finite state after step {k}", tau=tau)
         try:
-            htk = shell(x, p)
+            # the next step's first stage, whose velocity the monitor reads
+            (k1x, k1p), htk = first_stage(x, p)
         except DomainError as exc:
             raise DomainError(
                 f"left the metric domain during step {k}: {exc}", tau=tau

@@ -79,3 +79,22 @@ def random_state(metric, gfield, rng, margin=0.1):
     else:
         u = random_velocity(gfield, x, rng, margin)
     return x, u
+
+
+@pytest.fixture
+def inversion_count(monkeypatch):
+    """Count inverse_metric_at calls as geometry, dynamics and hamiltonian see it."""
+    import relmech.dynamics
+    import relmech.geometry
+    import relmech.hamiltonian
+
+    calls = [0]
+    inverse = relmech.geometry.inverse_metric_at
+
+    def counted(metric, x):
+        calls[0] += 1
+        return inverse(metric, x)
+
+    for mod in (relmech.geometry, relmech.dynamics, relmech.hamiltonian):
+        monkeypatch.setattr(mod, "inverse_metric_at", counted)
+    return calls

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -462,6 +463,15 @@ def test_singular_metric_exits_3(tmp_path, capsys, command, kind):
     assert "singular" in err
 
 
+def test_zero_diag_entry_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "zero.ini", SINGULAR_DIAGONAL.format(
+        kind="geodesic", csv=tmp_path / "zero.csv").replace("-1e-13", "0"))
+    code, _, err = run_cli(capsys, "simulate", cfg)
+    assert code == 2
+    assert_one_line_error(err)
+    assert err.startswith("config error") and "diag[1]" in err
+
+
 def test_missing_config_file(capsys):
     code, _, err = run_cli(capsys, "simulate", "/nonexistent/path.ini")
     assert code == 2
@@ -503,6 +513,27 @@ def test_check_diag_wrong_length_exits_2(capsys):
     assert out == ""
     assert_one_line_error(err)
     assert "4 entries" in err
+
+
+def test_check_without_timelike_direction_exits_2(capsys):
+    code, out, err = run_cli(capsys, "check", "--metric", "diagonal",
+                             "--diag=-1,-1,-1,-1")
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert "G > margin" in err
+
+
+@pytest.mark.parametrize("diag", ["1,0,-1,-1", "1,nan,-1,-1"])
+def test_check_zero_or_non_finite_diag_exits_2(capsys, diag):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+        code, out, err = run_cli(capsys, "check", "--metric", "diagonal",
+                                 "--diag", diag)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert "diag[1]" in err
 
 
 def test_check_determinism(capsys):

@@ -275,3 +275,11 @@ def test_agreement_with_variational_derivative(mink, schw, uniform_b):
                 res = rm.variational_derivative(model, x, u, a)
                 scale = 1.0 + np.max(np.abs(res.E)) + np.max(np.abs(a))
                 assert np.max(np.abs(res.cal_E)) <= 1e-9 * scale
+
+
+def test_one_inversion_per_rhs_stage(mink, mink_gf, uniform_b, inversion_count):
+    # the connection symbols and the soldering term share one inverse metric
+    conn = rm.connection_from(mink, uniform_b, 1.0, 1.0)
+    s0 = rm.FourState(X0, np.array([1.25, 0.75, 0.0, 0.0]))
+    rm.integrate_geodesic(conn, mink_gf, s0, 1e-2, 25, "none", 5)
+    assert inversion_count[0] == 4 * 25

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -97,6 +98,97 @@ def test_singular_metric_rejected():
                                 lambda x: np.zeros((4, 4, 4)))
     with pytest.raises(SingularMetric):
         rm.inverse_metric_at(degenerate, X0)
+
+
+def _lapack_inverse(metric, x):
+    """The general path of inverse_metric_at, kept as the reference."""
+    g = rm.metric_at(metric, x)
+    try:
+        inv = np.linalg.inv(g)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric(f"metric is singular at x = {x}") from exc
+    cond = np.linalg.norm(g, np.inf) * np.linalg.norm(inv, np.inf)
+    if not cond < 1e12:
+        raise SingularMetric(
+            f"metric is numerically singular at x = {x} (cond ~ {cond:.3e})")
+    return 0.5 * (inv + inv.T)
+
+
+def _constant_metric(g):
+    g = np.asarray(g, dtype=float)
+    return rm.MetricField(g.shape[0], lambda x: g.copy(),
+                          lambda x: np.zeros((g.shape[0],) * 3))
+
+
+def test_diagonal_inverse_equals_lapack_exactly(mink, schw):
+    rng = np.random.default_rng(11)
+    for metric in (schw, mink):
+        for _ in range(1000):
+            x = random_point(metric, rng)
+            npt.assert_array_equal(rm.inverse_metric_at(metric, x),
+                                   _lapack_inverse(metric, x))
+    near_limit = [1.0, -1.0000001e-12, -1.0, -1.0]  # cond just under 1e12
+    draws = [10.0 ** rng.uniform(-5.0, 5.0, 4) * rng.choice([-1.0, 1.0], 4)
+             for _ in range(1000)]
+    for entries in [near_limit] + draws:
+        metric = rm.diagonal_metric(entries)
+        try:
+            want = _lapack_inverse(metric, X0)
+        except SingularMetric as exc:
+            with pytest.raises(SingularMetric, match=re.escape(str(exc))):
+                rm.inverse_metric_at(metric, X0)
+        else:
+            npt.assert_array_equal(rm.inverse_metric_at(metric, X0), want)
+
+
+@pytest.mark.parametrize("diag", [
+    [1.0, -1e-13, -1.0, -1.0],
+    [1e7, -1e-6, -1.0, -1.0],
+    [1.0, -0.9999999e-12, -1.0, -1.0],
+    [1.0, 0.0, -1.0, -1.0],
+    [1.0, np.nan, -1.0, -1.0],
+    [1.0, np.inf, -1.0, -1.0],
+])
+def test_singular_diagonal_same_message(diag):
+    metric = _constant_metric(np.diag(diag))
+    with pytest.raises(SingularMetric) as want:
+        _lapack_inverse(metric, X0)
+    with pytest.raises(SingularMetric, match=re.escape(str(want.value))):
+        rm.inverse_metric_at(metric, X0)
+
+
+def test_non_diagonal_constant_metric_takes_general_path(monkeypatch):
+    # Minkowski space in a skewed linear chart: a boost along x composed
+    # with a shear, so every entry of g is nonzero (a boost alone gives
+    # back eta)
+    ch, sh = math.cosh(0.4), math.sinh(0.4)
+    boost = np.array([[ch, sh, 0, 0], [sh, ch, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    shear = np.eye(4) + np.triu(np.full((4, 4), 0.3), 1)
+    chart = boost @ shear
+    g = chart.T @ np.diag([1.0, -1.0, -1.0, -1.0]) @ chart
+    assert np.count_nonzero(g) == 16
+    metric = _constant_metric(g)
+    inversions = [0]
+    inv = np.linalg.inv
+
+    def counted(a):
+        inversions[0] += 1
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    ginv = rm.inverse_metric_at(metric, X0)
+    assert inversions[0] == 1
+    assert np.max(np.abs(g @ ginv - np.eye(4))) <= 1e-12
+    assert np.all(rm.christoffel_at(metric, X0) == 0.0)
+    # the diagonal closed form never calls LAPACK
+    rm.inverse_metric_at(rm.minkowski(), X0)
+    assert inversions[0] == 2
+
+
+@pytest.mark.parametrize("bad", [0.0, np.nan, np.inf, -np.inf])
+def test_diagonal_metric_rejects_zero_and_non_finite(bad):
+    with pytest.raises(ValueError, match=r"diag\[2\]"):
+        rm.diagonal_metric([1.0, -1.0, bad, -1.0])
 
 
 # -- connection symbols ------------------------------------------------------

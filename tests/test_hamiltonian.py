@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,10 @@ import numpy.testing as npt
 import pytest
 
 import relmech as rm
+from relmech.errors import DomainError
 from relmech.geometry import FD_STEP
 
-from conftest import random_state
+from conftest import random_point, random_state
 
 X0 = np.zeros(4)
 
@@ -311,3 +313,116 @@ def test_off_shell_start_warns(free_ham):
         rm.integrate_hamiltonian(free_ham,
                                  rm.PhaseState(X0, np.array([2.0, 0, 0, 0])),
                                  0.1, 2)
+
+
+def test_standard_flow_matches_gradients(schw, mink, uniform_b):
+    rng = np.random.default_rng(8)
+    for metric in (schw, mink):
+        ham = rm.standard_hamiltonian(metric, uniform_b, 1.3, 0.8)
+        for _ in range(200):
+            x, p = random_point(metric, rng), rng.standard_normal(4)
+            xdot, pdot = ham.flow(x, p)
+            npt.assert_array_equal(xdot, ham.grad_p(x, p))
+            npt.assert_array_equal(pdot, -ham.grad_x(x, p))
+
+
+def _reference_rk4(h, s0, dt, steps, record_every, metric=None):
+    """The integrator as it was before the flow field: the gradients are
+    evaluated separately and the shell monitor calls grad_p once more."""
+    metric = metric if metric is not None else h.standard.metric
+    x, p = np.array(s0.x), np.array(s0.p)
+
+    def shell(xx, pp):
+        v = h.grad_p(xx, pp)
+        return float(v @ rm.metric_at(metric, xx) @ v) - 1.0
+
+    def flow(xx, pp):
+        return h.grad_p(xx, pp), -h.grad_x(xx, pp)
+
+    xs, ps, hts, tau = [x.copy()], [p.copy()], [shell(x, p)], 0.0
+    for k in range(1, steps + 1):
+        try:
+            k1x, k1p = flow(x, p)
+            k2x, k2p = flow(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+            k3x, k3p = flow(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+            k4x, k4p = flow(x + dt * k3x, p + dt * k3p)
+        except DomainError as exc:
+            raise DomainError(f"left the metric domain during step {k}: {exc}",
+                              tau=tau) from exc
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        try:
+            htk = shell(x, p)
+        except DomainError as exc:
+            raise DomainError(f"left the metric domain during step {k}: {exc}",
+                              tau=tau) from exc
+        tau = k * dt
+        if k % record_every == 0 or k == steps:
+            xs.append(x.copy())
+            ps.append(p.copy())
+            hts.append(htk)
+    return np.stack(xs), np.stack(ps), np.asarray(hts)
+
+
+def test_integrator_matches_reference_loop(schw, schw_gf, mink, uniform_b):
+    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+    u0 = rm.project_to_shell(schw_gf, x0, np.array([1.1, -0.05, 0.0, 0.03]))
+    cases = [(rm.standard_hamiltonian(schw, rm.zero_potential(4), 1.0, 0.0), x0, u0),
+             (rm.standard_hamiltonian(mink, uniform_b, 1.0, 1.0), X0,
+              np.array([1.25, 0.75, 0.0, 0.0]))]
+    for ham, x, u in cases:
+        s0 = rm.PhaseState(x, rm.on_shell_momentum(ham, x, u))
+        traj = rm.integrate_hamiltonian(ham, s0, 0.05, 200, 7)
+        xs, ps, hts = _reference_rk4(ham, s0, 0.05, 200, 7)
+        npt.assert_array_equal(traj.x, xs)
+        npt.assert_array_equal(traj.p, ps)
+        npt.assert_array_equal(traj.HT, hts)
+
+
+def test_domain_exit_keeps_message_and_tau(schw, schw_gf, free_ham):
+    # a plunge into r = 2M fails inside an RK4 stage
+    ham = rm.standard_hamiltonian(schw, rm.zero_potential(4), 1.0, 0.0)
+    x0 = np.array([0.0, 3.0, math.pi / 2, 0.0])
+    u0 = rm.project_to_shell(schw_gf, x0, np.array([2.0, -0.5, 0.0, 0.0]))
+    plunge = (ham, rm.PhaseState(x0, rm.on_shell_momentum(ham, x0, u0)), None)
+
+    # a shell metric that ends at t = 0.25 fails only where the monitor
+    # evaluates it, at the point reached by step 3
+    def wall(x):
+        if x[0] > 0.25:
+            raise DomainError(f"t = {x[0]:g} is past the wall")
+
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    walled = rm.MetricField(4, lambda x: eta.copy(), lambda x: np.zeros((4, 4, 4)),
+                            domain_check=wall)
+    monitor = (free_ham, rm.PhaseState(X0, np.array([1.0, 0, 0, 0])), walled)
+
+    for h, s0, metric in (plunge, monitor):
+        with pytest.raises(DomainError) as got:
+            rm.integrate_hamiltonian(h, s0, 0.1, 10_000, metric=metric)
+        with pytest.raises(DomainError) as want:
+            _reference_rk4(h, s0, 0.1, 10_000, 1, metric)
+        assert str(got.value) == str(want.value)
+        assert got.value.tau == want.value.tau
+    assert "during step 3" in str(got.value) and got.value.tau == 0.2
+
+
+def test_one_inversion_per_rhs_stage(schw, schw_gf, inversion_count):
+    ham = rm.standard_hamiltonian(schw, rm.zero_potential(4), 1.0, 0.0)
+    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+    u0 = rm.project_to_shell(schw_gf, x0, np.array([1.1, -0.05, 0.0, 0.03]))
+    p0 = rm.on_shell_momentum(ham, x0, u0)
+    at_samples = [0]
+
+    def value(x, p):
+        before = inversion_count[0]
+        out = ham.value(x, p)
+        at_samples[0] += inversion_count[0] - before
+        return out
+
+    counted = dataclasses.replace(ham, value=value)
+    traj = rm.integrate_hamiltonian(counted, rm.PhaseState(x0, p0), 0.1, 30, 10)
+    # one H value per recorded sample; the rest is the first stage at the
+    # start plus four flow evaluations per step
+    assert at_samples[0] == len(traj) == 4
+    assert inversion_count[0] - at_samples[0] == 1 + 4 * 30
