@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -30,7 +31,8 @@ from typing import Optional
 import numpy as np
 
 from .checks import run_invariant_checks
-from .dynamics import Trajectory, connection_from, integrate_geodesic, project_to_shell
+from .dynamics import (Trajectory, _rk4, connection_from, integrate_geodesic,
+                       project_to_shell)
 from .errors import DomainError, ProjectiveInfinity, RelMechError, StepRejected
 from .geometry import (
     CATALOG_IDS,
@@ -270,12 +272,7 @@ def build_potential(cfg: ScenarioConfig) -> PotentialField:
     return zero_potential(cfg.dimension)
 
 
-def initial_state(cfg: ScenarioConfig, metric: MetricField,
-                  gfield: GTensorField) -> FourState:
-    try:
-        metric_at(metric, cfg.x0)
-    except DomainError as exc:
-        raise ConfigError(f"particle.x0: outside the manifold domain ({exc})") from exc
+def initial_state(cfg: ScenarioConfig, gfield: GTensorField) -> FourState:
     if cfg.u0 is not None:
         u = cfg.u0
     else:
@@ -308,45 +305,51 @@ def write_phase_csv(traj: PhaseTrajectory, path: str) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _run_three_velocity(cfg: ScenarioConfig, gfield: GTensorField,
+def _run_three_velocity(cfg: ScenarioConfig, start: ThreeVelocity,
+                        gfield: GTensorField,
                         potential: PotentialField) -> Trajectory:
-    """Integrate the chart-local equation in q^0 and lift to proper time."""
+    """Integrate the chart-local equation in q^0 and lift to proper time.
+
+    The state is (q^0, q, v).  Each step sets q^0 to the previous chart time
+    plus dt, since the RK4 sum (dt/6)*6 can miss dt by one ulp.  A failure
+    names the last good chart time q^0, not a proper time.
+    """
     model = LagrangianModel(gfield, potential, mass=cfg.mass, charge=cfg.charge)
-    q = cfg.x0[1:].astype(float)
-    v = cfg.v0.astype(float)
-    q0 = float(cfg.x0[0])
-    h = cfg.dt
-    samples = [ThreeVelocity(q0, q.copy(), v.copy())]
+    n = start.v.size
+    last = start
 
-    def chart_state(q0_, q_, v_):
+    def chart_state(y):
+        return ThreeVelocity(y[0], y[1:n + 1], y[n + 1:])
+
+    def rhs(y):
         try:
-            return ThreeVelocity(q0_, q_, v_)
-        except ValueError as exc:  # a non-finite entry, in a stage or a step
-            raise StepRejected("non-finite chart state (last good chart "
-                               f"time q^0 = {_fmt(samples[-1].q0)})") from exc
+            three = chart_state(y)
+        except ValueError as exc:  # a non-finite stage
+            raise StepRejected("non-finite chart state") from exc
+        return np.concatenate(([1.0], three.v, three_acceleration(model, three)))
 
-    def rhs(q0_, q_, v_):
-        return v_, three_acceleration(model, chart_state(q0_, q_, v_))
+    def settle(y):
+        nonlocal last
+        y[0] = last.q0 + cfg.dt
+        last = chart_state(y)
+        return y, last, None
 
-    for _ in range(cfg.steps):
-        k1q, k1v = rhs(q0, q, v)
-        k2q, k2v = rhs(q0 + 0.5 * h, q + 0.5 * h * k1q, v + 0.5 * h * k1v)
-        k3q, k3v = rhs(q0 + 0.5 * h, q + 0.5 * h * k2q, v + 0.5 * h * k2v)
-        k4q, k4v = rhs(q0 + h, q + h * k3q, v + h * k3v)
-        q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        q0 += h
-        samples.append(chart_state(q0, q.copy(), v.copy()))
+    y0 = np.concatenate(([last.q0], last.q, last.v))
+    try:
+        samples = _rk4(rhs, y0, last, cfg.dt, cfg.steps, settle)[2]
+    except StepRejected as exc:  # a non-finite stage or step
+        raise StepRejected("non-finite chart state (last good chart time "
+                           f"q^0 = {_fmt(last.q0)})") from exc
+    except DomainError as exc:
+        raise DomainError(
+            f"{exc} (last good chart time q^0 = {_fmt(last.q0)})"
+        ) from exc
 
     # lift on the full grid (best tau quadrature), then thin the records
     traj = lift_three_solution(samples, gfield, cfg.sign)
-    keep = np.zeros(len(traj), dtype=bool)
-    keep[::cfg.every] = True
-    keep[-1] = True
-    traj.tau = traj.tau[keep]
-    traj.x = traj.x[keep]
-    traj.u = traj.u[keep]
-    traj.G = traj.G[keep]
+    keep = np.append(np.arange(0, len(traj) - 1, cfg.every), len(traj) - 1)
+    traj.tau, traj.x, traj.u, traj.G = (traj.tau[keep], traj.x[keep],
+                                        traj.u[keep], traj.G[keep])
     return traj
 
 
@@ -361,53 +364,70 @@ def _integration_failed(exc: Exception) -> int:
     return 3
 
 
-def cmd_simulate(config_path: str) -> int:
+def _configure(config_path: str, command: str):
+    """Load and build the scenario of ``command`` (simulate or compare).
+
+    Returns (cfg, metric, potential, gfield, state), where ``state`` is a
+    ThreeVelocity for a three-velocity scenario and a FourState otherwise;
+    or None after printing a config error.
+    """
     try:
         cfg = load_config(config_path)
-        if cfg.kind == "compare":
+        if command == "compare" and cfg.kind != "compare":
+            raise ConfigError("scenario.kind: compare subcommand needs kind = compare")
+        if command == "simulate" and cfg.kind == "compare":
             raise ConfigError("scenario.kind: use the compare subcommand for compare configs")
-        if cfg.csv is None:
+        if command == "simulate" and cfg.csv is None:
             raise ConfigError("output.csv: required key is missing")
         metric = build_metric(cfg)
         potential = build_potential(cfg)
         gfield = GTensorField.from_metric(metric)
+        try:
+            metric_at(metric, cfg.x0)
+        except DomainError as exc:
+            raise ConfigError(f"particle.x0: outside the manifold domain ({exc})") from exc
         if cfg.kind == "three_velocity":
-            try:
-                metric_at(metric, cfg.x0)
-            except DomainError as exc:
-                raise ConfigError(
-                    f"particle.x0: outside the manifold domain ({exc})"
-                ) from exc
+            state = ThreeVelocity(cfg.x0[0], cfg.x0[1:], cfg.v0)
         else:
-            state = initial_state(cfg, metric, gfield)
+            state = initial_state(cfg, gfield)
     except (ConfigError, RelMechError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return None
+    return cfg, metric, potential, gfield, state
+
+
+def cmd_simulate(config_path: str) -> int:
+    setup = _configure(config_path, "simulate")
+    if setup is None:
         return 2
+    cfg, metric, potential, gfield, state = setup
 
     try:
-        if cfg.kind == "geodesic":
-            conn = connection_from(metric, potential, cfg.mass, cfg.charge)
-            traj = integrate_geodesic(conn, gfield, state, cfg.dt, cfg.steps,
-                                      cfg.projection, cfg.every)
-            write_trajectory_csv(traj, cfg.csv)
-            drift = traj.max_constraint_drift
-            print(f"wrote {cfg.csv}: {len(traj)} samples, "
-                  f"max |G-1| = {_fmt(drift)}")
-        elif cfg.kind == "hamiltonian":
+        if cfg.kind == "hamiltonian":
             ham = standard_hamiltonian(metric, potential, cfg.mass, cfg.charge)
             p0 = on_shell_momentum(ham, state.x, state.u)
-            ptraj = integrate_hamiltonian(ham, PhaseState(state.x, p0),
-                                          cfg.dt, cfg.steps, cfg.every)
-            write_phase_csv(ptraj, cfg.csv)
-            print(f"wrote {cfg.csv}: {len(ptraj)} samples, "
-                  f"max |H_T| = {_fmt(ptraj.max_shell_drift)}")
-        else:  # three_velocity
-            traj = _run_three_velocity(cfg, gfield, potential)
-            write_trajectory_csv(traj, cfg.csv)
-            print(f"wrote {cfg.csv}: {len(traj)} samples, "
-                  f"max |G-1| = {_fmt(traj.max_constraint_drift)}")
+            traj = integrate_hamiltonian(ham, PhaseState(state.x, p0),
+                                         cfg.dt, cfg.steps, cfg.every)
+            write, monitor, drift = write_phase_csv, "H_T", traj.max_shell_drift
+        else:
+            if cfg.kind == "geodesic":
+                conn = connection_from(metric, potential, cfg.mass, cfg.charge)
+                traj = integrate_geodesic(conn, gfield, state, cfg.dt, cfg.steps,
+                                          cfg.projection, cfg.every)
+            else:  # three_velocity
+                traj = _run_three_velocity(cfg, state, gfield, potential)
+            write, monitor, drift = (write_trajectory_csv, "G-1",
+                                     traj.max_constraint_drift)
     except _INTEGRATION_ERRORS as exc:
         return _integration_failed(exc)
+
+    try:
+        write(traj, cfg.csv)
+    except OSError as exc:
+        print(f"config error: output.csv: cannot write {cfg.csv!r}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return 2
+    print(f"wrote {cfg.csv}: {len(traj)} samples, max |{monitor}| = {_fmt(drift)}")
     return 0
 
 
@@ -448,27 +468,28 @@ def cmd_boost(alpha: float, v_raw: str) -> int:
     if v.size != 3:
         print(f"--v: expected 3 components, got {v.size}", file=sys.stderr)
         return 2
+    if not (math.isfinite(alpha) and np.all(np.isfinite(v))):
+        print("--alpha and --v must be finite", file=sys.stderr)
+        return 2
     try:
-        out = boost_three(alpha, v)
+        with np.errstate(over="raise", invalid="raise"):
+            out = boost_three(alpha, v)
     except ProjectiveInfinity as exc:
         print(f"boost failed: {exc}", file=sys.stderr)
+        return 3
+    except (OverflowError, FloatingPointError):
+        print(f"boost failed: the boost by rapidity {_fmt(alpha)} overflows "
+              "a float", file=sys.stderr)
         return 3
     print(",".join(_fmt(val) for val in out))
     return 0
 
 
 def cmd_compare(config_path: str) -> int:
-    try:
-        cfg = load_config(config_path)
-        if cfg.kind != "compare":
-            raise ConfigError("scenario.kind: compare subcommand needs kind = compare")
-        metric = build_metric(cfg)
-        potential = build_potential(cfg)
-        gfield = GTensorField.from_metric(metric)
-        state = initial_state(cfg, metric, gfield)
-    except (ConfigError, RelMechError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    setup = _configure(config_path, "compare")
+    if setup is None:
         return 2
+    cfg, metric, potential, gfield, state = setup
 
     ham_charge = (cfg.compare_hamiltonian_charge
                   if cfg.compare_hamiltonian_charge is not None else cfg.charge)

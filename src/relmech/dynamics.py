@@ -175,6 +175,51 @@ def project_to_shell(gfield: GTensorField, x, u) -> Array:
     return u * g ** (-1.0 / (2 * gfield.order_half))
 
 
+def _rk4(rhs: Callable[[Array], Array], y: Array, value, dt: float,
+         steps: int, settle, record_every: int = 1,
+         k1: Optional[Array] = None):
+    """Classic fixed-step RK4 for dy/dtau = rhs(y) on a flat float state.
+
+    ``value`` is the monitored value at the start, ``k1`` rhs(y) there if
+    known.  After each finite step ``settle(y)`` returns (y, value, k1): the
+    state to go on from (it may change y in place), the monitored value, and
+    rhs(y) if it computed it, else None.  A DomainError from a stage or from
+    ``settle`` is re-raised naming the step, with the last good tau.  Returns
+    lists (taus, ys, values) of the start, every ``record_every``-th step and
+    the last step.
+    """
+    if not dt > 0.0:
+        raise ValueError("dt must be positive")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+
+    taus, ys, values = [0.0], [y], [value]
+    tau = 0.0
+    for k in range(1, steps + 1):
+        try:
+            if k1 is None:
+                k1 = rhs(y)
+            k2 = rhs(y + 0.5 * dt * k1)
+            k3 = rhs(y + 0.5 * dt * k2)
+            k4 = rhs(y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(y)):
+                raise StepRejected(f"non-finite state after step {k}", tau=tau)
+            y, value, k1 = settle(y)
+        except DomainError as exc:
+            raise DomainError(
+                f"left the metric domain during step {k}: {exc}", tau=tau
+            ) from exc
+        tau = k * dt
+        if k % record_every == 0 or k == steps:
+            taus.append(tau)
+            ys.append(y)
+            values.append(value)
+    return taus, ys, values
+
+
 def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
                        steps: int, projection: str = "none",
                        record_every: int = 1) -> Trajectory:
@@ -196,12 +241,6 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
     beyond 1e-8 triggers a warning (off-shell initial data are allowed, the
     equation itself is defined off the shell).
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     if projection not in PROJECTION_MODES:
         raise ValueError(f"projection must be one of {PROJECTION_MODES}")
 
@@ -215,54 +254,27 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
             f"initial state is off the unit level set: G = {g0!r}",
             stacklevel=2,
         )
-
-    taus = [0.0]
-    xs = [x.copy()]
-    us = [u.copy()]
-    gs = [g0]
+    m = x.size
     drift = abs(g0 - 1.0)
-    tau = 0.0
 
-    def acc(xx, uu):
-        return c.K(xx, uu) @ uu
+    def rhs(y):
+        return np.concatenate((y[m:], c.K(y[:m], y[m:]) @ y[m:]))
 
-    for k in range(1, steps + 1):
-        try:
-            k1x, k1u = u, acc(x, u)
-            x2, u2 = x + 0.5 * dt * k1x, u + 0.5 * dt * k1u
-            k2x, k2u = u2, acc(x2, u2)
-            x3, u3 = x + 0.5 * dt * k2x, u + 0.5 * dt * k2u
-            k3x, k3u = u3, acc(x3, u3)
-            x4, u4 = x + dt * k3x, u + dt * k3u
-            k4x, k4u = u4, acc(x4, u4)
-        except DomainError as exc:
-            raise DomainError(
-                f"left the metric domain during step {k}: {exc}", tau=tau
-            ) from exc
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-            raise StepRejected(f"non-finite state after step {k}", tau=tau)
-        try:
-            if projection == "rescale":
-                u = project_to_shell(gfield, x, u)
-            gk = g_value(gfield, x, u)
-        except DomainError as exc:
-            raise DomainError(
-                f"left the metric domain during step {k}: {exc}", tau=tau
-            ) from exc
-        tau = k * dt
+    def settle(y):
+        nonlocal drift
+        if projection == "rescale":
+            y[m:] = project_to_shell(gfield, y[:m], y[m:])
+        gk = g_value(gfield, y[:m], y[m:])
         drift = max(drift, abs(gk - 1.0))
-        if k % record_every == 0 or k == steps:
-            taus.append(tau)
-            xs.append(x.copy())
-            us.append(u.copy())
-            gs.append(gk)
+        return y, gk, None
 
+    taus, ys, gs = _rk4(rhs, np.concatenate((x, u)), g0, dt, steps, settle,
+                        record_every)
+    ys = np.stack(ys)
     return Trajectory(
         tau=np.asarray(taus),
-        x=np.stack(xs),
-        u=np.stack(us),
+        x=ys[:, :m],
+        u=ys[:, m:],
         G=np.asarray(gs),
         integrator="rk4",
         dt=dt,

@@ -50,17 +50,15 @@ def fd_partials(f: FieldFn, x: Array) -> Array:
     result has shape ``(m,) + shape(f(x))`` with the derivative index first.
     """
     x = np.asarray(x, dtype=float)
-    m = x.size
-    sample = np.asarray(f(x), dtype=float)
-    out = np.empty((m,) + sample.shape)
-    for lam in range(m):
+    rows = []
+    for lam in range(x.size):
         h = FD_STEP * max(1.0, abs(x[lam]))
         xp = x.copy()
         xm = x.copy()
         xp[lam] += h
         xm[lam] -= h
-        out[lam] = (np.asarray(f(xp), float) - np.asarray(f(xm), float)) / (2.0 * h)
-    return out
+        rows.append((np.asarray(f(xp), float) - np.asarray(f(xm), float)) / (2.0 * h))
+    return np.stack(rows)
 
 
 def symmetrize(t: Array) -> Array:

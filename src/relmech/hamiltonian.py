@@ -24,12 +24,13 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, StepRejected
+from .dynamics import _rk4
+from .errors import DimensionMismatch
 from .geometry import (
     Array,
-    FD_STEP,
     MetricField,
     PotentialField,
+    fd_partials,
     inverse_metric_at,
     metric_at,
 )
@@ -114,28 +115,10 @@ class PhaseTrajectory:
         return self.tau.size
 
 
-def _fd_phase_grads(value: PhaseFn, dim: int):
-    def grad_x(x, p):
-        out = np.empty(dim)
-        for lam in range(dim):
-            h = FD_STEP * max(1.0, abs(x[lam]))
-            xp, xm = x.copy(), x.copy()
-            xp[lam] += h
-            xm[lam] -= h
-            out[lam] = (value(xp, p) - value(xm, p)) / (2.0 * h)
-        return out
-
-    def grad_p(x, p):
-        out = np.empty(dim)
-        for lam in range(dim):
-            h = FD_STEP * max(1.0, abs(p[lam]))
-            pp, pm = p.copy(), p.copy()
-            pp[lam] += h
-            pm[lam] -= h
-            out[lam] = (value(x, pp) - value(x, pm)) / (2.0 * h)
-        return out
-
-    return grad_x, grad_p
+def _fd_phase_grads(value: PhaseFn):
+    """Central finite-difference gradients (d_x, d_p) of a phase scalar."""
+    return (lambda x, p: fd_partials(lambda xx: value(xx, p), x),
+            lambda x, p: fd_partials(lambda pp: value(x, pp), p))
 
 
 def custom_hamiltonian(dim: int, value: PhaseFn,
@@ -143,7 +126,7 @@ def custom_hamiltonian(dim: int, value: PhaseFn,
                        grad_p: Optional[PhaseGrad] = None) -> HamiltonianModel:
     """Wrap a user-supplied scalar; missing gradients fall back to central
     finite differences of ``value``."""
-    fd_x, fd_p = _fd_phase_grads(value, dim)
+    fd_x, fd_p = _fd_phase_grads(value)
     grad_x = grad_x if grad_x is not None else fd_x
     grad_p = grad_p if grad_p is not None else fd_p
     return HamiltonianModel(dim, value, grad_x, grad_p,
@@ -235,7 +218,7 @@ def mass_shell_scalar(h: HamiltonianModel,
         return float(v @ g @ v) - 1.0
 
     if h.standard is None:
-        fd_x, fd_p = _fd_phase_grads(value, h.dim)
+        fd_x, fd_p = _fd_phase_grads(value)
         return HamiltonianModel(h.dim, value, fd_x, fd_p, _composed_flow(fd_x, fd_p))
 
     std = h.standard
@@ -350,72 +333,40 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     A step calls ``h.flow`` four times: its last call, at the updated point,
     is the next step's first stage, and its velocity dH/dp gives H_T there.
     """
-    if not dt > 0.0:
-        raise ValueError("dt must be positive")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if record_every < 1:
-        raise ValueError("record_every must be >= 1")
     shell_metric = _shell_metric(h, metric)
+    m = np.size(s0.x)
 
-    x = np.array(s0.x, dtype=float)
-    p = np.array(s0.p, dtype=float)
+    def flow(y):
+        return np.concatenate(h.flow(y[:m], y[m:]))
 
-    def first_stage(xx, pp):
-        """The flow at (xx, pp) and the shell residual of its velocity."""
-        g = metric_at(shell_metric, xx)
-        k = h.flow(xx, pp)
-        return k, float(k[0] @ g @ k[0]) - 1.0
+    def first_stage(y):
+        """The flow at y and the shell residual of its velocity."""
+        g = metric_at(shell_metric, y[:m])
+        k = flow(y)
+        return k, float(k[:m] @ g @ k[:m]) - 1.0
 
-    (k1x, k1p), ht0 = first_stage(x, p)
+    def settle(y):
+        nonlocal drift
+        k1, ht = first_stage(y)
+        drift = max(drift, abs(ht))
+        return y, ht, k1
+
+    y0 = np.concatenate((s0.x, s0.p)).astype(float)
+    k1, ht0 = first_stage(y0)
     if abs(ht0) > 1e-8:
         warnings.warn(
             f"initial phase point is off the mass shell: H_T = {ht0!r}",
             stacklevel=2,
         )
-
-    taus = [0.0]
-    xs = [x.copy()]
-    ps = [p.copy()]
-    hs = [float(h.value(x, p))]
-    hts = [ht0]
     drift = abs(ht0)
-    tau = 0.0
 
-    for k in range(1, steps + 1):
-        try:
-            k2x, k2p = h.flow(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-            k3x, k3p = h.flow(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-            k4x, k4p = h.flow(x + dt * k3x, p + dt * k3p)
-        except DomainError as exc:
-            raise DomainError(
-                f"left the metric domain during step {k}: {exc}", tau=tau
-            ) from exc
-        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        p = p + (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(p))):
-            raise StepRejected(f"non-finite state after step {k}", tau=tau)
-        try:
-            # the next step's first stage, whose velocity the monitor reads
-            (k1x, k1p), htk = first_stage(x, p)
-        except DomainError as exc:
-            raise DomainError(
-                f"left the metric domain during step {k}: {exc}", tau=tau
-            ) from exc
-        tau = k * dt
-        drift = max(drift, abs(htk))
-        if k % record_every == 0 or k == steps:
-            taus.append(tau)
-            xs.append(x.copy())
-            ps.append(p.copy())
-            hs.append(float(h.value(x, p)))
-            hts.append(htk)
-
+    taus, ys, hts = _rk4(flow, y0, ht0, dt, steps, settle, record_every, k1)
+    ys = np.stack(ys)
     return PhaseTrajectory(
         tau=np.asarray(taus),
-        x=np.stack(xs),
-        p=np.stack(ps),
-        H=np.asarray(hs),
+        x=ys[:, :m],
+        p=ys[:, m:],
+        H=np.asarray([float(h.value(y[:m], y[m:])) for y in ys]),
         HT=np.asarray(hts),
         integrator="rk4",
         dt=dt,

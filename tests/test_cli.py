@@ -8,6 +8,7 @@ import pytest
 
 import relmech.cli as cli
 from relmech.cli import main
+from relmech.errors import DomainError
 from relmech.geometry import PotentialField
 
 LN2 = math.log(2.0)
@@ -125,6 +126,30 @@ def test_boost_projective_infinity(capsys):
                            "--v", f"{coth!r},0,0")
     assert code == 3
     assert "affine chart" in err
+
+
+@pytest.mark.parametrize("alpha, v", [("nan", "0.1,0.2,0.3"), ("inf", "0.1,0.2,0.3"),
+                                      ("-inf", "0.1,0.2,0.3"), ("0.5", "nan,0,0"),
+                                      ("0.5", "0.1,inf,0")])
+def test_boost_non_finite_input_exits_2(capsys, alpha, v):
+    code, out, err = run_cli(capsys, "boost", f"--alpha={alpha}", "--v", v)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert "finite" in err
+
+
+@pytest.mark.parametrize("alpha, v", [("800", "0.1,0.2,0.3"), ("-800", "0.1,0.2,0.3"),
+                                      ("700", "1e300,0,0")])
+def test_boost_overflow_exits_3(capsys, alpha, v):
+    # cosh(800) overflows in math; 1e300 * sinh(700) overflows in numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "boost", f"--alpha={alpha}", "--v", v)
+    assert code == 3
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith("boost failed: ")
 
 
 # -- simulate ------------------------------------------------------------------------
@@ -282,6 +307,171 @@ csv = {csv}
     assert_one_line_error(err)
     assert "last good chart time q^0 = 0.5)" in err
     assert "tau" not in err
+
+
+def _reference_three_velocity(cfg, gfield, potential):
+    """The three-velocity run as a hand-written loop over (q^0, q, v), before
+    the shared RK4 core; kept as the reference for its outputs."""
+    from relmech.errors import StepRejected
+    from relmech.kinematics import ThreeVelocity, lift_three_solution
+    from relmech.lagrangian import LagrangianModel, three_acceleration
+    _fmt = cli._fmt
+
+    model = LagrangianModel(gfield, potential, mass=cfg.mass, charge=cfg.charge)
+    q = cfg.x0[1:].astype(float)
+    v = cfg.v0.astype(float)
+    q0 = float(cfg.x0[0])
+    h = cfg.dt
+    samples = [ThreeVelocity(q0, q.copy(), v.copy())]
+
+    def chart_state(q0_, q_, v_):
+        try:
+            return ThreeVelocity(q0_, q_, v_)
+        except ValueError as exc:  # a non-finite entry, in a stage or a step
+            raise StepRejected("non-finite chart state (last good chart "
+                               f"time q^0 = {_fmt(samples[-1].q0)})") from exc
+
+    def rhs(q0_, q_, v_):
+        return v_, three_acceleration(model, chart_state(q0_, q_, v_))
+
+    for _ in range(cfg.steps):
+        k1q, k1v = rhs(q0, q, v)
+        k2q, k2v = rhs(q0 + 0.5 * h, q + 0.5 * h * k1q, v + 0.5 * h * k1v)
+        k3q, k3v = rhs(q0 + 0.5 * h, q + 0.5 * h * k2q, v + 0.5 * h * k2v)
+        k4q, k4v = rhs(q0 + h, q + h * k3q, v + h * k3v)
+        q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        q0 += h
+        samples.append(chart_state(q0, q.copy(), v.copy()))
+
+    # lift on the full grid (best tau quadrature), then thin the records
+    traj = lift_three_solution(samples, gfield, cfg.sign)
+    keep = np.zeros(len(traj), dtype=bool)
+    keep[::cfg.every] = True
+    keep[-1] = True
+    traj.tau = traj.tau[keep]
+    traj.x = traj.x[keep]
+    traj.u = traj.u[keep]
+    traj.G = traj.G[keep]
+    return traj
+
+
+THREE_VELOCITY = """
+[scenario]
+kind = three_velocity
+
+[manifold]
+metric = minkowski
+
+[potential]
+kind = uniform_field
+E = 0.3, 0.1, 0
+B = 0, 0.2, 1
+
+[particle]
+charge = 1
+x0 = {x0}, 0, 0, 0
+v0 = 0.6, 0.1, 0
+
+[integrator]
+dt = {dt}
+steps = {steps}
+
+[output]
+csv = {csv}
+every = 7
+"""
+
+
+def _reference_run(cfg_path, potential=None):
+    cfg = cli.load_config(cfg_path)
+    gfield = cli.GTensorField.from_metric(cli.build_metric(cfg))
+    potential = potential if potential is not None else cli.build_potential(cfg)
+    return _reference_three_velocity(cfg, gfield, potential)
+
+
+@pytest.mark.parametrize("x0", ["0", "0.25"])
+def test_three_velocity_matches_reference_loop(tmp_path, capsys, x0):
+    # the chart time must advance by dt, not by the RK4 sum (dt/6)*6
+    dt = 0.007640768989396792
+    assert (dt / 6.0) * 6.0 != dt
+    csv = tmp_path / "three.csv"
+    cfg = write_config(tmp_path, "three.ini",
+                       THREE_VELOCITY.format(x0=x0, dt=dt, steps=300, csv=csv))
+    code, _, _ = run_cli(capsys, "simulate", cfg)
+    assert code == 0
+    want = tmp_path / "want.csv"
+    cli.write_trajectory_csv(_reference_run(cfg), str(want))
+    assert csv.read_bytes() == want.read_bytes()
+
+
+def test_three_velocity_later_failure_names_chart_time(tmp_path, capsys, monkeypatch):
+    # the potential's partials turn NaN past chart time 0.3, so the run fails
+    # in step 6; the message names the chart time q^0 reached by step 5
+    def partials(x):
+        return np.full((4, 4), np.nan if x[0] > 0.3 else 0.0)
+
+    potential = PotentialField(4, lambda x: np.zeros(4), partials)
+    cfg = write_config(tmp_path, "late.ini", THREE_VELOCITY.format(
+        x0=0.25, dt=0.01, steps=100, csv=tmp_path / "late.csv"))
+    with pytest.raises(Exception) as want:
+        _reference_run(cfg, potential)
+    assert "q^0 = 0.29" in str(want.value)
+
+    monkeypatch.setattr(cli, "build_potential", lambda cfg: potential)
+    code, _, err = run_cli(capsys, "simulate", cfg)
+    assert code == 3
+    assert_one_line_error(err)
+    assert err == f"integration failed: {want.value}\n"
+
+
+def test_three_velocity_domain_exit_names_chart_time(tmp_path, capsys, monkeypatch):
+    # a metric whose chart ends at t = 0.3, checked where it is evaluated,
+    # as the Schwarzschild chart checks r > 2M
+    def value(x):
+        if x[0] > 0.3:
+            raise DomainError(f"t = {x[0]:g} is past the wall")
+        return np.diag([1.0, -1.0, -1.0, -1.0])
+
+    walled = cli.MetricField(4, value, lambda x: np.zeros((4, 4, 4)))
+    monkeypatch.setattr(cli, "build_metric", lambda cfg: walled)
+    cfg = write_config(tmp_path, "wall.ini", THREE_VELOCITY.format(
+        x0=0.25, dt=0.01, steps=100, csv=tmp_path / "wall.csv"))
+    code, _, err = run_cli(capsys, "simulate", cfg)
+    assert code == 3
+    assert_one_line_error(err)
+    assert "past the wall" in err
+    assert "(last good chart time q^0 = 0.29" in err
+    assert "tau" not in err
+
+
+def test_three_velocity_four_accelerations_per_step(tmp_path, capsys, monkeypatch):
+    calls = [0]
+    acceleration = cli.three_acceleration
+
+    def counted(model, three):
+        calls[0] += 1
+        return acceleration(model, three)
+
+    monkeypatch.setattr(cli, "three_acceleration", counted)
+    cfg = write_config(tmp_path, "count.ini", THREE_VELOCITY.format(
+        x0=0.25, dt=0.01, steps=25, csv=tmp_path / "count.csv"))
+    code, _, _ = run_cli(capsys, "simulate", cfg)
+    assert code == 0
+    assert calls[0] == 4 * 25
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "hamiltonian", "three_velocity"])
+def test_unwritable_csv_exits_2(tmp_path, capsys, kind):
+    csv = tmp_path / "missing" / "out.csv"
+    text = THREE_VELOCITY.replace("kind = three_velocity", f"kind = {kind}")
+    cfg = write_config(tmp_path, "nodir.ini",
+                       text.format(x0=0.25, dt=0.01, steps=10, csv=csv))
+    code, out, err = run_cli(capsys, "simulate", cfg)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert "output.csv" in err and str(csv) in err
 
 
 def test_three_velocity_inside_horizon_exits_2(tmp_path, capsys):

@@ -283,3 +283,94 @@ def test_one_inversion_per_rhs_stage(mink, mink_gf, uniform_b, inversion_count):
     s0 = rm.FourState(X0, np.array([1.25, 0.75, 0.0, 0.0]))
     rm.integrate_geodesic(conn, mink_gf, s0, 1e-2, 25, "none", 5)
     assert inversion_count[0] == 4 * 25
+
+
+def _reference_rk4(c, gfield, s0, dt, steps, projection="none", record_every=1):
+    """The integrator as a hand-written loop over (x, u), before the shared
+    RK4 core; kept as the reference for the integrator's outputs."""
+    x = np.array(s0.x, dtype=float)
+    u = np.array(s0.u, dtype=float)
+    g0 = rm.g_value(gfield, x, u)
+    taus = [0.0]
+    xs = [x.copy()]
+    us = [u.copy()]
+    gs = [g0]
+    drift = abs(g0 - 1.0)
+    tau = 0.0
+
+    def acc(xx, uu):
+        return c.K(xx, uu) @ uu
+
+    for k in range(1, steps + 1):
+        try:
+            k1x, k1u = u, acc(x, u)
+            x2, u2 = x + 0.5 * dt * k1x, u + 0.5 * dt * k1u
+            k2x, k2u = u2, acc(x2, u2)
+            x3, u3 = x + 0.5 * dt * k2x, u + 0.5 * dt * k2u
+            k3x, k3u = u3, acc(x3, u3)
+            x4, u4 = x + dt * k3x, u + dt * k3u
+            k4x, k4u = u4, acc(x4, u4)
+        except DomainError as exc:
+            raise DomainError(
+                f"left the metric domain during step {k}: {exc}", tau=tau
+            ) from exc
+        x = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        u = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+            raise StepRejected(f"non-finite state after step {k}", tau=tau)
+        try:
+            if projection == "rescale":
+                u = rm.project_to_shell(gfield, x, u)
+            gk = rm.g_value(gfield, x, u)
+        except DomainError as exc:
+            raise DomainError(
+                f"left the metric domain during step {k}: {exc}", tau=tau
+            ) from exc
+        tau = k * dt
+        drift = max(drift, abs(gk - 1.0))
+        if k % record_every == 0 or k == steps:
+            taus.append(tau)
+            xs.append(x.copy())
+            us.append(u.copy())
+            gs.append(gk)
+    return np.asarray(taus), np.stack(xs), np.stack(us), np.asarray(gs), drift
+
+
+def test_integrator_matches_reference_loop(schw, schw_gf, mink, mink_gf, uniform_b):
+    u_schw = rm.project_to_shell(schw_gf, X_SCHW, np.array([1.1, -0.05, 0.0, 0.03]))
+    cases = [(rm.levi_civita_connection(schw), schw_gf, rm.FourState(X_SCHW, u_schw)),
+             (rm.connection_from(mink, uniform_b, 1.0, 1.0), mink_gf,
+              rm.FourState(X0, np.array([1.25, 0.75, 0.0, 0.0])))]
+    for conn, gf, s0 in cases:
+        for projection in ("none", "rescale"):
+            traj = rm.integrate_geodesic(conn, gf, s0, 0.05, 200, projection, 7)
+            taus, xs, us, gs, drift = _reference_rk4(conn, gf, s0, 0.05, 200,
+                                                     projection, 7)
+            assert len(traj) == 30
+            npt.assert_array_equal(traj.tau, taus)
+            npt.assert_array_equal(traj.x, xs)
+            npt.assert_array_equal(traj.u, us)
+            npt.assert_array_equal(traj.G, gs)
+            assert traj.max_constraint_drift == drift
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failures_match_reference_loop(schw, schw_gf, mink_gf):
+    # a plunge into r = 2M leaves the domain inside an RK4 stage
+    x0 = np.array([0.0, 3.0, math.pi / 2, 0.0])
+    u0 = rm.project_to_shell(schw_gf, x0, np.array([2.0, -0.5, 0.0, 0.0]))
+    plunge = (rm.levi_civita_connection(schw), schw_gf, rm.FourState(x0, u0), 0.05,
+              DomainError)
+    runaway = (rm.Connection(4, lambda x, u: 1e154 * np.eye(4)), mink_gf,
+               rm.FourState(X0, np.array([1.0, 0.0, 0.0, 0.0])), 1.0, StepRejected)
+    messages = []
+    for conn, gf, s0, dt, error in (plunge, runaway):
+        with pytest.raises(error) as got:
+            rm.integrate_geodesic(conn, gf, s0, dt, 10_000)
+        with pytest.raises(error) as want:
+            _reference_rk4(conn, gf, s0, dt, 10_000)
+        assert str(got.value) == str(want.value)
+        assert got.value.tau == want.value.tau
+        messages.append(str(got.value))
+    assert messages[0].startswith("left the metric domain during step")
+    assert messages[1].startswith("non-finite state after step")
