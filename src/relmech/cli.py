@@ -33,7 +33,8 @@ import numpy as np
 from .checks import run_invariant_checks
 from .dynamics import (Trajectory, _rk4, connection_from, integrate_geodesic,
                        project_to_shell)
-from .errors import DomainError, ProjectiveInfinity, RelMechError, StepRejected
+from .errors import (DimensionMismatch, DomainError, ProjectiveInfinity,
+                     RelMechError, StepRejected)
 from .geometry import (
     CATALOG_IDS,
     GTensorField,
@@ -41,6 +42,7 @@ from .geometry import (
     PotentialField,
     catalog_metric,
     coulomb_potential,
+    g_value,
     metric_at,
     uniform_field,
     zero_potential,
@@ -65,8 +67,16 @@ SCENARIO_KINDS = ("geodesic", "hamiltonian", "compare", "three_velocity")
 POTENTIAL_KINDS = ("none", "uniform_field", "coulomb")
 
 
-class ConfigError(Exception):
+class UsageError(Exception):
+    """Bad input on the command line or in a config: exit code 2."""
+
+
+class ConfigError(UsageError):
     """Invalid configuration; the message names the offending key."""
+
+
+class RunFailed(Exception):
+    """A command that cannot finish on valid input: exit code 3."""
 
 
 def _fmt(value: float) -> str:
@@ -76,11 +86,8 @@ def _fmt(value: float) -> str:
 @dataclass
 class ScenarioConfig:
     kind: str
-    dimension: int
-    metric: str
-    metric_params: dict
-    potential_kind: str
-    potential_params: dict
+    metric: MetricField
+    potential: PotentialField
     mass: float
     charge: float
     x0: np.ndarray
@@ -94,14 +101,19 @@ class ScenarioConfig:
     csv: Optional[str]
     every: int
     compare_tolerance: float
-    compare_hamiltonian_charge: Optional[float]
+    compare_hamiltonian_charge: float
 
 
-def _parse_floats(raw: str, key: str) -> np.ndarray:
+def _reals(raw: str, key: str, error=UsageError) -> np.ndarray:
+    """Comma-separated finite reals; an error names ``key`` and the entry."""
     try:
-        return np.array([float(tok) for tok in raw.split(",")])
+        arr = np.array([float(tok) for tok in raw.split(",")])
     except ValueError as exc:
-        raise ConfigError(f"{key}: expected comma-separated reals, got {raw!r}") from exc
+        raise error(f"{key}: expected comma-separated reals, got {raw!r}") from exc
+    for i, val in enumerate(arr.tolist()):
+        if not math.isfinite(val):
+            raise error(f"{key}[{i}] = {val!r}: must be finite")
+    return arr
 
 
 class _Section:
@@ -110,10 +122,11 @@ class _Section:
         self.data = dict(cp[name]) if cp.has_section(name) else {}
 
     def raw(self, key: str, default=None):
-        return self.data.get(key, default)
+        # configparser lowercases keys; messages keep the caller's spelling
+        return self.data.get(key.lower(), default)
 
     def string(self, key: str, default=None, choices=None):
-        val = self.data.get(key, default)
+        val = self.raw(key, default)
         if val is None:
             raise ConfigError(f"{self.name}.{key}: required key is missing")
         val = str(val).strip()
@@ -123,19 +136,31 @@ class _Section:
             )
         return val
 
-    def number(self, key: str, default=None, parse=float):
-        val = self.data.get(key)
+    def number(self, key: str, default=None):
+        val = self.raw(key)
         if val is None:
             if default is None:
                 raise ConfigError(f"{self.name}.{key}: required key is missing")
             return default
         try:
-            return parse(val)
+            num = float(val)
         except ValueError as exc:
             raise ConfigError(f"{self.name}.{key}: not a valid number: {val!r}") from exc
+        if not math.isfinite(num):
+            raise ConfigError(f"{self.name}.{key}: not a finite number: {val!r}")
+        return num
+
+    def integer(self, key: str, default: int, minimum: float = -math.inf) -> int:
+        """An integral number >= ``minimum``; ``1e4`` and ``4.0`` are integral."""
+        val = float(self.number(key, default))
+        if not val.is_integer():
+            raise ConfigError(f"{self.name}.{key}: not an integer: {self.raw(key)!r}")
+        if val < minimum:
+            raise ConfigError(f"{self.name}.{key}: must be >= {minimum}")
+        return int(val)
 
     def boolean(self, key: str, default=False):
-        val = self.data.get(key)
+        val = self.raw(key)
         if val is None:
             return default
         lowered = str(val).strip().lower()
@@ -146,12 +171,12 @@ class _Section:
         raise ConfigError(f"{self.name}.{key}: not a boolean: {val!r}")
 
     def vector(self, key: str, length: int, default=None):
-        val = self.data.get(key)
+        val = self.raw(key)
         if val is None:
             if default is None:
                 raise ConfigError(f"{self.name}.{key}: required key is missing")
             return np.asarray(default, dtype=float)
-        arr = _parse_floats(val, f"{self.name}.{key}")
+        arr = _reals(val, f"{self.name}.{key}", ConfigError)
         if arr.size != length:
             raise ConfigError(
                 f"{self.name}.{key}: expected {length} values, got {arr.size}"
@@ -160,6 +185,10 @@ class _Section:
 
 
 def load_config(path: str) -> ScenarioConfig:
+    """Read a scenario config and build its metric and potential.
+
+    Raises :class:`ConfigError`, naming the key, for any invalid entry.
+    """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -178,33 +207,7 @@ def load_config(path: str) -> ScenarioConfig:
     compare = _Section(cp, "compare")
 
     kind = scenario.string("kind", choices=SCENARIO_KINDS)
-    dim = int(manifold.number("dimension", 4, parse=float))
-    if dim < 2:
-        raise ConfigError("manifold.dimension: must be an integer >= 2")
-    metric_id = manifold.string("metric", choices=CATALOG_IDS)
-
-    metric_params: dict = {}
-    if metric_id == "schwarzschild":
-        if dim != 4:
-            raise ConfigError("manifold.dimension: schwarzschild requires dimension 4")
-        big_m = manifold.number("m", 1.0)
-        if not big_m > 0:
-            raise ConfigError("manifold.M: must be positive")
-        metric_params["mass"] = big_m
-    elif metric_id == "diagonal":
-        metric_params["diag"] = manifold.vector("diag", dim)
-
-    pot_kind = potential.string("kind", "none", choices=POTENTIAL_KINDS)
-    pot_params: dict = {}
-    if pot_kind in ("uniform_field", "coulomb") and dim != 4:
-        raise ConfigError(f"potential.kind: {pot_kind} requires dimension 4")
-    if pot_kind == "uniform_field":
-        pot_params["E"] = potential.vector("e", 3, default=np.zeros(3))
-        pot_params["B"] = potential.vector("b", 3, default=np.zeros(3))
-    elif pot_kind == "coulomb":
-        pot_params["q"] = potential.number("q")
-        pot_params["center"] = potential.vector("center", 3, default=np.zeros(3))
-
+    dim = manifold.integer("dimension", 4, minimum=2)
     mass = particle.number("mass", 1.0)
     if not mass > 0:
         raise ConfigError("particle.mass: must be positive")
@@ -220,11 +223,7 @@ def load_config(path: str) -> ScenarioConfig:
     if kind == "three_velocity" and v0 is None:
         raise ConfigError("particle.v0: three_velocity scenarios require v0")
 
-    sign_raw = particle.raw("sign", "+1")
-    try:
-        sign = int(float(sign_raw))
-    except ValueError as exc:
-        raise ConfigError(f"particle.sign: not a number: {sign_raw!r}") from exc
+    sign = particle.integer("sign", 1)
     if sign not in (1, -1):
         raise ConfigError("particle.sign: must be +1 or -1")
     normalize = particle.boolean("normalize", False)
@@ -232,25 +231,45 @@ def load_config(path: str) -> ScenarioConfig:
     dt = integrator.number("dt", 1e-3)
     if not dt > 0:
         raise ConfigError("integrator.dt: must be > 0")
-    steps = int(integrator.number("steps", 10000, parse=float))
-    if steps < 1:
-        raise ConfigError("integrator.steps: must be >= 1")
+    steps = integrator.integer("steps", 10000, minimum=1)
     projection = integrator.string("projection", "none", choices=("none", "rescale"))
 
     csv = output.raw("csv")
-    every = int(output.number("every", 1, parse=float))
-    if every < 1:
-        raise ConfigError("output.every: must be >= 1")
+    every = output.integer("every", 1, minimum=1)
 
     tol = compare.number("tolerance", 1e-6)
     if not tol > 0:
         raise ConfigError("compare.tolerance: must be > 0")
-    ham_charge = compare.raw("hamiltonian_charge")
-    ham_charge = float(ham_charge) if ham_charge is not None else None
+    ham_charge = compare.number("hamiltonian_charge", charge)
+
+    # build the fields last, once x0 has the dimension's length
+    metric_id = manifold.string("metric", choices=CATALOG_IDS)
+    params, key = {}, "metric"
+    if metric_id == "schwarzschild":
+        params, key = {"mass": manifold.number("M", 1.0)}, "M"
+    elif metric_id == "diagonal":
+        params, key = {"diag": manifold.vector("diag", dim)}, "diag"
+    try:
+        metric = catalog_metric(metric_id, dim=dim, **params)
+    except DimensionMismatch as exc:  # every vector's length is checked
+        raise ConfigError(f"manifold.dimension: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"manifold.{key}: {exc}") from exc
+
+    pot_kind = potential.string("kind", "none", choices=POTENTIAL_KINDS)
+    if pot_kind != "none" and dim != 4:
+        raise ConfigError(f"potential.kind: {pot_kind} requires dimension 4")
+    if pot_kind == "uniform_field":
+        field = uniform_field(potential.vector("E", 3, default=np.zeros(3)),
+                              potential.vector("B", 3, default=np.zeros(3)))
+    elif pot_kind == "coulomb":
+        field = coulomb_potential(potential.number("q"),
+                                  potential.vector("center", 3, default=np.zeros(3)))
+    else:
+        field = zero_potential(dim)
 
     return ScenarioConfig(
-        kind=kind, dimension=dim, metric=metric_id, metric_params=metric_params,
-        potential_kind=pot_kind, potential_params=pot_params,
+        kind=kind, metric=metric, potential=field,
         mass=mass, charge=charge, x0=x0, u0=u0, v0=v0, sign=sign,
         normalize=normalize, dt=dt, steps=steps, projection=projection,
         csv=csv, every=every, compare_tolerance=tol,
@@ -258,63 +277,52 @@ def load_config(path: str) -> ScenarioConfig:
     )
 
 
-def build_metric(cfg: ScenarioConfig) -> MetricField:
-    return catalog_metric(cfg.metric, dim=cfg.dimension,
-                          mass=cfg.metric_params.get("mass", 1.0),
-                          diag=cfg.metric_params.get("diag"))
-
-
-def build_potential(cfg: ScenarioConfig) -> PotentialField:
-    if cfg.potential_kind == "uniform_field":
-        return uniform_field(cfg.potential_params["E"], cfg.potential_params["B"])
-    if cfg.potential_kind == "coulomb":
-        return coulomb_potential(cfg.potential_params["q"], cfg.potential_params["center"])
-    return zero_potential(cfg.dimension)
-
-
-def initial_state(cfg: ScenarioConfig, gfield: GTensorField) -> FourState:
+def initial_state(cfg: ScenarioConfig, gfield: GTensorField):
+    """The start: a ThreeVelocity for a three-velocity scenario, else a FourState."""
     if cfg.u0 is not None:
         u = cfg.u0
     else:
         three = ThreeVelocity(q0=cfg.x0[0], q=cfg.x0[1:], v=cfg.v0)
+        if cfg.kind == "three_velocity":
+            return three
         u = four_from_three(three, gfield, cfg.sign).u
     if cfg.normalize:
         u = project_to_shell(gfield, cfg.x0, u)
     return FourState(x=cfg.x0, u=u)
 
 
+def _write_csv(path: str, header: list, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     m = traj.x.shape[1]
-    cols = (["tau"] + [f"x{i}" for i in range(m)]
-            + [f"u{i}" for i in range(m)] + ["G"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(traj)):
-            row = [traj.tau[k], *traj.x[k], *traj.u[k], traj.G[k]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, ["tau", *(f"x{i}" for i in range(m)),
+                      *(f"u{i}" for i in range(m)), "G"],
+               ([t, *x, *u, g] for t, x, u, g in
+                zip(traj.tau, traj.x, traj.u, traj.G)))
 
 
 def write_phase_csv(traj: PhaseTrajectory, path: str) -> None:
     m = traj.x.shape[1]
-    cols = (["tau"] + [f"x{i}" for i in range(m)]
-            + [f"p{i}" for i in range(m)] + ["H", "HT"])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(len(traj)):
-            row = [traj.tau[k], *traj.x[k], *traj.p[k], traj.H[k], traj.HT[k]]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(path, ["tau", *(f"x{i}" for i in range(m)),
+                      *(f"p{i}" for i in range(m)), "H", "HT"],
+               ([t, *x, *p, h, ht] for t, x, p, h, ht in
+                zip(traj.tau, traj.x, traj.p, traj.H, traj.HT)))
 
 
 def _run_three_velocity(cfg: ScenarioConfig, start: ThreeVelocity,
-                        gfield: GTensorField,
-                        potential: PotentialField) -> Trajectory:
+                        gfield: GTensorField) -> Trajectory:
     """Integrate the chart-local equation in q^0 and lift to proper time.
 
     The state is (q^0, q, v).  Each step sets q^0 to the previous chart time
     plus dt, since the RK4 sum (dt/6)*6 can miss dt by one ulp.  A failure
     names the last good chart time q^0, not a proper time.
     """
-    model = LagrangianModel(gfield, potential, mass=cfg.mass, charge=cfg.charge)
+    model = LagrangianModel(gfield, cfg.potential, mass=cfg.mass, charge=cfg.charge)
     n = start.v.size
     last = start
 
@@ -347,162 +355,116 @@ def _run_three_velocity(cfg: ScenarioConfig, start: ThreeVelocity,
 
     # lift on the full grid (best tau quadrature), then thin the records
     traj = lift_three_solution(samples, gfield, cfg.sign)
-    keep = np.append(np.arange(0, len(traj) - 1, cfg.every), len(traj) - 1)
+    keep = np.append(np.arange(len(traj) - 1)[::cfg.every], len(traj) - 1)
     traj.tau, traj.x, traj.u, traj.G = (traj.tau[keep], traj.x[keep],
                                         traj.u[keep], traj.G[keep])
     return traj
 
 
-#: errors that end an integration; each maps to exit code 3
-_INTEGRATION_ERRORS = (RelMechError, np.linalg.LinAlgError)
-
-
-def _integration_failed(exc: Exception) -> int:
-    tau = getattr(exc, "tau", None)
-    where = f" (last good tau = {_fmt(tau)})" if tau is not None else ""
-    print(f"integration failed{where}: {exc}", file=sys.stderr)
-    return 3
+def _run_hamiltonian(cfg: ScenarioConfig, state: FourState,
+                     charge: float) -> PhaseTrajectory:
+    """Integrate the Hamilton flow from the momenta p = m g u + charge A."""
+    ham = standard_hamiltonian(cfg.metric, cfg.potential, cfg.mass, charge)
+    p0 = on_shell_momentum(ham, state.x, state.u)
+    if not np.all(np.isfinite(p0)):
+        raise StepRejected(f"the start momenta p = m g u + e A are not finite: {p0}")
+    return integrate_hamiltonian(ham, PhaseState(state.x, p0),
+                                 cfg.dt, cfg.steps, cfg.every)
 
 
 def _configure(config_path: str, command: str):
-    """Load and build the scenario of ``command`` (simulate or compare).
+    """Load the scenario of ``command`` (simulate or compare) and its start.
 
-    Returns (cfg, metric, potential, gfield, state), where ``state`` is a
-    ThreeVelocity for a three-velocity scenario and a FourState otherwise;
-    or None after printing a config error.
+    Returns (cfg, gfield, initial_state(cfg, gfield)).
     """
+    cfg = load_config(config_path)
+    if command == "compare" and cfg.kind != "compare":
+        raise ConfigError("scenario.kind: compare subcommand needs kind = compare")
+    if command == "simulate" and cfg.kind == "compare":
+        raise ConfigError("scenario.kind: use the compare subcommand for compare configs")
+    if command == "simulate" and cfg.csv is None:
+        raise ConfigError("output.csv: required key is missing")
+    gfield = GTensorField.from_metric(cfg.metric)
     try:
-        cfg = load_config(config_path)
-        if command == "compare" and cfg.kind != "compare":
-            raise ConfigError("scenario.kind: compare subcommand needs kind = compare")
-        if command == "simulate" and cfg.kind == "compare":
-            raise ConfigError("scenario.kind: use the compare subcommand for compare configs")
-        if command == "simulate" and cfg.csv is None:
-            raise ConfigError("output.csv: required key is missing")
-        metric = build_metric(cfg)
-        potential = build_potential(cfg)
-        gfield = GTensorField.from_metric(metric)
-        try:
-            metric_at(metric, cfg.x0)
-        except DomainError as exc:
-            raise ConfigError(f"particle.x0: outside the manifold domain ({exc})") from exc
-        if cfg.kind == "three_velocity":
-            state = ThreeVelocity(cfg.x0[0], cfg.x0[1:], cfg.v0)
-        else:
-            state = initial_state(cfg, gfield)
-    except (ConfigError, RelMechError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return None
-    return cfg, metric, potential, gfield, state
+        metric_at(cfg.metric, cfg.x0)
+    except DomainError as exc:
+        raise ConfigError(f"particle.x0: outside the manifold domain ({exc})") from exc
+    # G(x0, u) of the configured velocity; a three-velocity v0 has u = (1, v0)
+    key, u = (("u0", cfg.u0) if cfg.u0 is not None
+              else ("v0", np.concatenate(([1.0], cfg.v0))))
+    g = g_value(gfield, cfg.x0, u)
+    if not 0.0 < g < math.inf:
+        raise ConfigError(f"particle.{key}: G = {g:g} at x0 is not finite and "
+                          "positive; the start velocity must be timelike")
+    return cfg, gfield, initial_state(cfg, gfield)
 
 
-def cmd_simulate(config_path: str) -> int:
-    setup = _configure(config_path, "simulate")
-    if setup is None:
-        return 2
-    cfg, metric, potential, gfield, state = setup
-
-    try:
-        if cfg.kind == "hamiltonian":
-            ham = standard_hamiltonian(metric, potential, cfg.mass, cfg.charge)
-            p0 = on_shell_momentum(ham, state.x, state.u)
-            traj = integrate_hamiltonian(ham, PhaseState(state.x, p0),
-                                         cfg.dt, cfg.steps, cfg.every)
-            write, monitor, drift = write_phase_csv, "H_T", traj.max_shell_drift
-        else:
-            if cfg.kind == "geodesic":
-                conn = connection_from(metric, potential, cfg.mass, cfg.charge)
-                traj = integrate_geodesic(conn, gfield, state, cfg.dt, cfg.steps,
-                                          cfg.projection, cfg.every)
-            else:  # three_velocity
-                traj = _run_three_velocity(cfg, state, gfield, potential)
-            write, monitor, drift = (write_trajectory_csv, "G-1",
-                                     traj.max_constraint_drift)
-    except _INTEGRATION_ERRORS as exc:
-        return _integration_failed(exc)
+def cmd_simulate(args) -> int:
+    cfg, gfield, state = _configure(args.config, "simulate")
+    if cfg.kind == "hamiltonian":
+        traj = _run_hamiltonian(cfg, state, cfg.charge)
+        write, monitor, drift = write_phase_csv, "H_T", traj.max_shell_drift
+    else:
+        if cfg.kind == "geodesic":
+            conn = connection_from(cfg.metric, cfg.potential, cfg.mass, cfg.charge)
+            traj = integrate_geodesic(conn, gfield, state, cfg.dt, cfg.steps,
+                                      cfg.projection, cfg.every)
+        else:  # three_velocity
+            traj = _run_three_velocity(cfg, state, gfield)
+        write, monitor, drift = (write_trajectory_csv, "G-1",
+                                 traj.max_constraint_drift)
 
     try:
         write(traj, cfg.csv)
     except OSError as exc:
-        print(f"config error: output.csv: cannot write {cfg.csv!r}: "
-              f"{exc.strerror or exc}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"output.csv: cannot write {cfg.csv!r}: "
+                          f"{exc.strerror or exc}") from exc
     print(f"wrote {cfg.csv}: {len(traj)} samples, max |{monitor}| = {_fmt(drift)}")
     return 0
 
 
-def cmd_check(metric_id: str, samples: int, seed: int,
-              diag: Optional[str]) -> int:
-    if metric_id not in CATALOG_IDS:
-        print(f"unknown metric id {metric_id!r}; expected one of "
-              f"{', '.join(CATALOG_IDS)}", file=sys.stderr)
-        return 2
-    if samples < 1:
-        print("--samples must be >= 1", file=sys.stderr)
-        return 2
-    diag_entries = None
-    if metric_id == "diagonal":
-        raw = diag if diag is not None else "1,-1,-1,-1"
-        try:
-            diag_entries = [float(tok) for tok in raw.split(",")]
-        except ValueError:
-            print(f"--diag: expected comma-separated reals, got {raw!r}",
-                  file=sys.stderr)
-            return 2
+def cmd_check(args) -> int:
+    if args.metric not in CATALOG_IDS:
+        raise UsageError(f"unknown metric id {args.metric!r}; expected one of "
+                         f"{', '.join(CATALOG_IDS)}")
+    if args.samples < 1:
+        raise UsageError("--samples must be >= 1")
+    diag = None
+    if args.metric == "diagonal":
+        diag = _reals(args.diag if args.diag is not None else "1,-1,-1,-1", "--diag")
     try:
-        report = run_invariant_checks(metric_id, samples=samples, seed=seed,
-                                      diag=diag_entries)
+        report = run_invariant_checks(args.metric, samples=args.samples,
+                                      seed=args.seed, diag=diag)
     except (RelMechError, ValueError) as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 2
+        raise UsageError(f"check failed: {exc}") from exc
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["pass"] else 1
 
 
-def cmd_boost(alpha: float, v_raw: str) -> int:
-    try:
-        v = np.array([float(tok) for tok in v_raw.split(",")])
-    except ValueError:
-        print(f"--v: expected comma-separated reals, got {v_raw!r}", file=sys.stderr)
-        return 2
+def cmd_boost(args) -> int:
+    v = _reals(args.v, "--v")
     if v.size != 3:
-        print(f"--v: expected 3 components, got {v.size}", file=sys.stderr)
-        return 2
-    if not (math.isfinite(alpha) and np.all(np.isfinite(v))):
-        print("--alpha and --v must be finite", file=sys.stderr)
-        return 2
+        raise UsageError(f"--v: expected 3 components, got {v.size}")
+    if not math.isfinite(args.alpha):
+        raise UsageError("--alpha and --v must be finite")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            out = boost_three(alpha, v)
+            out = boost_three(args.alpha, v)
     except ProjectiveInfinity as exc:
-        print(f"boost failed: {exc}", file=sys.stderr)
-        return 3
-    except (OverflowError, FloatingPointError):
-        print(f"boost failed: the boost by rapidity {_fmt(alpha)} overflows "
-              "a float", file=sys.stderr)
-        return 3
+        raise RunFailed(f"boost failed: {exc}") from exc
+    except (OverflowError, FloatingPointError) as exc:
+        raise RunFailed(f"boost failed: the boost by rapidity {_fmt(args.alpha)} "
+                        "overflows a float") from exc
     print(",".join(_fmt(val) for val in out))
     return 0
 
 
-def cmd_compare(config_path: str) -> int:
-    setup = _configure(config_path, "compare")
-    if setup is None:
-        return 2
-    cfg, metric, potential, gfield, state = setup
-
-    ham_charge = (cfg.compare_hamiltonian_charge
-                  if cfg.compare_hamiltonian_charge is not None else cfg.charge)
-    try:
-        conn = connection_from(metric, potential, cfg.mass, cfg.charge)
-        traj = integrate_geodesic(conn, gfield, state, cfg.dt, cfg.steps,
-                                  "none", cfg.every)
-        ham = standard_hamiltonian(metric, potential, cfg.mass, ham_charge)
-        p0 = on_shell_momentum(ham, state.x, state.u)
-        ptraj = integrate_hamiltonian(ham, PhaseState(state.x, p0),
-                                      cfg.dt, cfg.steps, cfg.every)
-    except _INTEGRATION_ERRORS as exc:
-        return _integration_failed(exc)
+def cmd_compare(args) -> int:
+    cfg, gfield, state = _configure(args.config, "compare")
+    conn = connection_from(cfg.metric, cfg.potential, cfg.mass, cfg.charge)
+    traj = integrate_geodesic(conn, gfield, state, cfg.dt, cfg.steps,
+                              "none", cfg.every)
+    ptraj = _run_hamiltonian(cfg, state, cfg.compare_hamiltonian_charge)
 
     divergence = float(np.max(np.abs(traj.x - ptraj.x)))
     report = {
@@ -527,6 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="integrate a scenario config, write CSV")
     p_sim.add_argument("config", help="path to an INI scenario config")
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_check = sub.add_parser("check", help="run the seeded invariant suite")
     p_check.add_argument("--metric", required=True,
@@ -535,29 +498,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--diag", default=None,
                          help="entries for the diagonal metric, e.g. 1,-1,-1,-1")
+    p_check.set_defaults(run=cmd_check)
 
     p_boost = sub.add_parser("boost", help="boost a three-velocity")
     p_boost.add_argument("--alpha", type=float, required=True, help="rapidity")
     p_boost.add_argument("--v", required=True, help="three-velocity v1,v2,v3")
+    p_boost.set_defaults(run=cmd_boost)
 
     p_cmp = sub.add_parser("compare",
                            help="geodesic vs Hamiltonian run from matched data")
     p_cmp.add_argument("config", help="path to an INI config with kind = compare")
+    p_cmp.set_defaults(run=cmd_compare)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place that reports an error and picks its
+    exit code (argparse itself exits 2 on a malformed command line)."""
     args = build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return cmd_simulate(args.config)
-    if args.command == "check":
-        return cmd_check(args.metric, args.samples, args.seed, args.diag)
-    if args.command == "boost":
-        return cmd_boost(args.alpha, args.v)
-    if args.command == "compare":
-        return cmd_compare(args.config)
-    return 2
+    try:
+        with np.errstate(all="ignore"):  # a non-finite result is an error line
+            return args.run(args)
+    except ConfigError as exc:
+        message, code = f"config error: {exc}", 2
+    except UsageError as exc:
+        message, code = str(exc), 2
+    except RunFailed as exc:
+        message, code = str(exc), 3
+    except (RelMechError, np.linalg.LinAlgError) as exc:  # a run that cannot go on
+        tau = getattr(exc, "tau", None)
+        where = f" (last good tau = {_fmt(tau)})" if tau is not None else ""
+        message, code = f"integration failed{where}: {exc}", 3
+    print(message, file=sys.stderr)
+    return code
 
 
 def console_main() -> None:

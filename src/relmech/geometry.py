@@ -176,8 +176,8 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
     horizon); points at or below it raise :class:`DomainError`.
     """
     big_m = float(mass)
-    if big_m <= 0:
-        raise ValueError("schwarzschild mass must be positive")
+    if not big_m > 0:
+        raise ValueError(f"schwarzschild mass must be positive, got {big_m!r}")
     r_min = 2.0 * big_m * (1.0 + 1e-9)
 
     def check(x):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import warnings
@@ -5,11 +7,12 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import relmech.cli as cli
 from relmech.cli import main
 from relmech.errors import DomainError
-from relmech.geometry import PotentialField
+from relmech.geometry import PotentialField, faraday_at
 
 LN2 = math.log(2.0)
 
@@ -282,7 +285,7 @@ def test_three_velocity_failure_reports_chart_time(tmp_path, capsys, monkeypatch
     # the message names the last good chart time q^0, not a proper time
     nan_potential = PotentialField(4, lambda x: np.zeros(4),
                                    lambda x: np.full((4, 4), np.nan))
-    monkeypatch.setattr(cli, "build_potential", lambda cfg: nan_potential)
+    monkeypatch.setattr(cli, "zero_potential", lambda dim: nan_potential)
     cfg = write_config(tmp_path, "nan.ini", """
 [scenario]
 kind = three_velocity
@@ -385,8 +388,8 @@ every = 7
 
 def _reference_run(cfg_path, potential=None):
     cfg = cli.load_config(cfg_path)
-    gfield = cli.GTensorField.from_metric(cli.build_metric(cfg))
-    potential = potential if potential is not None else cli.build_potential(cfg)
+    gfield = cli.GTensorField.from_metric(cfg.metric)
+    potential = potential if potential is not None else cfg.potential
     return _reference_three_velocity(cfg, gfield, potential)
 
 
@@ -418,7 +421,7 @@ def test_three_velocity_later_failure_names_chart_time(tmp_path, capsys, monkeyp
         _reference_run(cfg, potential)
     assert "q^0 = 0.29" in str(want.value)
 
-    monkeypatch.setattr(cli, "build_potential", lambda cfg: potential)
+    monkeypatch.setattr(cli, "uniform_field", lambda e, b: potential)
     code, _, err = run_cli(capsys, "simulate", cfg)
     assert code == 3
     assert_one_line_error(err)
@@ -434,7 +437,7 @@ def test_three_velocity_domain_exit_names_chart_time(tmp_path, capsys, monkeypat
         return np.diag([1.0, -1.0, -1.0, -1.0])
 
     walled = cli.MetricField(4, value, lambda x: np.zeros((4, 4, 4)))
-    monkeypatch.setattr(cli, "build_metric", lambda cfg: walled)
+    monkeypatch.setattr(cli, "catalog_metric", lambda *args, **kwargs: walled)
     cfg = write_config(tmp_path, "wall.ini", THREE_VELOCITY.format(
         x0=0.25, dt=0.01, steps=100, csv=tmp_path / "wall.csv"))
     code, _, err = run_cli(capsys, "simulate", cfg)
@@ -807,3 +810,325 @@ def test_compare_mismatched_charge_fails(tmp_path, capsys):
     assert code == 1
     report = json.loads(out)
     assert report["divergence"] > report["tolerance"]
+
+
+# -- each input read once: non-finite reals, integers, field construction -----------
+
+def scenario_sections(csv):
+    """A valid geodesic scenario, as {section: {key: value}}."""
+    return {
+        "scenario": {"kind": "geodesic"},
+        "manifold": {"dimension": "4", "metric": "minkowski"},
+        "potential": {"kind": "uniform_field", "E": "0.1, 0, 0", "B": "0, 0, 1"},
+        "particle": {"charge": "0.5", "x0": "0, 10, 1.5707963267948966, 0",
+                     "u0": "1.1, 0, 0, 0.03", "normalize": "true"},
+        "integrator": {"dt": "0.01", "steps": "10"},
+        "output": {"csv": str(csv), "every": "5"},
+    }
+
+
+def ini_text(sections):
+    return "\n".join(f"[{name}]\n" + "".join(f"{key} = {val}\n" for key, val in entries.items())
+                     for name, entries in sections.items())
+
+
+def write_scenario(tmp_path, changes):
+    """The valid scenario with ``changes`` ({'section.key': value, or None to drop})."""
+    sections = scenario_sections(tmp_path / "out.csv")
+    for dotted, value in changes.items():
+        name, key = dotted.split(".")
+        entries = sections.setdefault(name, {})
+        if value is None:
+            entries.pop(key, None)
+        else:
+            entries[key] = value
+    return write_config(tmp_path, "scenario.ini", ini_text(sections))
+
+
+def test_scenario_sections_are_valid(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "simulate", write_scenario(tmp_path, {}))
+    assert code == 0 and err == ""
+    assert "3 samples" in out
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"particle.x0": "nan, 10, 1.5, 0"}, "particle.x0[0] = nan"),
+    ({"particle.x0": "0, inf, 1.5, 0"}, "particle.x0[1] = inf"),
+    ({"particle.u0": "1, -inf, 0, 0"}, "particle.u0[1] = -inf"),
+    ({"particle.u0": None, "particle.v0": "0.1, nan, 0"}, "particle.v0[1] = nan"),
+    ({"potential.E": "0, 0, nan"}, "potential.E[2] = nan"),
+    ({"potential.B": "inf, 0, 0"}, "potential.B[0] = inf"),
+    ({"potential.kind": "coulomb", "potential.q": "1", "potential.center": "0, nan, 0"},
+     "potential.center[1] = nan"),
+    ({"manifold.metric": "diagonal", "manifold.diag": "1, -1, nan, -1"},
+     "manifold.diag[2] = nan"),
+])
+def test_non_finite_config_real_exits_2(tmp_path, capsys, changes, named):
+    code, out, err = run_cli(capsys, "simulate", write_scenario(tmp_path, changes))
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith(f"config error: {named}: ") and "finite" in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["check", "--metric", "diagonal", "--diag", "1,-1,nan,-1"], "--diag[2] = nan"),
+    (["check", "--metric", "diagonal", "--diag=-inf,-1,-1,-1"], "--diag[0] = -inf"),
+    (["boost", "--alpha", "0.5", "--v", "0.1,inf,0"], "--v[1] = inf"),
+])
+def test_non_finite_argument_exits_2(capsys, argv, named):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith(f"{named}: ") and "finite" in err
+
+
+@pytest.mark.parametrize("key", ["integrator.steps", "output.every", "particle.sign",
+                                 "manifold.dimension"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "2.7"])
+def test_non_integer_exits_2(tmp_path, capsys, key, value):
+    code, out, err = run_cli(capsys, "simulate", write_scenario(tmp_path, {key: value}))
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith(f"config error: {key}: ")
+
+
+def test_integral_spellings_are_integers(tmp_path, capsys):
+    cfg = write_scenario(tmp_path, {"integrator.steps": "1e1", "output.every": "5.0",
+                                    "particle.sign": "1.0", "manifold.dimension": "4.0"})
+    code, out, _ = run_cli(capsys, "simulate", cfg)
+    assert code == 0
+    assert "3 samples" in out
+
+
+def test_hamiltonian_charge_not_a_number_names_key(tmp_path, capsys):
+    extra = "\n[compare]\nhamiltonian_charge = abc\n"
+    cfg = write_config(tmp_path, "hc.ini", COMPARE_BASE.format(extra=extra))
+    code, out, err = run_cli(capsys, "compare", cfg)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith("config error: compare.hamiltonian_charge: ")
+
+
+@pytest.mark.parametrize("changes, key", [
+    ({"manifold.metric": "schwarzschild", "manifold.M": "nan"}, "manifold.M"),
+    ({"manifold.metric": "schwarzschild", "manifold.M": "-1"}, "manifold.M"),
+    ({"manifold.metric": "schwarzschild", "manifold.dimension": "3", "potential.kind": "none",
+      "particle.x0": "0, 10, 1", "particle.u0": "1, 0, 0"}, "manifold.dimension"),
+    ({"manifold.metric": "diagonal", "manifold.diag": "1, 0, -1, -1"}, "manifold.diag"),
+])
+def test_field_construction_error_names_key(tmp_path, capsys, changes, key):
+    code, out, err = run_cli(capsys, "simulate", write_scenario(tmp_path, changes))
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith(f"config error: {key}: ")
+
+
+def test_load_config_builds_the_fields(tmp_path):
+    cfg = cli.load_config(write_scenario(tmp_path, {"manifold.metric": "schwarzschild",
+                                                    "manifold.M": "1.5"}))
+    assert cfg.metric.catalog_id == "schwarzschild" and cfg.metric.params == {"M": 1.5}
+    npt.assert_array_equal(faraday_at(cfg.potential, cfg.x0)[1:, 0], [0.1, 0, 0])
+
+
+# -- start state: G(x0, u) must be finite and positive, for every kind ---------------
+
+@pytest.mark.parametrize("kind", ["geodesic", "hamiltonian", "compare"])
+@pytest.mark.parametrize("u0", ["1e200, 0, 0, 0", "0, 1, 0, 0", "0, 0, 0, 0"])
+def test_start_velocity_without_finite_positive_g_exits_2(tmp_path, capsys, kind, u0):
+    cfg = write_scenario(tmp_path, {"scenario.kind": kind, "particle.u0": u0})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning is a second stderr line
+        code, out, err = run_cli(capsys, "compare" if kind == "compare" else "simulate", cfg)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith("config error: particle.u0: ")
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "three_velocity"])
+def test_superluminal_start_three_velocity_exits_2(tmp_path, capsys, kind):
+    cfg = write_scenario(tmp_path, {"scenario.kind": kind, "particle.u0": None,
+                                    "particle.v0": "2, 0, 0"})
+    code, out, err = run_cli(capsys, "simulate", cfg)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith("config error: particle.v0: ")
+
+
+# -- fuzz: every input ends in a documented exit code, never in a traceback ----------
+
+def assert_exit_contract(argv):
+    """Run ``main(argv)`` in process; an argparse SystemExit gives the exit code.
+
+    An exception escaping ``main`` fails the test, as the console script would
+    end in a traceback.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    parsed = True
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: 2 on a bad command line, 0 on --help
+            code, parsed = exc.code, False
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, code, err)
+    assert "Traceback" not in err
+    if parsed and code in (2, 3):
+        assert len(err.splitlines()) == 1, (argv, err)
+
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+# values per option; --samples stays small so a check run is short
+ARGV_VALUES = {
+    "--metric": ["minkowski", "euclidean", "schwarzschild", "diagonal", "kerr", ""],
+    "--diag": ["1,-1,-1,-1", "-1,-1,-1,-1", "1,nan,-1,-1", "1,0,-1,-1", "1,-1,-1",
+               "1e400,-1,-1,-1", "1,-1e-13,-1,-1", "a,b", ""],
+    "--samples": ["1", "2", "0", "-1", "abc"],
+    "--seed": ["0", "7", "-1", "x"],
+    "--alpha": ["0", "0.5", "-0.5", "0.6931471805599453", "800", "nan", "inf", "1e400", "abc"],
+    "--v": ["0.1,0.2,0.3", "0,0,0", "1.6666666666666667,0,0", "nan,0,0", "1e300,0,0", "1,2",
+            "a,b,c", ""],
+}
+ARGV_TOKENS = ["simulate", "check", "boost", "compare", "kerr", "-1", "", "no-such-config.ini"]
+
+
+RARELY_TRUE = st.sampled_from([False] * 9 + [True])
+RARELY_FALSE = RARELY_TRUE.map(lambda flag: not flag)
+
+
+@st.composite
+def fuzz_argv(draw):
+    def option(flag):
+        return f"{flag}={draw(st.sampled_from(ARGV_VALUES[flag]))}"
+
+    command = draw(st.sampled_from(["simulate", "compare", "check", "boost"] * 3
+                                   + ARGV_TOKENS))
+    argv = [command]
+    if command == "check":
+        argv += ["--samples", "2", option("--metric"), option("--diag")]
+    elif command == "boost":
+        argv += [option("--alpha"), option("--v")]
+    elif command in ("simulate", "compare"):
+        argv.append(draw(st.sampled_from(ARGV_TOKENS)))
+    # drop some of the arguments above, then add stray options and tokens
+    argv = [arg for i, arg in enumerate(argv) if i == 0 or draw(RARELY_FALSE)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.append(draw(st.sampled_from(ARGV_TOKENS) | st.sampled_from(list(ARGV_VALUES))
+                         .map(option)))
+    return argv
+
+
+@FUZZ
+@given(argv=fuzz_argv())
+def test_fuzz_argv_exit_contract(argv):
+    assert_exit_contract(argv)
+
+
+FUZZ_BASE = {
+    "scenario": {"kind": "geodesic"},
+    "manifold": {"dimension": "4", "metric": "minkowski", "M": "1", "diag": "1, -1, -1, -1"},
+    "potential": {"kind": "none", "E": "0.1, 0, 0", "B": "0, 0, 1", "q": "0.5",
+                  "center": "0, 0, 0"},
+    "particle": {"mass": "1", "charge": "0.5", "x0": "0, 10, 1.5707963267948966, 0",
+                 "u0": "1.1, 0, 0, 0.03", "sign": "1", "normalize": "true"},
+    "integrator": {"dt": "0.01", "steps": "20", "projection": "none"},
+    "output": {"every": "5"},
+    "compare": {"tolerance": "1e-6", "hamiltonian_charge": "0.5"},
+}
+FUZZ_KEYS = [(name, key) for name, entries in FUZZ_BASE.items() for key in entries] + [
+    ("particle", "v0")]
+FUZZ_VALUES = [
+    "", "abc", "nan", "inf", "-inf", "0", "-1", "2.7", "5", "1e300", "1e308", "1e-300", "1,2",
+    "1e200, 0, 0, 0", "0, 1, 0, 0", "nan, 0, 0, 0", "0, 1.5, 1, 0", "1, -1e-13, -1, -1",
+    "0, 0, 0", "2, 0, 0", "1, 2, 3, 4, 5", "true", "geodesic", "compare", "schwarzschild",
+    "diagonal", "coulomb", "uniform_field", "rescale",
+]
+# integrator.steps is never dropped (the default is 10000) and never above 20
+FUZZ_STEPS = ["", "abc", "nan", "inf", "-inf", "0", "-1", "2.7", "2e1", "20.0", "1,2", "3"]
+
+
+@st.composite
+def mutated_scenarios(draw):
+    sections = {name: dict(entries) for name, entries in FUZZ_BASE.items()}
+    sections["scenario"]["kind"] = draw(st.sampled_from(cli.SCENARIO_KINDS))
+    sections["manifold"]["metric"] = draw(st.sampled_from(cli.CATALOG_IDS))
+    sections["potential"]["kind"] = draw(st.sampled_from(cli.POTENTIAL_KINDS))
+    if draw(st.booleans()) or sections["scenario"]["kind"] == "three_velocity":
+        del sections["particle"]["u0"]
+        sections["particle"]["v0"] = "0.1, 0, 0.003"
+    for name, key in draw(st.lists(st.sampled_from(FUZZ_KEYS), max_size=3)):
+        if (name, key) == ("integrator", "steps"):
+            sections[name][key] = draw(st.sampled_from(FUZZ_STEPS))
+        elif draw(st.booleans()):
+            sections[name].pop(key, None)
+        else:
+            sections[name][key] = draw(st.sampled_from(FUZZ_VALUES))
+    return sections
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@FUZZ
+@given(sections=mutated_scenarios(), swap=RARELY_TRUE)
+def test_fuzz_config_exit_contract(fuzz_dir, sections, swap):
+    sections["output"]["csv"] = str(fuzz_dir / "out.csv")
+    path = fuzz_dir / "scenario.ini"
+    path.write_text(ini_text(sections), encoding="utf-8")
+    command = "compare" if (sections["scenario"].get("kind") == "compare") != swap else "simulate"
+    assert_exit_contract([command, str(path)])
+
+
+@pytest.mark.parametrize("key, value", [
+    ("particle.mass", "inf"), ("particle.charge", "nan"), ("integrator.dt", "inf"),
+    ("compare.tolerance", "inf"), ("compare.hamiltonian_charge", "-inf"),
+])
+def test_non_finite_config_number_exits_2(tmp_path, capsys, key, value):
+    code, out, err = run_cli(capsys, "simulate", write_scenario(tmp_path, {key: value}))
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err == f"config error: {key}: not a finite number: {value!r}\n"
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "hamiltonian", "three_velocity"])
+def test_overflow_during_run_is_one_line(tmp_path, capsys, kind):
+    cfg = write_scenario(tmp_path, {"scenario.kind": kind, "particle.u0": None,
+                                    "particle.v0": "0.1, 0, 0", "integrator.dt": "1e300"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning is a second stderr line
+        code, out, err = run_cli(capsys, "simulate", cfg)
+    assert code == 3
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith("integration failed")
+
+
+@pytest.mark.parametrize("command, kind", [("simulate", "hamiltonian"), ("compare", "compare")])
+def test_overflowing_start_momenta_exit_3(tmp_path, capsys, command, kind):
+    # p_3 = m g_33 u^3 = -1e308 r^2 u^3 overflows although m and u are finite
+    cfg = write_scenario(tmp_path, {"scenario.kind": kind, "manifold.metric": "schwarzschild",
+                                    "potential.kind": "none", "particle.mass": "1e308"})
+    code, out, err = run_cli(capsys, command, cfg)
+    assert code == 3
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith("integration failed: the start momenta")
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "three_velocity"])
+def test_huge_every_keeps_first_and_last_sample(tmp_path, capsys, kind):
+    cfg = write_scenario(tmp_path, {"scenario.kind": kind, "particle.u0": None,
+                                    "particle.v0": "0.1, 0, 0", "output.every": "1e300"})
+    code, out, err = run_cli(capsys, "simulate", cfg)
+    assert code == 0 and err == ""
+    assert ": 2 samples," in out

@@ -49,6 +49,12 @@ def test_schwarzschild_domain_guard(schw):
         rm.metric_at(schw, np.array([0.0, 2.0, 1.0, 0.0]))
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
+def test_schwarzschild_rejects_mass_that_is_not_positive(mass):
+    with pytest.raises(ValueError, match="mass must be positive"):
+        rm.schwarzschild(mass)
+
+
 def test_dimension_mismatch(mink):
     with pytest.raises(DimensionMismatch):
         rm.metric_at(mink, np.zeros(3))
