@@ -78,6 +78,7 @@ from .dynamics import (
     check_geodesic_condition,
     connection_from,
     geodesic_condition_scale,
+    geodesic_condition_terms,
     geodesic_rhs,
     integrate_geodesic,
     levi_civita_connection,

@@ -15,9 +15,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import (
-    check_geodesic_condition,
     connection_from,
-    geodesic_condition_scale,
+    geodesic_condition_terms,
     geodesic_rhs,
     levi_civita_connection,
     project_to_shell,
@@ -152,10 +151,11 @@ def run_invariant_checks(metric_id: str, samples: int = 1000, seed: int = 0,
     for _ in range(samples):
         x = sample_point(metric, rng)
         u = sample_velocity(metric, x, rng)
-        for c in (conn_free, conn):
-            res = abs(check_geodesic_condition(c, metric, x, u))
-            res /= geodesic_condition_scale(c, metric, x, u)
-            worst = max(worst, res)
+        k_free = conn_free.K(x, u)
+        # conn.K(x, u) adds the soldering term to the same metric symbols
+        for k in (k_free, k_free + conn.soldering(x, u)):
+            res, scale = geodesic_condition_terms(metric, x, u, k)
+            worst = max(worst, abs(res) / scale)
     checks.append(_check_record("geodesic_condition", samples, worst))
 
     worst = 0.0

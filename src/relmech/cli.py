@@ -12,7 +12,8 @@ Exit codes: 0 success, 1 invariant/divergence failure, 2 usage or config
 error, 3 runtime integration failure.
 
 Configs are INI files with sections scenario, manifold, potential, particle,
-integrator, output (and optionally compare).  Geodesic CSV columns are
+integrator, output (and optionally compare); a section or key outside
+``CONFIG_KEYS`` is a config error.  Geodesic CSV columns are
 ``tau,x0..x{m-1},u0..u{m-1},G``; Hamiltonian CSV columns are
 ``tau,x0..x{m-1},p0..p{m-1},H,HT``.  Floats are written with 17 significant
 digits, which round-trips binary64 exactly.
@@ -25,6 +26,7 @@ import configparser
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -65,6 +67,16 @@ from .lagrangian import LagrangianModel, three_acceleration
 
 SCENARIO_KINDS = ("geodesic", "hamiltonian", "compare", "three_velocity")
 POTENTIAL_KINDS = ("none", "uniform_field", "coulomb")
+#: the documented keys of each config section; any other section or key is an error
+CONFIG_KEYS = {
+    "scenario": ("kind",),
+    "manifold": ("dimension", "metric", "M", "diag"),
+    "potential": ("kind", "E", "B", "q", "center"),
+    "particle": ("mass", "charge", "x0", "u0", "v0", "sign", "normalize"),
+    "integrator": ("dt", "steps", "projection"),
+    "output": ("csv", "every"),
+    "compare": ("tolerance", "hamiltonian_charge"),
+}
 
 
 class UsageError(Exception):
@@ -184,10 +196,25 @@ class _Section:
         return arr
 
 
+def _reject_unknown_keys(cp: configparser.ConfigParser) -> None:
+    """A section or key outside :data:`CONFIG_KEYS` is a config error naming it."""
+    names = [cp.default_section] if cp.defaults() else []
+    for name in names + cp.sections():
+        if name not in CONFIG_KEYS:
+            raise ConfigError(f"[{name}]: unknown section; expected one of "
+                              f"{', '.join(CONFIG_KEYS)}")
+        known = [key.lower() for key in CONFIG_KEYS[name]]
+        for key in cp[name]:  # configparser lowercases keys
+            if key not in known:
+                raise ConfigError(f"{name}.{key}: unknown key; expected one of "
+                                  f"{', '.join(CONFIG_KEYS[name])}")
+
+
 def load_config(path: str) -> ScenarioConfig:
     """Read a scenario config and build its metric and potential.
 
-    Raises :class:`ConfigError`, naming the key, for any invalid entry.
+    Raises :class:`ConfigError`, naming the key, for any invalid entry and
+    for any section or key that is not documented.
     """
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
@@ -197,6 +224,7 @@ def load_config(path: str) -> ScenarioConfig:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
+    _reject_unknown_keys(cp)
 
     scenario = _Section(cp, "scenario")
     manifold = _Section(cp, "manifold")
@@ -386,9 +414,11 @@ def _configure(config_path: str, command: str):
         raise ConfigError("output.csv: required key is missing")
     gfield = GTensorField.from_metric(cfg.metric)
     try:
-        metric_at(cfg.metric, cfg.x0)
+        g0 = metric_at(cfg.metric, cfg.x0)
     except DomainError as exc:
         raise ConfigError(f"particle.x0: outside the manifold domain ({exc})") from exc
+    if not np.all(np.isfinite(g0)):
+        raise ConfigError("particle.x0: the metric is not finite at x0")
     # G(x0, u) of the configured velocity; a three-velocity v0 has u = (1, v0)
     key, u = (("u0", cfg.u0) if cfg.u0 is not None
               else ("v0", np.concatenate(([1.0], cfg.v0))))
@@ -515,22 +545,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; the only place that reports an error and picks its
-    exit code (argparse itself exits 2 on a malformed command line)."""
+    exit code (argparse itself exits 2 on a malformed command line).
+
+    A warning raised by a command that finishes (exit 0 or 1), such as an
+    off-shell start, is printed as one ``warning: <message>`` line; an error
+    exit prints only its error line.
+    """
     args = build_parser().parse_args(argv)
-    try:
-        with np.errstate(all="ignore"):  # a non-finite result is an error line
-            return args.run(args)
-    except ConfigError as exc:
-        message, code = f"config error: {exc}", 2
-    except UsageError as exc:
-        message, code = str(exc), 2
-    except RunFailed as exc:
-        message, code = str(exc), 3
-    except (RelMechError, np.linalg.LinAlgError) as exc:  # a run that cannot go on
-        tau = getattr(exc, "tau", None)
-        where = f" (last good tau = {_fmt(tau)})" if tau is not None else ""
-        message, code = f"integration failed{where}: {exc}", 3
-    print(message, file=sys.stderr)
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            with np.errstate(all="ignore"):  # a non-finite result is an error line
+                code = args.run(args)
+        except ConfigError as exc:
+            message, code = f"config error: {exc}", 2
+        except UsageError as exc:
+            message, code = str(exc), 2
+        except RunFailed as exc:
+            message, code = str(exc), 3
+        except (RelMechError, np.linalg.LinAlgError) as exc:  # a run that cannot go on
+            tau = getattr(exc, "tau", None)
+            where = f" (last good tau = {_fmt(tau)})" if tau is not None else ""
+            message, code = f"integration failed{where}: {exc}", 3
+        else:
+            message = "\n".join(f"warning: {w.message}" for w in caught)
+    if message:
+        print(message, file=sys.stderr)
     return code
 
 

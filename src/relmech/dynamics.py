@@ -113,6 +113,26 @@ def geodesic_rhs(c: Connection, x, u) -> Array:
     return c.K(x, u) @ u
 
 
+def geodesic_condition_terms(metric: MetricField, x, u, k) -> tuple[float, float]:
+    """Residual of the hyperboloid-preservation condition and its scale.
+
+    For coefficients ``k = K(x, u)`` returns the residual
+    (d_lam g_{mu nu} u^mu + 2 g_{mu nu} K^mu_lam) u^lam u^nu and the sum of
+    the absolute contributions before cancellation (plus 1e-30), from one
+    evaluation of the metric and of its partials.
+    """
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    dg = np.asarray(metric.partials(x), dtype=float)
+    g = metric_at(metric, x)
+    au = np.abs(u)
+    t1 = float(np.einsum("lmn,m,l,n->", dg, u, u, u))
+    t2 = 2.0 * float(u @ g @ (k @ u))
+    s1 = float(np.einsum("lmn,m,l,n->", np.abs(dg), au, au, au))
+    s2 = 2.0 * float(au @ np.abs(g) @ (np.abs(k) @ au))
+    return t1 + t2, s1 + s2 + 1e-30
+
+
 def check_geodesic_condition(c: Connection, metric: MetricField, x, u) -> float:
     """Residual of the hyperboloid-preservation condition.
 
@@ -122,12 +142,7 @@ def check_geodesic_condition(c: Connection, metric: MetricField, x, u) -> float:
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    dg = np.asarray(metric.partials(x), dtype=float)
-    g = metric_at(metric, x)
-    k = c.K(x, u)
-    t1 = float(np.einsum("lmn,m,l,n->", dg, u, u, u))
-    t2 = 2.0 * float(u @ g @ (k @ u))
-    return t1 + t2
+    return geodesic_condition_terms(metric, x, u, c.K(x, u))[0]
 
 
 def geodesic_condition_scale(c: Connection, metric: MetricField, x, u) -> float:
@@ -138,13 +153,7 @@ def geodesic_condition_scale(c: Connection, metric: MetricField, x, u) -> float:
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    dg = np.abs(np.asarray(metric.partials(x), dtype=float))
-    g = np.abs(metric_at(metric, x))
-    k = np.abs(c.K(x, u))
-    au = np.abs(u)
-    t1 = float(np.einsum("lmn,m,l,n->", dg, au, au, au))
-    t2 = 2.0 * float(au @ g @ (k @ au))
-    return t1 + t2 + 1e-30
+    return geodesic_condition_terms(metric, x, u, c.K(x, u))[1]
 
 
 def soldering_residual(c: Connection, metric: MetricField, x, u) -> float:

@@ -263,8 +263,8 @@ def inverse_metric_at(metric: MetricField, x) -> Array:
     infinity norms give, so both paths reject the same metrics.
     """
     g = metric_at(metric, x)
-    d = g.diagonal()
-    if np.count_nonzero(g) == np.count_nonzero(d) == d.size:
+    d = _diagonal(g)
+    if d is not None and d.all():
         dinv = 1.0 / d
         _check_condition(abs(d).max() * abs(dinv).max(), x)
         return np.diag(dinv)
@@ -276,6 +276,13 @@ def inverse_metric_at(metric: MetricField, x) -> Array:
     return 0.5 * (inv + inv.T)
 
 
+def _diagonal(a: Array) -> Optional[Array]:
+    """The diagonal of a square matrix whose nonzero entries all sit on it,
+    else None."""
+    d = a.diagonal()
+    return d if np.count_nonzero(a) == np.count_nonzero(d) else None
+
+
 def _check_condition(cond, x) -> None:
     if not cond < _COND_LIMIT:
         raise SingularMetric(
@@ -284,12 +291,20 @@ def _check_condition(cond, x) -> None:
 
 
 def _christoffel_and_inverse(metric: MetricField, x) -> tuple[Array, Array]:
-    """Connection symbols and inverse metric at ``x`` from one inversion."""
+    """Connection symbols and inverse metric at ``x`` from one inversion.
+
+    A diagonal inverse scales the rows of S instead of contracting with it;
+    the two give the same values, up to the signs of zeros.
+    """
     dg = np.asarray(metric.partials(_check_point(x, metric.dim)), dtype=float)
     ginv = inverse_metric_at(metric, x)
     # S[mu, beta, nu] = d_mu g_{beta nu} + d_nu g_{beta mu} - d_beta g_{mu nu}
     s = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
-    c = -0.5 * np.einsum("lb,mbn->mln", ginv, s)
+    dinv = _diagonal(ginv)
+    if dinv is not None:
+        c = -0.5 * (dinv[None, :, None] * s)
+    else:
+        c = -0.5 * np.einsum("lb,mbn->mln", ginv, s)
     return 0.5 * (c + c.transpose(2, 1, 0)), ginv
 
 

@@ -30,6 +30,7 @@ from .geometry import (
     Array,
     MetricField,
     PotentialField,
+    _diagonal,
     fd_partials,
     inverse_metric_at,
     metric_at,
@@ -94,7 +95,14 @@ def _composed_flow(grad_x: PhaseGrad, grad_p: PhaseGrad) -> PhaseFlow:
 
 
 def _dginv(ginv: Array, dg: Array) -> Array:
-    """d_lam g^{ab} = -g^{ac} d_lam g_{cd} g^{db}, derivative index first."""
+    """d_lam g^{ab} = -g^{ac} d_lam g_{cd} g^{db}, derivative index first.
+
+    A diagonal inverse scales rows and columns, in the einsum's product
+    order, so the values are the same up to the signs of zeros.
+    """
+    dinv = _diagonal(ginv)
+    if dinv is not None:
+        return -(dinv[None, :, None] * dg * dinv[None, None, :])
     return -np.einsum("ac,lcd,db->lab", ginv, dg, ginv)
 
 
@@ -147,6 +155,7 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
     e = float(charge)
     if not m > 0.0:
         raise ValueError("mass must be positive")
+    std = StandardData(metric, potential, m, e)
 
     def kinetic(x, p):
         return p - e * np.asarray(potential.value(x), float)
@@ -163,9 +172,7 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
     def dh_dx(x, w, ginv):
         dg = np.asarray(metric.partials(x), float)
         da = np.asarray(potential.partials(x), float)
-        t_metric = 0.5 * np.einsum("lab,a,b->l", _dginv(ginv, dg), w, w) / m
-        t_pot = -(e / m) * np.einsum("ab,a,lb->l", ginv, w, da)
-        return t_metric + t_pot
+        return _standard_dh_dx(std, w, ginv, _dginv(ginv, dg), da)
 
     def grad_x(x, p):
         w = kinetic(x, p)
@@ -176,8 +183,17 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
         ginv = inverse_metric_at(metric, x)
         return ginv @ w / m, -dh_dx(x, w, ginv)
 
-    return HamiltonianModel(metric.dim, value, grad_x, grad_p, flow,
-                            StandardData(metric, potential, m, e))
+    return HamiltonianModel(metric.dim, value, grad_x, grad_p, flow, std)
+
+
+def _standard_dh_dx(std: StandardData, w: Array, ginv: Array, dginv: Array,
+                    da: Array) -> Array:
+    """d_lam H of the standard family from w = p - eA, g^{-1}, its partials
+    and the partials of A at one point."""
+    m, e = std.mass, std.charge
+    t_metric = 0.5 * np.einsum("lab,a,b->l", dginv, w, w) / m
+    t_pot = -(e / m) * np.einsum("ab,a,lb->l", ginv, w, da)
+    return t_metric + t_pot
 
 
 def _shell_metric(h: HamiltonianModel, metric: Optional[MetricField]) -> MetricField:
@@ -208,7 +224,8 @@ def mass_shell_scalar(h: HamiltonianModel,
 
     For the standard family the gradients are analytic (computed from the
     explicit form g^{ab}(p - eA)(p - eA)/mass^2 - 1, independently of the
-    gradients of H); otherwise they fall back to finite differences.
+    gradients of H) and ``flow`` shares one metric inversion between them;
+    otherwise they fall back to finite differences.
     """
     shell_metric = _shell_metric(h, metric)
 
@@ -224,19 +241,27 @@ def mass_shell_scalar(h: HamiltonianModel,
     std = h.standard
     e, m2 = std.charge, std.mass ** 2
 
-    def grad_p(x, p):
-        w = p - e * np.asarray(std.potential.value(x), float)
-        return 2.0 * (inverse_metric_at(std.metric, x) @ w) / m2
+    def kinetic(x, p):
+        return p - e * np.asarray(std.potential.value(x), float)
 
-    def grad_x(x, p):
-        w = p - e * np.asarray(std.potential.value(x), float)
-        ginv = inverse_metric_at(std.metric, x)
+    def dh_dx(x, w, ginv):
         dg = np.asarray(std.metric.partials(x), float)
         da = np.asarray(std.potential.partials(x), float)
         return (np.einsum("lab,a,b->l", _dginv(ginv, dg), w, w)
                 - 2.0 * e * np.einsum("ab,a,lb->l", ginv, w, da)) / m2
 
-    return HamiltonianModel(h.dim, value, grad_x, grad_p, _composed_flow(grad_x, grad_p))
+    def grad_p(x, p):
+        return 2.0 * (inverse_metric_at(std.metric, x) @ kinetic(x, p)) / m2
+
+    def grad_x(x, p):
+        return dh_dx(x, kinetic(x, p), inverse_metric_at(std.metric, x))
+
+    def flow(x, p):
+        w = kinetic(x, p)
+        ginv = inverse_metric_at(std.metric, x)
+        return 2.0 * (ginv @ w) / m2, -dh_dx(x, w, ginv)
+
+    return HamiltonianModel(h.dim, value, grad_x, grad_p, flow)
 
 
 def hamiltonian_vector_field(h: HamiltonianModel, s: PhaseState):
@@ -249,10 +274,12 @@ def poisson_bracket(f: HamiltonianModel, g: HamiltonianModel,
     """Canonical bracket {f, g} = d_x f . d_p g - d_p f . d_x g.
 
     The sign makes {x^lam, p_mu} = +delta^lam_mu and the Hamilton flow of H
-    equal {., H}.
+    equal {., H}.  Both gradients of each scalar come from one ``flow``
+    call, which returns (d_p, -d_x): {f, g} = d_p f . (-d_x g) - (-d_x f) . d_p g.
     """
-    return (float(np.dot(f.grad_x(s.x, s.p), g.grad_p(s.x, s.p)))
-            - float(np.dot(f.grad_p(s.x, s.p), g.grad_x(s.x, s.p))))
+    fp, fx = f.flow(s.x, s.p)
+    gp, gx = g.flow(s.x, s.p)
+    return float(np.dot(fp, gx)) - float(np.dot(fx, gp))
 
 
 def coordinate_scalar(dim: int, lam: int) -> HamiltonianModel:
@@ -311,12 +338,14 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     da = np.asarray(std.potential.partials(x), float)
     dginv = _dginv(ginv, dg)
 
+    ea = e * np.asarray(std.potential.value(x), float)
     w = m * (g @ u)                      # kinetic momenta p - eA
-    p = w + e * np.asarray(std.potential.value(x), float)
+    p = w + ea
     gp = ginv @ w / m                    # dH/dp, equals u up to rounding
     # mixed[lam, mu] = d_mu dH/dp_lam
     mixed = (np.einsum("mln,n->lm", dginv, w) - e * np.einsum("ln,mn->lm", ginv, da)) / m
-    gx = h.grad_x(x, p)
+    # dH/dx at p, with p - eA recomputed from p as H's own gradient does
+    gx = _standard_dh_dx(std, p - ea, ginv, dginv, da)
     return mixed @ gp - (ginv @ gx) / m
 
 

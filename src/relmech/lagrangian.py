@@ -139,7 +139,12 @@ def euler_lagrange_E(model: LagrangianModel, x, u, a) -> Array:
     E = 0 together with G = 1 is the determined equation of motion; its
     solutions never leave the unit level set.
     """
-    g, dg_full, dg_first, g_red, _ = _velocity_form_pieces(model, x, u)
+    return _euler_lagrange_E(model, x, u, a, _velocity_form_pieces(model, x, u))
+
+
+def _euler_lagrange_E(model: LagrangianModel, x, u, a, pieces) -> Array:
+    """:func:`euler_lagrange_E` from the :func:`_velocity_form_pieces` at (x, u)."""
+    g, dg_full, dg_first, g_red, _ = pieces
     _require_positive(g)
     a = np.asarray(a, dtype=float)
     n2 = 2 * model.order_half
@@ -158,9 +163,9 @@ def variational_derivative(model: LagrangianModel, x, u, a) -> ELResidual:
     near-solutions, where calE is pure rounding noise, do not trip it).
     """
     u = np.asarray(u, dtype=float)
-    g, _, _, _, c = _velocity_form_pieces(model, x, u)
-    _require_positive(g)
-    e_cov = euler_lagrange_E(model, x, u, a)
+    pieces = _velocity_form_pieces(model, x, u)
+    g, c = pieces[0], pieces[4]
+    e_cov = _euler_lagrange_E(model, x, u, a, pieces)
     n2 = 2 * model.order_half
     weight = g ** (1.0 / n2 - 1.0)
     cal = (e_cov - (float(e_cov @ u) / g) * c) * weight

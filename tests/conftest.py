@@ -98,3 +98,34 @@ def inversion_count(monkeypatch):
     for mod in (relmech.geometry, relmech.dynamics, relmech.hamiltonian):
         monkeypatch.setattr(mod, "inverse_metric_at", counted)
     return calls
+
+
+def shear_minkowski(eps):
+    """Minkowski pulled back through the shear chart X = x + eps sin y.
+
+    With c = eps cos y the metric has g_xy = -c and g_yy = -1 - c^2, so it is
+    neither diagonal nor constant.  Returns the metric and the chart map to
+    the flat (t, X, y, z) chart.
+    """
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+
+    def value(x):
+        c = eps * math.cos(x[2])
+        g = eta.copy()
+        g[1, 2] = g[2, 1] = -c
+        g[2, 2] = -1.0 - c * c
+        return g
+
+    def partials(x):
+        c, s = eps * math.cos(x[2]), eps * math.sin(x[2])
+        dg = np.zeros((4, 4, 4))
+        dg[2, 1, 2] = dg[2, 2, 1] = s
+        dg[2, 2, 2] = 2.0 * c * s
+        return dg
+
+    def to_flat(x):
+        x = np.array(x, dtype=float)
+        x[..., 1] += eps * np.sin(x[..., 2])
+        return x
+
+    return rm.MetricField.from_function(4, value, partials), to_flat

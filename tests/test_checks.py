@@ -1,0 +1,152 @@
+import numpy as np
+import pytest
+
+import relmech as rm
+import relmech.dynamics
+import relmech.hamiltonian
+from relmech.checks import (
+    _CHECK_B,
+    _CHECK_E,
+    _check_record,
+    run_invariant_checks,
+    sample_point,
+    sample_velocity,
+)
+from relmech.geometry import _check_point, contract_all
+
+DIAG = (1.5, -0.75, -2.0, -1.25)
+
+
+# -- the per-sample loops as they were before one-pass evaluation --------------------
+
+def _einsum_christoffel_and_inverse(metric, x):
+    """Connection symbols through the einsum for every inverse."""
+    dg = np.asarray(metric.partials(_check_point(x, metric.dim)), dtype=float)
+    ginv = rm.inverse_metric_at(metric, x)
+    s = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
+    c = -0.5 * np.einsum("lb,mbn->mln", ginv, s)
+    return 0.5 * (c + c.transpose(2, 1, 0)), ginv
+
+
+def _einsum_dginv(ginv, dg):
+    return -np.einsum("ac,lcd,db->lab", ginv, dg, ginv)
+
+
+def _four_gradient_bracket(f, g, s):
+    return (float(np.dot(f.grad_x(s.x, s.p), g.grad_p(s.x, s.p)))
+            - float(np.dot(f.grad_p(s.x, s.p), g.grad_x(s.x, s.p))))
+
+
+def _second_order_rhs_two_inversions(h, x, u):
+    std = h.standard
+    x = np.asarray(x, dtype=float)
+    u = np.asarray(u, dtype=float)
+    m, e = std.mass, std.charge
+    g = rm.metric_at(std.metric, x)
+    ginv = rm.inverse_metric_at(std.metric, x)
+    dg = np.asarray(std.metric.partials(x), float)
+    da = np.asarray(std.potential.partials(x), float)
+    dginv = _einsum_dginv(ginv, dg)
+
+    w = m * (g @ u)
+    p = w + e * np.asarray(std.potential.value(x), float)
+    gp = ginv @ w / m
+    mixed = (np.einsum("mln,n->lm", dginv, w) - e * np.einsum("ln,mn->lm", ginv, da)) / m
+    gx = h.grad_x(x, p)
+    return mixed @ gp - (ginv @ gx) / m
+
+
+def _reference_checks(metric_id, samples, seed, diag=None):
+    """``run_invariant_checks`` before one-pass evaluation, loop for loop: 11
+    inversions per Schwarzschild sample.  Run it with the einsum paths patched in."""
+    metric = rm.catalog_metric(metric_id, diag=diag)
+    rng = np.random.default_rng(seed)
+    dim = metric.dim
+    gfield = rm.GTensorField.from_metric(metric)
+    potential = rm.uniform_field(_CHECK_E, _CHECK_B) if dim == 4 else rm.zero_potential(dim)
+    model = rm.LagrangianModel(gfield, potential, mass=1.0, charge=1.0)
+    ham = rm.standard_hamiltonian(metric, potential, mass=1.0, charge=1.0)
+    shell = rm.mass_shell_scalar(ham)
+    conn = rm.connection_from(metric, potential, mass=1.0, charge=1.0)
+    conn_free = rm.levi_civita_connection(metric)
+
+    checks = []
+
+    worst = 0.0
+    for _ in range(samples):
+        x = sample_point(metric, rng)
+        u = sample_velocity(metric, x, rng)
+        a = rng.standard_normal(dim)
+        worst = max(worst, rm.noether_residual(model, x, u, a))
+    checks.append(_check_record("noether_identity", samples, worst))
+
+    worst = 0.0
+    for _ in range(samples):
+        x = sample_point(metric, rng)
+        u = sample_velocity(metric, x, rng)
+        n2 = 2 * gfield.order_half
+        gt = np.asarray(gfield.value(x), float)
+        g = float(contract_all(gt, u, n2))
+        c = contract_all(gt, u, n2 - 1)
+        proj = np.eye(dim) - np.outer(u, c) / g
+        worst = max(
+            worst,
+            float(np.max(np.abs(proj @ proj - proj))),
+            float(np.max(np.abs(proj @ u)) / np.linalg.norm(u)),
+        )
+    checks.append(_check_record("projector_idempotence", samples, worst))
+
+    worst = 0.0
+    for _ in range(samples):
+        x = sample_point(metric, rng)
+        u = sample_velocity(metric, x, rng)
+        for c in (conn_free, conn):
+            res = abs(rm.check_geodesic_condition(c, metric, x, u))
+            res /= rm.geodesic_condition_scale(c, metric, x, u)
+            worst = max(worst, res)
+    checks.append(_check_record("geodesic_condition", samples, worst))
+
+    worst = 0.0
+    for _ in range(samples):
+        x = sample_point(metric, rng)
+        p = rng.standard_normal(dim)
+        worst = max(worst, abs(_four_gradient_bracket(ham, shell, rm.PhaseState(x, p))))
+    checks.append(_check_record("poisson_bracket", samples, worst))
+
+    worst = 0.0
+    for _ in range(samples):
+        x = sample_point(metric, rng)
+        u = rm.project_to_shell(gfield, x, sample_velocity(metric, x, rng))
+        a_geo = rm.geodesic_rhs(conn, x, u)
+        a_ham = _second_order_rhs_two_inversions(ham, x, u)
+        denom = max(float(np.max(np.abs(a_geo))), float(np.max(np.abs(a_ham))), 1e-12)
+        worst = max(worst, float(np.max(np.abs(a_ham - a_geo))) / denom)
+    checks.append(_check_record("lagrangian_hamiltonian_rhs", samples, worst))
+
+    return {
+        "metric": metric_id,
+        "samples": samples,
+        "seed": seed,
+        "checks": checks,
+        "pass": bool(all(c["pass"] for c in checks)),
+    }
+
+
+@pytest.mark.parametrize("metric_id, diag", [
+    ("minkowski", None), ("euclidean", None), ("schwarzschild", None), ("diagonal", DIAG),
+])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_report_equals_reference_loops(monkeypatch, metric_id, diag, seed):
+    report = run_invariant_checks(metric_id, samples=150, seed=seed, diag=diag)
+    monkeypatch.setattr(relmech.dynamics, "_christoffel_and_inverse",
+                        _einsum_christoffel_and_inverse)
+    monkeypatch.setattr(relmech.hamiltonian, "_dginv", _einsum_dginv)
+    assert report == _reference_checks(metric_id, 150, seed, diag)
+
+
+def test_six_inversions_per_identity_sample(inversion_count):
+    # geodesic condition: free K + soldering (2); bracket: two flows (2);
+    # RHS agreement: geodesic_rhs + second_order_rhs (2)
+    run_invariant_checks("schwarzschild", samples=100)
+    assert inversion_count[0] == 600
+

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -670,6 +671,100 @@ def test_missing_config_file(capsys):
     assert code == 2
 
 
+OFF_SHELL_SCHWARZSCHILD = {
+    "manifold.metric": "schwarzschild", "potential.kind": "none",
+    "particle.x0": "0, 3, 1.5707963267948966, 0", "particle.u0": "2, -0.5, 0, 0",
+    "particle.normalize": "false", "integrator.dt": "0.05",
+}
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "hamiltonian"])
+def test_off_shell_start_that_fails_prints_one_line(tmp_path, capsys, kind):
+    # the run falls through the horizon; the integrator's off-shell warning
+    # must not add lines before the error line
+    cfg = write_scenario(tmp_path, {**OFF_SHELL_SCHWARZSCHILD, "scenario.kind": kind,
+                                    "integrator.steps": "100"})
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "simulate", cfg)
+    assert code == 3
+    assert out == "" and escaped == []
+    assert_one_line_error(err)
+    assert err.startswith("integration failed")
+
+
+@pytest.mark.parametrize("kind, warning", [
+    ("geodesic", "warning: initial state is off the unit level set: G = "),
+    ("hamiltonian", "warning: initial phase point is off the mass shell: H_T = "),
+])
+def test_off_shell_start_that_finishes_prints_one_warning_line(tmp_path, capsys, kind,
+                                                               warning):
+    cfg = write_scenario(tmp_path, {**OFF_SHELL_SCHWARZSCHILD, "scenario.kind": kind})
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "simulate", cfg)
+    assert code == 0 and escaped == []
+    assert out.startswith("wrote ")
+    assert err.startswith(warning) and err.count("\n") == 1
+
+
+def test_metric_not_finite_at_x0_names_x0(tmp_path, capsys):
+    # r = 1e300 is inside the chart, but r * r overflows the metric there
+    cfg = write_scenario(tmp_path, {"manifold.metric": "schwarzschild",
+                                    "potential.kind": "none",
+                                    "particle.x0": "0, 1e300, 1, 0"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning is a second stderr line
+        code, out, err = run_cli(capsys, "simulate", cfg)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith("config error: particle.x0: ")
+
+
+@pytest.mark.parametrize("key, named", [
+    ("integrator.stpes", "config error: integrator.stpes: unknown key"),
+    ("scenario.kidn", "config error: scenario.kidn: unknown key"),
+    ("manifold.mass", "config error: manifold.mass: unknown key"),
+    ("integratr.steps", "config error: [integratr]: unknown section"),
+    ("DEFAULT.steps", "config error: [DEFAULT]: unknown section"),
+])
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+def test_unknown_section_or_key_exits_2(tmp_path, capsys, key, named, command):
+    cfg = write_scenario(tmp_path, {"scenario.kind": "compare" if command == "compare"
+                                    else "geodesic", key: "5"})
+    code, out, err = run_cli(capsys, command, cfg)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith(named)
+
+
+def test_readme_example_config_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```ini\n")[1].split("```")[0]
+    cfg = cli.load_config(write_config(tmp_path, "readme.ini", example))
+    assert cfg.kind == "geodesic" and cfg.metric.catalog_id == "schwarzschild"
+
+
+@pytest.mark.parametrize("changes", [
+    {"scenario.kind": "geodesic"},
+    {"scenario.kind": "hamiltonian"},
+    {"scenario.kind": "three_velocity", "particle.u0": None, "particle.v0": "0.1, 0, 0"},
+    {"scenario.kind": "geodesic", "manifold.metric": "schwarzschild", "potential.kind": "none",
+     "particle.u0": None, "particle.v0": "0, 0, 0.03"},
+    {"scenario.kind": "hamiltonian", "manifold.metric": "schwarzschild",
+     "potential.kind": "none", "particle.u0": None, "particle.v0": "0, 0, 0.03"},
+])
+def test_no_negative_zero_in_csv(tmp_path, capsys, changes):
+    cfg = write_scenario(tmp_path, {**changes, "output.every": "1", "integrator.steps": "50"})
+    code, _, err = run_cli(capsys, "simulate", cfg)
+    assert code == 0 and err == ""
+    text = (tmp_path / "out.csv").read_text(encoding="utf-8")
+    tokens = [tok for line in text.splitlines()[1:] for tok in line.split(",")]
+    assert not [tok for tok in tokens if tok.startswith("-") and float(tok) == 0.0]
+
+
 # -- check -----------------------------------------------------------------------------
 
 def test_check_minkowski_passes(capsys):
@@ -967,20 +1062,24 @@ def assert_exit_contract(argv):
     """Run ``main(argv)`` in process; an argparse SystemExit gives the exit code.
 
     An exception escaping ``main`` fails the test, as the console script would
-    end in a traceback.
+    end in a traceback.  A warning escaping ``main`` counts as a stderr line,
+    as the console would print it.
     """
     out, err = io.StringIO(), io.StringIO()
     parsed = True
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse: 2 on a bad command line, 0 on --help
             code, parsed = exc.code, False
-    err = err.getvalue()
-    assert code in (0, 1, 2, 3), (argv, code, err)
-    assert "Traceback" not in err
+    lines = err.getvalue().splitlines() + [f"{w.category.__name__}: {w.message}"
+                                           for w in escaped]
+    assert code in (0, 1, 2, 3), (argv, code, lines)
+    assert not any("Traceback" in line for line in lines)
     if parsed and code in (2, 3):
-        assert len(err.splitlines()) == 1, (argv, err)
+        assert len(lines) == 1, (argv, lines)
 
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True, database=None)

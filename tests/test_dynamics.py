@@ -7,7 +7,7 @@ import pytest
 import relmech as rm
 from relmech.errors import DomainError, NonPositiveG, StepRejected
 
-from conftest import random_state
+from conftest import random_state, shear_minkowski
 
 X0 = np.zeros(4)
 X_SCHW = np.array([0.0, 10.0, math.pi / 2, 0.0])
@@ -205,6 +205,40 @@ def test_fourth_order_constraint_convergence(schw, schw_gf):
         drifts.append(abs(traj.G[-1] - 1.0))
     ratio = drifts[0] / drifts[1]
     assert 8.0 <= ratio <= 32.0, f"convergence ratio {ratio}"
+
+
+def _shear_chart_error(picture, dt, steps):
+    """Largest distance of a run in the shear chart, mapped to the flat chart,
+    from the straight line it must follow there; and the RK4 bound for it."""
+    eps = 0.3
+    shear, to_flat = shear_minkowski(eps)
+    gf = rm.GTensorField.from_metric(shear)
+    x0 = np.array([0.0, 0.1, 0.2, -0.3])
+    u0 = rm.project_to_shell(gf, x0, np.array([1.5, 0.4, 0.9, -0.2]))
+    if picture == "geodesic":
+        traj = rm.integrate_geodesic(rm.levi_civita_connection(shear), gf,
+                                     rm.FourState(x0, u0), dt, steps)
+    else:
+        ham = rm.standard_hamiltonian(shear, rm.zero_potential(4), 1.0, 0.0)
+        p0 = rm.on_shell_momentum(ham, x0, u0)
+        traj = rm.integrate_hamiltonian(ham, rm.PhaseState(x0, p0), dt, steps)
+    jac = np.eye(4)
+    jac[1, 2] = eps * math.cos(x0[2])
+    line = to_flat(x0) + traj.tau[:, None] * (jac @ u0)
+    # 10 x the leading RK4 local error steps * (dt w)^5 / 120, w the rate of y
+    bound = 10.0 * steps * (dt * abs(u0[2])) ** 5 / 120.0 * np.max(np.abs(line))
+    return float(np.max(np.abs(to_flat(traj.x) - line))), bound
+
+
+@pytest.mark.parametrize("picture", ["geodesic", "hamiltonian"])
+def test_non_diagonal_chart_geodesics_are_straight_lines(picture):
+    # flat space in the shear chart X = x + eps sin y: the metric is neither
+    # diagonal nor constant, so inverse, connection and d g^-1 take the
+    # general path; mapped back, every geodesic is a straight line
+    err, bound = _shear_chart_error(picture, 0.1, 40)
+    err_half, bound_half = _shear_chart_error(picture, 0.05, 80)
+    assert err <= bound and err_half <= bound_half
+    assert 12.0 <= err / err_half <= 20.0  # fourth order: 16
 
 
 def test_reparameterization_same_worldline(schw, schw_gf):

@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 import relmech as rm
 from relmech.errors import DimensionMismatch, DomainError, SingularMetric
 from relmech.geometry import fd_partials
+from relmech.hamiltonian import _dginv
 
-from conftest import random_point
+from conftest import random_point, shear_minkowski
 
 X0 = np.zeros(4)
 X_SCHW = np.array([0.0, 10.0, math.pi / 2, 0.0])
@@ -216,6 +217,50 @@ def test_christoffel_outer_symmetry(schw):
     for _ in range(50):
         c = rm.christoffel_at(schw, random_point(schw, rng))
         npt.assert_allclose(c, c.transpose(2, 1, 0), atol=1e-15)
+
+
+def _bits(a):
+    """The bytes of ``a`` with -0.0 normalised to +0.0."""
+    return (np.asarray(a) + 0.0).tobytes()
+
+
+def test_diagonal_row_scaling_equals_einsum(schw):
+    # a diagonal inverse scales rows instead of contracting; the einsum adds
+    # exact zeros, so only the signs of zeros may differ
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        x = random_point(schw, rng)
+        dg = np.asarray(schw.partials(x))
+        ginv = rm.inverse_metric_at(schw, x)
+        s = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
+        c = -0.5 * np.einsum("lb,mbn->mln", ginv, s)
+        assert _bits(rm.christoffel_at(schw, x)) == _bits(0.5 * (c + c.transpose(2, 1, 0)))
+        assert _bits(_dginv(ginv, dg)) == _bits(-np.einsum("ac,lcd,db->lab", ginv, dg, ginv))
+
+
+def _einsum_christoffel(metric, x):
+    """C[mu, lam, nu] = -1/2 g^{lam b} (d_mu g_bn + d_nu g_bm - d_b g_mn), with
+    numpy's inverse and one einsum per term."""
+    ginv = np.linalg.inv(rm.metric_at(metric, x))
+    dg = np.asarray(metric.partials(x))
+    return -0.5 * (np.einsum("lb,mbn->mln", ginv, dg) + np.einsum("lb,nbm->mln", ginv, dg)
+                   - np.einsum("lb,bmn->mln", ginv, dg))
+
+
+def test_christoffel_non_diagonal_metric():
+    # flat space in the shear chart X = x + eps sin y: the only symbol is
+    # Gamma^x_yy = -eps sin y, so C[y, x, y] = eps sin y; the metric is
+    # neither diagonal nor constant, so every inverse takes the general path
+    eps = 0.3
+    shear, _ = shear_minkowski(eps)
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        x = rng.uniform(-3.0, 3.0, 4)
+        c = rm.christoffel_at(shear, x)
+        npt.assert_allclose(c, _einsum_christoffel(shear, x), rtol=1e-13, atol=1e-15)
+        expected = np.zeros((4, 4, 4))
+        expected[2, 1, 2] = eps * math.sin(x[2])
+        npt.assert_allclose(c, expected, rtol=1e-13, atol=1e-15)
 
 
 def test_partials_match_finite_differences(schw):
