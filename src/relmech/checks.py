@@ -5,6 +5,11 @@ algebraic identity that must hold for all inputs, and reports the worst
 residual against a pinned tolerance.  Reports are plain dictionaries so they
 serialize to JSON unchanged; given the same (metric, samples, seed) the
 report is fully deterministic.
+
+Samples are drawn one at a time, in the order a per-sample loop would draw
+them, and each identity is then evaluated on a block of up to ``_BLOCK``
+samples at once through the batched kernels, which give every sample the
+bits its own evaluation would.
 """
 
 from __future__ import annotations
@@ -21,10 +26,14 @@ from .dynamics import (
     levi_civita_connection,
     project_to_shell,
 )
-from .errors import ConstraintUnreachable
+from .errors import ConstraintUnreachable, RelMechError
 from .geometry import (
     GTensorField,
     MetricField,
+    _diagonal,
+    _dot,
+    _field_at,
+    _norm,
     catalog_metric,
     contract_all,
     metric_at,
@@ -32,9 +41,8 @@ from .geometry import (
     zero_potential,
 )
 from .hamiltonian import (
-    PhaseState,
+    _bracket,
     mass_shell_scalar,
-    poisson_bracket,
     second_order_rhs,
     standard_hamiltonian,
 )
@@ -52,6 +60,14 @@ TOLERANCES = {
 # any values, these just keep magnitudes O(1)
 _CHECK_E = (0.3, 0.0, 0.0)
 _CHECK_B = (0.0, 0.0, 0.7)
+
+# samples evaluated per batched call; bounds the memory a check uses
+_BLOCK = 1024
+
+# what drawing or evaluating a sample raises on bad input: a floating-point
+# exception (FloatingPointError is an ArithmeticError), a LinAlgError (a
+# ValueError) or a relmech error
+_SAMPLE_ERRORS = (RelMechError, ArithmeticError, ValueError)
 
 
 def sample_point(metric: MetricField, rng: np.random.Generator) -> np.ndarray:
@@ -71,12 +87,16 @@ def sample_velocity(metric: MetricField, x, rng: np.random.Generator,
                     margin: float = 0.05) -> np.ndarray:
     """A pseudo-random velocity with G(x, u) > margin.
 
-    Components are drawn in an orthonormal frame of the (diagonal) metric
-    with the first positive-signature direction boosted, then rejection
-    sampled on the sign of the form.
+    Components are drawn in an orthonormal frame of the metric with the
+    first positive-signature direction boosted, then rejection sampled on the
+    sign of the form.  A diagonal metric is its own frame; any other metric
+    takes the eigenvectors of ``np.linalg.eigh``.
     """
     g = metric_at(metric, x)
-    d = np.diag(g)
+    d = _diagonal(g)
+    frame = None
+    if d is None:
+        d, frame = np.linalg.eigh(g)
     sig = np.sign(d)
     scale = 1.0 / np.sqrt(np.abs(d))
     k = int(np.argmax(sig > 0))
@@ -85,7 +105,7 @@ def sample_velocity(metric: MetricField, x, rng: np.random.Generator,
         uhat = 0.5 * n
         uhat[k] = math.copysign(1.0 + abs(n[k]), n[k])
         if float(np.sum(sig * uhat * uhat)) > margin:
-            return scale * uhat
+            return scale * uhat if frame is None else frame @ (scale * uhat)
     raise ConstraintUnreachable("velocity sampling failed to find G > margin")
 
 
@@ -98,6 +118,43 @@ def _check_record(name: str, samples: int, worst: float) -> dict:
         "tolerance": tol,
         "pass": bool(worst <= tol),
     }
+
+
+def _block_residuals(identity, rows) -> list:
+    """Residuals of ``identity`` on a block of drawn samples, in sample order.
+
+    The block is evaluated in one batched call.  If that raises, or meets a
+    floating-point overflow, division by zero or invalid operation, the block
+    is evaluated again sample by sample: the first failing sample then
+    raises, and warns, exactly as a per-sample loop would.
+    """
+    columns = [np.stack(column) for column in zip(*rows)]
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return np.ravel(identity(*columns)).tolist()
+    except _SAMPLE_ERRORS:
+        return [r for row in rows for r in np.ravel(identity(*row)).tolist()]
+
+
+def _worst(identity, draw, samples: int) -> float:
+    """The largest residual of ``identity`` over ``samples`` draws.
+
+    ``draw()`` returns one sample's arguments; ``identity`` takes them for
+    one sample or stacked for a block.  NaN residuals are passed over, as
+    ``max(worst, r)`` does.
+    """
+    worst = 0.0
+    for start in range(0, samples, _BLOCK):
+        rows = []
+        try:
+            for _ in range(min(_BLOCK, samples - start)):
+                rows.append(draw())
+        except _SAMPLE_ERRORS:
+            if rows:  # a failure among the samples drawn before comes first
+                _block_residuals(identity, rows)
+            raise
+        worst = max(worst, *_block_residuals(identity, rows))
+    return worst
 
 
 def run_invariant_checks(metric_id: str, samples: int = 1000, seed: int = 0,
@@ -121,59 +178,48 @@ def run_invariant_checks(metric_id: str, samples: int = 1000, seed: int = 0,
     conn = connection_from(metric, potential, mass=1.0, charge=1.0)
     conn_free = levi_civita_connection(metric)
 
-    checks = []
-
-    worst = 0.0
-    for _ in range(samples):
+    def state():
         x = sample_point(metric, rng)
-        u = sample_velocity(metric, x, rng)
-        a = rng.standard_normal(dim)
-        worst = max(worst, noether_residual(model, x, u, a))
-    checks.append(_check_record("noether_identity", samples, worst))
+        return x, sample_velocity(metric, x, rng)
 
-    worst = 0.0
-    for _ in range(samples):
-        x = sample_point(metric, rng)
-        u = sample_velocity(metric, x, rng)
+    def projector(x, u):
         n2 = 2 * gfield.order_half
-        gt = np.asarray(gfield.value(x), float)
-        g = float(contract_all(gt, u, n2))
+        gt = _field_at(gfield.value, x)
+        g = contract_all(gt, u, n2)
         c = contract_all(gt, u, n2 - 1)
-        proj = np.eye(dim) - np.outer(u, c) / g
-        worst = max(
-            worst,
-            float(np.max(np.abs(proj @ proj - proj))),
-            float(np.max(np.abs(proj @ u)) / np.linalg.norm(u)),
-        )
-    checks.append(_check_record("projector_idempotence", samples, worst))
+        # np.outer(u, c) / g, for each sample
+        proj = np.eye(dim) - u[..., :, None] * c[..., None, :] / g[..., None, None]
+        return np.stack([np.max(np.abs(proj @ proj - proj), axis=(-2, -1)),
+                         np.max(np.abs(_dot(proj, u)), axis=-1) / _norm(u)], axis=-1)
 
-    worst = 0.0
-    for _ in range(samples):
-        x = sample_point(metric, rng)
-        u = sample_velocity(metric, x, rng)
+    def geodesic_condition(x, u):
         k_free = conn_free.K(x, u)
         # conn.K(x, u) adds the soldering term to the same metric symbols
+        residuals = []
         for k in (k_free, k_free + conn.soldering(x, u)):
             res, scale = geodesic_condition_terms(metric, x, u, k)
-            worst = max(worst, abs(res) / scale)
-    checks.append(_check_record("geodesic_condition", samples, worst))
+            residuals.append(np.abs(res) / scale)
+        return np.stack(residuals, axis=-1)
 
-    worst = 0.0
-    for _ in range(samples):
-        x = sample_point(metric, rng)
-        p = rng.standard_normal(dim)
-        worst = max(worst, abs(poisson_bracket(ham, shell, PhaseState(x, p))))
-    checks.append(_check_record("poisson_bracket", samples, worst))
-
-    worst = 0.0
-    for _ in range(samples):
-        x = sample_point(metric, rng)
-        u = project_to_shell(gfield, x, sample_velocity(metric, x, rng))
+    def rhs_agreement(x, u):
+        u = project_to_shell(gfield, x, u)
         a_geo = geodesic_rhs(conn, x, u)
         a_ham = second_order_rhs(ham, x, u)
-        denom = max(float(np.max(np.abs(a_geo))), float(np.max(np.abs(a_ham))), 1e-12)
-        worst = max(worst, float(np.max(np.abs(a_ham - a_geo))) / denom)
-    checks.append(_check_record("lagrangian_hamiltonian_rhs", samples, worst))
+        big = lambda a: np.max(np.abs(a), axis=-1)
+        denom = np.maximum(np.maximum(big(a_geo), big(a_ham)), 1e-12)
+        return big(a_ham - a_geo) / denom
+
+    identities = [
+        ("noether_identity", lambda x, u, a: noether_residual(model, x, u, a),
+         lambda: (*state(), rng.standard_normal(dim))),
+        ("projector_idempotence", projector, state),
+        ("geodesic_condition", geodesic_condition, state),
+        ("poisson_bracket", lambda x, p: np.abs(_bracket(ham, shell, x, p)),
+         lambda: (sample_point(metric, rng), rng.standard_normal(dim))),
+        ("lagrangian_hamiltonian_rhs", rhs_agreement, state),
+    ]
+    checks = [_check_record(name, samples, _worst(identity, draw, samples))
+              for name, identity, draw in identities]
 
     return {
         "metric": metric_id,

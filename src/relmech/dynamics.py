@@ -23,6 +23,12 @@ from .geometry import (
     MetricField,
     PotentialField,
     _christoffel_and_inverse,
+    _dot,
+    _field_at,
+    _first_failure,
+    _power,
+    _scalar,
+    _vecmat,
     faraday_at,
     g_value,
     inverse_metric_at,
@@ -80,6 +86,7 @@ def connection_from(metric: MetricField, potential: PotentialField,
     where C are the metric's connection symbols (see geometry docs for the
     sign convention).  With charge/mass = 1 this is the canonical charged
     connection; charge = 0 gives the pure metric (Levi-Civita) connection.
+    ``K`` and ``soldering`` also take batches x, u (..., m).
     """
     if metric.dim != potential.dim:
         raise ValueError("metric and potential dimensions differ")
@@ -93,7 +100,7 @@ def connection_from(metric: MetricField, potential: PotentialField,
 
     def coeffs(x, u):
         c, ginv = _christoffel_and_inverse(metric, x)
-        k = np.einsum("lmn,n->ml", c, u)
+        k = np.einsum("...lmn,...n->...ml", c, u)
         if ratio != 0.0:
             k = k + solder(ginv, x)
         return k
@@ -107,29 +114,31 @@ def levi_civita_connection(metric: MetricField) -> Connection:
 
 
 def geodesic_rhs(c: Connection, x, u) -> Array:
-    """Acceleration a^mu = K^mu_lam(x, u) u^lam."""
+    """Acceleration a^mu = K^mu_lam(x, u) u^lam, at one state or a batch."""
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    return c.K(x, u) @ u
+    return _dot(c.K(x, u), u)
 
 
-def geodesic_condition_terms(metric: MetricField, x, u, k) -> tuple[float, float]:
+def geodesic_condition_terms(metric: MetricField, x, u, k):
     """Residual of the hyperboloid-preservation condition and its scale.
 
     For coefficients ``k = K(x, u)`` returns the residual
     (d_lam g_{mu nu} u^mu + 2 g_{mu nu} K^mu_lam) u^lam u^nu and the sum of
     the absolute contributions before cancellation (plus 1e-30), from one
-    evaluation of the metric and of its partials.
+    evaluation of the metric and of its partials.  Two floats for one state;
+    two arrays for a batch x, u (..., m) with k (..., m, m).
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    dg = np.asarray(metric.partials(x), dtype=float)
+    dg = _field_at(metric.partials, x)
     g = metric_at(metric, x)
     au = np.abs(u)
-    t1 = float(np.einsum("lmn,m,l,n->", dg, u, u, u))
-    t2 = 2.0 * float(u @ g @ (k @ u))
-    s1 = float(np.einsum("lmn,m,l,n->", np.abs(dg), au, au, au))
-    s2 = 2.0 * float(au @ np.abs(g) @ (np.abs(k) @ au))
+    t1 = np.einsum("...lmn,...m,...l,...n->...", dg, u, u, u)
+    t2 = 2.0 * _dot(_vecmat(u, g), _dot(k, u))
+    s1 = np.einsum("...lmn,...m,...l,...n->...", np.abs(dg), au, au, au)
+    s2 = 2.0 * _dot(_vecmat(au, np.abs(g)), _dot(np.abs(k), au))
+    t1, t2, s1, s2 = map(_scalar, (t1, t2, s1, s2))
     return t1 + t2, s1 + s2 + 1e-30
 
 
@@ -175,13 +184,15 @@ def project_to_shell(gfield: GTensorField, x, u) -> Array:
     """Rescale ``u`` onto the unit level set G(x, u) = 1.
 
     Returns u * G^(-1/2N); idempotent up to rounding, raises
-    :class:`NonPositiveG` when G <= 0.
+    :class:`NonPositiveG` when G <= 0 (at the first such state of a batch
+    x, u (..., m)).
     """
     u = np.asarray(u, dtype=float)
     g = g_value(gfield, x, u)
-    if not g > 0.0:
-        raise NonPositiveG(f"cannot project: G = {g:g} is not positive")
-    return u * g ** (-1.0 / (2 * gfield.order_half))
+    i = _first_failure(g > 0.0)
+    if i is not None:
+        raise NonPositiveG(f"cannot project: G = {np.ravel(g)[i]:g} is not positive")
+    return u * _power(g, -1.0 / (2 * gfield.order_half))[..., None]
 
 
 def _rk4(rhs: Callable[[Array], Array], y: Array, value, dt: float,

@@ -87,19 +87,105 @@ def _symmetrize_tail(t: Array) -> Array:
 
 
 def contract_all(t: Array, u: Array, count: int) -> Array:
-    """Contract the last ``count`` axes of ``t`` with the vector ``u``."""
+    """Contract the last ``count`` axes of ``t`` with the vector ``u``.
+
+    A batch of vectors u (..., m) pairs each row with the same leading axes
+    of ``t``.
+    """
+    if u.ndim == 1:  # one point, on the integrators' hot path: no call per product
+        for _ in range(count):
+            t = t @ u
+        return t
     for _ in range(count):
-        t = t @ u
+        t = _dot(t, u)
     return t
 
 
+def _dot(t: Array, u: Array) -> Array:
+    """``t @ u`` for a vector ``u``, row by row for a batch u (..., m) whose
+    axes lead ``t`` too.  Each row makes the BLAS call of a single point, so
+    the bits match; a plain ``t @ u`` broadcasts a batch wrongly."""
+    if u.ndim == 1:
+        return t @ u
+    if t.ndim == u.ndim:
+        return (t[..., None, :] @ u[..., :, None])[..., 0, 0]
+    core = (1,) * (t.ndim - u.ndim - 1) + u.shape[-1:] + (1,)
+    return (t @ u.reshape(u.shape[:-1] + core))[..., 0]
+
+
+def _vecmat(u: Array, t: Array) -> Array:
+    """``u @ t`` for a vector ``u`` and a matrix ``t``, row by row for a
+    batch, as :func:`_dot`."""
+    if u.ndim == 1:
+        return u @ t
+    return (u[..., None, :] @ t)[..., 0, :]
+
+
+def _norm(u: Array) -> Array:
+    """Euclidean norm over the last axis, ``np.linalg.norm`` of each row."""
+    return np.sqrt(_dot(u, u))
+
+
+def _power(g, e: float) -> Array:
+    """``g ** e`` by libm pow for each entry, as Python floats compute it.
+
+    numpy's vectorised power rounds differently on some machines, so a batch
+    goes entry by entry.  One value gives a numpy scalar.
+    """
+    if isinstance(g, float) or g.ndim == 0:
+        return np.float64(float(g) ** e)
+    return np.array([v ** e for v in g.ravel().tolist()]).reshape(g.shape)
+
+
+def _scalar(v):
+    """A float for one point, the array for a batch."""
+    return float(v) if v.ndim == 0 else v
+
+
+def _first_failure(ok) -> Optional[int]:
+    """Flat index of the first point where ``ok`` is False, else None."""
+    if ok is True or ok is np.True_:  # one point that passes, the common case
+        return None
+    ok = np.asarray(ok)
+    if ok.all():
+        return None
+    return int(np.flatnonzero(~ok)[0])
+
+
 def _check_point(x, dim: int, what: str = "point") -> Array:
+    """``x`` as a float array of shape (dim,), or (..., dim) for a batch."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (dim,):
+    if x.ndim == 0 or x.shape[-1] != dim:
         raise DimensionMismatch(
-            f"{what} must have shape ({dim},), got {x.shape}"
+            f"{what} must have shape ({dim},) or (..., {dim}), got {x.shape}"
         )
     return x
+
+
+def _field_at(fn: FieldFn, x: Array, check=None) -> Array:
+    """``fn`` at the point ``x``, or at each row of a batch x (..., m) with
+    the results stacked behind the batch axes; ``check`` first, if given.
+
+    Field callables take one point: a vectorised field could round
+    differently from its scalar form.
+    """
+    x = np.asarray(x)
+    if x.ndim == 1:
+        if check is not None:
+            check(x)
+        return np.asarray(fn(x), dtype=float)
+    rows = x.reshape(-1, x.shape[-1])
+    first = _field_at(fn, rows[0], check)
+    out = np.empty((len(rows),) + first.shape)  # filled in place: no list of rows
+    out[0] = first
+    for i in range(1, len(rows)):
+        value = _field_at(fn, rows[i], check)
+        if value.shape != first.shape:
+            raise DimensionMismatch(
+                f"field value has shape {value.shape} at {rows[i]}, {first.shape} at {rows[0]}"
+            )
+        out[i] = value
+    return out.reshape(x.shape[:-1] + first.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -239,73 +325,93 @@ def catalog_metric(name: str, *, dim: int = 4, mass: float = 1.0,
 
 
 def metric_at(metric: MetricField, x) -> Array:
-    """Evaluate g_{mu nu} at ``x``.
+    """Evaluate g_{mu nu} at ``x``, or at each row of a batch x (..., m).
 
     Raises :class:`DomainError` outside the chart domain and
     :class:`DimensionMismatch` for a wrong-length point.
     """
     x = _check_point(x, metric.dim)
-    if metric.domain_check is not None:
-        metric.domain_check(x)
-    return np.asarray(metric.value(x), dtype=float)
+    return _field_at(metric.value, x, metric.domain_check)
 
 
 def inverse_metric_at(metric: MetricField, x) -> Array:
-    """Inverse metric g^{mu nu} at ``x``.
+    """Inverse metric g^{mu nu} at ``x``, or at each row of a batch x (..., m).
 
     A diagonal metric (every nonzero entry on a nonzero diagonal) is inverted
     in closed form, ``diag(1 / d)``; every other metric goes through LAPACK
-    and is symmetrized.  The two agree exactly on diagonal input.
+    and is symmetrized.  The two agree exactly on diagonal input.  A batch
+    takes the closed form only when every point is diagonal; one that mixes
+    the two kinds then gives its diagonal points the general path's
+    results, whose later products may differ from the closed form's in the
+    signs of zeros.
 
     Raises :class:`SingularMetric` when the metric cannot be inverted or its
-    condition number (infinity norm estimate) exceeds 1e12.  For a diagonal
-    metric that estimate is ``max|d| * max|1/d|``, the same number the
-    infinity norms give, so both paths reject the same metrics.
+    condition number (infinity norm estimate) exceeds 1e12, naming the first
+    such point of a batch.  For a diagonal metric that estimate is
+    ``max|d| * max|1/d|``, the same number the infinity norms give, so both
+    paths reject the same metrics.
     """
     g = metric_at(metric, x)
     d = _diagonal(g)
-    if d is not None and d.all():
+    if d is not None and np.count_nonzero(d) == d.size:  # cheaper than d.all()
         dinv = 1.0 / d
-        _check_condition(abs(d).max() * abs(dinv).max(), x)
-        return np.diag(dinv)
+        _check_condition(abs(d).max(-1) * abs(dinv).max(-1), x)
+        out = np.zeros(g.shape)
+        out.reshape(d.shape[:-1] + (-1,))[..., ::d.shape[-1] + 1] = dinv
+        return out
     try:
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
+        if g.ndim > 2:
+            for row in np.reshape(x, (-1, metric.dim)):
+                inverse_metric_at(metric, row)  # raises for the first singular point
         raise SingularMetric(f"metric is singular at x = {x}") from exc
-    _check_condition(np.linalg.norm(g, np.inf) * np.linalg.norm(inv, np.inf), x)
-    return 0.5 * (inv + inv.T)
+    _check_condition(np.linalg.norm(g, np.inf, axis=(-2, -1))
+                     * np.linalg.norm(inv, np.inf, axis=(-2, -1)), x)
+    return 0.5 * (inv + inv.swapaxes(-1, -2))
 
 
 def _diagonal(a: Array) -> Optional[Array]:
     """The diagonal of a square matrix whose nonzero entries all sit on it,
-    else None."""
-    d = a.diagonal()
+    else None.  For a stack of matrices: the diagonals, if every matrix is
+    such."""
+    d = a.diagonal(0, -2, -1)
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
 def _check_condition(cond, x) -> None:
-    if not cond < _COND_LIMIT:
+    i = _first_failure(cond < _COND_LIMIT)
+    if i is not None:
+        x = np.asarray(x, dtype=float)
         raise SingularMetric(
-            f"metric is numerically singular at x = {x} (cond ~ {cond:.3e})"
+            f"metric is numerically singular at x = {x.reshape(-1, x.shape[-1])[i]} "
+            f"(cond ~ {np.ravel(cond)[i]:.3e})"
         )
 
 
 def _christoffel_and_inverse(metric: MetricField, x) -> tuple[Array, Array]:
-    """Connection symbols and inverse metric at ``x`` from one inversion.
+    """Connection symbols and inverse metric at ``x`` (or a batch) from one
+    inversion.
 
     A diagonal inverse scales the rows of S instead of contracting with it;
     the two give the same values, up to the signs of zeros.
     """
-    dg = np.asarray(metric.partials(_check_point(x, metric.dim)), dtype=float)
+    x = _check_point(x, metric.dim)
+    dg = _field_at(metric.partials, x)
     ginv = inverse_metric_at(metric, x)
     # S[mu, beta, nu] = d_mu g_{beta nu} + d_nu g_{beta mu} - d_beta g_{mu nu}
-    s = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
+    s = dg + dg.swapaxes(-1, -3)
+    s -= dg.swapaxes(-3, -2)
+    del dg  # in place from here on: a batch's temporaries are large
     dinv = _diagonal(ginv)
     if dinv is not None:
-        c = -0.5 * (dinv[None, :, None] * s)
+        s *= dinv[..., None, :, None]
     else:
-        c = -0.5 * np.einsum("lb,mbn->mln", ginv, s)
-    return 0.5 * (c + c.transpose(2, 1, 0)), ginv
+        s = np.einsum("...lb,...mbn->...mln", ginv, s)
+    s *= -0.5
+    c = s + s.swapaxes(-1, -3)
+    c *= 0.5
+    return c, ginv
 
 
 def christoffel_at(metric: MetricField, x) -> Array:
@@ -402,14 +508,16 @@ def coulomb_potential(charge: float, center=(0.0, 0.0, 0.0)) -> PotentialField:
 
 
 def faraday_at(potential: PotentialField, x) -> Array:
-    """Field strength F_{lam mu} = d_lam A_mu - d_mu A_lam at ``x``."""
+    """Field strength F_{lam mu} = d_lam A_mu - d_mu A_lam at ``x``, or at
+    each row of a batch x (..., m)."""
     x = _check_point(x, potential.dim)
-    da = np.asarray(potential.partials(x), dtype=float)
-    if da.shape != (potential.dim, potential.dim):
+    da = _field_at(potential.partials, x)
+    if da.shape[x.ndim - 1:] != (potential.dim, potential.dim):
         raise DimensionMismatch(
-            f"potential partials must be {(potential.dim,) * 2}, got {da.shape}"
+            f"potential partials must be {(potential.dim,) * 2}, "
+            f"got {da.shape[x.ndim - 1:]}"
         )
-    return da - da.T
+    return da - da.swapaxes(-1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -470,16 +578,20 @@ class GTensorField:
         return cls(dim, order_half, sym_value, sym_partials)
 
 
-def g_value(gfield: GTensorField, x, u) -> float:
+def g_value(gfield: GTensorField, x, u):
     """Full contraction G_{a1...a2N}(x) u^{a1} ... u^{a2N}.
 
-    Positively homogeneous of degree 2N in ``u``.
+    Positively homogeneous of degree 2N in ``u``.  A float for one point; an
+    array for a batch of points x and vectors u, both (..., m).
     """
     x = _check_point(x, gfield.dim)
     u = _check_point(u, gfield.dim, "vector")
-    t = np.asarray(gfield.value(x), dtype=float)
-    if t.ndim != 2 * gfield.order_half:
+    if u.shape != x.shape:
+        raise DimensionMismatch(f"vector shape {u.shape} differs from point shape {x.shape}")
+    t = _field_at(gfield.value, x)
+    rank = t.ndim - x.ndim + 1
+    if rank != 2 * gfield.order_half:
         raise DimensionMismatch(
-            f"G tensor must have rank {2 * gfield.order_half}, got {t.ndim}"
+            f"G tensor must have rank {2 * gfield.order_half}, got {rank}"
         )
-    return float(contract_all(t, u, t.ndim))
+    return _scalar(contract_all(t, u, rank))

@@ -31,6 +31,8 @@ from .geometry import (
     MetricField,
     PotentialField,
     _diagonal,
+    _dot,
+    _field_at,
     fd_partials,
     inverse_metric_at,
     metric_at,
@@ -95,15 +97,18 @@ def _composed_flow(grad_x: PhaseGrad, grad_p: PhaseGrad) -> PhaseFlow:
 
 
 def _dginv(ginv: Array, dg: Array) -> Array:
-    """d_lam g^{ab} = -g^{ac} d_lam g_{cd} g^{db}, derivative index first.
+    """d_lam g^{ab} = -g^{ac} d_lam g_{cd} g^{db}, derivative index first,
+    at one point or for a batch (leading axes).
 
     A diagonal inverse scales rows and columns, in the einsum's product
     order, so the values are the same up to the signs of zeros.
     """
     dinv = _diagonal(ginv)
-    if dinv is not None:
-        return -(dinv[None, :, None] * dg * dinv[None, None, :])
-    return -np.einsum("ac,lcd,db->lab", ginv, dg, ginv)
+    if dinv is None:
+        return -np.einsum("...ac,...lcd,...db->...lab", ginv, dg, ginv)
+    out = dinv[..., None, :, None] * dg  # in place from here on, for large batches
+    out *= dinv[..., None, None, :]
+    return np.negative(out, out=out)
 
 
 @dataclass
@@ -147,7 +152,8 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
 
     The factor 1/2 makes the shell residual equal (2/mass) H - 1 and the flow
     velocity dH/dp = g^{-1}(p - eA)/mass, so states on the shell map to unit
-    vectors g(u, u) = 1.
+    vectors g(u, u) = 1.  ``grad_x``, ``grad_p`` and ``flow`` also take
+    batches x, p (..., m); ``value`` takes one point.
     """
     if metric.dim != potential.dim:
         raise DimensionMismatch("metric and potential dimensions differ")
@@ -158,7 +164,7 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
     std = StandardData(metric, potential, m, e)
 
     def kinetic(x, p):
-        return p - e * np.asarray(potential.value(x), float)
+        return p - e * _field_at(potential.value, x)
 
     def value(x, p):
         w = kinetic(x, p)
@@ -167,11 +173,11 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
 
     def grad_p(x, p):
         w = kinetic(x, p)
-        return inverse_metric_at(metric, x) @ w / m
+        return _dot(inverse_metric_at(metric, x), w) / m
 
     def dh_dx(x, w, ginv):
-        dg = np.asarray(metric.partials(x), float)
-        da = np.asarray(potential.partials(x), float)
+        dg = _field_at(metric.partials, x)
+        da = _field_at(potential.partials, x)
         return _standard_dh_dx(std, w, ginv, _dginv(ginv, dg), da)
 
     def grad_x(x, p):
@@ -181,7 +187,7 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
     def flow(x, p):
         w = kinetic(x, p)
         ginv = inverse_metric_at(metric, x)
-        return ginv @ w / m, -dh_dx(x, w, ginv)
+        return _dot(ginv, w) / m, -dh_dx(x, w, ginv)
 
     return HamiltonianModel(metric.dim, value, grad_x, grad_p, flow, std)
 
@@ -189,10 +195,10 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
 def _standard_dh_dx(std: StandardData, w: Array, ginv: Array, dginv: Array,
                     da: Array) -> Array:
     """d_lam H of the standard family from w = p - eA, g^{-1}, its partials
-    and the partials of A at one point."""
+    and the partials of A at one point, or for a batch (leading axes)."""
     m, e = std.mass, std.charge
-    t_metric = 0.5 * np.einsum("lab,a,b->l", dginv, w, w) / m
-    t_pot = -(e / m) * np.einsum("ab,a,lb->l", ginv, w, da)
+    t_metric = 0.5 * np.einsum("...lab,...a,...b->...l", dginv, w, w) / m
+    t_pot = -(e / m) * np.einsum("...ab,...a,...lb->...l", ginv, w, da)
     return t_metric + t_pot
 
 
@@ -225,7 +231,8 @@ def mass_shell_scalar(h: HamiltonianModel,
     For the standard family the gradients are analytic (computed from the
     explicit form g^{ab}(p - eA)(p - eA)/mass^2 - 1, independently of the
     gradients of H) and ``flow`` shares one metric inversion between them;
-    otherwise they fall back to finite differences.
+    all three also take batches x, p (..., m).  Otherwise they fall back to
+    finite differences.
     """
     shell_metric = _shell_metric(h, metric)
 
@@ -242,16 +249,16 @@ def mass_shell_scalar(h: HamiltonianModel,
     e, m2 = std.charge, std.mass ** 2
 
     def kinetic(x, p):
-        return p - e * np.asarray(std.potential.value(x), float)
+        return p - e * _field_at(std.potential.value, x)
 
     def dh_dx(x, w, ginv):
-        dg = np.asarray(std.metric.partials(x), float)
-        da = np.asarray(std.potential.partials(x), float)
-        return (np.einsum("lab,a,b->l", _dginv(ginv, dg), w, w)
-                - 2.0 * e * np.einsum("ab,a,lb->l", ginv, w, da)) / m2
+        dg = _field_at(std.metric.partials, x)
+        da = _field_at(std.potential.partials, x)
+        return (np.einsum("...lab,...a,...b->...l", _dginv(ginv, dg), w, w)
+                - 2.0 * e * np.einsum("...ab,...a,...lb->...l", ginv, w, da)) / m2
 
     def grad_p(x, p):
-        return 2.0 * (inverse_metric_at(std.metric, x) @ kinetic(x, p)) / m2
+        return 2.0 * _dot(inverse_metric_at(std.metric, x), kinetic(x, p)) / m2
 
     def grad_x(x, p):
         return dh_dx(x, kinetic(x, p), inverse_metric_at(std.metric, x))
@@ -259,7 +266,7 @@ def mass_shell_scalar(h: HamiltonianModel,
     def flow(x, p):
         w = kinetic(x, p)
         ginv = inverse_metric_at(std.metric, x)
-        return 2.0 * (ginv @ w) / m2, -dh_dx(x, w, ginv)
+        return 2.0 * _dot(ginv, w) / m2, -dh_dx(x, w, ginv)
 
     return HamiltonianModel(h.dim, value, grad_x, grad_p, flow)
 
@@ -277,9 +284,14 @@ def poisson_bracket(f: HamiltonianModel, g: HamiltonianModel,
     equal {., H}.  Both gradients of each scalar come from one ``flow``
     call, which returns (d_p, -d_x): {f, g} = d_p f . (-d_x g) - (-d_x f) . d_p g.
     """
-    fp, fx = f.flow(s.x, s.p)
-    gp, gx = g.flow(s.x, s.p)
-    return float(np.dot(fp, gx)) - float(np.dot(fx, gp))
+    return float(_bracket(f, g, s.x, s.p))
+
+
+def _bracket(f: HamiltonianModel, g: HamiltonianModel, x, p):
+    """:func:`poisson_bracket` at x, p, or for a batch (..., m) of them."""
+    fp, fx = f.flow(x, p)
+    gp, gx = g.flow(x, p)
+    return _dot(fp, gx) - _dot(fx, gp)
 
 
 def coordinate_scalar(dim: int, lam: int) -> HamiltonianModel:
@@ -324,7 +336,8 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     Evaluates  a^lam = (dH/dp_mu) d_mu dH/dp_lam - (d_mu H) d^2H/dp_lam dp_mu
     at the momenta p(x, u) of :func:`on_shell_momentum`.  For the standard
     family this equals the geodesic right-hand side of the charged connection
-    built from the same metric and potential.
+    built from the same metric and potential.  Takes one state or a batch
+    x, u (..., m).
     """
     if h.standard is None:
         raise ValueError("second_order_rhs requires a standard-family Hamiltonian")
@@ -334,19 +347,20 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     m, e = std.mass, std.charge
     g = metric_at(std.metric, x)
     ginv = inverse_metric_at(std.metric, x)
-    dg = np.asarray(std.metric.partials(x), float)
-    da = np.asarray(std.potential.partials(x), float)
+    dg = _field_at(std.metric.partials, x)
+    da = _field_at(std.potential.partials, x)
     dginv = _dginv(ginv, dg)
 
-    ea = e * np.asarray(std.potential.value(x), float)
-    w = m * (g @ u)                      # kinetic momenta p - eA
+    ea = e * _field_at(std.potential.value, x)
+    w = m * _dot(g, u)                   # kinetic momenta p - eA
     p = w + ea
-    gp = ginv @ w / m                    # dH/dp, equals u up to rounding
+    gp = _dot(ginv, w) / m               # dH/dp, equals u up to rounding
     # mixed[lam, mu] = d_mu dH/dp_lam
-    mixed = (np.einsum("mln,n->lm", dginv, w) - e * np.einsum("ln,mn->lm", ginv, da)) / m
+    mixed = (np.einsum("...mln,...n->...lm", dginv, w)
+             - e * np.einsum("...ln,...mn->...lm", ginv, da)) / m
     # dH/dx at p, with p - eA recomputed from p as H's own gradient does
     gx = _standard_dh_dx(std, p - ea, ginv, dginv, da)
-    return mixed @ gp - (ginv @ gx) / m
+    return _dot(mixed, gp) - _dot(ginv, gx) / m
 
 
 def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,

@@ -33,6 +33,12 @@ from .geometry import (
     Array,
     GTensorField,
     PotentialField,
+    _dot,
+    _field_at,
+    _first_failure,
+    _norm,
+    _power,
+    _scalar,
     contract_all,
     faraday_at,
     g_value,
@@ -77,16 +83,18 @@ class LagrangianModel:
 @dataclass(frozen=True)
 class ELResidual:
     """Variational data at one (x, u, a): reduced covector E, full covector
-    calE, and the constraint value G."""
+    calE, and the constraint value G (arrays over the batch axes for a
+    batch)."""
 
     E: Array
     cal_E: Array
     G: float
 
 
-def _require_positive(g: float) -> None:
-    if not g > 0.0:
-        raise NonPositiveG(f"G = {g:g} is not positive here")
+def _require_positive(g) -> None:
+    i = _first_failure(g > 0.0)
+    if i is not None:
+        raise NonPositiveG(f"G = {np.ravel(g)[i]:g} is not positive here")
 
 
 def lagrangian_value(model: LagrangianModel, x, u) -> float:
@@ -112,20 +120,26 @@ def _velocity_form_pieces(model: LagrangianModel, x, u):
       dG_first[beta] = u^mu d_mu G_{beta ...} u ... u   (2N - 1 slots filled)
       G_red[beta, mu] = G_{beta mu ...} u ... u         (2N - 2 slots filled)
       c[lam] = G_{lam ...} u ... u                      (2N - 1 slots filled)
+
+    x and u may also be batches (..., m) of equal shape; each piece then
+    gains the batch axes in front, and G is an array.
     """
     gf = model.gfield
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    if x.shape != (gf.dim,) or u.shape != (gf.dim,):
-        raise DimensionMismatch(f"x and u must have shape ({gf.dim},)")
+    if x.shape[-1:] != (gf.dim,) or u.shape != x.shape:
+        raise DimensionMismatch(f"x and u must have shape ({gf.dim},) or (..., {gf.dim})")
     n2 = 2 * gf.order_half
-    gt = np.asarray(gf.value(x), dtype=float)
-    dg = np.asarray(gf.partials(x), dtype=float)
-    g = float(contract_all(gt, u, n2))
+    gt = _field_at(gf.value, x)
+    dg = _field_at(gf.partials, x)
+    g = _scalar(contract_all(gt, u, n2))
     dg_full = contract_all(dg, u, n2)
-    dg_first = contract_all(np.tensordot(u, dg, axes=(0, 0)), u, n2 - 1)
+    # u^mu d_mu G_{...}: the row-vector product np.tensordot(u, dg, 1) makes
+    b = u.ndim - 1
+    dg_u = u[..., None, :] @ dg.reshape(dg.shape[:b + 1] + (-1,))
+    dg_first = contract_all(dg_u.reshape(dg.shape[:b] + dg.shape[b + 1:]), u, n2 - 1)
     g_red = contract_all(gt, u, n2 - 2)
-    c = g_red @ u
+    c = _dot(g_red, u)
     return g, dg_full, dg_first, g_red, c
 
 
@@ -149,8 +163,9 @@ def _euler_lagrange_E(model: LagrangianModel, x, u, a, pieces) -> Array:
     a = np.asarray(a, dtype=float)
     n2 = 2 * model.order_half
     f = faraday_at(model.potential, np.asarray(x, float))
-    e_cov = model.mass * (dg_full / n2 - dg_first - (n2 - 1) * (g_red @ a))
-    return e_cov + model.charge * g ** (1.0 - 1.0 / n2) * (f @ u)
+    e_cov = model.mass * (dg_full / n2 - dg_first - (n2 - 1) * _dot(g_red, a))
+    force = model.charge * _power(g, 1.0 - 1.0 / n2)
+    return e_cov + force[..., None] * _dot(f, u)
 
 
 def variational_derivative(model: LagrangianModel, x, u, a) -> ELResidual:
@@ -167,33 +182,34 @@ def variational_derivative(model: LagrangianModel, x, u, a) -> ELResidual:
     g, c = pieces[0], pieces[4]
     e_cov = _euler_lagrange_E(model, x, u, a, pieces)
     n2 = 2 * model.order_half
-    weight = g ** (1.0 / n2 - 1.0)
-    cal = (e_cov - (float(e_cov @ u) / g) * c) * weight
+    weight = _power(g, 1.0 / n2 - 1.0)[..., None]
+    cal = (e_cov - (_dot(e_cov, u) / g)[..., None] * c) * weight
 
-    resid = abs(float(u @ cal))
-    norm_u = float(np.linalg.norm(u))
-    scale = (norm_u * float(np.linalg.norm(cal))
-             + norm_u * float(np.linalg.norm(e_cov)) * weight
+    resid = np.abs(_dot(u, cal))
+    norm_u = _norm(u)
+    scale = (norm_u * _norm(cal) + norm_u * _norm(e_cov) * weight[..., 0]
              + RESIDUAL_FLOOR)
-    if not resid <= 1e-10 * scale:
+    i = _first_failure(resid <= 1e-10 * scale)
+    if i is not None:
         raise ArithmeticError(
-            f"u . calE = {resid:g} exceeds 1e-10 of scale {scale:g}; "
-            "the computation is numerically unreliable here"
+            f"u . calE = {np.ravel(resid)[i]:g} exceeds 1e-10 of scale "
+            f"{np.ravel(scale)[i]:g}; the computation is numerically unreliable here"
         )
     return ELResidual(E=e_cov, cal_E=cal, G=g)
 
 
-def noether_residual(model: LagrangianModel, x, u, a) -> float:
+def noether_residual(model: LagrangianModel, x, u, a):
     """Normalized value of u . calE, which must vanish for ALL inputs.
 
     Returns |u . calE| / (||u|| ||calE|| + 1e-30); this is an algebraic
     identity forced by degree-one homogeneity, not an equation of motion.
+    A float for one state; an array for a batch x, u, a (..., m).
     """
     res = variational_derivative(model, x, u, a)
     u = np.asarray(u, dtype=float)
-    num = abs(float(u @ res.cal_E))
-    den = float(np.linalg.norm(u)) * float(np.linalg.norm(res.cal_E)) + RESIDUAL_FLOOR
-    return num / den
+    num = np.abs(_dot(u, res.cal_E))
+    den = _norm(u) * _norm(res.cal_E) + RESIDUAL_FLOOR
+    return _scalar(num / den)
 
 
 def four_acceleration(model: LagrangianModel, x, u) -> Array:

@@ -83,16 +83,19 @@ def random_state(metric, gfield, rng, margin=0.1):
 
 @pytest.fixture
 def inversion_count(monkeypatch):
-    """Count inverse_metric_at calls as geometry, dynamics and hamiltonian see it."""
+    """Count the metrics inverse_metric_at inverts, as geometry, dynamics and
+    hamiltonian see it: [matrices, calls].  A batch x (..., m) counts one
+    matrix per point, a single point one."""
     import relmech.dynamics
     import relmech.geometry
     import relmech.hamiltonian
 
-    calls = [0]
+    calls = [0, 0]
     inverse = relmech.geometry.inverse_metric_at
 
     def counted(metric, x):
-        calls[0] += 1
+        calls[0] += int(np.prod(np.shape(x)[:-1]))
+        calls[1] += 1
         return inverse(metric, x)
 
     for mod in (relmech.geometry, relmech.dynamics, relmech.hamiltonian):

@@ -1,18 +1,25 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
 import relmech as rm
+import relmech.checks
 import relmech.dynamics
 import relmech.hamiltonian
 from relmech.checks import (
     _CHECK_B,
     _CHECK_E,
     _check_record,
+    _worst,
     run_invariant_checks,
     sample_point,
     sample_velocity,
 )
 from relmech.geometry import _check_point, contract_all
+
+from conftest import shear_minkowski
 
 DIAG = (1.5, -0.75, -2.0, -1.25)
 
@@ -149,4 +156,142 @@ def test_six_inversions_per_identity_sample(inversion_count):
     # RHS agreement: geodesic_rhs + second_order_rhs (2)
     run_invariant_checks("schwarzschild", samples=100)
     assert inversion_count[0] == 600
+    # each block of samples is inverted in one call per use, however many
+    # samples the block holds
+    calls = inversion_count[1]
+    run_invariant_checks("schwarzschild", samples=1000)
+    assert inversion_count[1] - calls == calls
 
+
+
+# -- batched evaluation ---------------------------------------------------------
+
+@pytest.mark.parametrize("metric_id, diag, block", [
+    ("schwarzschild", None, 16), ("diagonal", DIAG, 16), ("minkowski", None, None),
+])
+def test_block_plus_one_equals_reference_loops(monkeypatch, metric_id, diag, block):
+    if block is not None:
+        monkeypatch.setattr(relmech.checks, "_BLOCK", block)
+    samples = relmech.checks._BLOCK + 1
+    report = run_invariant_checks(metric_id, samples=samples, seed=3, diag=diag)
+    monkeypatch.setattr(relmech.dynamics, "_christoffel_and_inverse",
+                        _einsum_christoffel_and_inverse)
+    monkeypatch.setattr(relmech.hamiltonian, "_dginv", _einsum_dginv)
+    assert report == _reference_checks(metric_id, samples, seed=3, diag=diag)
+
+
+def _loop_worst(residuals):
+    worst = 0.0
+    for r in residuals:
+        worst = max(worst, r)
+    return worst
+
+
+@pytest.mark.parametrize("values", [
+    [0.25, math.nan, 0.5, math.nan, 0.125],
+    [math.nan, 0.3, 0.1],
+    [math.nan, math.nan],
+    [0.0, math.nan, math.inf, 2.0],
+])
+def test_nan_residual_reduces_as_the_loop(monkeypatch, values):
+    monkeypatch.setattr(relmech.checks, "_BLOCK", 2)
+    table = np.array(values)
+    draws = iter(range(len(values)))
+    worst = _worst(lambda k: table[k], lambda: (next(draws),), len(values))
+    assert worst == _loop_worst(values)
+
+
+def test_nan_residual_in_a_check(monkeypatch):
+    # a residual that is NaN for some samples of a block is passed over, as
+    # the per-sample loop's max(worst, r) passes over it
+    real = relmech.checks.noether_residual
+
+    def patched(model, x, u, a):
+        r = real(model, x, u, a)
+        return np.where(np.asarray(x)[..., 0] > 0.0, math.nan, r)
+
+    monkeypatch.setattr(relmech.checks, "noether_residual", patched)
+    monkeypatch.setattr(relmech.checks, "_BLOCK", 8)
+    report = run_invariant_checks("minkowski", samples=20, seed=1)
+    rng = np.random.default_rng(1)
+    metric = rm.minkowski()
+    model = rm.LagrangianModel(rm.GTensorField.from_metric(metric),
+                               rm.uniform_field(_CHECK_E, _CHECK_B), 1.0, 1.0)
+    loop = []
+    for _ in range(20):
+        x = sample_point(metric, rng)
+        u = sample_velocity(metric, x, rng)
+        loop.append(float(patched(model, x, u, rng.standard_normal(4))))
+    assert any(math.isnan(r) for r in loop)
+    assert report["checks"][0]["max_residual"] == _loop_worst(loop)
+
+
+def test_first_failing_sample_raises_as_in_the_loop():
+    def identity(k):
+        k = np.asarray(k)
+        failing = k[k >= 3]
+        if failing.size:  # a batch names its last failure, the loop its first
+            raise ValueError(f"sample {int(failing.max())} failed")
+        return 0.0 * k
+
+    draws = iter(range(6))
+    with pytest.raises(ValueError, match="^sample 3 failed$"):
+        _worst(identity, lambda: (next(draws),), 6)
+
+    # a failure while drawing comes after the failures of the samples drawn before it
+    def draw():
+        k = next(draws)
+        if k == 5:
+            raise rm.ConstraintUnreachable("draw 5 failed")
+        return (k,)
+
+    draws = iter(range(6))
+    with pytest.raises(ValueError, match="^sample 3 failed$"):
+        _worst(identity, draw, 6)
+    draws = iter(range(6))
+    with pytest.raises(rm.ConstraintUnreachable, match="^draw 5 failed$"):
+        _worst(lambda k: 0.0 * np.asarray(k), draw, 6)
+
+
+def test_floating_point_exception_falls_back_to_the_loop():
+    # overflow in a batch re-runs the block sample by sample, which warns as
+    # the per-sample loop warns (numpy words a scalar's warning differently)
+    # and gives its residuals
+    def identity(v):
+        return np.asarray(v) * 1e300
+
+    values = [1.0, 1e10, 2.0]
+    with warnings.catch_warnings(record=True) as loop:
+        warnings.simplefilter("always")
+        want = _loop_worst([float(identity(np.float64(v))) for v in values])
+    draws = iter(values)
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        worst = _worst(identity, lambda: (np.float64(next(draws)),), len(values))
+    assert worst == want == math.inf
+    assert [str(w.message) for w in got] == [str(w.message) for w in loop]
+    assert loop
+
+    # a sample after the first failing one is never evaluated, so its
+    # overflow does not warn
+    def failing(v):
+        r = identity(v)
+        if np.any(r < 0.0):
+            raise ValueError("negative sample")
+        return r
+
+    draws = iter([1.0, -1.0, 1e10])
+    with warnings.catch_warnings(record=True) as got:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="negative sample"):
+            _worst(failing, lambda: (np.float64(next(draws)),), 3)
+    assert not got
+
+
+def test_sample_velocity_on_a_non_diagonal_metric():
+    metric, _ = shear_minkowski(0.9)
+    gfield = rm.GTensorField.from_metric(metric)
+    rng = np.random.default_rng(0)
+    for _ in range(1000):
+        x = rng.uniform(-2.0, 2.0, 4)
+        assert rm.g_value(gfield, x, sample_velocity(metric, x, rng)) > 0.05

@@ -812,6 +812,17 @@ def test_check_without_timelike_direction_exits_2(capsys):
     assert "G > margin" in err
 
 
+@pytest.mark.parametrize("diag, cond", [("1e300,-1,-1,-1", "1.000e+300"),
+                                        ("1,-1e-13,-1,-1", "1.000e+13")])
+def test_check_singular_metric_names_first_sample(capsys, diag, cond):
+    # the first geodesic-condition sample, as the per-sample loop reported it
+    code, out, err = run_cli(capsys, "check", "--metric", "diagonal", f"--diag={diag}")
+    assert code == 2
+    assert out == ""
+    assert err == ("check failed: metric is numerically singular at x = "
+                   f"[-0.24378591  1.09775352  1.19003091  0.9864372 ] (cond ~ {cond})\n")
+
+
 @pytest.mark.parametrize("diag", ["1,0,-1,-1", "1,nan,-1,-1"])
 def test_check_zero_or_non_finite_diag_exits_2(capsys, diag):
     with warnings.catch_warnings():
