@@ -30,7 +30,7 @@ from .errors import (
     ZeroTimeVelocity,
     ZeroVector,
 )
-from .geometry import Array, GTensorField, g_value
+from .geometry import Array, GTensorField, _first_failure, _power, g_value
 
 #: projective maps blow up when the chart-time denominator is this small
 DENOMINATOR_FLOOR = 1e-12
@@ -67,8 +67,8 @@ class ThreeVelocity:
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
         if self.q.shape != self.v.shape or self.q.ndim != 1:
             raise DimensionMismatch("q and v must be 1-d arrays of equal length")
-        if not (math.isfinite(self.q0) and np.all(np.isfinite(self.q))
-                and np.all(np.isfinite(self.v))):
+        # one Python pass over the few entries: cheaper than np.isfinite
+        if not all(map(math.isfinite, [self.q0, *self.q.tolist(), *self.v.tolist()])):
             raise ValueError("three-velocity entries must be finite")
 
     @property
@@ -220,7 +220,8 @@ def lift_three_solution(samples: Iterable, gfield: GTensorField,
 
     Each sample is a :class:`ThreeVelocity` (or a (q0, q, v) triple).  The
     chart times must be strictly increasing.  Every sample is lifted onto the
-    unit level set via :func:`four_from_three`, and tau is accumulated by
+    unit level set as by :func:`four_from_three`, all samples in batched
+    calls with the bits of one call per sample, and tau is accumulated by
     trapezoidal quadrature of d tau/d q^0 = 1/u^0.  For the sign = -1 branch
     tau decreases with q^0, so the samples are stored in reversed order to
     keep tau increasing along the trajectory.
@@ -233,17 +234,27 @@ def lift_three_solution(samples: Iterable, gfield: GTensorField,
     if q0s.size > 1 and not np.all(np.diff(q0s) > 0.0):
         raise NonMonotoneTime("chart time samples must be strictly increasing")
 
-    states = [four_from_three(p, gfield, sign) for p in pts]
-    dtau_dq0 = np.array([1.0 / s.u[0] for s in states])
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    try:  # all samples at once, each row with the bits of a one-sample lift
+        xs = np.column_stack((q0s, np.stack([p.q for p in pts])))
+        uhat = np.column_stack((np.ones(q0s.size), np.stack([p.v for p in pts])))
+        gbar = g_value(gfield, xs, uhat)
+        if _first_failure(gbar > 0.0) is not None:
+            raise ConstraintUnreachable("a reduced form Gbar is not positive")
+    except Exception:  # lifted one by one, the first failing sample raises its own error
+        for p in pts:
+            four_from_three(p, gfield, sign)
+        raise
+    us = (sign * _power(gbar, -1.0 / (2 * gfield.order_half)))[:, None] * uhat
+    dtau_dq0 = 1.0 / us[:, 0]
 
     tau = np.zeros(q0s.size)
     if q0s.size > 1:
         increments = 0.5 * (dtau_dq0[1:] + dtau_dq0[:-1]) * np.diff(q0s)
         tau[1:] = np.cumsum(increments)
 
-    xs = np.stack([s.x for s in states])
-    us = np.stack([s.u for s in states])
-    gs = np.array([g_value(gfield, s.x, s.u) for s in states])
+    gs = g_value(gfield, xs, us)
 
     if sign < 0 and q0s.size > 1:
         tau, xs, us, gs = tau[::-1].copy(), xs[::-1].copy(), us[::-1].copy(), gs[::-1].copy()

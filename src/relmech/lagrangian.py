@@ -271,6 +271,15 @@ def three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w) -> Array:
 
     where d0 is the total chart-time derivative along the jet (q^0, q, v, w).
     """
+    return _three_euler_lagrange(model, t, w)[0]
+
+
+def _three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w):
+    """:func:`three_euler_lagrange` with the pieces :func:`three_acceleration`
+    reuses: (Ebar, g_red, c, Gbar, 2N), with g_red and c as in its docstring.
+
+    G and its partials, the potential's partials and Gbar are evaluated once.
+    """
     x, uhat, gt, gbar, n2 = _reduced_pieces(model, t)
     w = np.asarray(w, dtype=float)
     if w.shape != t.v.shape:
@@ -281,8 +290,9 @@ def three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w) -> Array:
     g_red = contract_all(gt, uhat, n2 - 2)
     c = g_red @ uhat
     dgbar_coord = contract_all(dg, uhat, n2)
-    # directional coordinate derivative along (1, v)
-    dg_dir = dg[0] + np.tensordot(t.v, dg[1:], axes=(0, 0))
+    # directional coordinate derivative along (1, v); the row-vector product
+    # makes the bits of np.tensordot(v, dg[1:], 1) without its overhead
+    dg_dir = dg[0] + (t.v @ dg[1:].reshape(t.v.size, -1)).reshape(dg.shape[1:])
     dir_c = contract_all(dg_dir, uhat, n2 - 1)
     d0_c = dir_c + (n2 - 1) * (g_red @ what)
     d0_gbar = float(contract_all(dg_dir, uhat, n2)) + n2 * float(c @ what)
@@ -292,8 +302,9 @@ def three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w) -> Array:
 
     f = faraday_at(model.potential, x)
     force = f[1:, 1:] @ t.v + f[1:, 0]
-    return (model.mass * (dgbar_coord[1:] / (n2 * gbar ** e1) - momentum_rate[1:])
+    ebar = (model.mass * (dgbar_coord[1:] / (n2 * gbar ** e1) - momentum_rate[1:])
             + model.charge * force)
+    return ebar, g_red, c, gbar, n2
 
 
 def three_acceleration(model: LagrangianModel, t: ThreeVelocity) -> Array:
@@ -307,10 +318,8 @@ def three_acceleration(model: LagrangianModel, t: ThreeVelocity) -> Array:
 
     So one evaluation of Ebar at w = 0 and one linear solve give w.
     """
-    _, uhat, gt, gbar, n2 = _reduced_pieces(model, t)
-    base = three_euler_lagrange(model, t, np.zeros(t.v.size))
-    g_red = contract_all(gt, uhat, n2 - 2)
-    c = (g_red @ uhat)[1:]
+    base, g_red, c, gbar, n2 = _three_euler_lagrange(model, t, np.zeros(t.v.size))
+    c = c[1:]
     e1 = 1.0 - 1.0 / n2
     mat = -model.mass * ((n2 - 1) * g_red[1:, 1:] / gbar ** e1
                          - e1 * n2 * np.outer(c, c) / gbar ** (e1 + 1.0))

@@ -132,3 +132,25 @@ def shear_minkowski(eps):
         return x
 
     return rm.MetricField.from_function(4, value, partials), to_flat
+
+
+#: names that chart_field knows
+CHART_FIELDS = ("minkowski", "schwarzschild", "shear", "rank4")
+
+
+def chart_field(request, name):
+    """(metric, G field) for a name in CHART_FIELDS: the metric gives the
+    sample points; "shear" is the N = 1 field of ``shear_minkowski(0.9)`` and
+    "rank4" the ``n2_gfield`` form at Minkowski points."""
+    if name == "shear":
+        metric = shear_minkowski(0.9)[0]
+        return metric, rm.GTensorField.from_metric(metric)
+    fixtures = {"minkowski": ("mink", "mink_gf"), "schwarzschild": ("schw", "schw_gf"),
+                "rank4": ("mink", "n2_gfield")}[name]
+    return tuple(request.getfixturevalue(f) for f in fixtures)
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of every zero."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -309,7 +309,7 @@ csv = {csv}
     code, _, err = run_cli(capsys, "simulate", cfg)
     assert code == 3
     assert_one_line_error(err)
-    assert "last good chart time q^0 = 0.5)" in err
+    assert "non-finite chart state (last good chart time q^0 = 0.5)" in err
     assert "tau" not in err
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -8,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 import relmech as rm
 from relmech.errors import (
     ConstraintUnreachable,
+    DimensionMismatch,
     NonMonotoneTime,
     ProjectiveInfinity,
     ZeroTimeVelocity,
     ZeroVector,
 )
 
-from conftest import random_point
+from conftest import CHART_FIELDS, chart_field, random_point, random_state, same_bits
 
 LN2 = math.log(2.0)
 
@@ -132,6 +134,20 @@ def test_three_velocity_entries_must_be_finite():
         rm.ThreeVelocity(0.0, np.zeros(3), np.array([np.inf, 0.0, 0.0]))
     with pytest.raises(ValueError):
         rm.ThreeVelocity(np.nan, np.zeros(3), np.zeros(3))
+    # each field, with each non-finite value, in any slot
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            rm.ThreeVelocity(bad, np.zeros(3), np.zeros(3))
+        for k in range(3):
+            with pytest.raises(ValueError, match="must be finite"):
+                rm.ThreeVelocity(0.0, np.insert(np.zeros(2), k, bad), np.zeros(3))
+            with pytest.raises(ValueError, match="must be finite"):
+                rm.ThreeVelocity(0.0, np.zeros(3), np.insert(np.zeros(2), k, bad))
+    # the shape check comes first; finite extremes pass
+    with pytest.raises(DimensionMismatch):
+        rm.ThreeVelocity(np.nan, np.zeros(2), np.zeros(3))
+    t = rm.ThreeVelocity(-1.7e308, np.full(3, 1.7e308), np.array([5e-324, -0.0, 1.0]))
+    assert t.q0 == -1.7e308 and np.all(t.q == 1.7e308)
 
 
 def test_projective_infinity_raised():
@@ -266,3 +282,99 @@ def test_lift_negative_branch_keeps_tau_increasing(mink_gf):
     assert np.all(np.diff(traj.tau) > 0)
     assert np.all(traj.u[:, 0] < 0)
     assert traj.max_constraint_drift <= 1e-12
+
+
+def _reference_lift(samples, gfield, sign=1):
+    """``lift_three_solution`` as a per-sample loop of ``four_from_three`` and
+    ``g_value``, as it stood before the batched lift; kept as the reference."""
+    pts = [s if isinstance(s, rm.ThreeVelocity) else rm.ThreeVelocity(*s)
+           for s in samples]
+    if not pts:
+        raise ValueError("need at least one sample")
+    q0s = np.array([p.q0 for p in pts])
+    if q0s.size > 1 and not np.all(np.diff(q0s) > 0.0):
+        raise NonMonotoneTime("chart time samples must be strictly increasing")
+
+    states = [rm.four_from_three(p, gfield, sign) for p in pts]
+    dtau_dq0 = np.array([1.0 / s.u[0] for s in states])
+
+    tau = np.zeros(q0s.size)
+    if q0s.size > 1:
+        increments = 0.5 * (dtau_dq0[1:] + dtau_dq0[:-1]) * np.diff(q0s)
+        tau[1:] = np.cumsum(increments)
+
+    xs = np.stack([s.x for s in states])
+    us = np.stack([s.u for s in states])
+    gs = np.array([rm.g_value(gfield, s.x, s.u) for s in states])
+
+    if sign < 0 and q0s.size > 1:
+        tau, xs, us, gs = tau[::-1].copy(), xs[::-1].copy(), us[::-1].copy(), gs[::-1].copy()
+    return tau, xs, us, gs, float(np.max(np.abs(gs - 1.0)))
+
+
+def _chart_samples(metric, gfield, rng, count):
+    """``count`` three-velocity samples at increasing chart times."""
+    q0s = np.cumsum(rng.uniform(0.01, 0.5, count)) - 1.0
+    out = []
+    for q0 in q0s:
+        x, u = random_state(metric, gfield, rng)
+        v = u[1:] / u[0]
+        zeroed = np.where(rng.random(v.size) < 0.5, 0.0, v)
+        if rng.random() < 0.2 and rm.g_value(gfield, x, np.concatenate(([1.0], zeroed))) > 0.05:
+            v = zeroed
+        out.append(rm.ThreeVelocity(q0, x[1:], v))
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("field", CHART_FIELDS)
+def test_lift_bits_equal_per_sample_loop(request, field, sign):
+    metric, gf = chart_field(request, field)
+    rng = np.random.default_rng([sign + 1, CHART_FIELDS.index(field)])
+    for count in (1, 2, 57):
+        samples = _chart_samples(metric, gf, rng, count)
+        traj = rm.lift_three_solution(samples, gf, sign)
+        got = (traj.tau, traj.x, traj.u, traj.G, traj.max_constraint_drift)
+        for a, b in zip(got, _reference_lift(samples, gf, sign)):
+            assert same_bits(a, b)
+
+
+def _raises_as_reference(samples, gfield, sign=1):
+    with pytest.raises(Exception) as expected:
+        _reference_lift(samples, gfield, sign)
+    with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+        rm.lift_three_solution(samples, gfield, sign)
+    return expected.value
+
+
+def test_lift_failures_equal_per_sample_loop(mink_gf, schw_gf):
+    def at(q0, v, r=10.0):
+        return rm.ThreeVelocity(q0, np.array([r, 1.2, 0.3]), np.asarray(v, float))
+
+    still = [at(0.1 * k, [0.1, 0.0, 0.0]) for k in range(10)]
+    # the first sample with Gbar <= 0 is named, with its own Gbar
+    bad = list(still)
+    bad[4] = at(0.4, [2.0, 0.0, 0.0])
+    bad[7] = at(0.7, [0.0, 3.0, 0.0])
+    assert isinstance(_raises_as_reference(bad, mink_gf), ConstraintUnreachable)
+    assert isinstance(_raises_as_reference(bad, schw_gf, -1), ConstraintUnreachable)
+    light = list(still)  # Gbar = 0 exactly, on the light cone
+    light[3] = rm.ThreeVelocity(0.3, np.zeros(3), np.array([0.0, 1.0, 0.0]))
+    assert isinstance(_raises_as_reference(light, mink_gf), ConstraintUnreachable)
+    # Gbar <= 0 before a point outside the chart, and after it
+    inside = list(bad)
+    inside[6] = at(0.6, [0.1, 0.0, 0.0], r=1.0)
+    assert isinstance(_raises_as_reference(inside, schw_gf), ConstraintUnreachable)
+    inside[4] = still[4]
+    assert isinstance(_raises_as_reference(inside, schw_gf), rm.DomainError)
+    # a sign other than +-1, for good and bad samples alike
+    assert isinstance(_raises_as_reference(still, mink_gf, 0), ValueError)
+    assert isinstance(_raises_as_reference(bad, mink_gf, 0), ValueError)
+    # samples of the wrong dimension: all of them, or one after a good one
+    short = [rm.ThreeVelocity(0.1 * k, np.zeros(2), np.zeros(2)) for k in range(3)]
+    assert isinstance(_raises_as_reference(short, mink_gf), DimensionMismatch)
+    mixed = list(still)
+    mixed[5] = rm.ThreeVelocity(0.5, np.zeros(2), np.zeros(2))
+    assert isinstance(_raises_as_reference(mixed, mink_gf), DimensionMismatch)
+    mixed[2] = at(0.2, [2.0, 0.0, 0.0])
+    assert isinstance(_raises_as_reference(mixed, mink_gf), ConstraintUnreachable)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -6,10 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relmech as rm
-from relmech.errors import NonPositiveG
-from relmech.geometry import contract_all
+from relmech.errors import DimensionMismatch, NonPositiveG
+from relmech.geometry import contract_all, faraday_at
 
-from conftest import random_state
+from conftest import CHART_FIELDS, chart_field, random_state, same_bits
 
 X0 = np.zeros(4)
 
@@ -422,3 +423,158 @@ def test_n2_determined_flow_conserves_constraint(n2_gfield):
     for x, u in _integrate_determined(model, x, u, 1e-3, 1000):
         worst = max(worst, abs(rm.g_value(n2_gfield, x, u) - 1.0))
     assert worst <= 1e-8
+
+
+# -- the chart-local RHS against its reference form ------------------------------
+
+def _reference_reduced_pieces(model, t):
+    """``_reduced_pieces`` as it stood when every call evaluated G twice,
+    kept verbatim as the reference for the bits of the one-pass helper."""
+    gf = model.gfield
+    x = t.point
+    if x.size != gf.dim:
+        raise DimensionMismatch(
+            f"three-velocity lives in dimension {x.size}, model in {gf.dim}"
+        )
+    n2 = 2 * gf.order_half
+    uhat = np.concatenate(([1.0], t.v))
+    gt = np.asarray(gf.value(x), dtype=float)
+    gbar = float(contract_all(gt, uhat, n2))
+    if not gbar > 0.0:
+        raise NonPositiveG(
+            f"reduced form Gbar = {gbar:g} is not positive; the chart-local "
+            "three-velocity picture breaks down here"
+        )
+    return x, uhat, gt, gbar, n2
+
+
+def _reference_three_euler_lagrange(model, t, w):
+    """``three_euler_lagrange`` before the shared helper, verbatim."""
+    x, uhat, gt, gbar, n2 = _reference_reduced_pieces(model, t)
+    w = np.asarray(w, dtype=float)
+    if w.shape != t.v.shape:
+        raise DimensionMismatch("w must match the shape of the three-velocity")
+    what = np.concatenate(([0.0], w))
+
+    dg = np.asarray(model.gfield.partials(x), dtype=float)
+    g_red = contract_all(gt, uhat, n2 - 2)
+    c = g_red @ uhat
+    dgbar_coord = contract_all(dg, uhat, n2)
+    # directional coordinate derivative along (1, v)
+    dg_dir = dg[0] + np.tensordot(t.v, dg[1:], axes=(0, 0))
+    dir_c = contract_all(dg_dir, uhat, n2 - 1)
+    d0_c = dir_c + (n2 - 1) * (g_red @ what)
+    d0_gbar = float(contract_all(dg_dir, uhat, n2)) + n2 * float(c @ what)
+
+    e1 = 1.0 - 1.0 / n2
+    momentum_rate = d0_c / gbar ** e1 - e1 * c * d0_gbar / gbar ** (e1 + 1.0)
+
+    f = faraday_at(model.potential, x)
+    force = f[1:, 1:] @ t.v + f[1:, 0]
+    return (model.mass * (dgbar_coord[1:] / (n2 * gbar ** e1) - momentum_rate[1:])
+            + model.charge * force)
+
+
+def _reference_three_acceleration(model, t):
+    """``three_acceleration`` before the shared helper, verbatim."""
+    _, uhat, gt, gbar, n2 = _reference_reduced_pieces(model, t)
+    base = _reference_three_euler_lagrange(model, t, np.zeros(t.v.size))
+    g_red = contract_all(gt, uhat, n2 - 2)
+    c = (g_red @ uhat)[1:]
+    e1 = 1.0 - 1.0 / n2
+    mat = -model.mass * ((n2 - 1) * g_red[1:, 1:] / gbar ** e1
+                         - e1 * n2 * np.outer(c, c) / gbar ** (e1 + 1.0))
+    return np.linalg.solve(mat, -base)
+
+
+_CHART_POTENTIALS = {
+    "zero": lambda: rm.zero_potential(4),
+    "uniform": lambda: rm.uniform_field((0.3, -0.2, 0.5), (0.1, 0.4, -0.7)),
+    "coulomb": lambda: rm.coulomb_potential(0.8, (5.0, 5.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("potential", sorted(_CHART_POTENTIALS))
+@pytest.mark.parametrize("field", CHART_FIELDS)
+def test_chart_local_rhs_bits_equal_reference(request, field, potential):
+    # 1,000 states per field across the three potentials; a quarter of them
+    # have zero velocity components or zero w, where signs of zeros show
+    metric, gf = chart_field(request, field)
+    model = rm.LagrangianModel(gf, _CHART_POTENTIALS[potential](), mass=1.3, charge=-0.7)
+    rng = np.random.default_rng([CHART_FIELDS.index(field),
+                                 sorted(_CHART_POTENTIALS).index(potential)])
+    for k in range(334):
+        x, u = random_state(metric, gf, rng)
+        v = u[1:] / u[0]
+        w = rng.standard_normal(3)
+        if k % 4 == 0:
+            zeroed = np.where(rng.random(3) < 0.5, 0.0, v)
+            if rm.g_value(gf, x, np.concatenate(([1.0], zeroed))) > 0.05:
+                v = zeroed
+            w[rng.random(3) < 0.5] = 0.0
+        if k % 8 == 0:
+            w = np.zeros(3)
+        t = rm.ThreeVelocity(x[0], x[1:], v)
+        assert same_bits(rm.three_acceleration(model, t),
+                         _reference_three_acceleration(model, t))
+        assert same_bits(rm.three_euler_lagrange(model, t, w),
+                         _reference_three_euler_lagrange(model, t, w))
+
+
+def test_chart_local_rhs_bits_at_rest_and_origin(mink_gf, n2_gfield):
+    # exact zeros everywhere: the outputs are zeros whose signs must match
+    t = rm.ThreeVelocity(0.0, np.zeros(3), np.zeros(3))
+    for gf in (mink_gf, n2_gfield):
+        for pot in (rm.zero_potential(4), rm.uniform_field((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))):
+            for mass, charge in ((1.0, 0.0), (2.0, -1.0)):
+                model = rm.LagrangianModel(gf, pot, mass=mass, charge=charge)
+                assert same_bits(rm.three_acceleration(model, t),
+                                 _reference_three_acceleration(model, t))
+                for w in (np.zeros(3), np.array([0.0, -1.0, 0.0])):
+                    assert same_bits(rm.three_euler_lagrange(model, t, w),
+                                     _reference_three_euler_lagrange(model, t, w))
+
+
+def test_chart_local_rhs_errors_equal_reference(free_model):
+    # the dimension, Gbar and w-shape checks raise as they did, in the same order
+    light = rm.ThreeVelocity(0.0, np.zeros(3), np.array([1.0, 0.0, 0.0]))
+    short = rm.ThreeVelocity(0.0, np.zeros(2), np.zeros(2))
+    rest = rm.ThreeVelocity(0.0, np.zeros(3), np.zeros(3))
+    cases = [(rm.three_acceleration, _reference_three_acceleration, (light,)),
+             (rm.three_acceleration, _reference_three_acceleration, (short,)),
+             (rm.three_euler_lagrange, _reference_three_euler_lagrange, (light, np.zeros(2))),
+             (rm.three_euler_lagrange, _reference_three_euler_lagrange, (rest, np.zeros(2)))]
+    for new, ref, args in cases:
+        with pytest.raises(Exception) as expected:
+            ref(free_model, *args)
+        with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
+            new(free_model, *args)
+
+
+def _counted_model(model):
+    """``model`` with counters on G's value and partials and the potential's partials."""
+    counts = {"value": 0, "partials": 0, "potential.partials": 0}
+
+    def counted(name, fn):
+        def call(x):
+            counts[name] += 1
+            return fn(x)
+        return call
+
+    gf, pot = model.gfield, model.potential
+    gfield = rm.GTensorField(gf.dim, gf.order_half, counted("value", gf.value),
+                             counted("partials", gf.partials))
+    potential = rm.PotentialField(pot.dim, pot.value,
+                                  counted("potential.partials", pot.partials))
+    return rm.LagrangianModel(gfield, potential, model.mass, model.charge), counts
+
+
+def test_three_acceleration_evaluates_each_field_once(charged_model, n2_gfield):
+    t = rm.ThreeVelocity(0.2, np.array([0.1, -0.3, 0.4]), np.array([0.3, 0.1, -0.2]))
+    for model in (charged_model, rm.LagrangianModel(n2_gfield, charged_model.potential)):
+        counted, counts = _counted_model(model)
+        rm.three_acceleration(counted, t)
+        assert counts == {"value": 1, "partials": 1, "potential.partials": 1}
+        counts.update(dict.fromkeys(counts, 0))
+        rm.three_euler_lagrange(counted, t, np.ones(3))
+        assert counts == {"value": 1, "partials": 1, "potential.partials": 1}
