@@ -35,8 +35,8 @@ import numpy as np
 from .checks import run_invariant_checks
 from .dynamics import (Trajectory, _rk4, connection_from, integrate_geodesic,
                        project_to_shell)
-from .errors import (DimensionMismatch, DomainError, ProjectiveInfinity,
-                     RelMechError, StepRejected)
+from .errors import (DimensionMismatch, DomainError, NonPositiveG,
+                     ProjectiveInfinity, RelMechError, StepRejected)
 from .geometry import (
     CATALOG_IDS,
     GTensorField,
@@ -376,8 +376,8 @@ def _run_three_velocity(cfg: ScenarioConfig, start: ThreeVelocity,
     except StepRejected as exc:  # a non-finite stage or step
         raise StepRejected("non-finite chart state (last good chart time "
                            f"q^0 = {_fmt(last.q0)})") from exc
-    except DomainError as exc:
-        raise DomainError(
+    except (DomainError, NonPositiveG) as exc:  # left the domain or the timelike region
+        raise type(exc)(
             f"{exc} (last good chart time q^0 = {_fmt(last.q0)})"
         ) from exc
 

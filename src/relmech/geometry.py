@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -275,14 +275,16 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
 
     def value(x):
         check(x)
-        r, th = x[1], x[2]
+        r, th = float(x[1]), float(x[2])  # Python floats: the same bits, sooner
         f = 1.0 - 2.0 * big_m / r
         s2 = math.sin(th) ** 2
-        return np.diag([f, -1.0 / f, -r * r, -r * r * s2])
+        g = np.zeros((4, 4))  # filled in place: faster than np.diag of a list
+        g[0, 0], g[1, 1], g[2, 2], g[3, 3] = f, -1.0 / f, -r * r, -r * r * s2
+        return g
 
     def partials(x):
         check(x)
-        r, th = x[1], x[2]
+        r, th = float(x[1]), float(x[2])
         f = 1.0 - 2.0 * big_m / r
         df = 2.0 * big_m / (r * r)
         s, c = math.sin(th), math.cos(th)
@@ -377,6 +379,18 @@ def _diagonal(a: Array) -> Optional[Array]:
     such."""
     d = a.diagonal(0, -2, -1)
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
+
+
+def _diagonal_entries(g: Array) -> Optional[Tuple[Array, float]]:
+    """(d, cond) for a metric g at one point that is diagonal with finite,
+    nonzero entries d, else None.  cond is the condition estimate of
+    :func:`inverse_metric_at`, max|d| * max|1/d|, with the same bits."""
+    d = g.diagonal()
+    ad = [abs(v) for v in d.tolist()]
+    lo = min(ad)
+    if not (lo > 0.0 and math.isfinite(sum(ad))) or np.count_nonzero(g) != d.size:
+        return None
+    return d, max(ad) * (1.0 / lo)
 
 
 def _check_condition(cond, x) -> None:

@@ -30,7 +30,9 @@ from .geometry import (
     Array,
     MetricField,
     PotentialField,
+    _check_condition,
     _diagonal,
+    _diagonal_entries,
     _dot,
     _field_at,
     fd_partials,
@@ -189,7 +191,50 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
         ginv = inverse_metric_at(metric, x)
         return _dot(ginv, w) / m, -dh_dx(x, w, ginv)
 
+    flow._diagonal_stage = value._diagonal_stage = _diagonal_stage(std, kinetic)
     return HamiltonianModel(metric.dim, value, grad_x, grad_p, flow, std)
+
+
+def _diagonal_stage(std: StandardData, kinetic):
+    """``stage(x, p, shell=None)``: the flow (dH/dp, -dH/dx), concatenated,
+    at one phase point where g and its partials are diagonal, with H when
+    ``shell`` is given; None elsewhere, which leaves the point to ``flow``.
+
+    With g = diag(d), dd[mu, a] = d_mu g_aa and v_a = w_a / d_a, w = p - eA,
+    the flow is dH/dp = v / mass and -dH/dx = dd (v^2) / (2 mass) +
+    (e / mass) dA v, from d_lam g^{aa} = -dd[lam, a] / d_a^2: O(m^2) work
+    instead of the O(m^3) partials of the inverse.  v is w times 1/d, as the
+    closed-form inverse applies it, so dH/dp has the bits of ``flow``.
+
+    ``shell`` is the (metric, g at x) pair the integrator evaluates at each
+    settled point; g is reused when that metric is this model's, and H =
+    v . w / (2 mass) is given, with the bits of ``value``.  The fields are
+    evaluated in the order of ``flow`` and the condition test is that of
+    ``inverse_metric_at``, so errors and their messages are the same; a zero
+    or non-finite entry gives None.  The flow holds no -0.
+    """
+    metric, potential, mass, e = std.metric, std.potential, std.mass, std.charge
+
+    def stage(x, p, shell=None):
+        w = kinetic(x, p)
+        g = shell[1] if shell is not None and shell[0] is metric else metric_at(metric, x)
+        entries = _diagonal_entries(g)
+        if entries is None:
+            return None
+        d, cond = entries
+        _check_condition(cond, x)
+        dd = _diagonal(_field_at(metric.partials, x))
+        if dd is None:
+            return None
+        da = _field_at(potential.partials, x)
+        v = w * (1.0 / d)
+        k = np.concatenate((v, 0.5 * (dd @ (v * v))))
+        k /= mass
+        k[d.size:] += (e / mass) * (da @ v)
+        k += 0.0
+        return k, None if shell is None else 0.5 * float(v @ w) / mass
+
+    return stage
 
 
 def _standard_dh_dx(std: StandardData, w: Array, ginv: Array, dginv: Array,
@@ -363,6 +408,33 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     return _dot(mixed, gp) - _dot(ginv, gx) / m
 
 
+def _phase_stage(h: HamiltonianModel):
+    """The flow (dH/dp, -dH/dx), concatenated, that integrate_hamiltonian
+    evaluates at each RK4 stage of one run, with H where the stage gives it:
+    ``stage(x, p, shell=None) -> (flow, H or None)``.
+
+    The ``flow`` and ``value`` of :func:`standard_hamiltonian` carry an
+    O(m^2) kernel for points where the metric is diagonal; wrappers made
+    with ``functools.wraps`` keep it, and a model whose ``flow`` or ``value``
+    was replaced otherwise is integrated through them.  From the first stage
+    where the kernel does not apply, the run calls ``h.flow`` itself.
+    """
+    kernel = getattr(h.flow, "_diagonal_stage", None)
+    if getattr(h.value, "_diagonal_stage", None) is not kernel:
+        kernel = None
+
+    def stage(x, p, shell=None):
+        nonlocal kernel
+        if kernel is not None:
+            out = kernel(x, p, shell)
+            if out is not None:
+                return out
+            kernel = None
+        return np.concatenate(h.flow(x, p)), None
+
+    return stage
+
+
 def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
                           steps: int, record_every: int = 1,
                           metric: Optional[MetricField] = None) -> PhaseTrajectory:
@@ -373,29 +445,34 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     with |H_T| > 1e-8 triggers a warning.  For non-standard Hamiltonians a
     ``metric`` must be supplied to evaluate the shell residual.
 
-    A step calls ``h.flow`` four times: its last call, at the updated point,
-    is the next step's first stage, and its velocity dH/dp gives H_T there.
+    A step evaluates the flow four times: its last evaluation, at the updated
+    point, is the next step's first stage, and its velocity dH/dp gives H_T
+    there.  H comes from that first stage where the O(m^2) kernel of the
+    standard family applies (see :func:`_phase_stage`), else from
+    ``h.value``.
     """
     shell_metric = _shell_metric(h, metric)
     m = np.size(s0.x)
+    stage = _phase_stage(h)
 
     def flow(y):
-        return np.concatenate(h.flow(y[:m], y[m:]))
+        return stage(y[:m], y[m:])[0]
 
     def first_stage(y):
-        """The flow at y and the shell residual of its velocity."""
+        """The flow at y, the shell residual of its velocity and H (None
+        when ``h.value`` gives it)."""
         g = metric_at(shell_metric, y[:m])
-        k = flow(y)
-        return k, float(k[:m] @ g @ k[:m]) - 1.0
+        k, hv = stage(y[:m], y[m:], (shell_metric, g))
+        return k, float(k[:m] @ g @ k[:m]) - 1.0, hv
 
     def settle(y):
         nonlocal drift
-        k1, ht = first_stage(y)
+        k1, ht, hv = first_stage(y)
         drift = max(drift, abs(ht))
-        return y, ht, k1
+        return y, (ht, hv), k1
 
     y0 = np.concatenate((s0.x, s0.p)).astype(float)
-    k1, ht0 = first_stage(y0)
+    k1, ht0, hv0 = first_stage(y0)
     if abs(ht0) > 1e-8:
         warnings.warn(
             f"initial phase point is off the mass shell: H_T = {ht0!r}",
@@ -403,13 +480,16 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
         )
     drift = abs(ht0)
 
-    taus, ys, hts = _rk4(flow, y0, ht0, dt, steps, settle, record_every, k1)
+    taus, ys, values = _rk4(flow, y0, (ht0, hv0), dt, steps, settle,
+                            record_every, k1)
     ys = np.stack(ys)
+    hts, hs = zip(*values)
     return PhaseTrajectory(
         tau=np.asarray(taus),
         x=ys[:, :m],
         p=ys[:, m:],
-        H=np.asarray([float(h.value(y[:m], y[m:])) for y in ys]),
+        H=np.asarray([float(h.value(y[:m], y[m:])) if hv is None else hv
+                      for y, hv in zip(ys, hs)]),
         HT=np.asarray(hts),
         integrator="rk4",
         dt=dt,

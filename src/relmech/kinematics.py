@@ -147,8 +147,10 @@ def four_from_three(t: ThreeVelocity, gfield: GTensorField,
         raise ConstraintUnreachable(
             f"no unit-shell lift: reduced form Gbar = {gbar:g} is not positive"
         )
-    u0 = sign * gbar ** (-1.0 / (2 * gfield.order_half))
-    return FourState(x=x, u=u0 * uhat)
+    u = sign * gbar ** (-1.0 / (2 * gfield.order_half)) * uhat
+    if sign < 0:
+        u += 0.0  # u^0 < 0 turns the zero components of v into -0
+    return FourState(x=x, u=u)
 
 
 def projective_transform(t: ChartTransition, s: ThreeVelocity) -> ThreeVelocity:
@@ -247,6 +249,8 @@ def lift_three_solution(samples: Iterable, gfield: GTensorField,
             four_from_three(p, gfield, sign)
         raise
     us = (sign * _power(gbar, -1.0 / (2 * gfield.order_half)))[:, None] * uhat
+    if sign < 0:
+        us += 0.0  # as in four_from_three
     dtau_dq0 = 1.0 / us[:, 0]
 
     tau = np.zeros(q0s.size)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -154,3 +155,31 @@ def same_bits(a, b):
     """Equal arrays down to the sign of every zero."""
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def generic(model):
+    """A copy of a Connection or HamiltonianModel whose ``K`` or ``flow`` is a
+    plain wrapper of the original: the integrators then call it at every
+    stage (the generic path: inverse metric and connection symbols) instead
+    of their O(m^2) kernel for diagonal metrics."""
+    if isinstance(model, rm.Connection):
+        return dataclasses.replace(model, K=lambda x, u: model.K(x, u))
+    return dataclasses.replace(model, flow=lambda x, p: model.flow(x, p))
+
+
+def counting_fields(metric):
+    """(copy of ``metric``, calls): the copy counts its ``value`` and
+    ``partials`` calls in the dict ``calls``."""
+    calls = {"value": 0, "partials": 0}
+
+    def counted(name):
+        fn = getattr(metric, name)
+
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+
+        return call
+
+    return dataclasses.replace(metric, value=counted("value"),
+                               partials=counted("partials")), calls

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -311,6 +312,60 @@ csv = {csv}
     assert_one_line_error(err)
     assert "non-finite chart state (last good chart time q^0 = 0.5)" in err
     assert "tau" not in err
+
+
+CHART_LIFT = """
+[scenario]
+kind = {kind}
+
+[manifold]
+metric = minkowski
+
+[potential]
+kind = uniform_field
+E = {e}, 0, 0
+
+[particle]
+charge = -1
+sign = {sign}
+x0 = 0, 0, 0, 0
+v0 = {v}, 0, 0
+
+[integrator]
+dt = {dt}
+steps = 20
+
+[output]
+csv = {csv}
+"""
+
+
+def has_negative_zero(text):
+    return re.search(r"(^|,)-0(,|$)", text, re.M) is not None
+
+
+@pytest.mark.parametrize("kind", ["three_velocity", "geodesic", "hamiltonian"])
+def test_lower_branch_writes_no_negative_zero(tmp_path, capsys, kind):
+    # u = u^0 (1, v) with u^0 < 0 must not turn the zeros of v into -0
+    csv = tmp_path / "lower.csv"
+    cfg = write_config(tmp_path, "lower.ini", CHART_LIFT.format(
+        kind=kind, e=5, sign=-1, v=0.5, dt=0.01, csv=csv))
+    code, _, _ = run_cli(capsys, "simulate", cfg)
+    assert code == 0
+    text = csv.read_text()
+    assert not has_negative_zero(text)
+    assert ",0,0," in text.splitlines()[1]
+
+
+def test_three_velocity_leaving_timelike_region_reports_chart_time(tmp_path, capsys):
+    # the first stage already has Gbar < 0: NonPositiveG names q^0 too
+    cfg = write_config(tmp_path, "gbar.ini", CHART_LIFT.format(
+        kind="three_velocity", e=50, sign=1, v=0.99, dt=0.1, csv=tmp_path / "gbar.csv"))
+    code, _, err = run_cli(capsys, "simulate", cfg)
+    assert code == 3
+    assert_one_line_error(err)
+    assert err.startswith("integration failed: reduced form Gbar = ")
+    assert err.rstrip().endswith("breaks down here (last good chart time q^0 = 0)")
 
 
 def _reference_three_velocity(cfg, gfield, potential):

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -5,9 +7,10 @@ import numpy.testing as npt
 import pytest
 
 import relmech as rm
+from relmech.dynamics import _stage_acceleration
 from relmech.errors import DomainError, NonPositiveG, StepRejected
 
-from conftest import random_state, shear_minkowski
+from conftest import counting_fields, generic, random_state, shear_minkowski
 
 X0 = np.zeros(4)
 X_SCHW = np.array([0.0, 10.0, math.pi / 2, 0.0])
@@ -315,13 +318,28 @@ def test_one_inversion_per_rhs_stage(mink, mink_gf, uniform_b, inversion_count):
     # the connection symbols and the soldering term share one inverse metric
     conn = rm.connection_from(mink, uniform_b, 1.0, 1.0)
     s0 = rm.FourState(X0, np.array([1.25, 0.75, 0.0, 0.0]))
-    rm.integrate_geodesic(conn, mink_gf, s0, 1e-2, 25, "none", 5)
+    rm.integrate_geodesic(generic(conn), mink_gf, s0, 1e-2, 25, "none", 5)
     assert inversion_count[0] == 4 * 25
+    # a diagonal metric: g and its partials once per stage, and no inversion
+    counted, calls = counting_fields(mink)
+    rm.integrate_geodesic(rm.connection_from(counted, uniform_b, 1.0, 1.0), mink_gf,
+                          s0, 1e-2, 25, "none", 5)
+    assert inversion_count[0] == 4 * 25
+    assert calls == {"value": 4 * 25, "partials": 4 * 25}
+    # a metric that is not diagonal: one probe of the kernel, then K at every stage
+    shear, calls = counting_fields(shear_minkowski(0.9)[0])
+    rm.integrate_geodesic(rm.connection_from(shear, uniform_b, 1.0, 1.0),
+                          rm.GTensorField.from_metric(shear_minkowski(0.9)[0]),
+                          s0, 1e-2, 25, "none", 5)
+    assert inversion_count[0] == 2 * 4 * 25
+    assert calls == {"value": 1 + 4 * 25, "partials": 1 + 4 * 25}
 
 
-def _reference_rk4(c, gfield, s0, dt, steps, projection="none", record_every=1):
+def _reference_rk4(c, gfield, s0, dt, steps, projection="none", record_every=1,
+                   acc=None):
     """The integrator as a hand-written loop over (x, u), before the shared
-    RK4 core; kept as the reference for the integrator's outputs."""
+    RK4 core; kept as the reference for the integrator's outputs.  ``acc``
+    is the stage acceleration, K(x, u) u unless given."""
     x = np.array(s0.x, dtype=float)
     u = np.array(s0.u, dtype=float)
     g0 = rm.g_value(gfield, x, u)
@@ -332,8 +350,9 @@ def _reference_rk4(c, gfield, s0, dt, steps, projection="none", record_every=1):
     drift = abs(g0 - 1.0)
     tau = 0.0
 
-    def acc(xx, uu):
-        return c.K(xx, uu) @ uu
+    if acc is None:
+        def acc(xx, uu):
+            return c.K(xx, uu) @ uu
 
     for k in range(1, steps + 1):
         try:
@@ -379,13 +398,54 @@ def test_integrator_matches_reference_loop(schw, schw_gf, mink, mink_gf, uniform
         for projection in ("none", "rescale"):
             traj = rm.integrate_geodesic(conn, gf, s0, 0.05, 200, projection, 7)
             taus, xs, us, gs, drift = _reference_rk4(conn, gf, s0, 0.05, 200,
-                                                     projection, 7)
+                                                     projection, 7,
+                                                     _stage_acceleration(conn))
             assert len(traj) == 30
             npt.assert_array_equal(traj.tau, taus)
             npt.assert_array_equal(traj.x, xs)
             npt.assert_array_equal(traj.u, us)
             npt.assert_array_equal(traj.G, gs)
             assert traj.max_constraint_drift == drift
+
+
+def test_generic_path_keeps_reference_bits(schw, schw_gf, mink, mink_gf, uniform_b):
+    # where K is called at every stage the integrator has the reference's bits
+    shear = shear_minkowski(0.9)[0]
+    u_schw = rm.project_to_shell(schw_gf, X_SCHW, np.array([1.1, -0.05, 0.0, 0.03]))
+    s_flat = rm.FourState(X0, np.array([1.25, 0.75, 0.0, 0.0]))
+    cases = [(generic(rm.levi_civita_connection(schw)), schw_gf,
+              rm.FourState(X_SCHW, u_schw)),
+             (generic(rm.connection_from(mink, uniform_b, 1.0, 1.0)), mink_gf, s_flat),
+             (rm.connection_from(shear, uniform_b, 1.0, 1.0),
+              rm.GTensorField.from_metric(shear), s_flat)]
+    for conn, gf, s0 in cases:
+        traj = rm.integrate_geodesic(conn, gf, s0, 0.05, 200, "none", 7)
+        taus, xs, us, gs, drift = _reference_rk4(conn, gf, s0, 0.05, 200, "none", 7)
+        npt.assert_array_equal(traj.x, xs)
+        npt.assert_array_equal(traj.u, us)
+        npt.assert_array_equal(traj.G, gs)
+
+
+def test_replaced_k_is_integrated(schw, schw_gf):
+    # a K put in with dataclasses.replace is the equation integrated, and
+    # a functools.wraps wrapper (a tracer's, say) keeps the kernel and its bits
+    conn = rm.levi_civita_connection(schw)
+    u0 = rm.project_to_shell(schw_gf, X_SCHW, np.array([1.1, -0.05, 0.0, 0.03]))
+    s0 = rm.FourState(X_SCHW, u0)
+    free = dataclasses.replace(conn, K=lambda x, u: np.zeros((4, 4)))
+    traj = rm.integrate_geodesic(free, schw_gf, s0, 0.5, 20, "none", 5)
+    npt.assert_allclose(traj.u, np.broadcast_to(u0, traj.u.shape), rtol=0, atol=0)
+    npt.assert_allclose(traj.x, X_SCHW + traj.tau[:, None] * u0, rtol=1e-13)
+
+    @functools.wraps(conn.K)
+    def traced(x, u):
+        return conn.K(x, u)
+
+    want = rm.integrate_geodesic(conn, schw_gf, s0, 0.5, 20, "none", 5)
+    got = rm.integrate_geodesic(dataclasses.replace(conn, K=traced), schw_gf, s0, 0.5, 20,
+                                "none", 5)
+    npt.assert_array_equal(got.x, want.x)
+    npt.assert_array_equal(got.u, want.u)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -8,8 +8,10 @@ import pytest
 import relmech as rm
 from relmech.errors import DomainError
 from relmech.geometry import FD_STEP
+from relmech.hamiltonian import _phase_stage
 
-from conftest import random_point, random_state
+from conftest import (counting_fields, generic, random_point, random_state,
+                      shear_minkowski)
 
 X0 = np.zeros(4)
 
@@ -326,9 +328,11 @@ def test_standard_flow_matches_gradients(schw, mink, uniform_b):
             npt.assert_array_equal(pdot, -ham.grad_x(x, p))
 
 
-def _reference_rk4(h, s0, dt, steps, record_every, metric=None):
+def _reference_rk4(h, s0, dt, steps, record_every, metric=None, own_stages=False):
     """The integrator as it was before the flow field: the gradients are
-    evaluated separately and the shell monitor calls grad_p once more."""
+    evaluated separately and the shell monitor calls grad_p once more.  With
+    ``own_stages`` the flow and the shell residual are the integrator's own
+    stage functions instead."""
     metric = metric if metric is not None else h.standard.metric
     x, p = np.array(s0.x), np.array(s0.p)
 
@@ -338,6 +342,19 @@ def _reference_rk4(h, s0, dt, steps, record_every, metric=None):
 
     def flow(xx, pp):
         return h.grad_p(xx, pp), -h.grad_x(xx, pp)
+
+    if own_stages:
+        m = x.size
+        stage = _phase_stage(h)
+
+        def shell(xx, pp):
+            g = rm.metric_at(metric, xx)
+            v = stage(xx, pp, (metric, g))[0][:m]
+            return float(v @ g @ v) - 1.0
+
+        def flow(xx, pp):
+            k = stage(xx, pp)[0]
+            return k[:m], k[m:]
 
     xs, ps, hts, tau = [x.copy()], [p.copy()], [shell(x, p)], 0.0
     for k in range(1, steps + 1):
@@ -373,10 +390,49 @@ def test_integrator_matches_reference_loop(schw, schw_gf, mink, uniform_b):
     for ham, x, u in cases:
         s0 = rm.PhaseState(x, rm.on_shell_momentum(ham, x, u))
         traj = rm.integrate_hamiltonian(ham, s0, 0.05, 200, 7)
+        xs, ps, hts = _reference_rk4(ham, s0, 0.05, 200, 7, own_stages=True)
+        npt.assert_array_equal(traj.x, xs)
+        npt.assert_array_equal(traj.p, ps)
+        npt.assert_array_equal(traj.HT, hts)
+
+
+def test_generic_path_keeps_reference_bits(schw, schw_gf, uniform_b):
+    # where h.flow is called at every stage the flow is the gradients' own,
+    # as in the reference, and H is h.value
+    shear = shear_minkowski(0.9)[0]
+    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+    u0 = rm.project_to_shell(schw_gf, x0, np.array([1.1, -0.05, 0.0, 0.03]))
+    cases = [(generic(rm.standard_hamiltonian(schw, rm.zero_potential(4), 1.0, 0.0)),
+              x0, u0),
+             (rm.standard_hamiltonian(shear, uniform_b, 1.0, 1.0), X0,
+              np.array([1.25, 0.75, 0.0, 0.0]))]
+    for ham, x, u in cases:
+        s0 = rm.PhaseState(x, rm.on_shell_momentum(ham, x, u))
+        traj = rm.integrate_hamiltonian(ham, s0, 0.05, 200, 7)
         xs, ps, hts = _reference_rk4(ham, s0, 0.05, 200, 7)
         npt.assert_array_equal(traj.x, xs)
         npt.assert_array_equal(traj.p, ps)
         npt.assert_array_equal(traj.HT, hts)
+        npt.assert_array_equal(traj.H, [ham.value(xi, pi) for xi, pi in zip(xs, ps)])
+
+
+def test_replaced_flow_or_value_is_integrated(schw, schw_gf):
+    # a flow or value put in with dataclasses.replace is what the run uses
+    ham = rm.standard_hamiltonian(schw, rm.zero_potential(4), 1.0, 0.0)
+    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+    u0 = rm.project_to_shell(schw_gf, x0, np.array([1.1, -0.05, 0.0, 0.03]))
+    s0 = rm.PhaseState(x0, rm.on_shell_momentum(ham, x0, u0))
+    want = rm.integrate_hamiltonian(ham, s0, 0.5, 20, 5)
+
+    frozen = dataclasses.replace(ham, flow=lambda x, p: (ham.grad_p(x, p), np.zeros(4)))
+    traj = rm.integrate_hamiltonian(frozen, s0, 0.5, 20, 5)
+    npt.assert_array_equal(traj.p, np.broadcast_to(s0.p, traj.p.shape))
+
+    doubled = dataclasses.replace(ham, value=lambda x, p: 2.0 * ham.value(x, p))
+    traj = rm.integrate_hamiltonian(doubled, s0, 0.5, 20, 5)
+    npt.assert_array_equal(traj.H, [2.0 * ham.value(x, p) for x, p in zip(traj.x, traj.p)])
+    npt.assert_allclose(traj.x, want.x, rtol=1e-12)
+    assert not np.array_equal(traj.H, want.H)
 
 
 def test_domain_exit_keeps_message_and_tau(schw, schw_gf, free_ham):
@@ -426,3 +482,11 @@ def test_one_inversion_per_rhs_stage(schw, schw_gf, inversion_count):
     # start plus four flow evaluations per step
     assert at_samples[0] == len(traj) == 4
     assert inversion_count[0] - at_samples[0] == 1 + 4 * 30
+    # a diagonal metric: g and its partials once per stage, H from the first
+    # stage, and no inversion
+    before = inversion_count[0]
+    metric, calls = counting_fields(schw)
+    ham = rm.standard_hamiltonian(metric, rm.zero_potential(4), 1.0, 0.0)
+    rm.integrate_hamiltonian(ham, rm.PhaseState(x0, p0), 0.1, 30, 10)
+    assert inversion_count[0] == before
+    assert calls == {"value": 1 + 4 * 30, "partials": 1 + 4 * 30}
