@@ -65,6 +65,7 @@ from .lagrangian import (
     constraint_value,
     euler_lagrange_E,
     four_acceleration,
+    integrate_three_velocity,
     lagrangian_value,
     noether_residual,
     three_acceleration,

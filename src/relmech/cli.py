@@ -33,10 +33,10 @@ from typing import Optional
 import numpy as np
 
 from .checks import run_invariant_checks
-from .dynamics import (Trajectory, _rk4, connection_from, integrate_geodesic,
+from .dynamics import (Trajectory, connection_from, integrate_geodesic,
                        project_to_shell)
-from .errors import (DimensionMismatch, DomainError, NonPositiveG,
-                     ProjectiveInfinity, RelMechError, StepRejected)
+from .errors import (DimensionMismatch, DomainError, ProjectiveInfinity,
+                     RelMechError, StepRejected)
 from .geometry import (
     CATALOG_IDS,
     GTensorField,
@@ -61,9 +61,8 @@ from .kinematics import (
     ThreeVelocity,
     boost_three,
     four_from_three,
-    lift_three_solution,
 )
-from .lagrangian import LagrangianModel, three_acceleration
+from .lagrangian import LagrangianModel, integrate_three_velocity
 
 SCENARIO_KINDS = ("geodesic", "hamiltonian", "compare", "three_velocity")
 POTENTIAL_KINDS = ("none", "uniform_field", "coulomb")
@@ -342,53 +341,6 @@ def write_phase_csv(traj: PhaseTrajectory, path: str) -> None:
                 zip(traj.tau, traj.x, traj.p, traj.H, traj.HT)))
 
 
-def _run_three_velocity(cfg: ScenarioConfig, start: ThreeVelocity,
-                        gfield: GTensorField) -> Trajectory:
-    """Integrate the chart-local equation in q^0 and lift to proper time.
-
-    The state is (q^0, q, v).  Each step sets q^0 to the previous chart time
-    plus dt, since the RK4 sum (dt/6)*6 can miss dt by one ulp.  A failure
-    names the last good chart time q^0, not a proper time.
-    """
-    model = LagrangianModel(gfield, cfg.potential, mass=cfg.mass, charge=cfg.charge)
-    n = start.v.size
-    last = start
-
-    def chart_state(y):
-        return ThreeVelocity(y[0], y[1:n + 1], y[n + 1:])
-
-    def rhs(y):
-        try:
-            three = chart_state(y)
-        except ValueError as exc:  # a non-finite stage
-            raise StepRejected("non-finite chart state") from exc
-        return np.concatenate(([1.0], three.v, three_acceleration(model, three)))
-
-    def settle(y):
-        nonlocal last
-        y[0] = last.q0 + cfg.dt
-        last = chart_state(y)
-        return y, last, None
-
-    y0 = np.concatenate(([last.q0], last.q, last.v))
-    try:
-        samples = _rk4(rhs, y0, last, cfg.dt, cfg.steps, settle)[2]
-    except StepRejected as exc:  # a non-finite stage or step
-        raise StepRejected("non-finite chart state (last good chart time "
-                           f"q^0 = {_fmt(last.q0)})") from exc
-    except (DomainError, NonPositiveG) as exc:  # left the domain or the timelike region
-        raise type(exc)(
-            f"{exc} (last good chart time q^0 = {_fmt(last.q0)})"
-        ) from exc
-
-    # lift on the full grid (best tau quadrature), then thin the records
-    traj = lift_three_solution(samples, gfield, cfg.sign)
-    keep = np.append(np.arange(len(traj) - 1)[::cfg.every], len(traj) - 1)
-    traj.tau, traj.x, traj.u, traj.G = (traj.tau[keep], traj.x[keep],
-                                        traj.u[keep], traj.G[keep])
-    return traj
-
-
 def _run_hamiltonian(cfg: ScenarioConfig, state: FourState,
                      charge: float) -> PhaseTrajectory:
     """Integrate the Hamilton flow from the momenta p = m g u + charge A."""
@@ -440,7 +392,9 @@ def cmd_simulate(args) -> int:
             traj = integrate_geodesic(conn, gfield, state, cfg.dt, cfg.steps,
                                       cfg.projection, cfg.every)
         else:  # three_velocity
-            traj = _run_three_velocity(cfg, state, gfield)
+            model = LagrangianModel(gfield, cfg.potential, cfg.mass, cfg.charge)
+            traj = integrate_three_velocity(model, state, cfg.dt, cfg.steps,
+                                            cfg.sign, cfg.every)
         write, monitor, drift = (write_trajectory_csv, "G-1",
                                  traj.max_constraint_drift)
 

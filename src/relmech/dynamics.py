@@ -22,10 +22,8 @@ from .geometry import (
     GTensorField,
     MetricField,
     PotentialField,
-    _check_condition,
     _christoffel_and_inverse,
-    _diagonal,
-    _diagonal_entries,
+    _diagonal_form,
     _dot,
     _field_at,
     _first_failure,
@@ -120,18 +118,15 @@ def _diagonal_acceleration(metric: MetricField, potential: PotentialField,
     With g = diag(d) and dd[mu, a] = d_mu g_aa the connection term is
     a^l = (dd[l] . u^2 / 2 - u^l (dd[:, l] . u)) / d_l: O(m^2) work instead
     of the symbols' O(m^3).  The soldering term is K's own, (ratio g^{ll}) F u.
-    The fields are evaluated in the order of ``K`` and the condition test is
-    that of ``inverse_metric_at``, so errors and their messages are the same;
-    a zero or non-finite entry gives None.  The result holds no -0.
+    The metric is read by :func:`geometry._diagonal_form`, so errors and
+    their messages are those of ``K``; a zero or non-finite entry gives None.
+    The result holds no -0.
     """
     def accel(x, u):
-        dg = _field_at(metric.partials, x)
-        entries = _diagonal_entries(metric_at(metric, x))
-        dd = _diagonal(dg)
-        if entries is None or dd is None:
+        form = _diagonal_form(metric, x)
+        if form is None:
             return None
-        d, cond = entries
-        _check_condition(cond, x)
+        d, dd = form
         a = 0.5 * (dd @ (u * u)) - u * (u @ dd)
         a /= d
         if ratio != 0.0:
@@ -229,6 +224,23 @@ def project_to_shell(gfield: GTensorField, x, u) -> Array:
     return u * _power(g, -1.0 / (2 * gfield.order_half))[..., None]
 
 
+def _kernel_first(kernel: Optional[Callable], general: Callable) -> Callable:
+    """A stage function for one run: ``kernel(*args)`` until it first returns
+    None, then ``general(*args)`` for that stage and every later one, so a
+    point the kernel does not cover costs one probe per run.  ``kernel``
+    may be None."""
+    def stage(*args):
+        nonlocal kernel
+        if kernel is not None:
+            out = kernel(*args)
+            if out is not None:
+                return out
+            kernel = None
+        return general(*args)
+
+    return stage
+
+
 def _stage_acceleration(c: Connection) -> Callable[[Array, Array], Array]:
     """The acceleration K(x, u) u that integrate_geodesic evaluates at each
     RK4 stage of one run.
@@ -236,21 +248,11 @@ def _stage_acceleration(c: Connection) -> Callable[[Array, Array], Array]:
     A ``K`` built by :func:`connection_from` carries an O(m^2) kernel for
     points where the metric is diagonal; a wrapper made with
     ``functools.wraps`` keeps it, any other replacement of ``K`` does not.
-    From the first stage where the kernel does not apply, the run calls ``K``
-    itself, so a metric that is not diagonal costs one probe per run.
+    Where the kernel does not apply, the run goes on with ``K``
+    (:func:`_kernel_first`).
     """
-    kernel = getattr(c.K, "_diagonal_acceleration", None)
-
-    def accel(x, u):
-        nonlocal kernel
-        if kernel is not None:
-            a = kernel(x, u)
-            if a is not None:
-                return a
-            kernel = None
-        return c.K(x, u) @ u
-
-    return accel
+    return _kernel_first(getattr(c.K, "_diagonal_acceleration", None),
+                         lambda x, u: c.K(x, u) @ u)
 
 
 def _rk4(rhs: Callable[[Array], Array], y: Array, value, dt: float,

@@ -381,16 +381,27 @@ def _diagonal(a: Array) -> Optional[Array]:
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
-def _diagonal_entries(g: Array) -> Optional[Tuple[Array, float]]:
-    """(d, cond) for a metric g at one point that is diagonal with finite,
-    nonzero entries d, else None.  cond is the condition estimate of
-    :func:`inverse_metric_at`, max|d| * max|1/d|, with the same bits."""
+def _diagonal_form(metric: MetricField, x,
+                   g: Optional[Array] = None) -> Optional[Tuple[Array, Array]]:
+    """(d, dd) where ``metric`` and its partials are diagonal at the one
+    point ``x``: g = diag(d) with finite, nonzero d, and dd[mu, a] = d_mu g_aa.
+    Else None, which leaves the point to the general formulas.
+
+    ``g`` is metric_at(metric, x) when the caller holds it.  g is evaluated
+    before the partials and a diagonal g passes the condition test of
+    :func:`inverse_metric_at` first, with its bits and message, so a metric
+    that is not diagonal costs one ``value`` call and no ``partials`` call.
+    """
+    if g is None:
+        g = metric_at(metric, x)
     d = g.diagonal()
     ad = [abs(v) for v in d.tolist()]
     lo = min(ad)
     if not (lo > 0.0 and math.isfinite(sum(ad))) or np.count_nonzero(g) != d.size:
         return None
-    return d, max(ad) * (1.0 / lo)
+    _check_condition(max(ad) * (1.0 / lo), x)
+    dd = _diagonal(_field_at(metric.partials, x))
+    return None if dd is None else (d, dd)
 
 
 def _check_condition(cond, x) -> None:
@@ -411,8 +422,8 @@ def _christoffel_and_inverse(metric: MetricField, x) -> tuple[Array, Array]:
     the two give the same values, up to the signs of zeros.
     """
     x = _check_point(x, metric.dim)
-    dg = _field_at(metric.partials, x)
     ginv = inverse_metric_at(metric, x)
+    dg = _field_at(metric.partials, x)
     # S[mu, beta, nu] = d_mu g_{beta nu} + d_nu g_{beta mu} - d_beta g_{mu nu}
     s = dg + dg.swapaxes(-1, -3)
     s -= dg.swapaxes(-3, -2)

@@ -24,15 +24,14 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import _rk4
+from .dynamics import _kernel_first, _rk4
 from .errors import DimensionMismatch
 from .geometry import (
     Array,
     MetricField,
     PotentialField,
-    _check_condition,
     _diagonal,
-    _diagonal_entries,
+    _diagonal_form,
     _dot,
     _field_at,
     fd_partials,
@@ -209,23 +208,19 @@ def _diagonal_stage(std: StandardData, kinetic):
     ``shell`` is the (metric, g at x) pair the integrator evaluates at each
     settled point; g is reused when that metric is this model's, and H =
     v . w / (2 mass) is given, with the bits of ``value``.  The fields are
-    evaluated in the order of ``flow`` and the condition test is that of
-    ``inverse_metric_at``, so errors and their messages are the same; a zero
-    or non-finite entry gives None.  The flow holds no -0.
+    evaluated in the order of ``flow`` and the metric is read by
+    :func:`geometry._diagonal_form`, so errors and their messages are the
+    same; a zero or non-finite entry gives None.  The flow holds no -0.
     """
     metric, potential, mass, e = std.metric, std.potential, std.mass, std.charge
 
     def stage(x, p, shell=None):
         w = kinetic(x, p)
-        g = shell[1] if shell is not None and shell[0] is metric else metric_at(metric, x)
-        entries = _diagonal_entries(g)
-        if entries is None:
+        g = shell[1] if shell is not None and shell[0] is metric else None
+        form = _diagonal_form(metric, x, g)
+        if form is None:
             return None
-        d, cond = entries
-        _check_condition(cond, x)
-        dd = _diagonal(_field_at(metric.partials, x))
-        if dd is None:
-            return None
+        d, dd = form
         da = _field_at(potential.partials, x)
         v = w * (1.0 / d)
         k = np.concatenate((v, 0.5 * (dd @ (v * v))))
@@ -416,23 +411,17 @@ def _phase_stage(h: HamiltonianModel):
     The ``flow`` and ``value`` of :func:`standard_hamiltonian` carry an
     O(m^2) kernel for points where the metric is diagonal; wrappers made
     with ``functools.wraps`` keep it, and a model whose ``flow`` or ``value``
-    was replaced otherwise is integrated through them.  From the first stage
-    where the kernel does not apply, the run calls ``h.flow`` itself.
+    was replaced otherwise is integrated through them.  Where the kernel
+    does not apply, the run goes on with ``h.flow`` (:func:`_kernel_first`).
     """
     kernel = getattr(h.flow, "_diagonal_stage", None)
     if getattr(h.value, "_diagonal_stage", None) is not kernel:
         kernel = None
 
-    def stage(x, p, shell=None):
-        nonlocal kernel
-        if kernel is not None:
-            out = kernel(x, p, shell)
-            if out is not None:
-                return out
-            kernel = None
+    def general(x, p, shell=None):
         return np.concatenate(h.flow(x, p)), None
 
-    return stage
+    return _kernel_first(kernel, general)
 
 
 def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,

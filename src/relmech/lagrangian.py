@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonPositiveG
+from .dynamics import Trajectory, _rk4
+from .errors import DimensionMismatch, DomainError, NonPositiveG, StepRejected
 from .geometry import (
     Array,
     GTensorField,
@@ -43,7 +44,7 @@ from .geometry import (
     faraday_at,
     g_value,
 )
-from .kinematics import ThreeVelocity
+from .kinematics import ThreeVelocity, lift_three_solution
 
 #: floor added to normalization denominators so identities stay scale-free
 RESIDUAL_FLOOR = 1e-30
@@ -324,3 +325,56 @@ def three_acceleration(model: LagrangianModel, t: ThreeVelocity) -> Array:
     mat = -model.mass * ((n2 - 1) * g_red[1:, 1:] / gbar ** e1
                          - e1 * n2 * np.outer(c, c) / gbar ** (e1 + 1.0))
     return np.linalg.solve(mat, -base)
+
+
+def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
+                             dt: float, steps: int, sign: int = 1,
+                             record_every: int = 1) -> Trajectory:
+    """Integrate the chart-local equation in q^0 with classic fixed-step RK4
+    and lift the run to proper time.
+
+    The state is (q^0, q, v), with d(q^0, q, v)/dq^0 = (1, v, w) and w from
+    :func:`three_acceleration`.  Each step sets q^0 to the previous chart
+    time plus dt, since the RK4 sum (dt/6)*6 can miss dt by one ulp.  The
+    run is lifted by :func:`lift_three_solution` on the sign branch ``sign``
+    over the full grid (best tau quadrature), then every
+    ``record_every``-th sample and the last are kept.  A failure names the
+    last good chart time q^0, not a proper time.
+    """
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    if record_every < 1:
+        raise ValueError("record_every must be >= 1")
+    n = start.v.size
+    last = start
+
+    def chart_state(y):
+        return ThreeVelocity(y[0], y[1:n + 1], y[n + 1:])
+
+    def rhs(y):
+        try:
+            three = chart_state(y)
+        except ValueError as exc:  # a non-finite stage
+            raise StepRejected("non-finite chart state") from exc
+        return np.concatenate(([1.0], three.v, three_acceleration(model, three)))
+
+    def settle(y):
+        nonlocal last
+        y[0] = last.q0 + dt
+        last = chart_state(y)
+        return y, last, None
+
+    y0 = np.concatenate(([last.q0], last.q, last.v))
+    try:
+        samples = _rk4(rhs, y0, last, dt, steps, settle)[2]
+    except StepRejected as exc:  # a non-finite stage or step
+        raise StepRejected("non-finite chart state (last good chart time "
+                           f"q^0 = {last.q0:.17g})") from exc
+    except (DomainError, NonPositiveG) as exc:  # left the domain or the timelike region
+        raise type(exc)(f"{exc} (last good chart time q^0 = {last.q0:.17g})") from exc
+
+    traj = lift_three_solution(samples, model.gfield, sign)
+    keep = np.append(np.arange(len(traj) - 1)[::record_every], len(traj) - 1)
+    traj.tau, traj.x, traj.u, traj.G = (traj.tau[keep], traj.x[keep],
+                                        traj.u[keep], traj.G[keep])
+    return traj

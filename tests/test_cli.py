@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relmech.cli as cli
+import relmech.lagrangian as lagrangian
 from relmech.cli import main
 from relmech.errors import DomainError
 from relmech.geometry import PotentialField, faraday_at
@@ -506,18 +508,33 @@ def test_three_velocity_domain_exit_names_chart_time(tmp_path, capsys, monkeypat
 
 def test_three_velocity_four_accelerations_per_step(tmp_path, capsys, monkeypatch):
     calls = [0]
-    acceleration = cli.three_acceleration
+    acceleration = lagrangian.three_acceleration
 
     def counted(model, three):
         calls[0] += 1
         return acceleration(model, three)
 
-    monkeypatch.setattr(cli, "three_acceleration", counted)
+    monkeypatch.setattr(lagrangian, "three_acceleration", counted)
     cfg = write_config(tmp_path, "count.ini", THREE_VELOCITY.format(
         x0=0.25, dt=0.01, steps=25, csv=tmp_path / "count.csv"))
     code, _, _ = run_cli(capsys, "simulate", cfg)
     assert code == 0
     assert calls[0] == 4 * 25
+
+
+def test_cli_imports_no_private_name():
+    # the front end is built on the library's public names only
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "relmech"):
+            private += [f"{node.module}.{a.name}" for a in node.names
+                        if a.name.startswith("_")]
+        elif isinstance(node, ast.Import):
+            private += [a.name for a in node.names if a.name.split(".")[0] == "relmech"
+                        and any(part.startswith("_") for part in a.name.split("."))]
+    assert private == []
 
 
 @pytest.mark.parametrize("kind", ["geodesic", "hamiltonian", "three_velocity"])

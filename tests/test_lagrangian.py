@@ -1,5 +1,6 @@
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import relmech as rm
-from relmech.errors import DimensionMismatch, NonPositiveG
+import relmech.lagrangian as lagrangian
+from relmech.errors import DimensionMismatch, DomainError, NonPositiveG, StepRejected
 from relmech.geometry import contract_all, faraday_at
 
 from conftest import CHART_FIELDS, chart_field, random_state, same_bits
+from test_cli import _reference_three_velocity
 
 X0 = np.zeros(4)
 
@@ -578,3 +581,67 @@ def test_three_acceleration_evaluates_each_field_once(charged_model, n2_gfield):
         counts.update(dict.fromkeys(counts, 0))
         rm.three_euler_lagrange(counted, t, np.ones(3))
         assert counts == {"value": 1, "partials": 1, "potential.partials": 1}
+
+
+CHART_FIELD = rm.uniform_field((0.3, 0.1, 0.0), (0.0, 0.2, 1.0))
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_integrate_three_velocity_matches_reference_loop(mink_gf, sign, record_every):
+    # a dt whose RK4 sum (dt/6)*6 misses dt: the chart time must advance by dt
+    dt = 0.007640768989396792
+    assert (dt / 6.0) * 6.0 != dt
+    cfg = SimpleNamespace(mass=1.0, charge=1.0, x0=np.array([0.25, 0.0, 0.0, 0.0]),
+                          v0=np.array([0.6, 0.1, 0.0]), dt=dt, steps=120, sign=sign,
+                          every=record_every)
+    want = _reference_three_velocity(cfg, mink_gf, CHART_FIELD)
+    model = rm.LagrangianModel(mink_gf, CHART_FIELD, mass=1.0, charge=1.0)
+    start = rm.ThreeVelocity(0.25, np.zeros(3), cfg.v0)
+    traj = rm.integrate_three_velocity(model, start, dt, 120, sign, record_every)
+    assert len(traj) == len(want) == (121 if record_every == 1 else 19)
+    for name in ("tau", "x", "u", "G", "max_constraint_drift"):
+        assert same_bits(getattr(traj, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("bad, message", [({"sign": 2}, "sign must be"),
+                                          ({"record_every": 0}, "record_every must be")])
+def test_integrate_three_velocity_rejects_arguments_before_a_stage(charged_model, monkeypatch,
+                                                                   bad, message):
+    calls = []
+    monkeypatch.setattr(lagrangian, "three_acceleration", lambda *args: calls.append(args))
+    start = rm.ThreeVelocity(0.0, np.zeros(3), np.array([0.3, 0.0, 0.0]))
+    with pytest.raises(ValueError, match=message):
+        rm.integrate_three_velocity(charged_model, start, 0.01, 10, **bad)
+    assert calls == []
+
+
+def _walled_metric(x):
+    # the chart ends at t = 0.3, checked where the metric is evaluated
+    if x[0] > 0.3:
+        raise DomainError(f"t = {x[0]:g} is past the wall")
+    return np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def test_integrate_three_velocity_failures_name_chart_time(mink_gf):
+    # the three failures the command line reports, each naming the last good q^0
+    nan_partials = rm.PotentialField(4, lambda x: np.zeros(4),
+                                     lambda x: np.full((4, 4), np.nan))
+    walled = rm.MetricField(4, _walled_metric, lambda x: np.zeros((4, 4, 4)))
+    cases = [
+        (rm.LagrangianModel(mink_gf, nan_partials), (0.5, (0.3, 0.0, 0.0)), 0.01, 10,
+         StepRejected, "non-finite chart state (last good chart time q^0 = 0.5)"),
+        (rm.LagrangianModel(rm.GTensorField.from_metric(walled), CHART_FIELD),
+         (0.25, (0.6, 0.1, 0.0)), 0.01, 100, DomainError,
+         "left the metric domain during step 5: t = 0.3 is past the wall "
+         "(last good chart time q^0 = 0.29000000000000004)"),
+        (rm.LagrangianModel(mink_gf, rm.uniform_field((50.0, 0.0, 0.0)), charge=-1.0),
+         (0.0, (0.99, 0.0, 0.0)), 0.1, 20, NonPositiveG,
+         "reduced form Gbar = -0.00339973 is not positive; the chart-local "
+         "three-velocity picture breaks down here (last good chart time q^0 = 0)"),
+    ]
+    for model, (q0, v), dt, steps, error, message in cases:
+        start = rm.ThreeVelocity(q0, np.zeros(3), np.array(v))
+        with pytest.raises(error) as got:
+            rm.integrate_three_velocity(model, start, dt, steps)
+        assert str(got.value) == message

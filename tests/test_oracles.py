@@ -71,6 +71,9 @@ CASES = {
                           -1.0, lambda: sympy.diag(1, -1, -1, -1),
                           lambda: _uniform_formula(E_FIELD, B_FIELD),
                           (0.0, 0.0, 0.0, 0.0), (0.3, 0.2, -0.1), 4.0, 0.1),
+    "euclidean-uniform": (lambda: rm.euclidean(), lambda: rm.uniform_field(E_FIELD, B_FIELD),
+                          1.0, lambda: sympy.eye(4), lambda: _uniform_formula(E_FIELD, B_FIELD),
+                          (0.0, 0.1, 0.0, -0.2), (0.4, -0.3, 0.2), 4.0, 0.1),
     "minkowski-coulomb": (lambda: rm.minkowski(), lambda: rm.coulomb_potential(-0.5),
                           1.0, lambda: sympy.diag(1, -1, -1, -1), lambda: _coulomb_formula(-0.5),
                           (0.0, 2.0, 0.0, 0.0), (0.0, 0.35, 0.1), 12.0, 0.1),
