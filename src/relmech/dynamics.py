@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveG, StepRejected
+from .errors import DomainError, NonPositiveG, SingularMetric, StepRejected
 from .geometry import (
     Array,
     GTensorField,
@@ -111,21 +111,23 @@ def connection_from(metric: MetricField, potential: PotentialField,
 
 
 def _diagonal_acceleration(metric: MetricField, potential: PotentialField,
-                           ratio: float) -> Callable[[Array, Array], Optional[Array]]:
-    """a = K(x, u) u at one state where g and its partials are diagonal,
-    else None, which leaves the point to ``K``.
+                           ratio: float) -> Callable[..., Optional[Array]]:
+    """``accel(x, u, form=None)``: a = K(x, u) u at one state where g and its
+    partials are diagonal, else None, which leaves the point to ``K``.
 
     With g = diag(d) and dd[mu, a] = d_mu g_aa the connection term is
     a^l = (dd[l] . u^2 / 2 - u^l (dd[:, l] . u)) / d_l: O(m^2) work instead
     of the symbols' O(m^3).  The soldering term is K's own, (ratio g^{ll}) F u.
-    The metric is read by :func:`geometry._diagonal_form`, so errors and
-    their messages are those of ``K``; a zero or non-finite entry gives None.
-    The result holds no -0.
+    The metric (``accel.metric``) is read by :func:`geometry._diagonal_form`,
+    so errors and their messages are those of ``K``; a zero or non-finite
+    entry gives None.  A caller that holds that form at x passes it as
+    ``form``.  The result holds no -0.
     """
-    def accel(x, u):
-        form = _diagonal_form(metric, x)
+    def accel(x, u, form=None):
         if form is None:
-            return None
+            form = _diagonal_form(metric, x)
+            if form is None:
+                return None
         d, dd = form
         a = 0.5 * (dd @ (u * u)) - u * (u @ dd)
         a /= d
@@ -134,6 +136,7 @@ def _diagonal_acceleration(metric: MetricField, potential: PotentialField,
         a += 0.0
         return a
 
+    accel.metric = metric
     return accel
 
 
@@ -217,27 +220,32 @@ def project_to_shell(gfield: GTensorField, x, u) -> Array:
     x, u (..., m)).
     """
     u = np.asarray(u, dtype=float)
-    g = g_value(gfield, x, u)
+    return _rescale(u, g_value(gfield, x, u), gfield.order_half)
+
+
+def _rescale(u: Array, g, order_half: int) -> Array:
+    """u * g^(-1/2N), for g = G(x, u) of a form of order 2N."""
     i = _first_failure(g > 0.0)
     if i is not None:
         raise NonPositiveG(f"cannot project: G = {np.ravel(g)[i]:g} is not positive")
-    return u * _power(g, -1.0 / (2 * gfield.order_half))[..., None]
+    return u * _power(g, -1.0 / (2 * order_half))[..., None]
 
 
 def _kernel_first(kernel: Optional[Callable], general: Callable) -> Callable:
     """A stage function for one run: ``kernel(*args)`` until it first returns
     None, then ``general(*args)`` for that stage and every later one, so a
     point the kernel does not cover costs one probe per run.  ``kernel``
-    may be None."""
+    may be None; ``stage.kernel`` is the kernel while it is in use, else
+    None."""
     def stage(*args):
-        nonlocal kernel
-        if kernel is not None:
-            out = kernel(*args)
+        if stage.kernel is not None:
+            out = stage.kernel(*args)
             if out is not None:
                 return out
-            kernel = None
+            stage.kernel = None
         return general(*args)
 
+    stage.kernel = kernel
     return stage
 
 
@@ -285,7 +293,7 @@ def _rk4(rhs: Callable[[Array], Array], y: Array, value, dt: float,
             k3 = rhs(y + 0.5 * dt * k2)
             k4 = rhs(y + dt * k3)
             y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(y)):
+            if not np.isfinite(y).all():
                 raise StepRejected(f"non-finite state after step {k}", tau=tau)
             y, value, k1 = settle(y)
         except DomainError as exc:
@@ -320,6 +328,12 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
     records the largest |G - 1| over the whole run.  A start with |G - 1|
     beyond 1e-8 triggers a warning (off-shell initial data are allowed, the
     equation itself is defined off the shell).
+
+    Where ``gfield`` is the N = 1 form of the metric the O(m^2) kernel of
+    ``K`` reads (see :func:`_stage_acceleration`), a settled point is read
+    once: its diagonal form gives the projection's G, the monitored G =
+    (d u) . u, with the bits of :func:`g_value`, and the next step's first
+    stage.  Elsewhere the monitor and the projection call :func:`g_value`.
     """
     if projection not in PROJECTION_MODES:
         raise ValueError(f"projection must be one of {PROJECTION_MODES}")
@@ -337,17 +351,36 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
     m = x.size
     drift = abs(g0 - 1.0)
     accel = _stage_acceleration(c)
+    kernel = accel.kernel  # kept where its form also gives G
+    if not (kernel is not None and gfield.order_half == 1
+            and gfield.value is kernel.metric.value):
+        kernel = None
 
     def rhs(y):
         return np.concatenate((y[m:], accel(y[:m], y[m:])))
 
     def settle(y):
         nonlocal drift
-        if projection == "rescale":
-            y[m:] = project_to_shell(gfield, y[:m], y[m:])
-        gk = g_value(gfield, y[:m], y[m:])
+        x, u = y[:m], y[m:]
+        form = None
+        if kernel is not None and accel.kernel is not None:
+            try:
+                form = _diagonal_form(kernel.metric, x)
+            except (DomainError, SingularMetric):
+                pass  # g_value reads g alone: the next step's first stage raises it
+        if form is None:
+            if projection == "rescale":
+                u[:] = project_to_shell(gfield, x, u)
+            gk = g_value(gfield, x, u)
+            k1 = None
+        else:
+            d = form[0]
+            if projection == "rescale":
+                u[:] = _rescale(u, (d * u) @ u, 1)
+            gk = float((d * u) @ u)
+            k1 = np.concatenate((u, kernel(x, u, form)))
         drift = max(drift, abs(gk - 1.0))
-        return y, gk, None
+        return y, gk, k1
 
     taus, ys, gs = _rk4(rhs, np.concatenate((x, u)), g0, dt, steps, settle,
                         record_every)

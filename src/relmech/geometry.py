@@ -381,27 +381,30 @@ def _diagonal(a: Array) -> Optional[Array]:
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
-def _diagonal_form(metric: MetricField, x,
-                   g: Optional[Array] = None) -> Optional[Tuple[Array, Array]]:
+def _diagonal_form(metric: MetricField, x: Array) -> Optional[Tuple[Array, Array]]:
     """(d, dd) where ``metric`` and its partials are diagonal at the one
     point ``x``: g = diag(d) with finite, nonzero d, and dd[mu, a] = d_mu g_aa.
     Else None, which leaves the point to the general formulas.
 
-    ``g`` is metric_at(metric, x) when the caller holds it.  g is evaluated
-    before the partials and a diagonal g passes the condition test of
+    The integrators' stage kernels read it at every stage, with ``x`` their
+    own float (m,) slice, so the fields are called directly: the domain
+    check, then ``value``, then ``partials``, as :func:`metric_at` and the
+    general path order them.  A diagonal g passes the condition test of
     :func:`inverse_metric_at` first, with its bits and message, so a metric
     that is not diagonal costs one ``value`` call and no ``partials`` call.
     """
-    if g is None:
-        g = metric_at(metric, x)
+    if metric.domain_check is not None:
+        metric.domain_check(x)
+    g = np.asarray(metric.value(x), float)
     d = g.diagonal()
     ad = [abs(v) for v in d.tolist()]
     lo = min(ad)
     if not (lo > 0.0 and math.isfinite(sum(ad))) or np.count_nonzero(g) != d.size:
         return None
     _check_condition(max(ad) * (1.0 / lo), x)
-    dd = _diagonal(_field_at(metric.partials, x))
-    return None if dd is None else (d, dd)
+    dg = np.asarray(metric.partials(x), float)
+    dd = dg.diagonal(0, -2, -1)
+    return (d, dd) if np.count_nonzero(dg) == np.count_nonzero(dd) else None
 
 
 def _check_condition(cond, x) -> None:

@@ -195,9 +195,9 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
 
 
 def _diagonal_stage(std: StandardData, kinetic):
-    """``stage(x, p, shell=None)``: the flow (dH/dp, -dH/dx), concatenated,
-    at one phase point where g and its partials are diagonal, with H when
-    ``shell`` is given; None elsewhere, which leaves the point to ``flow``.
+    """``stage(x, p, shell=None) -> (flow, H, d)``: the flow (dH/dp, -dH/dx),
+    concatenated, at one phase point where g and its partials are diagonal;
+    None elsewhere, which leaves the point to ``flow``.
 
     With g = diag(d), dd[mu, a] = d_mu g_aa and v_a = w_a / d_a, w = p - eA,
     the flow is dH/dp = v / mass and -dH/dx = dd (v^2) / (2 mass) +
@@ -205,29 +205,33 @@ def _diagonal_stage(std: StandardData, kinetic):
     instead of the O(m^3) partials of the inverse.  v is w times 1/d, as the
     closed-form inverse applies it, so dH/dp has the bits of ``flow``.
 
-    ``shell`` is the (metric, g at x) pair the integrator evaluates at each
-    settled point; g is reused when that metric is this model's, and H =
-    v . w / (2 mass) is given, with the bits of ``value``.  The fields are
-    evaluated in the order of ``flow`` and the metric is read by
-    :func:`geometry._diagonal_form`, so errors and their messages are the
-    same; a zero or non-finite entry gives None.  The flow holds no -0.
+    ``shell`` is the metric of the integrator's shell monitor at a settled
+    point: H = v . w / (2 mass) is given then, with the bits of ``value``,
+    and d too when that metric is this model's; else both are None.  A
+    stage reads g and its partials once, through
+    :func:`geometry._diagonal_form`, in the order of ``flow``, so errors and
+    their messages are the same; a zero or non-finite entry gives None.  At
+    charge 0 the potential is not read, as in the geodesic kernel: a point
+    where only the potential fails (a Coulomb center) is integrated, where
+    ``flow`` raises.  The flow holds no -0.
     """
     metric, potential, mass, e = std.metric, std.potential, std.mass, std.charge
 
     def stage(x, p, shell=None):
-        w = kinetic(x, p)
-        g = shell[1] if shell is not None and shell[0] is metric else None
-        form = _diagonal_form(metric, x, g)
+        w = p if e == 0.0 else kinetic(x, p)
+        form = _diagonal_form(metric, x)
         if form is None:
             return None
         d, dd = form
-        da = _field_at(potential.partials, x)
         v = w * (1.0 / d)
         k = np.concatenate((v, 0.5 * (dd @ (v * v))))
         k /= mass
-        k[d.size:] += (e / mass) * (da @ v)
+        if e != 0.0:
+            k[d.size:] += (e / mass) * (_field_at(potential.partials, x) @ v)
         k += 0.0
-        return k, None if shell is None else 0.5 * float(v @ w) / mass
+        if shell is None:
+            return k, None, None
+        return k, 0.5 * float(v @ w) / mass, d if shell is metric else None
 
     return stage
 
@@ -405,8 +409,9 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
 
 def _phase_stage(h: HamiltonianModel):
     """The flow (dH/dp, -dH/dx), concatenated, that integrate_hamiltonian
-    evaluates at each RK4 stage of one run, with H where the stage gives it:
-    ``stage(x, p, shell=None) -> (flow, H or None)``.
+    evaluates at each RK4 stage of one run, with H and the diagonal of g
+    where the stage gives them: ``stage(x, p, shell=None) -> (flow, H or
+    None, d or None)``.
 
     The ``flow`` and ``value`` of :func:`standard_hamiltonian` carry an
     O(m^2) kernel for points where the metric is diagonal; wrappers made
@@ -419,7 +424,7 @@ def _phase_stage(h: HamiltonianModel):
         kernel = None
 
     def general(x, p, shell=None):
-        return np.concatenate(h.flow(x, p)), None
+        return np.concatenate(h.flow(x, p)), None, None
 
     return _kernel_first(kernel, general)
 
@@ -435,10 +440,12 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     ``metric`` must be supplied to evaluate the shell residual.
 
     A step evaluates the flow four times: its last evaluation, at the updated
-    point, is the next step's first stage, and its velocity dH/dp gives H_T
-    there.  H comes from that first stage where the O(m^2) kernel of the
-    standard family applies (see :func:`_phase_stage`), else from
-    ``h.value``.
+    point, is the next step's first stage, and its velocity v = dH/dp gives
+    H_T there.  Where the O(m^2) kernel of the standard family applies (see
+    :func:`_phase_stage`), H comes from that first stage, and so does g =
+    diag(d) when ``metric`` is the model's own: H_T = (v d) . v - 1, with the
+    bits of v . g . v.  Elsewhere H comes from ``h.value`` and g from
+    :func:`metric_at`, read after the flow.
     """
     shell_metric = _shell_metric(h, metric)
     m = np.size(s0.x)
@@ -450,9 +457,11 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     def first_stage(y):
         """The flow at y, the shell residual of its velocity and H (None
         when ``h.value`` gives it)."""
-        g = metric_at(shell_metric, y[:m])
-        k, hv = stage(y[:m], y[m:], (shell_metric, g))
-        return k, float(k[:m] @ g @ k[:m]) - 1.0, hv
+        k, hv, d = stage(y[:m], y[m:], shell_metric)
+        v = k[:m]
+        if d is None:
+            return k, float(v @ metric_at(shell_metric, y[:m]) @ v) - 1.0, hv
+        return k, float((v * d) @ v) - 1.0, hv
 
     def settle(y):
         nonlocal drift

@@ -10,7 +10,8 @@ import relmech as rm
 from relmech.dynamics import _stage_acceleration
 from relmech.errors import DomainError, NonPositiveG, StepRejected
 
-from conftest import counting_fields, generic, random_state, shear_minkowski
+from conftest import (counting_fields, generic, random_state, same_bits,
+                      shear_minkowski)
 
 X0 = np.zeros(4)
 X_SCHW = np.array([0.0, 10.0, math.pi / 2, 0.0])
@@ -336,6 +337,28 @@ def test_one_inversion_per_rhs_stage(mink, mink_gf, uniform_b, inversion_count):
     assert calls == {"value": 1 + 4 * 25, "partials": 4 * 25}
 
 
+@pytest.mark.parametrize("projection", ["none", "rescale"])
+def test_monitor_reads_the_first_stage(projection, mink, uniform_b):
+    # G is the metric's own form: one value and one partials read per stage,
+    # and none more for the monitor or the projection.  Over N steps that is
+    # g_value at the start, then 4 N + 1 stages, the last step's settle
+    # evaluating a first stage that no step uses.  The potential is read as
+    # K reads it, its partials once per stage.
+    metric, calls = counting_fields(mink)
+    potential, pot_calls = counting_fields(uniform_b)
+    s0 = rm.FourState(X0, np.array([1.25, 0.75, 0.0, 0.0]))
+    traj = rm.integrate_geodesic(rm.connection_from(metric, potential, 1.0, 1.0),
+                                 rm.GTensorField.from_metric(metric), s0, 1e-2, 25,
+                                 projection, 5)
+    assert calls == {"value": 2 + 4 * 25, "partials": 1 + 4 * 25}
+    assert pot_calls == {"value": 0, "partials": 1 + 4 * 25}
+    want = rm.integrate_geodesic(rm.connection_from(mink, uniform_b, 1.0, 1.0),
+                                 rm.GTensorField.from_metric(rm.minkowski()), s0, 1e-2,
+                                 25, projection, 5)
+    for got, ref in ((traj.x, want.x), (traj.u, want.u), (traj.G, want.G)):
+        assert same_bits(got, ref)
+
+
 def _reference_rk4(c, gfield, s0, dt, steps, projection="none", record_every=1,
                    acc=None):
     """The integrator as a hand-written loop over (x, u), before the shared
@@ -469,3 +492,26 @@ def test_failures_match_reference_loop(schw, schw_gf, mink_gf):
         messages.append(str(got.value))
     assert messages[0].startswith("left the metric domain during step")
     assert messages[1].startswith("non-finite state after step")
+
+
+def test_settled_point_error_names_the_next_step(schw, schw_gf):
+    # a domain check that only the settled point of step 13 fails (r there is
+    # below every stage point of that step): a monitor that reads g alone
+    # passes it, so the error is step 14's, at its first stage
+    def wall(x):
+        if x[1] < 2.54843075:
+            raise DomainError(f"r = {x[1]:.9f} is inside the wall")
+
+    metric = rm.MetricField.from_function(4, schw.value, schw.partials, wall)
+    x0 = np.array([0.0, 3.0, math.pi / 2, 0.0])
+    u0 = rm.project_to_shell(schw_gf, x0, np.array([2.0, -0.5, 0.0, 0.0]))
+    conn = rm.levi_civita_connection(metric)
+    for gf in (rm.GTensorField.from_metric(metric), schw_gf):
+        with pytest.raises(DomainError) as got:
+            rm.integrate_geodesic(conn, gf, rm.FourState(x0, u0), 0.05, 100)
+        with pytest.raises(DomainError) as want:
+            _reference_rk4(conn, gf, rm.FourState(x0, u0), 0.05, 100,
+                           acc=_stage_acceleration(conn))
+        assert str(got.value) == str(want.value)
+        assert got.value.tau == want.value.tau
+    assert "during step 14" in str(got.value) and got.value.tau == 13 * 0.05

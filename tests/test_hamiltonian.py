@@ -7,11 +7,11 @@ import pytest
 
 import relmech as rm
 from relmech.errors import DomainError
-from relmech.geometry import FD_STEP
-from relmech.hamiltonian import _phase_stage
+from relmech.geometry import (FD_STEP, _check_condition, _diagonal, _field_at,
+                              metric_at)
 
 from conftest import (counting_fields, generic, random_point, random_state,
-                      shear_minkowski)
+                      same_bits, shear_minkowski)
 
 X0 = np.zeros(4)
 
@@ -328,11 +328,9 @@ def test_standard_flow_matches_gradients(schw, mink, uniform_b):
             npt.assert_array_equal(pdot, -ham.grad_x(x, p))
 
 
-def _reference_rk4(h, s0, dt, steps, record_every, metric=None, own_stages=False):
+def _reference_rk4(h, s0, dt, steps, record_every, metric=None):
     """The integrator as it was before the flow field: the gradients are
-    evaluated separately and the shell monitor calls grad_p once more.  With
-    ``own_stages`` the flow and the shell residual are the integrator's own
-    stage functions instead."""
+    evaluated separately and the shell monitor calls grad_p once more."""
     metric = metric if metric is not None else h.standard.metric
     x, p = np.array(s0.x), np.array(s0.p)
 
@@ -342,19 +340,6 @@ def _reference_rk4(h, s0, dt, steps, record_every, metric=None, own_stages=False
 
     def flow(xx, pp):
         return h.grad_p(xx, pp), -h.grad_x(xx, pp)
-
-    if own_stages:
-        m = x.size
-        stage = _phase_stage(h)
-
-        def shell(xx, pp):
-            g = rm.metric_at(metric, xx)
-            v = stage(xx, pp, (metric, g))[0][:m]
-            return float(v @ g @ v) - 1.0
-
-        def flow(xx, pp):
-            k = stage(xx, pp)[0]
-            return k[:m], k[m:]
 
     xs, ps, hts, tau = [x.copy()], [p.copy()], [shell(x, p)], 0.0
     for k in range(1, steps + 1):
@@ -381,19 +366,99 @@ def _reference_rk4(h, s0, dt, steps, record_every, metric=None, own_stages=False
     return np.stack(xs), np.stack(ps), np.asarray(hts)
 
 
+# The diagonal-metric kernel and the integrator's first stage as they were
+# when the shell monitor read g through metric_at and every stage read the
+# potential, copied verbatim (with the reader they called) so that a change
+# of bits inside the kernel shows against them.
+
+def _frozen_diagonal_form(metric, x, g=None):
+    if g is None:
+        g = metric_at(metric, x)
+    d = g.diagonal()
+    ad = [abs(v) for v in d.tolist()]
+    lo = min(ad)
+    if not (lo > 0.0 and math.isfinite(sum(ad))) or np.count_nonzero(g) != d.size:
+        return None
+    _check_condition(max(ad) * (1.0 / lo), x)
+    dd = _diagonal(_field_at(metric.partials, x))
+    return None if dd is None else (d, dd)
+
+
+def _frozen_diagonal_stage(std, kinetic):
+    metric, potential, mass, e = std.metric, std.potential, std.mass, std.charge
+
+    def stage(x, p, shell=None):
+        w = kinetic(x, p)
+        g = shell[1] if shell is not None and shell[0] is metric else None
+        form = _frozen_diagonal_form(metric, x, g)
+        if form is None:
+            return None
+        d, dd = form
+        da = _field_at(potential.partials, x)
+        v = w * (1.0 / d)
+        k = np.concatenate((v, 0.5 * (dd @ (v * v))))
+        k /= mass
+        k[d.size:] += (e / mass) * (da @ v)
+        k += 0.0
+        return k, None if shell is None else 0.5 * float(v @ w) / mass
+
+    return stage
+
+
+def _frozen_rk4(h, s0, dt, steps, record_every):
+    """integrate_hamiltonian on a diagonal metric, with the frozen kernel at
+    every stage: (x, p, H, HT) at the recorded samples."""
+    std = h.standard
+    shell_metric = std.metric
+    m = s0.x.size
+
+    def kinetic(x, p):
+        return p - std.charge * _field_at(std.potential.value, x)
+
+    stage = _frozen_diagonal_stage(std, kinetic)
+
+    def flow(y):
+        return stage(y[:m], y[m:])[0]
+
+    def first_stage(y):
+        g = metric_at(shell_metric, y[:m])
+        k, hv = stage(y[:m], y[m:], (shell_metric, g))
+        return k, float(k[:m] @ g @ k[:m]) - 1.0, hv
+
+    y = np.concatenate((s0.x, s0.p)).astype(float)
+    k1, ht, hv = first_stage(y)
+    ys, hts, hs = [y], [ht], [hv]
+    for k in range(1, steps + 1):
+        k2 = flow(y + 0.5 * dt * k1)
+        k3 = flow(y + 0.5 * dt * k2)
+        k4 = flow(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1, ht, hv = first_stage(y)
+        if k % record_every == 0 or k == steps:
+            ys.append(y)
+            hts.append(ht)
+            hs.append(hv)
+    ys = np.stack(ys)
+    return ys[:, :m], ys[:, m:], np.asarray(hs), np.asarray(hts)
+
+
 def test_integrator_matches_reference_loop(schw, schw_gf, mink, uniform_b):
+    # the integrator keeps the bits of the frozen kernel: at charge 0 with
+    # any potential, which it no longer reads, and at charge 1
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     u0 = rm.project_to_shell(schw_gf, x0, np.array([1.1, -0.05, 0.0, 0.03]))
-    cases = [(rm.standard_hamiltonian(schw, rm.zero_potential(4), 1.0, 0.0), x0, u0),
-             (rm.standard_hamiltonian(mink, uniform_b, 1.0, 1.0), X0,
-              np.array([1.25, 0.75, 0.0, 0.0]))]
-    for ham, x, u in cases:
+    cases = [(schw, pot, 0.0, x0, u0)
+             for pot in (rm.zero_potential(4),
+                         rm.uniform_field((0.3, -0.2, 0.5), (1.0, 2.0, -0.7)),
+                         rm.coulomb_potential(0.8, center=(0.1, -0.2, 0.3)))]
+    cases.append((mink, uniform_b, 1.0, X0, np.array([1.25, 0.75, 0.0, 0.0])))
+    for metric, pot, charge, x, u in cases:
+        ham = rm.standard_hamiltonian(metric, pot, 1.3, charge)
         s0 = rm.PhaseState(x, rm.on_shell_momentum(ham, x, u))
         traj = rm.integrate_hamiltonian(ham, s0, 0.05, 200, 7)
-        xs, ps, hts = _reference_rk4(ham, s0, 0.05, 200, 7, own_stages=True)
-        npt.assert_array_equal(traj.x, xs)
-        npt.assert_array_equal(traj.p, ps)
-        npt.assert_array_equal(traj.HT, hts)
+        want = _frozen_rk4(ham, s0, 0.05, 200, 7)
+        for got, ref in zip((traj.x, traj.p, traj.H, traj.HT), want):
+            assert same_bits(got, ref)
 
 
 def test_generic_path_keeps_reference_bits(schw, schw_gf, uniform_b):
@@ -482,11 +547,30 @@ def test_one_inversion_per_rhs_stage(schw, schw_gf, inversion_count):
     # start plus four flow evaluations per step
     assert at_samples[0] == len(traj) == 4
     assert inversion_count[0] - at_samples[0] == 1 + 4 * 30
-    # a diagonal metric: g and its partials once per stage, H from the first
-    # stage, and no inversion
+    # a diagonal metric: g and its partials once per stage, H and the
+    # monitor's g from the first stage, and no inversion
     before = inversion_count[0]
     metric, calls = counting_fields(schw)
     ham = rm.standard_hamiltonian(metric, rm.zero_potential(4), 1.0, 0.0)
     rm.integrate_hamiltonian(ham, rm.PhaseState(x0, p0), 0.1, 30, 10)
     assert inversion_count[0] == before
     assert calls == {"value": 1 + 4 * 30, "partials": 1 + 4 * 30}
+
+
+def test_potential_reads_per_stage(schw, schw_gf, mink, uniform_b):
+    # at charge 0 the kernel reads no potential; at charge 1 it reads A and
+    # its partials once per stage: the first stage at the start, then four
+    # per step
+    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
+    u0 = rm.project_to_shell(schw_gf, x0, np.array([1.1, -0.05, 0.0, 0.03]))
+    cases = [(schw, rm.uniform_field((0.3, -0.2, 0.5), (1.0, 2.0, -0.7)), 0.0, x0, u0,
+              {"value": 0, "partials": 0}),
+             (mink, uniform_b, 1.0, X0, np.array([1.25, 0.75, 0.0, 0.0]),
+              {"value": 1 + 4 * 30, "partials": 1 + 4 * 30})]
+    for metric, pot, charge, x, u, want in cases:
+        counted, calls = counting_fields(pot)
+        ham = rm.standard_hamiltonian(metric, counted, 1.0, charge)
+        s0 = rm.PhaseState(x, rm.on_shell_momentum(ham, x, u))
+        calls.update(value=0, partials=0)
+        rm.integrate_hamiltonian(ham, s0, 0.1, 30, 10)
+        assert calls == want
