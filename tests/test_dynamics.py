@@ -336,27 +336,24 @@ def test_one_inversion_per_rhs_stage(mink, mink_gf, uniform_b, inversion_count):
     assert inversion_count[0] == 2 * 4 * 25
     assert calls == {"value": 1 + 4 * 25, "partials": 4 * 25}
 
-
-@pytest.mark.parametrize("projection", ["none", "rescale"])
-def test_monitor_reads_the_first_stage(projection, mink, uniform_b):
-    # G is the metric's own form: one value and one partials read per stage,
-    # and none more for the monitor or the projection.  Over N steps that is
-    # g_value at the start, then 4 N + 1 stages, the last step's settle
-    # evaluating a first stage that no step uses.  The potential is read as
-    # K reads it, its partials once per stage.
-    metric, calls = counting_fields(mink)
-    potential, pot_calls = counting_fields(uniform_b)
-    s0 = rm.FourState(X0, np.array([1.25, 0.75, 0.0, 0.0]))
-    traj = rm.integrate_geodesic(rm.connection_from(metric, potential, 1.0, 1.0),
-                                 rm.GTensorField.from_metric(metric), s0, 1e-2, 25,
-                                 projection, 5)
-    assert calls == {"value": 2 + 4 * 25, "partials": 1 + 4 * 25}
-    assert pot_calls == {"value": 0, "partials": 1 + 4 * 25}
-    want = rm.integrate_geodesic(rm.connection_from(mink, uniform_b, 1.0, 1.0),
-                                 rm.GTensorField.from_metric(rm.minkowski()), s0, 1e-2,
-                                 25, projection, 5)
-    for got, ref in ((traj.x, want.x), (traj.u, want.u), (traj.G, want.G)):
-        assert same_bits(got, ref)
+    # G the metric's own form: still one value and one partials read per
+    # stage, and none more for the monitor or the projection.  Over N steps
+    # that is g_value at the start, then 4 N + 1 stages, the last step's
+    # settle evaluating a first stage that no step uses.  The potential is
+    # read as K reads it, its partials once per stage.
+    for projection in ("none", "rescale"):
+        metric, calls = counting_fields(mink)
+        potential, pot_calls = counting_fields(uniform_b)
+        traj = rm.integrate_geodesic(rm.connection_from(metric, potential, 1.0, 1.0),
+                                     rm.GTensorField.from_metric(metric), s0, 1e-2, 25,
+                                     projection, 5)
+        assert calls == {"value": 2 + 4 * 25, "partials": 1 + 4 * 25}
+        assert pot_calls == {"value": 0, "partials": 1 + 4 * 25}
+        want = rm.integrate_geodesic(rm.connection_from(mink, uniform_b, 1.0, 1.0),
+                                     rm.GTensorField.from_metric(rm.minkowski()), s0,
+                                     1e-2, 25, projection, 5)
+        for got, ref in ((traj.x, want.x), (traj.u, want.u), (traj.G, want.G)):
+            assert same_bits(got, ref)
 
 
 def _reference_rk4(c, gfield, s0, dt, steps, projection="none", record_every=1,

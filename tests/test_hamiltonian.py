@@ -528,7 +528,7 @@ def test_domain_exit_keeps_message_and_tau(schw, schw_gf, free_ham):
     assert "during step 3" in str(got.value) and got.value.tau == 0.2
 
 
-def test_one_inversion_per_rhs_stage(schw, schw_gf, inversion_count):
+def test_one_inversion_per_rhs_stage(schw, schw_gf, mink, uniform_b, inversion_count):
     ham = rm.standard_hamiltonian(schw, rm.zero_potential(4), 1.0, 0.0)
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     u0 = rm.project_to_shell(schw_gf, x0, np.array([1.1, -0.05, 0.0, 0.03]))
@@ -555,14 +555,8 @@ def test_one_inversion_per_rhs_stage(schw, schw_gf, inversion_count):
     rm.integrate_hamiltonian(ham, rm.PhaseState(x0, p0), 0.1, 30, 10)
     assert inversion_count[0] == before
     assert calls == {"value": 1 + 4 * 30, "partials": 1 + 4 * 30}
-
-
-def test_potential_reads_per_stage(schw, schw_gf, mink, uniform_b):
-    # at charge 0 the kernel reads no potential; at charge 1 it reads A and
-    # its partials once per stage: the first stage at the start, then four
-    # per step
-    x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
-    u0 = rm.project_to_shell(schw_gf, x0, np.array([1.1, -0.05, 0.0, 0.03]))
+    # the potential: not read at charge 0; at charge 1, A and its partials
+    # once per stage
     cases = [(schw, rm.uniform_field((0.3, -0.2, 0.5), (1.0, 2.0, -0.7)), 0.0, x0, u0,
               {"value": 0, "partials": 0}),
              (mink, uniform_b, 1.0, X0, np.array([1.25, 0.75, 0.0, 0.0]),
