@@ -296,8 +296,8 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
         dg[2, 3, 3] = -2.0 * r * r * s * c
         return dg
 
-    return MetricField(4, value, partials, "schwarzschild", check,
-                       {"M": big_m})
+    # no domain_check: value and partials run ``check`` themselves
+    return MetricField(4, value, partials, "schwarzschild", None, {"M": big_m})
 
 
 def catalog_metric(name: str, *, dim: int = 4, mass: float = 1.0,
@@ -419,11 +419,7 @@ def _check_condition(cond, x) -> None:
 
 def _christoffel_and_inverse(metric: MetricField, x) -> tuple[Array, Array]:
     """Connection symbols and inverse metric at ``x`` (or a batch) from one
-    inversion.
-
-    A diagonal inverse scales the rows of S instead of contracting with it;
-    the two give the same values, up to the signs of zeros.
-    """
+    inversion."""
     x = _check_point(x, metric.dim)
     ginv = inverse_metric_at(metric, x)
     dg = _field_at(metric.partials, x)
@@ -431,11 +427,7 @@ def _christoffel_and_inverse(metric: MetricField, x) -> tuple[Array, Array]:
     s = dg + dg.swapaxes(-1, -3)
     s -= dg.swapaxes(-3, -2)
     del dg  # in place from here on: a batch's temporaries are large
-    dinv = _diagonal(ginv)
-    if dinv is not None:
-        s *= dinv[..., None, :, None]
-    else:
-        s = np.einsum("...lb,...mbn->...mln", ginv, s)
+    s = ginv[..., None, :, :] @ s  # g^{lam beta} S[mu, beta, nu], one matrix per mu
     s *= -0.5
     c = s + s.swapaxes(-1, -3)
     c *= 0.5

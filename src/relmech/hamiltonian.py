@@ -30,7 +30,6 @@ from .geometry import (
     Array,
     MetricField,
     PotentialField,
-    _diagonal,
     _diagonal_form,
     _dot,
     _field_at,
@@ -99,17 +98,9 @@ def _composed_flow(grad_x: PhaseGrad, grad_p: PhaseGrad) -> PhaseFlow:
 
 def _dginv(ginv: Array, dg: Array) -> Array:
     """d_lam g^{ab} = -g^{ac} d_lam g_{cd} g^{db}, derivative index first,
-    at one point or for a batch (leading axes).
-
-    A diagonal inverse scales rows and columns, in the einsum's product
-    order, so the values are the same up to the signs of zeros.
-    """
-    dinv = _diagonal(ginv)
-    if dinv is None:
-        return -np.einsum("...ac,...lcd,...db->...lab", ginv, dg, ginv)
-    out = dinv[..., None, :, None] * dg  # in place from here on, for large batches
-    out *= dinv[..., None, None, :]
-    return np.negative(out, out=out)
+    at one point or for a batch (leading axes)."""
+    g = ginv[..., None, :, :]
+    return -(g @ dg @ g)
 
 
 @dataclass
@@ -263,9 +254,7 @@ def legendre_velocity(h: HamiltonianModel, s: PhaseState) -> Array:
 def mass_shell_residual(h: HamiltonianModel, s: PhaseState,
                         metric: Optional[MetricField] = None) -> float:
     """H_T = g_{mu nu} (dH/dp_mu)(dH/dp_nu) - 1; zero on the mass shell."""
-    g = metric_at(_shell_metric(h, metric), s.x)
-    v = legendre_velocity(h, s)
-    return float(v @ g @ v) - 1.0
+    return mass_shell_scalar(h, metric).value(s.x, s.p)
 
 
 def mass_shell_scalar(h: HamiltonianModel,
@@ -343,9 +332,8 @@ def coordinate_scalar(dim: int, lam: int) -> HamiltonianModel:
     ex = np.zeros(dim)
     ex[lam] = 1.0
     zero = np.zeros(dim)
-    grad_x, grad_p = lambda x, p: ex.copy(), lambda x, p: zero.copy()
-    return HamiltonianModel(dim, lambda x, p: float(x[lam]), grad_x, grad_p,
-                            _composed_flow(grad_x, grad_p))
+    return custom_hamiltonian(dim, lambda x, p: float(x[lam]),
+                              lambda x, p: ex.copy(), lambda x, p: zero.copy())
 
 
 def momentum_scalar(dim: int, lam: int) -> HamiltonianModel:
@@ -353,9 +341,8 @@ def momentum_scalar(dim: int, lam: int) -> HamiltonianModel:
     ep = np.zeros(dim)
     ep[lam] = 1.0
     zero = np.zeros(dim)
-    grad_x, grad_p = lambda x, p: zero.copy(), lambda x, p: ep.copy()
-    return HamiltonianModel(dim, lambda x, p: float(p[lam]), grad_x, grad_p,
-                            _composed_flow(grad_x, grad_p))
+    return custom_hamiltonian(dim, lambda x, p: float(p[lam]),
+                              lambda x, p: zero.copy(), lambda x, p: ep.copy())
 
 
 def on_shell_momentum(h: HamiltonianModel, x, u) -> Array:

@@ -217,16 +217,13 @@ def four_acceleration(model: LagrangianModel, x, u) -> Array:
     """Solve E(x, u, a) = 0 for the acceleration a.
 
     E is affine in a with coefficient matrix -mass (2N - 1) G_red, so one
-    linear solve inverts it.  Along the resulting flow G is conserved, since
+    linear solve with E at a = 0 inverts it.  Along the resulting flow G is conserved, since
     d G / d tau = -(2N / (2N - 1)) u . E = 0.
     """
-    g, dg_full, dg_first, g_red, _ = _velocity_form_pieces(model, x, u)
-    _require_positive(g)
-    n2 = 2 * model.order_half
-    f = faraday_at(model.potential, np.asarray(x, float))
-    rhs = (model.mass * (dg_full / n2 - dg_first)
-           + model.charge * g ** (1.0 - 1.0 / n2) * (f @ u))
-    return np.linalg.solve(model.mass * (n2 - 1) * g_red, rhs)
+    u = np.asarray(u, dtype=float)
+    pieces = _velocity_form_pieces(model, x, u)
+    rhs = _euler_lagrange_E(model, x, u, np.zeros(u.shape), pieces)
+    return np.linalg.solve(model.mass * (2 * model.order_half - 1) * pieces[3], rhs)
 
 
 # ---------------------------------------------------------------------------

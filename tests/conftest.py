@@ -135,6 +135,31 @@ def shear_minkowski(eps):
     return rm.MetricField.from_function(4, value, partials), to_flat
 
 
+def dense_minkowski(eps):
+    """Minkowski pulled back through the quadratic chart X = x + q(x, x) / 2.
+
+    q^A_{bc} = eps * (a fixed symmetric array of uniform(-1, 1) entries), so
+    the Jacobian J = dX/dx = 1 + q x and the metric g = J^T eta J are dense
+    and vary with x, and so do the partials d_l g_mn = q_l^T eta J + J^T eta
+    q_l (q_l[A, m] = q^A_{lm}): all 16 entries of g and all 64 of its
+    partials are nonzero at a generic point.
+    """
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    q = np.random.default_rng(23).uniform(-1.0, 1.0, (4, 4, 4))
+    q = eps * 0.5 * (q + q.transpose(0, 2, 1))
+
+    def value(x):
+        j = np.eye(4) + q @ x
+        g = j.T @ eta @ j
+        return 0.5 * (g + g.T)
+
+    def partials(x):
+        t = np.einsum("alm,ab,bn->lmn", q, eta, np.eye(4) + q @ x)
+        return t + t.transpose(0, 2, 1)
+
+    return rm.MetricField.from_function(4, value, partials)
+
+
 #: names that chart_field knows
 CHART_FIELDS = ("minkowski", "schwarzschild", "shear", "rank4")
 

@@ -14,7 +14,7 @@ from relmech.geometry import _christoffel_and_inverse, _field_at, contract_all
 from relmech.hamiltonian import _bracket, _dginv, _standard_dh_dx
 from relmech.lagrangian import _velocity_form_pieces
 
-from conftest import random_velocity, shear_minkowski
+from conftest import dense_minkowski, random_velocity, shear_minkowski
 
 METRICS = {
     "minkowski": lambda: rm.minkowski(),
@@ -22,6 +22,7 @@ METRICS = {
     "schwarzschild": lambda: rm.schwarzschild(1.0),
     "diagonal": lambda: rm.diagonal_metric([1.5, -0.75, -2.0, -1.25]),
     "shear": lambda: shear_minkowski(0.9)[0],
+    "dense": lambda: dense_minkowski(0.1),
 }
 SIZES = (1, 4, 37)  # N = m = 4 is where a plain ``t @ u`` broadcasts wrongly
 

@@ -19,7 +19,7 @@ from relmech.checks import (
 )
 from relmech.geometry import _check_point, contract_all
 
-from conftest import shear_minkowski
+from conftest import dense_minkowski, shear_minkowski
 
 DIAG = (1.5, -0.75, -2.0, -1.25)
 
@@ -149,6 +149,20 @@ def test_report_equals_reference_loops(monkeypatch, metric_id, diag, seed):
                         _einsum_christoffel_and_inverse)
     monkeypatch.setattr(relmech.hamiltonian, "_dginv", _einsum_dginv)
     assert report == _reference_checks(metric_id, 150, seed, diag)
+
+
+def test_dginv_equals_einsum_on_a_dense_chart():
+    # all 16 entries of g and all 64 of its partials are nonzero here, so the
+    # matmul sums four terms in its own order; the tolerance is the shear
+    # chart's, for entries that cancel
+    dense = dense_minkowski(0.1)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        x = rng.uniform(-2.0, 2.0, 4)
+        ginv = rm.inverse_metric_at(dense, x)
+        dg = np.asarray(dense.partials(x))
+        np.testing.assert_allclose(relmech.hamiltonian._dginv(ginv, dg),
+                                   _einsum_dginv(ginv, dg), rtol=1e-13, atol=1e-15)
 
 
 def test_six_inversions_per_identity_sample(inversion_count):

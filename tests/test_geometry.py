@@ -11,7 +11,7 @@ from relmech.errors import DimensionMismatch, DomainError, SingularMetric
 from relmech.geometry import fd_partials
 from relmech.hamiltonian import _dginv
 
-from conftest import random_point, shear_minkowski
+from conftest import dense_minkowski, random_point, shear_minkowski
 
 X0 = np.zeros(4)
 X_SCHW = np.array([0.0, 10.0, math.pi / 2, 0.0])
@@ -48,6 +48,33 @@ def test_schwarzschild_domain_guard(schw):
         rm.metric_at(schw, np.array([0.0, 1.5, 1.0, 0.0]))
     with pytest.raises(DomainError):
         rm.metric_at(schw, np.array([0.0, 2.0, 1.0, 0.0]))
+
+
+def test_schwarzschild_domain_messages(schw):
+    # the chart check runs inside value and partials, so every reader raises
+    # it with the same message: a point, the first failing row of a batch,
+    # the N = 1 form and the integrators' stage kernels
+    def message(read):
+        with pytest.raises(DomainError) as info:
+            read()
+        return str(info.value)
+
+    def point(r):
+        return np.array([0.0, r, 1.0, 0.0])
+
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    rows = np.stack([point(5.0), point(2.0), point(1.0)])
+    conn = rm.connection_from(schw, rm.zero_potential(4), 1.0, 0.0)
+    ham = rm.standard_hamiltonian(schw, rm.zero_potential(4), 1.0, 0.0)
+    gf = rm.GTensorField.from_metric(schw)
+    got = [message(lambda: rm.metric_at(schw, point(1.5))),
+           message(lambda: rm.metric_at(schw, rows)),
+           message(lambda: rm.g_value(gf, point(1.9), u)),
+           message(lambda: conn.K._diagonal_acceleration(point(1.25), u)),
+           message(lambda: ham.flow._diagonal_stage(point(1.75), u))]
+    want = [f"schwarzschild chart requires r > 2M = 2; got r = {r}"
+            for r in ("1.5", "2", "1.9", "1.25", "1.75")]
+    assert got == want
 
 
 @pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
@@ -224,9 +251,9 @@ def _bits(a):
     return (np.asarray(a) + 0.0).tobytes()
 
 
-def test_diagonal_row_scaling_equals_einsum(schw):
-    # a diagonal inverse scales rows instead of contracting; the einsum adds
-    # exact zeros, so only the signs of zeros may differ
+def test_diagonal_metric_contractions_equal_einsum(schw):
+    # on a diagonal metric each sum of the contractions has one nonzero
+    # term, so the matmul and the einsum differ at most in the signs of zeros
     rng = np.random.default_rng(17)
     for _ in range(2000):
         x = random_point(schw, rng)
@@ -261,6 +288,18 @@ def test_christoffel_non_diagonal_metric():
         expected = np.zeros((4, 4, 4))
         expected[2, 1, 2] = eps * math.sin(x[2])
         npt.assert_allclose(c, expected, rtol=1e-13, atol=1e-15)
+
+
+def test_christoffel_dense_metric():
+    # every entry of g and of its partials is nonzero, so every sum of the
+    # contraction has four terms, added in the order the matmul chooses; a
+    # symbol that cancels to ~1e-7 keeps the absolute error of the others
+    dense = dense_minkowski(0.1)
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        x = rng.uniform(-2.0, 2.0, 4)
+        npt.assert_allclose(rm.christoffel_at(dense, x), _einsum_christoffel(dense, x),
+                            rtol=1e-13, atol=1e-15)
 
 
 def test_partials_match_finite_differences(schw):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -9,6 +10,7 @@ import relmech as rm
 from relmech.errors import DomainError
 from relmech.geometry import (FD_STEP, _check_condition, _diagonal, _field_at,
                               metric_at)
+from relmech.hamiltonian import _shell_metric
 
 from conftest import (counting_fields, generic, random_point, random_state,
                       same_bits, shear_minkowski)
@@ -77,6 +79,45 @@ def test_mass_scaling_of_shell(mink):
     s = rm.PhaseState(X0, np.array([2.0, 0, 0, 0]))
     npt.assert_allclose(rm.mass_shell_residual(ham, s),
                         ham.value(s.x, s.p) - 1.0, rtol=1e-14)
+
+
+def _reference_mass_shell_residual(h, s, metric=None):
+    """``mass_shell_residual`` as it stood beside ``mass_shell_scalar``, kept
+    verbatim as the reference for the bits of the one through its ``value``."""
+    g = metric_at(_shell_metric(h, metric), s.x)
+    v = rm.legendre_velocity(h, s)
+    return float(v @ g @ v) - 1.0
+
+
+def test_mass_shell_residual_bits_equal_reference(schw, mink, uniform_b):
+    # standard models with their own metric and with another one, and a
+    # non-standard model, which needs metric=, on diagonal metrics and on the
+    # shear chart; a quarter of the momenta have zeroed components
+    coulomb = rm.coulomb_potential(0.8, (5.0, 5.0, 5.0))
+    shear = shear_minkowski(0.9)[0]
+    custom = rm.custom_hamiltonian(4, lambda x, p: 0.5 * float(p @ p) + 0.1 * float(x @ p))
+    cases = [(rm.standard_hamiltonian(schw, rm.zero_potential(4), 1.0, 0.0), None, schw),
+             (rm.standard_hamiltonian(schw, uniform_b, 1.3, 0.7), None, schw),
+             (rm.standard_hamiltonian(mink, coulomb, 0.6, -1.1), None, mink),
+             (rm.standard_hamiltonian(mink, uniform_b, 1.0, 1.0), schw, schw),
+             (rm.standard_hamiltonian(shear, uniform_b, 1.0, 1.0), None, shear),
+             (custom, mink, mink),
+             (custom, schw, schw),
+             (custom, shear, shear)]
+    rng = np.random.default_rng(37)
+    for h, metric, points in cases:
+        for k in range(100):
+            p = rng.standard_normal(4)
+            if k % 4 == 0:
+                p[rng.random(4) < 0.5] = 0.0
+            s = rm.PhaseState(random_point(points, rng), p)
+            assert same_bits(rm.mass_shell_residual(h, s, metric),
+                             _reference_mass_shell_residual(h, s, metric))
+    s = rm.PhaseState(X0, np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValueError) as expected:
+        _reference_mass_shell_residual(custom, s)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        rm.mass_shell_residual(custom, s)
 
 
 # -- velocity map ------------------------------------------------------------------

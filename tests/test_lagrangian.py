@@ -554,6 +554,52 @@ def test_chart_local_rhs_errors_equal_reference(free_model):
             new(free_model, *args)
 
 
+# -- the determined four-acceleration against its reference form ----------------
+
+def _reference_four_acceleration(model, x, u):
+    """``four_acceleration`` as it stood with its own right-hand side, kept
+    verbatim as the reference for the bits of the one through E at a = 0."""
+    g, dg_full, dg_first, g_red, _ = lagrangian._velocity_form_pieces(model, x, u)
+    lagrangian._require_positive(g)
+    n2 = 2 * model.order_half
+    f = faraday_at(model.potential, np.asarray(x, float))
+    rhs = (model.mass * (dg_full / n2 - dg_first)
+           + model.charge * g ** (1.0 - 1.0 / n2) * (f @ u))
+    return np.linalg.solve(model.mass * (n2 - 1) * g_red, rhs)
+
+
+@pytest.mark.parametrize("potential", sorted(_CHART_POTENTIALS))
+@pytest.mark.parametrize("field", CHART_FIELDS)
+def test_four_acceleration_bits_equal_reference(request, field, potential):
+    # 200 seeded states per field and potential over four mass/charge pairs,
+    # a quarter of them with zeroed velocity components, and the message of
+    # every state where G <= 0
+    metric, gf = chart_field(request, field)
+    pot = _CHART_POTENTIALS[potential]()
+    models = [rm.LagrangianModel(gf, pot, mass=mass, charge=charge)
+              for mass, charge in ((1.0, 0.0), (1.0, 1.0), (1.7, -0.4), (0.3, 2.5))]
+    rng = np.random.default_rng([7, CHART_FIELDS.index(field),
+                                 sorted(_CHART_POTENTIALS).index(potential)])
+    for k in range(200):
+        x, u = random_state(metric, gf, rng)
+        if k % 4 == 0:
+            zeroed = np.where(rng.random(4) < 0.5, 0.0, u)
+            if rm.g_value(gf, x, zeroed) > 0.05:
+                u = zeroed
+        model = models[k % len(models)]
+        assert same_bits(rm.four_acceleration(model, x, u),
+                         _reference_four_acceleration(model, x, u))
+    model = models[1]
+    for u in (np.array([0.0, 1.0, 0.0, 0.0]), np.zeros(4), np.array([1.0, 1.0, 0.0, 0.0])):
+        x = random_state(metric, gf, rng)[0]
+        if rm.g_value(gf, x, u) > 0.0:  # a spacelike u of the rank-4 form
+            continue
+        with pytest.raises(NonPositiveG) as expected:
+            _reference_four_acceleration(model, x, u)
+        with pytest.raises(NonPositiveG, match=re.escape(str(expected.value))):
+            rm.four_acceleration(model, x, u)
+
+
 def _counted_model(model):
     """``model`` with counters on G's value and partials and the potential's partials."""
     counts = {"value": 0, "partials": 0, "potential.partials": 0}
