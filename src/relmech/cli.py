@@ -419,7 +419,7 @@ def cmd_check(args) -> int:
     try:
         report = run_invariant_checks(args.metric, samples=args.samples,
                                       seed=args.seed, diag=diag)
-    except (RelMechError, ValueError) as exc:
+    except (RelMechError, ArithmeticError, ValueError) as exc:  # what a sample raises
         raise UsageError(f"check failed: {exc}") from exc
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["pass"] else 1

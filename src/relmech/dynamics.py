@@ -367,7 +367,7 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
             try:
                 form = _diagonal_form(kernel.metric, x)
             except (DomainError, SingularMetric):
-                pass  # g_value reads g alone: the next step's first stage raises it
+                pass  # g_value reads g alone: the next step's first stage raises the rest
         if form is None:
             if projection == "rescale":
                 u[:] = project_to_shell(gfield, x, u)

@@ -162,24 +162,22 @@ def _check_point(x, dim: int, what: str = "point") -> Array:
     return x
 
 
-def _field_at(fn: FieldFn, x: Array, check=None) -> Array:
+def _field_at(fn: FieldFn, x: Array) -> Array:
     """``fn`` at the point ``x``, or at each row of a batch x (..., m) with
-    the results stacked behind the batch axes; ``check`` first, if given.
+    the results stacked behind the batch axes.
 
     Field callables take one point: a vectorised field could round
     differently from its scalar form.
     """
     x = np.asarray(x)
     if x.ndim == 1:
-        if check is not None:
-            check(x)
         return np.asarray(fn(x), dtype=float)
     rows = x.reshape(-1, x.shape[-1])
-    first = _field_at(fn, rows[0], check)
+    first = _field_at(fn, rows[0])
     out = np.empty((len(rows),) + first.shape)  # filled in place: no list of rows
     out[0] = first
     for i in range(1, len(rows)):
-        value = _field_at(fn, rows[i], check)
+        value = _field_at(fn, rows[i])
         if value.shape != first.shape:
             raise DimensionMismatch(
                 f"field value has shape {value.shape} at {rows[i]}, {first.shape} at {rows[0]}"
@@ -197,7 +195,9 @@ class MetricField:
     """A pseudo-Riemannian metric g_{mu nu}(x) on an m-dimensional chart.
 
     ``value(x)`` returns the symmetric m x m matrix, ``partials(x)`` the
-    rank-3 array of coordinate derivatives (derivative index first).  When a
+    rank-3 array of coordinate derivatives (derivative index first).  Both
+    raise :class:`DomainError` at a point outside the chart; every reader of
+    the field calls one of them, so that is where the chart ends.  When a
     field is built without analytic partials, central finite differences of
     ``value`` are used.
     """
@@ -206,7 +206,6 @@ class MetricField:
     value: FieldFn
     partials: FieldFn
     catalog_id: Optional[str] = None
-    domain_check: Optional[Callable[[Array], None]] = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -215,11 +214,15 @@ class MetricField:
 
     @classmethod
     def from_function(cls, dim: int, value: FieldFn,
-                      partials: Optional[FieldFn] = None,
-                      domain_check=None) -> "MetricField":
+                      partials: Optional[FieldFn] = None) -> "MetricField":
+        """Wrap ``value`` and ``partials``, which raise :class:`DomainError`
+        outside the chart.  Without ``partials``, central finite differences
+        of ``value`` are used: the checked ``value`` is then also called at
+        x +- h, so a point within a step h of the chart's edge raises from
+        the partials."""
         if partials is None:
             partials = lambda x: fd_partials(value, x)
-        return cls(dim, value, partials, None, domain_check)
+        return cls(dim, value, partials)
 
 
 def minkowski(dim: int = 4) -> MetricField:
@@ -227,7 +230,7 @@ def minkowski(dim: int = 4) -> MetricField:
     g = np.diag([1.0] + [-1.0] * (dim - 1))
     dg = np.zeros((dim, dim, dim))
     return MetricField(dim, lambda x: g.copy(), lambda x: dg.copy(),
-                       "minkowski", None, {})
+                       "minkowski", {})
 
 
 def euclidean(dim: int = 4) -> MetricField:
@@ -235,7 +238,7 @@ def euclidean(dim: int = 4) -> MetricField:
     g = np.eye(dim)
     dg = np.zeros((dim, dim, dim))
     return MetricField(dim, lambda x: g.copy(), lambda x: dg.copy(),
-                       "euclidean", None, {})
+                       "euclidean", {})
 
 
 def diagonal_metric(entries: Sequence[float]) -> MetricField:
@@ -252,7 +255,7 @@ def diagonal_metric(entries: Sequence[float]) -> MetricField:
     g = np.diag(d)
     dg = np.zeros((d.size,) * 3)
     return MetricField(d.size, lambda x: g.copy(), lambda x: dg.copy(),
-                       "diagonal", None, {"diag": tuple(d)})
+                       "diagonal", {"diag": tuple(d)})
 
 
 def schwarzschild(mass: float = 1.0) -> MetricField:
@@ -296,8 +299,7 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
         dg[2, 3, 3] = -2.0 * r * r * s * c
         return dg
 
-    # no domain_check: value and partials run ``check`` themselves
-    return MetricField(4, value, partials, "schwarzschild", None, {"M": big_m})
+    return MetricField(4, value, partials, "schwarzschild", {"M": big_m})
 
 
 def catalog_metric(name: str, *, dim: int = 4, mass: float = 1.0,
@@ -333,7 +335,7 @@ def metric_at(metric: MetricField, x) -> Array:
     :class:`DimensionMismatch` for a wrong-length point.
     """
     x = _check_point(x, metric.dim)
-    return _field_at(metric.value, x, metric.domain_check)
+    return _field_at(metric.value, x)
 
 
 def inverse_metric_at(metric: MetricField, x) -> Array:
@@ -387,14 +389,12 @@ def _diagonal_form(metric: MetricField, x: Array) -> Optional[Tuple[Array, Array
     Else None, which leaves the point to the general formulas.
 
     The integrators' stage kernels read it at every stage, with ``x`` their
-    own float (m,) slice, so the fields are called directly: the domain
-    check, then ``value``, then ``partials``, as :func:`metric_at` and the
-    general path order them.  A diagonal g passes the condition test of
-    :func:`inverse_metric_at` first, with its bits and message, so a metric
-    that is not diagonal costs one ``value`` call and no ``partials`` call.
+    own float (m,) slice, so the fields are called directly: ``value``, then
+    ``partials``, as the general path orders them.  A diagonal g passes the
+    condition test of :func:`inverse_metric_at` first, with its bits and
+    message, so a metric that is not diagonal costs one ``value`` call and
+    no ``partials`` call.
     """
-    if metric.domain_check is not None:
-        metric.domain_check(x)
     g = np.asarray(metric.value(x), float)
     d = g.diagonal()
     ad = [abs(v) for v in d.tolist()]

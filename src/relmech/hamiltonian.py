@@ -89,13 +89,6 @@ class HamiltonianModel:
     standard: Optional[StandardData] = None
 
 
-def _composed_flow(grad_x: PhaseGrad, grad_p: PhaseGrad) -> PhaseFlow:
-    """The canonical flow (dH/dp, -dH/dx) from two separate gradients."""
-    def flow(x, p):
-        return np.asarray(grad_p(x, p), float), -np.asarray(grad_x(x, p), float)
-    return flow
-
-
 def _dginv(ginv: Array, dg: Array) -> Array:
     """d_lam g^{ab} = -g^{ac} d_lam g_{cd} g^{db}, derivative index first,
     at one point or for a batch (leading axes)."""
@@ -120,22 +113,20 @@ class PhaseTrajectory:
         return self.tau.size
 
 
-def _fd_phase_grads(value: PhaseFn):
-    """Central finite-difference gradients (d_x, d_p) of a phase scalar."""
-    return (lambda x, p: fd_partials(lambda xx: value(xx, p), x),
-            lambda x, p: fd_partials(lambda pp: value(x, pp), p))
-
-
 def custom_hamiltonian(dim: int, value: PhaseFn,
                        grad_x: Optional[PhaseGrad] = None,
                        grad_p: Optional[PhaseGrad] = None) -> HamiltonianModel:
     """Wrap a user-supplied scalar; missing gradients fall back to central
-    finite differences of ``value``."""
-    fd_x, fd_p = _fd_phase_grads(value)
-    grad_x = grad_x if grad_x is not None else fd_x
-    grad_p = grad_p if grad_p is not None else fd_p
-    return HamiltonianModel(dim, value, grad_x, grad_p,
-                            _composed_flow(grad_x, grad_p))
+    finite differences of ``value``.  ``flow`` calls the two gradients."""
+    if grad_x is None:
+        grad_x = lambda x, p: fd_partials(lambda xx: value(xx, p), x)
+    if grad_p is None:
+        grad_p = lambda x, p: fd_partials(lambda pp: value(x, pp), p)
+
+    def flow(x, p):
+        return np.asarray(grad_p(x, p), float), -np.asarray(grad_x(x, p), float)
+
+    return HamiltonianModel(dim, value, grad_x, grad_p, flow)
 
 
 def standard_hamiltonian(metric: MetricField, potential: PotentialField,
@@ -155,37 +146,42 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
         raise ValueError("mass must be positive")
     std = StandardData(metric, potential, m, e)
 
-    def kinetic(x, p):
-        return p - e * _field_at(potential.value, x)
-
     def value(x, p):
-        w = kinetic(x, p)
+        w = _kinetic(std, x, p)
         ginv = inverse_metric_at(metric, x)
         return 0.5 * float(w @ ginv @ w) / m
 
     def grad_p(x, p):
-        w = kinetic(x, p)
+        w = _kinetic(std, x, p)
         return _dot(inverse_metric_at(metric, x), w) / m
 
     def dh_dx(x, w, ginv):
         dg = _field_at(metric.partials, x)
-        da = _field_at(potential.partials, x)
+        da = None if e == 0.0 else _field_at(potential.partials, x)
         return _standard_dh_dx(std, w, ginv, _dginv(ginv, dg), da)
 
     def grad_x(x, p):
-        w = kinetic(x, p)
+        w = _kinetic(std, x, p)
         return dh_dx(x, w, inverse_metric_at(metric, x))
 
     def flow(x, p):
-        w = kinetic(x, p)
+        w = _kinetic(std, x, p)
         ginv = inverse_metric_at(metric, x)
         return _dot(ginv, w) / m, -dh_dx(x, w, ginv)
 
-    flow._diagonal_stage = value._diagonal_stage = _diagonal_stage(std, kinetic)
+    flow._diagonal_stage = value._diagonal_stage = _diagonal_stage(std)
     return HamiltonianModel(metric.dim, value, grad_x, grad_p, flow, std)
 
 
-def _diagonal_stage(std: StandardData, kinetic):
+def _kinetic(std: StandardData, x, p) -> Array:
+    """The kinetic momenta w = p - eA at x, or for a batch; p itself at
+    charge 0, where the potential is not read."""
+    if std.charge == 0.0:
+        return np.asarray(p, dtype=float)
+    return p - std.charge * _field_at(std.potential.value, x)
+
+
+def _diagonal_stage(std: StandardData):
     """``stage(x, p, shell=None) -> (flow, H, d)``: the flow (dH/dp, -dH/dx),
     concatenated, at one phase point where g and its partials are diagonal;
     None elsewhere, which leaves the point to ``flow``.
@@ -202,14 +198,12 @@ def _diagonal_stage(std: StandardData, kinetic):
     stage reads g and its partials once, through
     :func:`geometry._diagonal_form`, in the order of ``flow``, so errors and
     their messages are the same; a zero or non-finite entry gives None.  At
-    charge 0 the potential is not read, as in the geodesic kernel: a point
-    where only the potential fails (a Coulomb center) is integrated, where
-    ``flow`` raises.  The flow holds no -0.
+    charge 0 the potential is not read, as in ``flow``.  The flow holds no -0.
     """
     metric, potential, mass, e = std.metric, std.potential, std.mass, std.charge
 
     def stage(x, p, shell=None):
-        w = p if e == 0.0 else kinetic(x, p)
+        w = _kinetic(std, x, p)
         form = _diagonal_form(metric, x)
         if form is None:
             return None
@@ -228,11 +222,14 @@ def _diagonal_stage(std: StandardData, kinetic):
 
 
 def _standard_dh_dx(std: StandardData, w: Array, ginv: Array, dginv: Array,
-                    da: Array) -> Array:
+                    da: Optional[Array]) -> Array:
     """d_lam H of the standard family from w = p - eA, g^{-1}, its partials
-    and the partials of A at one point, or for a batch (leading axes)."""
+    and the partials of A (None at charge 0, where they are not read) at one
+    point, or for a batch (leading axes)."""
     m, e = std.mass, std.charge
     t_metric = 0.5 * np.einsum("...lab,...a,...b->...l", dginv, w, w) / m
+    if e == 0.0:
+        return t_metric
     t_pot = -(e / m) * np.einsum("...ab,...a,...lb->...l", ginv, w, da)
     return t_metric + t_pot
 
@@ -275,29 +272,27 @@ def mass_shell_scalar(h: HamiltonianModel,
         return float(v @ g @ v) - 1.0
 
     if h.standard is None:
-        fd_x, fd_p = _fd_phase_grads(value)
-        return HamiltonianModel(h.dim, value, fd_x, fd_p, _composed_flow(fd_x, fd_p))
+        return custom_hamiltonian(h.dim, value)
 
     std = h.standard
     e, m2 = std.charge, std.mass ** 2
 
-    def kinetic(x, p):
-        return p - e * _field_at(std.potential.value, x)
-
     def dh_dx(x, w, ginv):
         dg = _field_at(std.metric.partials, x)
-        da = _field_at(std.potential.partials, x)
-        return (np.einsum("...lab,...a,...b->...l", _dginv(ginv, dg), w, w)
-                - 2.0 * e * np.einsum("...ab,...a,...lb->...l", ginv, w, da)) / m2
+        t = np.einsum("...lab,...a,...b->...l", _dginv(ginv, dg), w, w)
+        if e != 0.0:
+            da = _field_at(std.potential.partials, x)
+            t = t - 2.0 * e * np.einsum("...ab,...a,...lb->...l", ginv, w, da)
+        return t / m2
 
     def grad_p(x, p):
-        return 2.0 * _dot(inverse_metric_at(std.metric, x), kinetic(x, p)) / m2
+        return 2.0 * _dot(inverse_metric_at(std.metric, x), _kinetic(std, x, p)) / m2
 
     def grad_x(x, p):
-        return dh_dx(x, kinetic(x, p), inverse_metric_at(std.metric, x))
+        return dh_dx(x, _kinetic(std, x, p), inverse_metric_at(std.metric, x))
 
     def flow(x, p):
-        w = kinetic(x, p)
+        w = _kinetic(std, x, p)
         ginv = inverse_metric_at(std.metric, x)
         return 2.0 * _dot(ginv, w) / m2, -dh_dx(x, w, ginv)
 

@@ -895,6 +895,17 @@ def test_check_singular_metric_names_first_sample(capsys, diag, cond):
                    f"[-0.24378591  1.09775352  1.19003091  0.9864372 ] (cond ~ {cond})\n")
 
 
+@pytest.mark.parametrize("diag", ["1e308,-1e308,-1,-1", "5e-324,-5e-324,-5e-324,-5e-324"])
+def test_check_arithmetic_error_exits_2(capsys, diag):
+    # variational_derivative raises ArithmeticError on these: one error line
+    code, out, err = run_cli(capsys, "check", "--metric", "diagonal", f"--diag={diag}",
+                             "--samples", "50")
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err)
+    assert err.startswith("check failed: ")
+
+
 @pytest.mark.parametrize("diag", ["1,0,-1,-1", "1,nan,-1,-1"])
 def test_check_zero_or_non_finite_diag_exits_2(capsys, diag):
     with warnings.catch_warnings():

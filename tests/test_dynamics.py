@@ -492,14 +492,15 @@ def test_failures_match_reference_loop(schw, schw_gf, mink_gf):
 
 
 def test_settled_point_error_names_the_next_step(schw, schw_gf):
-    # a domain check that only the settled point of step 13 fails (r there is
-    # below every stage point of that step): a monitor that reads g alone
-    # passes it, so the error is step 14's, at its first stage
+    # a wall that only the settled point of step 13 is behind (r there is
+    # below every stage point of that step): a monitor that reads another
+    # metric (schw_gf) passes it, so the error is step 14's, at its first stage
     def wall(x):
         if x[1] < 2.54843075:
             raise DomainError(f"r = {x[1]:.9f} is inside the wall")
 
-    metric = rm.MetricField.from_function(4, schw.value, schw.partials, wall)
+    metric = rm.MetricField.from_function(4, lambda x: (wall(x), schw.value(x))[1],
+                                          lambda x: (wall(x), schw.partials(x))[1])
     x0 = np.array([0.0, 3.0, math.pi / 2, 0.0])
     u0 = rm.project_to_shell(schw_gf, x0, np.array([2.0, -0.5, 0.0, 0.0]))
     conn = rm.levi_civita_connection(metric)

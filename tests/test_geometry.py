@@ -77,6 +77,35 @@ def test_schwarzschild_domain_messages(schw):
     assert got == want
 
 
+def test_every_reader_respects_the_wall():
+    # a chart that ends at x^1 = 4, walled in value and partials: every
+    # reader of the field calls one of them, so each raises the wall's error
+    def wall(x):
+        if not x[1] >= 4.0:
+            raise DomainError(f"x^1 = {x[1]:g} is behind the wall")
+
+    eta = np.diag([1.0, -1.0, -1.0, -1.0])
+    walled = rm.MetricField.from_function(4, lambda x: (wall(x), eta.copy())[1],
+                                          lambda x: (wall(x), np.zeros((4, 4, 4)))[1])
+    gf = rm.GTensorField.from_metric(walled)
+    x = np.array([0.0, 3.0, 0.0, 0.0])
+    u = np.array([1.25, 0.75, 0.0, 0.0])
+    three = rm.ThreeVelocity(0.0, x[1:], np.array([0.6, 0.0, 0.0]))
+    readers = [
+        lambda: rm.g_value(gf, x, u),
+        lambda: rm.project_to_shell(gf, x, u),
+        lambda: rm.four_from_three(three, gf),
+        lambda: rm.lift_three_solution([three], gf),
+        lambda: rm.euler_lagrange_E(rm.LagrangianModel(gf, rm.zero_potential(4)),
+                                    x, u, np.zeros(4)),
+        lambda: rm.integrate_geodesic(rm.levi_civita_connection(walled), gf,
+                                      rm.FourState(x, u), 0.1, 10),
+    ]
+    for read in readers:
+        with pytest.raises(DomainError, match="^x\\^1 = 3 is behind the wall$"):
+            read()
+
+
 @pytest.mark.parametrize("mass", [0.0, -1.0, math.nan])
 def test_schwarzschild_rejects_mass_that_is_not_positive(mass):
     with pytest.raises(ValueError, match="mass must be positive"):

@@ -555,8 +555,8 @@ def test_domain_exit_keeps_message_and_tau(schw, schw_gf, free_ham):
             raise DomainError(f"t = {x[0]:g} is past the wall")
 
     eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    walled = rm.MetricField(4, lambda x: eta.copy(), lambda x: np.zeros((4, 4, 4)),
-                            domain_check=wall)
+    walled = rm.MetricField(4, lambda x: (wall(x), eta.copy())[1],
+                            lambda x: (wall(x), np.zeros((4, 4, 4)))[1])
     monitor = (free_ham, rm.PhaseState(X0, np.array([1.0, 0, 0, 0])), walled)
 
     for h, s0, metric in (plunge, monitor):
