@@ -13,6 +13,7 @@ agreement:
 """
 
 from .errors import (
+    COMPUTATION_ERRORS,
     ConstraintUnreachable,
     DimensionMismatch,
     DomainError,

@@ -26,7 +26,7 @@ from .dynamics import (
     levi_civita_connection,
     project_to_shell,
 )
-from .errors import ConstraintUnreachable, RelMechError
+from .errors import COMPUTATION_ERRORS, ConstraintUnreachable
 from .geometry import (
     GTensorField,
     MetricField,
@@ -63,11 +63,6 @@ _CHECK_B = (0.0, 0.0, 0.7)
 
 # samples evaluated per batched call; bounds the memory a check uses
 _BLOCK = 1024
-
-# what drawing or evaluating a sample raises on bad input: a floating-point
-# exception (FloatingPointError is an ArithmeticError), a LinAlgError (a
-# ValueError) or a relmech error
-_SAMPLE_ERRORS = (RelMechError, ArithmeticError, ValueError)
 
 
 def sample_point(metric: MetricField, rng: np.random.Generator) -> np.ndarray:
@@ -132,7 +127,7 @@ def _block_residuals(identity, rows) -> list:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return np.ravel(identity(*columns)).tolist()
-    except _SAMPLE_ERRORS:
+    except COMPUTATION_ERRORS:
         return [r for row in rows for r in np.ravel(identity(*row)).tolist()]
 
 
@@ -149,7 +144,7 @@ def _worst(identity, draw, samples: int) -> float:
         try:
             for _ in range(min(_BLOCK, samples - start)):
                 rows.append(draw())
-        except _SAMPLE_ERRORS:
+        except COMPUTATION_ERRORS:
             if rows:  # a failure among the samples drawn before comes first
                 _block_residuals(identity, rows)
             raise

@@ -9,7 +9,7 @@ compare CONFIG    integrate the geodesic and Hamiltonian pictures from
                   matched initial data and report their divergence
 
 Exit codes: 0 success, 1 invariant/divergence failure, 2 usage or config
-error, 3 runtime integration failure.
+error or a failed check, 3 a failed boost or integration.
 
 Configs are INI files with sections scenario, manifold, potential, particle,
 integrator, output (and optionally compare); a section or key outside
@@ -35,8 +35,8 @@ import numpy as np
 from .checks import run_invariant_checks
 from .dynamics import (Trajectory, connection_from, integrate_geodesic,
                        project_to_shell)
-from .errors import (DimensionMismatch, DomainError, ProjectiveInfinity,
-                     RelMechError, StepRejected)
+from .errors import (COMPUTATION_ERRORS, DimensionMismatch, DomainError,
+                     StepRejected)
 from .geometry import (
     CATALOG_IDS,
     GTensorField,
@@ -76,6 +76,13 @@ CONFIG_KEYS = {
     "output": ("csv", "every"),
     "compare": ("tolerance", "hamiltonian_charge"),
 }
+#: the line prefix and exit code of a subcommand whose computation fails
+_FAILURES = {
+    "simulate": ("integration failed", 3),
+    "check": ("check failed", 2),
+    "boost": ("boost failed", 3),
+    "compare": ("integration failed", 3),
+}
 
 
 class UsageError(Exception):
@@ -84,10 +91,6 @@ class UsageError(Exception):
 
 class ConfigError(UsageError):
     """Invalid configuration; the message names the offending key."""
-
-
-class RunFailed(Exception):
-    """A command that cannot finish on valid input: exit code 3."""
 
 
 def _fmt(value: float) -> str:
@@ -416,11 +419,8 @@ def cmd_check(args) -> int:
     diag = None
     if args.metric == "diagonal":
         diag = _reals(args.diag if args.diag is not None else "1,-1,-1,-1", "--diag")
-    try:
-        report = run_invariant_checks(args.metric, samples=args.samples,
-                                      seed=args.seed, diag=diag)
-    except (RelMechError, ArithmeticError, ValueError) as exc:  # what a sample raises
-        raise UsageError(f"check failed: {exc}") from exc
+    report = run_invariant_checks(args.metric, samples=args.samples,
+                                  seed=args.seed, diag=diag)
     print(json.dumps(report, indent=2, sort_keys=True))
     return 0 if report["pass"] else 1
 
@@ -434,11 +434,9 @@ def cmd_boost(args) -> int:
     try:
         with np.errstate(over="raise", invalid="raise"):
             out = boost_three(args.alpha, v)
-    except ProjectiveInfinity as exc:
-        raise RunFailed(f"boost failed: {exc}") from exc
     except (OverflowError, FloatingPointError) as exc:
-        raise RunFailed(f"boost failed: the boost by rapidity {_fmt(args.alpha)} "
-                        "overflows a float") from exc
+        raise ArithmeticError(f"the boost by rapidity {_fmt(args.alpha)} "
+                              "overflows a float") from exc
     print(",".join(_fmt(val) for val in out))
     return 0
 
@@ -514,12 +512,11 @@ def main(argv=None) -> int:
             message, code = f"config error: {exc}", 2
         except UsageError as exc:
             message, code = str(exc), 2
-        except RunFailed as exc:
-            message, code = str(exc), 3
-        except (RelMechError, np.linalg.LinAlgError) as exc:  # a run that cannot go on
+        except COMPUTATION_ERRORS as exc:  # a computation that cannot go on
+            prefix, code = _FAILURES[args.command]
             tau = getattr(exc, "tau", None)
             where = f" (last good tau = {_fmt(tau)})" if tau is not None else ""
-            message, code = f"integration failed{where}: {exc}", 3
+            message = f"{prefix}{where}: {exc}"
         else:
             message = "\n".join(f"warning: {w.message}" for w in caught)
     if message:

@@ -1,8 +1,26 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+:data:`COMPUTATION_ERRORS` is what a computation on valid input may raise
+when it fails: a :class:`RelMechError`, a floating-point exception
+(``OverflowError`` and numpy's ``FloatingPointError`` are ``ArithmeticError``)
+or a ``ValueError`` (numpy's ``LinAlgError`` is one).  Every caller that
+recovers from, or reports, a failed computation catches this one tuple.
+"""
 
 
 class RelMechError(Exception):
-    """Base class for all errors raised by relmech."""
+    """Base class for all errors raised by relmech.
+
+    ``tau`` carries the last good curve parameter when the error occurs
+    inside an integration loop, else None.
+    """
+
+    def __init__(self, message: str, tau: float | None = None):
+        super().__init__(message)
+        self.tau = tau
+
+
+COMPUTATION_ERRORS = (RelMechError, ArithmeticError, ValueError)
 
 
 class DimensionMismatch(RelMechError):
@@ -10,15 +28,7 @@ class DimensionMismatch(RelMechError):
 
 
 class DomainError(RelMechError):
-    """A point lies outside the domain of a field or chart.
-
-    ``tau`` carries the last good curve parameter when the error occurs
-    inside an integration loop.
-    """
-
-    def __init__(self, message: str, tau: float | None = None):
-        super().__init__(message)
-        self.tau = tau
+    """A point lies outside the domain of a field or chart."""
 
 
 class SingularMetric(RelMechError):
@@ -51,7 +61,3 @@ class NonPositiveG(RelMechError):
 
 class StepRejected(RelMechError):
     """Integration produced a non-finite state."""
-
-    def __init__(self, message: str, tau: float | None = None):
-        super().__init__(message)
-        self.tau = tau

@@ -75,15 +75,7 @@ def symmetrize(t: Array) -> Array:
 
 def _symmetrize_tail(t: Array) -> Array:
     """Symmetrize over every axis except the first (derivative) one."""
-    t = np.asarray(t, dtype=float)
-    k = t.ndim - 1
-    if k <= 1:
-        return t
-    out = np.zeros_like(t)
-    for perm in itertools.permutations(range(1, k + 1)):
-        out += t.transpose((0,) + perm)
-    out /= math.factorial(k)
-    return out
+    return np.stack([symmetrize(s) for s in np.asarray(t, dtype=float)])
 
 
 def contract_all(t: Array, u: Array, count: int) -> Array:

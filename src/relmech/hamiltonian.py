@@ -261,8 +261,8 @@ def mass_shell_scalar(h: HamiltonianModel,
     For the standard family the gradients are analytic (computed from the
     explicit form g^{ab}(p - eA)(p - eA)/mass^2 - 1, independently of the
     gradients of H) and ``flow`` shares one metric inversion between them;
-    all three also take batches x, p (..., m).  Otherwise they fall back to
-    finite differences.
+    all three also take batches x, p (..., m).  Otherwise, or when ``metric``
+    is not the model's own, they fall back to finite differences of ``value``.
     """
     shell_metric = _shell_metric(h, metric)
 
@@ -271,7 +271,7 @@ def mass_shell_scalar(h: HamiltonianModel,
         v = np.asarray(h.grad_p(x, p), float)
         return float(v @ g @ v) - 1.0
 
-    if h.standard is None:
+    if h.standard is None or shell_metric is not h.standard.metric:
         return custom_hamiltonian(h.dim, value)
 
     std = h.standard
@@ -344,16 +344,18 @@ def on_shell_momentum(h: HamiltonianModel, x, u) -> Array:
     """Momenta matching a four-velocity: p = mass g u + charge A.
 
     Standard family only.  When g(u, u) = 1 the resulting phase point lies on
-    the mass shell and legendre_velocity maps it back to u.
+    the mass shell and legendre_velocity maps it back to u.  At charge 0 the
+    potential is not read.
     """
     if h.standard is None:
         raise ValueError("on_shell_momentum requires a standard-family Hamiltonian")
     std = h.standard
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    g = metric_at(std.metric, x)
-    a_form = np.asarray(std.potential.value(x), float)
-    return std.mass * (g @ u) + std.charge * a_form
+    p = std.mass * (metric_at(std.metric, x) @ u)
+    if std.charge == 0.0:
+        return p
+    return p + std.charge * np.asarray(std.potential.value(x), float)
 
 
 def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
@@ -363,7 +365,8 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     at the momenta p(x, u) of :func:`on_shell_momentum`.  For the standard
     family this equals the geodesic right-hand side of the charged connection
     built from the same metric and potential.  Takes one state or a batch
-    x, u (..., m).
+    x, u (..., m).  At charge 0 neither the potential nor its partials are
+    read.
     """
     if h.standard is None:
         raise ValueError("second_order_rhs requires a standard-family Hamiltonian")
@@ -373,20 +376,20 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     m, e = std.mass, std.charge
     g = metric_at(std.metric, x)
     ginv = inverse_metric_at(std.metric, x)
-    dg = _field_at(std.metric.partials, x)
-    da = _field_at(std.potential.partials, x)
-    dginv = _dginv(ginv, dg)
+    dginv = _dginv(ginv, _field_at(std.metric.partials, x))
 
-    ea = e * _field_at(std.potential.value, x)
     w = m * _dot(g, u)                   # kinetic momenta p - eA
-    p = w + ea
     gp = _dot(ginv, w) / m               # dH/dp, equals u up to rounding
     # mixed[lam, mu] = d_mu dH/dp_lam
-    mixed = (np.einsum("...mln,...n->...lm", dginv, w)
-             - e * np.einsum("...ln,...mn->...lm", ginv, da)) / m
-    # dH/dx at p, with p - eA recomputed from p as H's own gradient does
-    gx = _standard_dh_dx(std, p - ea, ginv, dginv, da)
-    return _dot(mixed, gp) - _dot(ginv, gx) / m
+    mixed = np.einsum("...mln,...n->...lm", dginv, w)
+    da = None
+    if e != 0.0:
+        da = _field_at(std.potential.partials, x)
+        mixed = mixed - e * np.einsum("...ln,...mn->...lm", ginv, da)
+        ea = e * _field_at(std.potential.value, x)
+        w = (w + ea) - ea  # p - eA recomputed from p, as H's own gradient does
+    gx = _standard_dh_dx(std, w, ginv, dginv, da)  # dH/dx at p
+    return _dot(mixed / m, gp) - _dot(ginv, gx) / m
 
 
 def _phase_stage(h: HamiltonianModel):

@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import (
+    COMPUTATION_ERRORS,
     ConstraintUnreachable,
     DimensionMismatch,
     DomainError,
@@ -244,7 +245,7 @@ def lift_three_solution(samples: Iterable, gfield: GTensorField,
         gbar = g_value(gfield, xs, uhat)
         if _first_failure(gbar > 0.0) is not None:
             raise ConstraintUnreachable("a reduced form Gbar is not positive")
-    except Exception:  # lifted one by one, the first failing sample raises its own error
+    except COMPUTATION_ERRORS:  # lifted one by one, the first failing sample raises its own error
         for p in pts:
             four_from_three(p, gfield, sign)
         raise

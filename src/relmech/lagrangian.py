@@ -364,7 +364,7 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     y0 = np.concatenate(([last.q0], last.q, last.v))
     try:
         samples = _rk4(rhs, y0, last, dt, steps, settle)[2]
-    except StepRejected as exc:  # a non-finite stage or step
+    except (StepRejected, ArithmeticError) as exc:  # an overflowing stage, a non-finite state
         raise StepRejected("non-finite chart state (last good chart time "
                            f"q^0 = {last.q0:.17g})") from exc
     except (DomainError, NonPositiveG) as exc:  # left the domain or the timelike region

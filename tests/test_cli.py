@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import relmech.cli as cli
 import relmech.lagrangian as lagrangian
 from relmech.cli import main
-from relmech.errors import DomainError
+from relmech.errors import DomainError, RelMechError
 from relmech.geometry import PotentialField, faraday_at
 
 LN2 = math.log(2.0)
@@ -1304,6 +1304,51 @@ def test_overflow_during_run_is_one_line(tmp_path, capsys, kind):
     assert out == ""
     assert_one_line_error(err)
     assert err.startswith("integration failed")
+
+
+def test_three_velocity_overflow_in_a_stage_exits_3(tmp_path, capsys):
+    # Gbar ** (e1 + 1) overflows in the first stage: a non-finite chart state
+    cfg = write_scenario(tmp_path, {"scenario.kind": "three_velocity",
+                                    "manifold.metric": "diagonal",
+                                    "manifold.diag": "1e250, -1, -1, -1",
+                                    "potential.kind": "none", "particle.u0": None,
+                                    "particle.v0": "0.1, 0, 0"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "simulate", cfg)
+    assert code == 3
+    assert out == ""
+    assert err == ("integration failed: non-finite chart state "
+                   "(last good chart time q^0 = 0)\n")
+
+
+@pytest.mark.parametrize("error", [ArithmeticError("overflow in a stage"),
+                                   ValueError("no finite value"),
+                                   np.linalg.LinAlgError("singular matrix"),
+                                   RelMechError("the run cannot go on")])
+@pytest.mark.parametrize("command, entry, prefix, want", [
+    ("check", "run_invariant_checks", "check failed", 2),
+    ("boost", "boost_three", "boost failed", 3),
+    ("simulate", "integrate_geodesic", "integration failed", 3),
+    ("compare", "integrate_hamiltonian", "integration failed", 3),
+])
+def test_failed_computation_is_one_line_per_command(tmp_path, capsys, monkeypatch,
+                                                    error, command, entry, prefix, want):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, entry, fail)
+    if command == "check":
+        argv = ["--metric", "minkowski", "--samples", "5"]
+    elif command == "boost":
+        argv = ["--alpha", "0.5", "--v", "0.1,0,0"]
+    else:
+        argv = [write_scenario(tmp_path, {"scenario.kind": "compare"}
+                               if command == "compare" else {})]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == want
+    assert out == ""
+    assert err == f"{prefix}: {error}\n"
 
 
 @pytest.mark.parametrize("command, kind", [("simulate", "hamiltonian"), ("compare", "compare")])

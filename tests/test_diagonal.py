@@ -244,3 +244,12 @@ def test_charge_zero_reads_no_potential(mink):
     shell, free_shell = rm.mass_shell_scalar(ham), rm.mass_shell_scalar(free)
     for got, ref in zip(shell.flow(want.x, want.p), free_shell.flow(want.x, want.p)):
         assert same_bits(got, ref)
+    # nor do the start momenta and the second-order reduction, at the center itself
+    center, u = want.x[10], np.array([1.25, 0.5, -0.25, 0.5])
+    assert same_bits(rm.on_shell_momentum(ham, center, u),
+                     rm.on_shell_momentum(free, center, u))
+    assert same_bits(rm.second_order_rhs(ham, center, u),
+                     rm.second_order_rhs(free, center, u))
+    us = np.tile(u, (len(want), 1))
+    assert same_bits(rm.second_order_rhs(ham, want.x, us),
+                     rm.second_order_rhs(free, want.x, us))

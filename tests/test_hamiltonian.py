@@ -9,7 +9,7 @@ import pytest
 import relmech as rm
 from relmech.errors import DomainError
 from relmech.geometry import (FD_STEP, _check_condition, _diagonal, _field_at,
-                              metric_at)
+                              fd_partials, metric_at)
 from relmech.hamiltonian import _shell_metric
 
 from conftest import (counting_fields, generic, random_point, random_state,
@@ -118,6 +118,20 @@ def test_mass_shell_residual_bits_equal_reference(schw, mink, uniform_b):
         _reference_mass_shell_residual(custom, s)
     with pytest.raises(ValueError, match=re.escape(str(expected.value))):
         rm.mass_shell_residual(custom, s)
+
+
+def test_shell_gradients_follow_an_overriding_metric(schw_ham, mink):
+    # with another metric than the model's own, the gradients are those of
+    # the scalar that ``value`` computes, not of the model's own H_T
+    shell = rm.mass_shell_scalar(schw_ham, mink)
+    x, p = np.array([0.0, 6.0, 1.2, 0.3]), np.array([0.9, 0.2, 0.1, 0.3])
+    want_x = fd_partials(lambda xx: shell.value(xx, p), x)
+    want_p = fd_partials(lambda pp: shell.value(x, pp), p)
+    npt.assert_allclose(shell.grad_x(x, p), want_x, rtol=1e-6, atol=1e-9)
+    npt.assert_allclose(shell.grad_p(x, p), want_p, rtol=1e-6, atol=1e-9)
+    flow_p, flow_x = shell.flow(x, p)
+    npt.assert_allclose(flow_p, want_p, rtol=1e-6, atol=1e-9)
+    npt.assert_allclose(flow_x, -want_x, rtol=1e-6, atol=1e-9)
 
 
 # -- velocity map ------------------------------------------------------------------
