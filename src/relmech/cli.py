@@ -374,6 +374,14 @@ def _configure(config_path: str, command: str):
         raise ConfigError(f"particle.x0: outside the manifold domain ({exc})") from exc
     if not np.all(np.isfinite(g0)):
         raise ConfigError("particle.x0: the metric is not finite at x0")
+    ham_charge = cfg.compare_hamiltonian_charge if command == "compare" else 0.0
+    if cfg.charge != 0.0 or ham_charge != 0.0:  # a charge-0 run never reads A
+        try:
+            cfg.potential.value(cfg.x0)
+            cfg.potential.partials(cfg.x0)
+        except DomainError as exc:
+            raise ConfigError("particle.x0: outside the potential's domain "
+                              f"({exc})") from exc
     # G(x0, u) of the configured velocity; a three-velocity v0 has u = (1, v0)
     key, u = (("u0", cfg.u0) if cfg.u0 is not None
               else ("v0", np.concatenate(([1.0], cfg.v0))))

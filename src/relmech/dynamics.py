@@ -46,14 +46,13 @@ PROJECTION_MODES = ("none", "rescale")
 class Connection:
     """Connection coefficients K^mu_lam(x, u) on the tangent bundle.
 
-    ``K(x, u)[mu, lam]`` is K^mu_lam.  When the connection was built from a
-    metric, ``metric`` and ``soldering`` record the decomposition
+    ``K(x, u)[mu, lam]`` is K^mu_lam.  A connection built by
+    :func:`connection_from` records its force term as ``soldering``:
     K = (metric symbols contracted with u) + soldering.
     """
 
     dim: int
     K: KFn
-    metric: Optional[MetricField] = None
     soldering: Optional[KFn] = None
 
 
@@ -70,9 +69,6 @@ class Trajectory:
     x: Array
     u: Array
     G: Array
-    integrator: str
-    dt: Optional[float]
-    projection: str
     max_constraint_drift: float
 
     def __len__(self) -> int:
@@ -87,7 +83,10 @@ def connection_from(metric: MetricField, potential: PotentialField,
     where C are the metric's connection symbols (see geometry docs for the
     sign convention).  With charge/mass = 1 this is the canonical charged
     connection; charge = 0 gives the pure metric (Levi-Civita) connection.
-    ``K`` and ``soldering`` also take batches x, u (..., m).
+    ``K`` and ``soldering`` also take batches x, u (..., m).  The connection
+    holds no metric: the O(m^2) kernel on ``K`` holds its own
+    (:func:`_diagonal_acceleration`), so a ``K`` copied into another
+    Connection keeps it.
     """
     if metric.dim != potential.dim:
         raise ValueError("metric and potential dimensions differ")
@@ -107,7 +106,7 @@ def connection_from(metric: MetricField, potential: PotentialField,
         return k
 
     coeffs._diagonal_acceleration = _diagonal_acceleration(metric, potential, ratio)
-    return Connection(metric.dim, coeffs, metric, soldering)
+    return Connection(metric.dim, coeffs, soldering)
 
 
 def _diagonal_acceleration(metric: MetricField, potential: PotentialField,
@@ -390,8 +389,5 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
         x=ys[:, :m],
         u=ys[:, m:],
         G=np.asarray(gs),
-        integrator="rk4",
-        dt=dt,
-        projection=projection,
         max_constraint_drift=drift,
     )

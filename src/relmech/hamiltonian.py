@@ -105,8 +105,6 @@ class PhaseTrajectory:
     p: Array
     H: Array
     HT: Array
-    integrator: str
-    dt: Optional[float]
     max_shell_drift: float
 
     def __len__(self) -> int:
@@ -135,8 +133,9 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
 
     The factor 1/2 makes the shell residual equal (2/mass) H - 1 and the flow
     velocity dH/dp = g^{-1}(p - eA)/mass, so states on the shell map to unit
-    vectors g(u, u) = 1.  ``grad_x``, ``grad_p`` and ``flow`` also take
-    batches x, p (..., m); ``value`` takes one point.
+    vectors g(u, u) = 1.  ``grad_x`` is the negated second half of ``flow``.
+    ``grad_x``, ``grad_p`` and ``flow`` also take batches x, p (..., m);
+    ``value`` takes one point.
     """
     if metric.dim != potential.dim:
         raise DimensionMismatch("metric and potential dimensions differ")
@@ -155,22 +154,16 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
         w = _kinetic(std, x, p)
         return _dot(inverse_metric_at(metric, x), w) / m
 
-    def dh_dx(x, w, ginv):
-        dg = _field_at(metric.partials, x)
-        da = None if e == 0.0 else _field_at(potential.partials, x)
-        return _standard_dh_dx(std, w, ginv, _dginv(ginv, dg), da)
-
-    def grad_x(x, p):
-        w = _kinetic(std, x, p)
-        return dh_dx(x, w, inverse_metric_at(metric, x))
-
     def flow(x, p):
         w = _kinetic(std, x, p)
         ginv = inverse_metric_at(metric, x)
-        return _dot(ginv, w) / m, -dh_dx(x, w, ginv)
+        dginv = _dginv(ginv, _field_at(metric.partials, x))
+        da = None if e == 0.0 else _field_at(potential.partials, x)
+        return _dot(ginv, w) / m, -_standard_dh_dx(std, w, ginv, dginv, da)
 
     flow._diagonal_stage = value._diagonal_stage = _diagonal_stage(std)
-    return HamiltonianModel(metric.dim, value, grad_x, grad_p, flow, std)
+    return HamiltonianModel(metric.dim, value, lambda x, p: -flow(x, p)[1],
+                            grad_p, flow, std)
 
 
 def _kinetic(std: StandardData, x, p) -> Array:
@@ -261,8 +254,9 @@ def mass_shell_scalar(h: HamiltonianModel,
     For the standard family the gradients are analytic (computed from the
     explicit form g^{ab}(p - eA)(p - eA)/mass^2 - 1, independently of the
     gradients of H) and ``flow`` shares one metric inversion between them;
-    all three also take batches x, p (..., m).  Otherwise, or when ``metric``
-    is not the model's own, they fall back to finite differences of ``value``.
+    ``grad_x`` is the negated second half of ``flow``, and all three also
+    take batches x, p (..., m).  Otherwise, or when ``metric`` is not the
+    model's own, they fall back to finite differences of ``value``.
     """
     shell_metric = _shell_metric(h, metric)
 
@@ -277,26 +271,20 @@ def mass_shell_scalar(h: HamiltonianModel,
     std = h.standard
     e, m2 = std.charge, std.mass ** 2
 
-    def dh_dx(x, w, ginv):
+    def grad_p(x, p):
+        return 2.0 * _dot(inverse_metric_at(std.metric, x), _kinetic(std, x, p)) / m2
+
+    def flow(x, p):
+        w = _kinetic(std, x, p)
+        ginv = inverse_metric_at(std.metric, x)
         dg = _field_at(std.metric.partials, x)
         t = np.einsum("...lab,...a,...b->...l", _dginv(ginv, dg), w, w)
         if e != 0.0:
             da = _field_at(std.potential.partials, x)
             t = t - 2.0 * e * np.einsum("...ab,...a,...lb->...l", ginv, w, da)
-        return t / m2
+        return 2.0 * _dot(ginv, w) / m2, -(t / m2)
 
-    def grad_p(x, p):
-        return 2.0 * _dot(inverse_metric_at(std.metric, x), _kinetic(std, x, p)) / m2
-
-    def grad_x(x, p):
-        return dh_dx(x, _kinetic(std, x, p), inverse_metric_at(std.metric, x))
-
-    def flow(x, p):
-        w = _kinetic(std, x, p)
-        ginv = inverse_metric_at(std.metric, x)
-        return 2.0 * _dot(ginv, w) / m2, -dh_dx(x, w, ginv)
-
-    return HamiltonianModel(h.dim, value, grad_x, grad_p, flow)
+    return HamiltonianModel(h.dim, value, lambda x, p: -flow(x, p)[1], grad_p, flow)
 
 
 def hamiltonian_vector_field(h: HamiltonianModel, s: PhaseState):
@@ -474,7 +462,5 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
         H=np.asarray([float(h.value(y[:m], y[m:])) if hv is None else hv
                       for y, hv in zip(ys, hs)]),
         HT=np.asarray(hts),
-        integrator="rk4",
-        dt=dt,
         max_shell_drift=drift,
     )

@@ -269,8 +269,5 @@ def lift_three_solution(samples: Iterable, gfield: GTensorField,
         x=xs,
         u=us,
         G=gs,
-        integrator="three-velocity lift",
-        dt=None,
-        projection="none",
         max_constraint_drift=float(np.max(np.abs(gs - 1.0))),
     )

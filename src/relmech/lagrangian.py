@@ -276,7 +276,8 @@ def _three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w):
     """:func:`three_euler_lagrange` with the pieces :func:`three_acceleration`
     reuses: (Ebar, g_red, c, Gbar, 2N), with g_red and c as in its docstring.
 
-    G and its partials, the potential's partials and Gbar are evaluated once.
+    G and its partials, the potential's partials and Gbar are evaluated once;
+    at charge 0 the potential is not read.
     """
     x, uhat, gt, gbar, n2 = _reduced_pieces(model, t)
     w = np.asarray(w, dtype=float)
@@ -298,10 +299,12 @@ def _three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w):
     e1 = 1.0 - 1.0 / n2
     momentum_rate = d0_c / gbar ** e1 - e1 * c * d0_gbar / gbar ** (e1 + 1.0)
 
-    f = faraday_at(model.potential, x)
-    force = f[1:, 1:] @ t.v + f[1:, 0]
-    ebar = (model.mass * (dgbar_coord[1:] / (n2 * gbar ** e1) - momentum_rate[1:])
-            + model.charge * force)
+    ebar = model.mass * (dgbar_coord[1:] / (n2 * gbar ** e1) - momentum_rate[1:])
+    if model.charge == 0.0:
+        ebar += 0.0  # what 0 * force adds with a zero potential
+    else:
+        f = faraday_at(model.potential, x)
+        ebar += model.charge * (f[1:, 1:] @ t.v + f[1:, 0])
     return ebar, g_red, c, gbar, n2
 
 

@@ -794,6 +794,33 @@ def test_metric_not_finite_at_x0_names_x0(tmp_path, capsys):
     assert err.startswith("config error: particle.x0: ")
 
 
+AT_COULOMB_CENTER = {
+    "potential.kind": "coulomb", "potential.q": "1", "potential.center": "0.5, 0, 0",
+    "particle.x0": "0, 0.5, 0, 0", "particle.u0": None, "particle.v0": "0.1, 0, 0",
+}
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "hamiltonian", "three_velocity", "compare"])
+def test_x0_at_the_potential_singularity_names_x0(tmp_path, capsys, kind):
+    # a charged run reads A at x0 (for compare: charge or hamiltonian_charge);
+    # a charge-0 run never reads A and starts there
+    command = "compare" if kind == "compare" else "simulate"
+    charged = [{"particle.charge": "0.5"}]
+    if kind == "compare":
+        charged.append({"particle.charge": "0", "compare.hamiltonian_charge": "0.5"})
+    for changes in charged:
+        cfg = write_scenario(tmp_path, {**AT_COULOMB_CENTER, **changes,
+                                        "scenario.kind": kind})
+        code, out, err = run_cli(capsys, command, cfg)
+        assert (code, out) == (2, "")
+        assert err == ("config error: particle.x0: outside the potential's domain "
+                       "(coulomb potential is singular at its center)\n")
+    cfg = write_scenario(tmp_path, {**AT_COULOMB_CENTER, "particle.charge": "0",
+                                    "scenario.kind": kind})
+    code, _, err = run_cli(capsys, command, cfg)
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("key, named", [
     ("integrator.stpes", "config error: integrator.stpes: unknown key"),
     ("scenario.kidn", "config error: scenario.kidn: unknown key"),

@@ -253,3 +253,15 @@ def test_charge_zero_reads_no_potential(mink):
     us = np.tile(u, (len(want), 1))
     assert same_bits(rm.second_order_rhs(ham, want.x, us),
                      rm.second_order_rhs(free, want.x, us))
+    # nor the chart-local picture: its acceleration and a run from the center
+    gf = rm.GTensorField.from_metric(mink)
+    three = rm.ThreeVelocity(center[0], center[1:], u[1:] / u[0])
+    lag, free_lag = (rm.LagrangianModel(gf, pot, 1.0, 0.0)
+                     for pot in (coulomb, rm.zero_potential(4)))
+    assert same_bits(rm.three_acceleration(lag, three),
+                     rm.three_acceleration(free_lag, three))
+    run, free_run = (rm.integrate_three_velocity(model, three, 0.1, 20)
+                     for model in (lag, free_lag))
+    for got, ref in ((run.tau, free_run.tau), (run.x, free_run.x),
+                     (run.u, free_run.u), (run.G, free_run.G)):
+        assert same_bits(got, ref)

@@ -373,14 +373,18 @@ def test_off_shell_start_warns(free_ham):
 
 
 def test_standard_flow_matches_gradients(schw, mink, uniform_b):
+    # H and its shell scalar H_T, at single points and on one (N, 4) batch
     rng = np.random.default_rng(8)
-    for metric in (schw, mink):
+    for metric in (schw, mink, shear_minkowski(0.9)[0]):
         ham = rm.standard_hamiltonian(metric, uniform_b, 1.3, 0.8)
-        for _ in range(200):
-            x, p = random_point(metric, rng), rng.standard_normal(4)
-            xdot, pdot = ham.flow(x, p)
-            npt.assert_array_equal(xdot, ham.grad_p(x, p))
-            npt.assert_array_equal(pdot, -ham.grad_x(x, p))
+        points = [(random_point(metric, rng), rng.standard_normal(4))
+                  for _ in range(200)]
+        batch = tuple(np.stack(rows) for rows in zip(*points))
+        for model in (ham, rm.mass_shell_scalar(ham)):
+            for x, p in points + [batch]:
+                xdot, pdot = model.flow(x, p)
+                npt.assert_array_equal(xdot, model.grad_p(x, p))
+                npt.assert_array_equal(pdot, -model.grad_x(x, p))
 
 
 def _reference_rk4(h, s0, dt, steps, record_every, metric=None):

@@ -9,6 +9,10 @@ atol 1e-12 (Hairer, Norsett & Wanner, Solving ODEs I, 1993).  relmech's RK4
 runs must approach these solutions at fourth order, both through the
 integrators' O(m^2) kernels for diagonal metrics and through the generic path
 (inverse metric and connection symbols).
+
+The ISCO test needs neither: it starts from the closed-form circular orbits
+of Schwarzschild and predicts the radial turning points, or their absence,
+from the conserved energy and angular momentum.
 """
 
 import functools
@@ -185,6 +189,48 @@ def test_connection_symbols_match_sympy(name):
         want = -np.transpose(gamma(x), (1, 0, 2))
         got = rm.christoffel_at(metric, x)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15 * np.max(np.abs(want)))
+
+
+def _isco_start(r, du):
+    """A circular equatorial Schwarzschild orbit at r (M = 1), E = f / k and
+    L = sqrt(r) / k with f = 1 - 2/r, k = sqrt(1 - 3/r) (Bardeen, Press &
+    Teukolsky, ApJ 178, 347, 1972, a = 0), with u^r = du."""
+    f, k = 1.0 - 2.0 / r, math.sqrt(1.0 - 3.0 / r)
+    e, ell = f / k, math.sqrt(r) / k
+    return np.array([0.0, r, math.pi / 2, 0.0]), np.array([e / f, du, 0.0, ell / r ** 2])
+
+
+def _turning_points(r, u):
+    """Real roots of E^2 = f (1 + L^2 / r^2), the radii where u^r = 0 on an
+    equatorial geodesic with E = f u^t and L = r^2 u^phi: the cubic
+    (1 - E^2) r^3 - 2 r^2 + L^2 r - 2 L^2 = 0."""
+    e, ell = (1.0 - 2.0 / r) * u[0], r * r * u[3]
+    roots = np.roots([1.0 - e * e, -2.0, ell * ell, -2.0 * ell * ell])
+    return np.sort(roots[np.abs(roots.imag) < 1e-9].real)
+
+
+@pytest.mark.parametrize("du", [1e-3, -1e-3])
+@pytest.mark.parametrize("r", [6.5, 7.0, 5.5, 5.9])
+def test_isco_at_six_m(r, du):
+    # a perturbed circular orbit stays between its turning points outside the
+    # ISCO at r = 6M and falls through r = 2M inside it, within tau = 1000
+    schw = rm.schwarzschild(1.0)
+    gf = rm.GTensorField.from_metric(schw)
+    x, u = _isco_start(r, du)
+    u = rm.project_to_shell(gf, x, u)
+    turning = _turning_points(r, u)
+    run = functools.partial(rm.integrate_geodesic, rm.levi_civita_connection(schw), gf,
+                            rm.FourState(x, u), 0.25, 4000)
+    if r > 6.0:
+        peri, apo = turning[-2:]
+        assert peri < r < apo < r + 0.1
+        radius = run().x[:, 1]
+        assert peri - 1e-6 <= radius.min() <= peri + 1e-3
+        assert apo - 1e-3 <= radius.max() <= apo + 1e-6
+    else:
+        assert not np.any((turning > 2.0) & (turning < r))  # nothing stops the fall
+        with pytest.raises(rm.DomainError, match=r"r > 2M"):
+            run()
 
 
 def test_package_imports_neither_scipy_nor_sympy():

@@ -11,7 +11,9 @@ The digest covers, in a fixed order:
 * ``relmech check`` on the four catalog metrics and on two diagonal metrics
   at the edge of the checks (``1e-200,...`` and ``3,-1e-11,-1,-7``), at
   seeds 0-3 with 50 and 1025 samples (1025 is one sample past a block): the
-  exit code, the JSON report and stderr.
+  exit code, the JSON report and stderr;
+* each demo under ``demos/``, run in process with warnings as errors, as
+  ``python -W error`` would run it: the exit code, stdout and stderr.
 
 Each round of operations runs in a fresh temporary directory, and the paths
 of that directory and of TREE are masked in every byte hashed, so two
@@ -25,12 +27,15 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import os
+import runpy
 import sys
 import tempfile
 import traceback
+import warnings
 from pathlib import Path
 
 sys.dont_write_bytecode = True
@@ -48,13 +53,13 @@ CHECK_METRICS = (
 )
 
 
-def run_cli(cli, argv):
-    """Exit code, stdout and stderr of ``relmech.cli.main(argv)``, as the
-    console script would give them."""
+def run_captured(call):
+    """Exit code, stdout and stderr of ``call()``, which returns the exit
+    code, as a console script would give them."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            rc = cli.main(argv)
+            rc = call()
         except SystemExit as exc:
             rc = exc.code if isinstance(exc.code, int) else 1
         except Exception:  # the console script would die with a traceback
@@ -73,15 +78,24 @@ def op_hash(rc, stdout, stderr, csv: bytes, masks) -> str:
     return h.hexdigest()
 
 
-def rounds():
+def run_demo(path: Path) -> int:
+    """Run a demo script as ``__main__`` with warnings as errors; exit code 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runpy.run_path(str(path), run_name="__main__")
+    return 0
+
+
+def rounds(cli, tree: Path):
     """(name, ops) of every round, in digest order: ``ops(work)`` writes the
-    round's inputs under ``work`` and returns its (name, argv, csv or None)."""
+    round's inputs under ``work`` and returns its (name, call, csv or None),
+    where ``call()`` runs the operation and returns its exit code."""
     import workloads
 
     for workload in workloads.WORKLOADS:
         for seed in SEEDS:
             def ops(work, workload=workload, seed=seed):
-                return [(op.name, op.argv, op.csv)
+                return [(op.name, functools.partial(cli.main, op.argv), op.csv)
                         for op in workloads.build(workload, seed, work)]
             yield f"{workload}.{seed}", ops
     checks = []
@@ -90,8 +104,11 @@ def rounds():
             for samples in CHECK_SAMPLES:
                 argv = ["check", "--metric", metric, "--samples", str(samples),
                         "--seed", str(seed)] + extra
-                checks.append((" ".join(argv[1:]), argv, None))
+                checks.append((" ".join(argv[1:]), functools.partial(cli.main, argv), None))
     yield "check", lambda work: checks
+    demos = [(path.name, functools.partial(run_demo, path), None)
+             for path in sorted((tree / "demos").glob("0*.py"))]
+    yield "demos", lambda work: demos
 
 
 def main(argv=None) -> int:
@@ -109,14 +126,14 @@ def main(argv=None) -> int:
     digest = hashlib.sha256()
     count = 0
     home = os.getcwd()
-    for round_name, ops in rounds():
+    for round_name, ops in rounds(cli, tree):
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp).resolve()
             masks = [(str(work).encode(), b"<tmp>"), (str(tree).encode(), b"<tree>")]
             os.chdir(work)
             try:
-                for name, op_argv, csv in ops(work):
-                    rc, stdout, stderr = run_cli(cli, op_argv)
+                for name, call, csv in ops(work):
+                    rc, stdout, stderr = run_captured(call)
                     data = csv.read_bytes() if csv is not None and csv.exists() else b""
                     h = op_hash(rc, stdout, stderr, data, masks)
                     if args.each:
