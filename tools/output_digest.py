@@ -13,7 +13,13 @@ The digest covers, in a fixed order:
   seeds 0-3 with 50 and 1025 samples (1025 is one sample past a block): the
   exit code, the JSON report and stderr;
 * each demo under ``demos/``, run in process with warnings as errors, as
-  ``python -W error`` would run it: the exit code, stdout and stderr.
+  ``python -W error`` would run it: the exit code, stdout and stderr;
+* a coverage round of ``simulate`` and ``compare`` runs on paths that no
+  workload reaches (``COVERAGE``): Coulomb potentials in every scenario
+  kind, charged Schwarzschild runs off the equator, ``projection =
+  rescale``, the euclidean and diagonal metrics under an electric field,
+  sign -1 and charge-0 three-velocity runs, and runs that fail at the
+  pole and at the horizon.  Each is hashed as the workload operations are.
 
 Each round of operations runs in a fresh temporary directory, and the paths
 of that directory and of TREE are masked in every byte hashed, so two
@@ -52,6 +58,70 @@ CHECK_METRICS = (
     ("diagonal", ["--diag=3,-1e-11,-1,-7"]),
 )
 
+_FLAT = {"dimension": 4, "metric": "minkowski"}
+_SCHW = {"dimension": 4, "metric": "schwarzschild", "M": "1"}
+_COULOMB = {"kind": "coulomb", "q": "-0.3", "center": "0,0,0"}
+_SCHW_COULOMB = {"kind": "coulomb", "q": "0.4", "center": "1.5,-0.5,0.25"}
+_EB = {"kind": "uniform_field", "E": "0.01,0.02,-0.01", "B": "0.02,-0.01,0.03"}
+_OFF_EQUATOR = {"mass": "1", "charge": "0.5", "x0": "0,12,1.1,0.3",
+                "u0": "1.1,0.02,0.01,0.03", "normalize": "true"}
+_ORBIT = {"dt": "0.5", "steps": "300"}
+
+#: (name, kinds, INI sections without the scenario and output) of the coverage round
+COVERAGE = (
+    ("coulomb", ("geodesic", "hamiltonian", "compare"),
+     {"manifold": _FLAT, "potential": _COULOMB,
+      "particle": {"charge": "1", "x0": "0,10,0,0", "u0": "1,0,0.16,0", "normalize": "true"},
+      "integrator": _ORBIT}),
+    ("coulomb-chart-time", ("three_velocity",),
+     {"manifold": _FLAT, "potential": _COULOMB,
+      "particle": {"charge": "1", "x0": "0,10,0,0", "v0": "0,0.16,0"},
+      "integrator": _ORBIT}),
+    ("coulomb-rescale", ("geodesic",),
+     {"manifold": _FLAT, "potential": _COULOMB,
+      "particle": {"charge": "1", "x0": "0,10,0,0", "u0": "1,0,0.16,0", "normalize": "true"},
+      "integrator": {**_ORBIT, "projection": "rescale"}}),
+    ("schwarzschild-eb", ("geodesic", "hamiltonian"),
+     {"manifold": _SCHW, "potential": _EB, "particle": _OFF_EQUATOR,
+      "integrator": {"dt": "0.25", "steps": "400"}}),
+    ("schwarzschild-coulomb", ("geodesic", "hamiltonian", "compare"),
+     {"manifold": _SCHW, "potential": _SCHW_COULOMB, "particle": _OFF_EQUATOR,
+      "integrator": {"dt": "0.25", "steps": "400"}}),
+    ("schwarzschild-eb-rescale", ("geodesic",),
+     {"manifold": _SCHW, "potential": _EB, "particle": _OFF_EQUATOR,
+      "integrator": {"dt": "0.25", "steps": "400", "projection": "rescale"}}),
+    ("euclidean-e", ("geodesic", "hamiltonian", "compare"),
+     {"manifold": {"dimension": 4, "metric": "euclidean"},
+      "potential": {"kind": "uniform_field", "E": "0.3,-0.2,0.1", "B": "0,0,0.5"},
+      "particle": {"charge": "0.7", "x0": "0,1,-1,0.5", "u0": "1,0.2,-0.1,0.3",
+                   "normalize": "true"},
+      "integrator": {"dt": "0.05", "steps": "300"}}),
+    ("diagonal-e", ("geodesic", "hamiltonian", "compare"),
+     {"manifold": {"dimension": 4, "metric": "diagonal", "diag": "1.5,-0.75,-2,-1.25"},
+      "potential": {"kind": "uniform_field", "E": "0.3,-0.2,0.1", "B": "0.1,0,0.5"},
+      "particle": {"charge": "-0.7", "x0": "0,1,-1,0.5", "u0": "1,0.2,-0.1,0.3",
+                   "normalize": "true"},
+      "integrator": {"dt": "0.05", "steps": "300"}}),
+    ("sign-minus", ("three_velocity",),
+     {"manifold": _FLAT, "potential": _EB,
+      "particle": {"charge": "1", "x0": "0,0,0,0", "v0": "0.3,-0.1,0.2", "sign": "-1"},
+      "integrator": {"dt": "0.1", "steps": "300"}}),
+    ("charge-zero", ("three_velocity",),
+     {"manifold": _SCHW, "potential": _SCHW_COULOMB,
+      "particle": {"charge": "0", "x0": "0,12,1.1,0.3", "v0": "0.02,0.01,0.03"},
+      "integrator": {"dt": "0.25", "steps": "300"}}),
+    ("pole", ("geodesic", "hamiltonian"),
+     {"manifold": _SCHW, "potential": _EB,
+      "particle": {"charge": "0.5", "x0": "0,10,0,0", "u0": "1.1,0,0,0.01",
+                   "normalize": "true"},
+      "integrator": {"dt": "0.25", "steps": "10"}}),
+    ("plunge", ("geodesic", "hamiltonian"),
+     {"manifold": _SCHW, "potential": _SCHW_COULOMB,
+      "particle": {"charge": "0.5", "x0": "0,3,1.2,0", "u0": "2,-0.5,0.01,0",
+                   "normalize": "true"},
+      "integrator": {"dt": "0.05", "steps": "10000"}}),
+)
+
 
 def run_captured(call):
     """Exit code, stdout and stderr of ``call()``, which returns the exit
@@ -76,6 +146,30 @@ def op_hash(rc, stdout, stderr, csv: bytes, masks) -> str:
         h.update(len(part).to_bytes(8, "little"))
         h.update(part)
     return h.hexdigest()
+
+
+def coverage_ops(work: Path):
+    """The (name, call, csv) of every run of ``COVERAGE``, with its INI
+    written under ``work``.  A simulate run writes every 10th sample."""
+    from relmech import cli
+
+    ops = []
+    for name, kinds, sections in COVERAGE:
+        for kind in kinds:
+            label = f"{name}.{kind}"
+            csv = work / f"{label}.csv"
+            output = {} if kind == "compare" else {"csv": str(csv), "every": "10"}
+            lines = []
+            for section, entries in {"scenario": {"kind": kind}, **sections,
+                                     "output": output}.items():
+                lines.append(f"[{section}]")
+                lines.extend(f"{key} = {value}" for key, value in entries.items())
+            ini = work / f"{label}.ini"
+            ini.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            command = "compare" if kind == "compare" else "simulate"
+            ops.append((label, functools.partial(cli.main, [command, str(ini)]),
+                        None if kind == "compare" else csv))
+    return ops
 
 
 def run_demo(path: Path) -> int:
@@ -109,6 +203,7 @@ def rounds(cli, tree: Path):
     demos = [(path.name, functools.partial(run_demo, path), None)
              for path in sorted((tree / "demos").glob("0*.py"))]
     yield "demos", lambda work: demos
+    yield "coverage", coverage_ops
 
 
 def main(argv=None) -> int:
