@@ -6,11 +6,21 @@ built by :func:`connection_from` combine the metric's connection symbols with
 an electromagnetic soldering term and preserve the unit hyperboloid
 g(u, u) = 1 along exact solutions; the fixed-step RK4 integrator monitors the
 discretization drift of that constraint and can optionally project it away.
+
+The RK4 core (:func:`_rk4`) steps a list of Python floats for the geodesic,
+Hamiltonian and chart-time integrators alike.  On the catalog fields, which
+declare a float form (see :mod:`relmech.geometry`), a geodesic stage is
+float arithmetic in numpy's order: entrywise operations and the sums over a
+diagonal metric's slopes are copied one for one, and every product numpy
+would hand to BLAS stays one ``np.dot`` call, so the bits are those of the
+numpy expressions.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,10 +33,10 @@ from .geometry import (
     MetricField,
     PotentialField,
     _christoffel_and_inverse,
-    _diagonal_form,
     _dot,
     _field_at,
     _first_failure,
+    _float_form,
     _power,
     _scalar,
     _vecmat,
@@ -83,10 +93,11 @@ def connection_from(metric: MetricField, potential: PotentialField,
     where C are the metric's connection symbols (see geometry docs for the
     sign convention).  With charge/mass = 1 this is the canonical charged
     connection; charge = 0 gives the pure metric (Levi-Civita) connection.
-    ``K`` and ``soldering`` also take batches x, u (..., m).  The connection
-    holds no metric: the O(m^2) kernel on ``K`` holds its own
-    (:func:`_diagonal_acceleration`), so a ``K`` copied into another
-    Connection keeps it.
+    ``K`` and ``soldering`` also take batches x, u (..., m).  Where the
+    metric, and at a nonzero charge the potential, declare a float form,
+    ``K`` carries the float stage of the integrator
+    (:func:`_float_acceleration`), so a ``K`` copied into another
+    Connection, or wrapped with ``functools.wraps``, keeps it.
     """
     if metric.dim != potential.dim:
         raise ValueError("metric and potential dimensions differ")
@@ -105,38 +116,61 @@ def connection_from(metric: MetricField, potential: PotentialField,
             k = k + solder(ginv, x)
         return k
 
-    coeffs._diagonal_acceleration = _diagonal_acceleration(metric, potential, ratio)
+    stage = _float_acceleration(metric, potential, ratio)
+    if stage is not None:
+        coeffs._float_stage = stage
     return Connection(metric.dim, coeffs, soldering)
 
 
-def _diagonal_acceleration(metric: MetricField, potential: PotentialField,
-                           ratio: float) -> Callable[..., Optional[Array]]:
-    """``accel(x, u, form=None)``: a = K(x, u) u at one state where g and its
-    partials are diagonal, else None, which leaves the point to ``K``.
+def _float_acceleration(metric: MetricField, potential: PotentialField,
+                        ratio: float):
+    """(form, accel): the metric's float form and a = K(x, u) u in Python
+    floats, or None where the metric, or at a nonzero ratio the potential,
+    declares no form.
 
-    With g = diag(d) and dd[mu, a] = d_mu g_aa the connection term is
-    a^l = (dd[l] . u^2 / 2 - u^l (dd[:, l] . u)) / d_l: O(m^2) work instead
-    of the symbols' O(m^3).  The soldering term is K's own, (ratio g^{ll}) F u.
-    The metric (``accel.metric``) is read by :func:`geometry._diagonal_form`,
-    so errors and their messages are those of ``K``; a zero or non-finite
-    entry gives None.  A caller that holds that form at x passes it as
-    ``form``.  The result holds no -0.
+    ``accel(x, u, f)`` takes lists x, u and f = form(x) = (d, slopes), g =
+    diag(d).  The connection term is a^l = (dd[l] . u^2 / 2 - u^l (dd[:, l]
+    . u)) / d_l with dd[mu, a] = d_mu g_aa: O(m^2) work instead of the
+    symbols' O(m^3).  Both sums run left to right from 0.0 over the entries
+    that can be nonzero, which gives the bits of numpy's own loop over the
+    strided diagonal (a zero entry adds an exact zero).  The soldering term
+    (ratio g^{ll}) F u builds the matrix entry by entry and leaves the
+    product to one ``np.dot``, so it has the bits of ``K``'s.  The result
+    holds no -0.
     """
-    def accel(x, u, form=None):
-        if form is None:
-            form = _diagonal_form(metric, x)
-            if form is None:
-                return None
-        d, dd = form
-        a = 0.5 * (dd @ (u * u)) - u * (u @ dd)
-        a /= d
-        if ratio != 0.0:
-            a += ((ratio * (1.0 / d))[:, None] * faraday_at(potential, x)) @ u
-        a += 0.0
-        return a
+    form = _float_form(metric)
+    potential_form = _float_form(potential) if ratio != 0.0 else None
+    if form is None or (ratio != 0.0 and potential_form is None):
+        return None
+    m = metric.dim
 
-    accel.metric = metric
-    return accel
+    def accel(x, u, f):
+        d, slopes = f
+        s1 = [0.0] * m  # dd @ (u * u)
+        s2 = [0.0] * m  # u @ dd
+        for mu, a, v in slopes:
+            ua = u[a]
+            s1[mu] += v * (ua * ua)
+            s2[a] += u[mu] * v
+        if ratio == 0.0:
+            return [(0.5 * p - ui * q) / di + 0.0 for p, ui, q, di in zip(s1, u, s2, d)]
+        faraday = [0.0] * (m * m)  # F = dA - dA^T, row by row
+        for lam, mu, v in potential_form(x)[1]:
+            faraday[lam * m + mu] += v
+            faraday[mu * m + lam] -= v
+        row = [ratio * (1.0 / di) for di in d]
+        force = np.dot(np.array([[row[l] * v for v in faraday[l * m:l * m + m]]
+                                 for l in range(m)]), np.array(u))
+        return [(0.5 * p - ui * q) / di + v + 0.0
+                for p, ui, q, di, v in zip(s1, u, s2, d, force.tolist())]
+
+    return form, accel
+
+
+def _dot_du(d: tuple, u: list):
+    """(d u) . u for lists d, u: the entrywise product in floats, the sum in
+    one ``np.dot``, with the bits of ``(d * u) @ u`` on arrays."""
+    return np.dot(np.array([a * b for a, b in zip(d, u)]), np.array(u))
 
 
 def levi_civita_connection(metric: MetricField) -> Connection:
@@ -230,50 +264,20 @@ def _rescale(u: Array, g, order_half: int) -> Array:
     return u * _power(g, -1.0 / (2 * order_half))[..., None]
 
 
-def _kernel_first(kernel: Optional[Callable], general: Callable) -> Callable:
-    """A stage function for one run: ``kernel(*args)`` until it first returns
-    None, then ``general(*args)`` for that stage and every later one, so a
-    point the kernel does not cover costs one probe per run.  ``kernel``
-    may be None; ``stage.kernel`` is the kernel while it is in use, else
-    None."""
-    def stage(*args):
-        if stage.kernel is not None:
-            out = stage.kernel(*args)
-            if out is not None:
-                return out
-            stage.kernel = None
-        return general(*args)
+def _rk4(rhs: Callable[[list], list], y: list, value, dt: float, steps: int,
+         settle, record_every: int = 1, k1: Optional[list] = None):
+    """Classic fixed-step RK4 for dy/dtau = rhs(y) on a state of Python
+    floats, a list.
 
-    stage.kernel = kernel
-    return stage
-
-
-def _stage_acceleration(c: Connection) -> Callable[[Array, Array], Array]:
-    """The acceleration K(x, u) u that integrate_geodesic evaluates at each
-    RK4 stage of one run.
-
-    A ``K`` built by :func:`connection_from` carries an O(m^2) kernel for
-    points where the metric is diagonal; a wrapper made with
-    ``functools.wraps`` keeps it, any other replacement of ``K`` does not.
-    Where the kernel does not apply, the run goes on with ``K``
-    (:func:`_kernel_first`).
-    """
-    return _kernel_first(getattr(c.K, "_diagonal_acceleration", None),
-                         lambda x, u: c.K(x, u) @ u)
-
-
-def _rk4(rhs: Callable[[Array], Array], y: Array, value, dt: float,
-         steps: int, settle, record_every: int = 1,
-         k1: Optional[Array] = None):
-    """Classic fixed-step RK4 for dy/dtau = rhs(y) on a flat float state.
-
-    ``value`` is the monitored value at the start, ``k1`` rhs(y) there if
-    known.  After each finite step ``settle(y)`` returns (y, value, k1): the
-    state to go on from (it may change y in place), the monitored value, and
-    rhs(y) if it computed it, else None.  A DomainError from a stage or from
-    ``settle`` is re-raised naming the step, with the last good tau.  Returns
-    lists (taus, ys, values) of the start, every ``record_every``-th step and
-    the last step.
+    Each stage and the update are done entry by entry, with the bits of the
+    same expressions on numpy arrays.  ``value`` is the monitored value at
+    the start, ``k1`` rhs(y) there if known.  After each finite step
+    ``settle(y)`` returns (y, value, k1): the state to go on from (it may
+    change y in place), the monitored value, and rhs(y) if it computed it,
+    else None.  A DomainError from a stage or from ``settle`` is re-raised
+    naming the step, with the last good tau.  Returns (taus, ys, values) of
+    the start, every ``record_every``-th step and the last step: ys is one
+    flat ``array('d')`` of the recorded states.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -282,17 +286,20 @@ def _rk4(rhs: Callable[[Array], Array], y: Array, value, dt: float,
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
 
-    taus, ys, values = [0.0], [y], [value]
+    dt = float(dt)
+    half, sixth = 0.5 * dt, dt / 6.0
+    taus, ys, values = [0.0], array("d", y), [value]
     tau = 0.0
     for k in range(1, steps + 1):
         try:
             if k1 is None:
                 k1 = rhs(y)
-            k2 = rhs(y + 0.5 * dt * k1)
-            k3 = rhs(y + 0.5 * dt * k2)
-            k4 = rhs(y + dt * k3)
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(y).all():
+            k2 = rhs([a + half * b for a, b in zip(y, k1)])
+            k3 = rhs([a + half * b for a, b in zip(y, k2)])
+            k4 = rhs([a + dt * b for a, b in zip(y, k3)])
+            y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+            if not (math.isfinite(sum(y)) or all(map(math.isfinite, y))):
                 raise StepRejected(f"non-finite state after step {k}", tau=tau)
             y, value, k1 = settle(y)
         except DomainError as exc:
@@ -302,7 +309,7 @@ def _rk4(rhs: Callable[[Array], Array], y: Array, value, dt: float,
         tau = k * dt
         if k % record_every == 0 or k == steps:
             taus.append(tau)
-            ys.append(y)
+            ys.extend(y)
             values.append(value)
     return taus, ys, values
 
@@ -328,11 +335,14 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
     beyond 1e-8 triggers a warning (off-shell initial data are allowed, the
     equation itself is defined off the shell).
 
-    Where ``gfield`` is the N = 1 form of the metric the O(m^2) kernel of
-    ``K`` reads (see :func:`_stage_acceleration`), a settled point is read
-    once: its diagonal form gives the projection's G, the monitored G =
-    (d u) . u, with the bits of :func:`g_value`, and the next step's first
-    stage.  Elsewhere the monitor and the projection call :func:`g_value`.
+    Where ``K`` carries a float stage (see :func:`connection_from`), each
+    RK4 stage reads the metric's float form once and is float arithmetic;
+    from the first stage where the form declines, and at every stage of any
+    other ``K``, the run calls ``K``.  While the float stage is in use and
+    ``gfield`` is the N = 1 form of that metric, a settled point's float
+    form gives the projection's G, the monitored G = (d u) . u, with the
+    bits of :func:`g_value`, and the next step's first stage.  Elsewhere the
+    monitor and the projection call :func:`g_value`.
     """
     if projection not in PROJECTION_MODES:
         raise ValueError(f"projection must be one of {PROJECTION_MODES}")
@@ -349,41 +359,50 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
         )
     m = x.size
     drift = abs(g0 - 1.0)
-    accel = _stage_acceleration(c)
-    kernel = accel.kernel  # kept where its form also gives G
-    if not (kernel is not None and gfield.order_half == 1
-            and gfield.value is kernel.metric.value):
-        kernel = None
+    form, accel = getattr(c.K, "_float_stage", (None, None))
+    floats = accel is not None  # until the first stage the form declines
+    monitor = (floats and gfield.order_half == 1
+               and getattr(gfield.value, "float_form", None) is form)
 
     def rhs(y):
-        return np.concatenate((y[m:], accel(y[:m], y[m:])))
+        nonlocal floats
+        x, u = y[:m], y[m:]
+        if floats:
+            f = form(x)
+            if f is not None:
+                return u + accel(x, u, f)
+            floats = False
+        xa, ua = np.array(x), np.array(u)
+        return u + (c.K(xa, ua) @ ua).tolist()
 
     def settle(y):
         nonlocal drift
         x, u = y[:m], y[m:]
-        form = None
-        if kernel is not None and accel.kernel is not None:
+        f = None
+        if monitor and floats:
             try:
-                form = _diagonal_form(kernel.metric, x)
+                f = form(x)
             except (DomainError, SingularMetric):
                 pass  # g_value reads g alone: the next step's first stage raises the rest
-        if form is None:
+        if f is None:
+            xa, ua = np.array(x), np.array(u)
             if projection == "rescale":
-                u[:] = project_to_shell(gfield, x, u)
-            gk = g_value(gfield, x, u)
+                ua = project_to_shell(gfield, xa, ua)
+                u = ua.tolist()
+            gk = g_value(gfield, xa, ua)
             k1 = None
         else:
-            d = form[0]
+            d = f[0]
             if projection == "rescale":
-                u[:] = _rescale(u, (d * u) @ u, 1)
-            gk = float((d * u) @ u)
-            k1 = np.concatenate((u, kernel(x, u, form)))
+                u = _rescale(np.array(u), _dot_du(d, u), 1).tolist()
+            gk = float(_dot_du(d, u))
+            k1 = u + accel(x, u, f)
         drift = max(drift, abs(gk - 1.0))
-        return y, gk, k1
+        return x + u, gk, k1
 
-    taus, ys, gs = _rk4(rhs, np.concatenate((x, u)), g0, dt, steps, settle,
+    taus, ys, gs = _rk4(rhs, x.tolist() + u.tolist(), g0, dt, steps, settle,
                         record_every)
-    ys = np.stack(ys)
+    ys = np.array(ys).reshape(-1, 2 * m)
     return Trajectory(
         tau=np.asarray(taus),
         x=ys[:, :m],

@@ -18,6 +18,19 @@ sign of the usual textbook Christoffel symbols,
 
 so that the free geodesic equation reads ``a^lam = C[mu, lam, nu] u^mu u^nu``
 with no minus sign.  Keep this in mind when comparing against other codes.
+
+Float forms.  The catalog fields also declare their values in Python floats,
+for the integrators' RK4 stages, as ``float_form`` on both of their
+callables: a diagonal metric's form gives ``(d, slopes)`` with g = diag(d)
+and ``slopes`` the (mu, a, d_mu g_aa) entries that can be nonzero, in that
+index order; a potential's form gives ``(A, slopes)`` with the (lam, mu,
+d_lam A_mu) entries that can be nonzero.  Each number has the bits of
+``value`` or ``partials`` and a form raises their errors.  A metric's form
+declines (returns None) where g has a zero or non-finite entry, and raises
+the :class:`SingularMetric` of :func:`inverse_metric_at` where g is too
+badly conditioned.  A field whose ``value`` or ``partials`` was replaced
+declares no form (:func:`_float_form`); ``from_function`` fields declare
+none.
 """
 
 from __future__ import annotations
@@ -219,18 +232,12 @@ class MetricField:
 
 def minkowski(dim: int = 4) -> MetricField:
     """Flat metric of signature (+, -, ..., -)."""
-    g = np.diag([1.0] + [-1.0] * (dim - 1))
-    dg = np.zeros((dim, dim, dim))
-    return MetricField(dim, lambda x: g.copy(), lambda x: dg.copy(),
-                       "minkowski", {})
+    return _constant_metric([1.0] + [-1.0] * (dim - 1), "minkowski", {})
 
 
 def euclidean(dim: int = 4) -> MetricField:
     """Flat metric of signature (+, +, ..., +)."""
-    g = np.eye(dim)
-    dg = np.zeros((dim, dim, dim))
-    return MetricField(dim, lambda x: g.copy(), lambda x: dg.copy(),
-                       "euclidean", {})
+    return _constant_metric([1.0] * dim, "euclidean", {})
 
 
 def diagonal_metric(entries: Sequence[float]) -> MetricField:
@@ -244,10 +251,17 @@ def diagonal_metric(entries: Sequence[float]) -> MetricField:
                 f"diag[{i}] = {entry!r}: diagonal metric entries must be "
                 "finite and nonzero"
             )
-    g = np.diag(d)
-    dg = np.zeros((d.size,) * 3)
-    return MetricField(d.size, lambda x: g.copy(), lambda x: dg.copy(),
-                       "diagonal", {"diag": tuple(d)})
+    return _constant_metric(d.tolist(), "diagonal", {"diag": tuple(d)})
+
+
+def _constant_metric(entries: list, catalog_id: str, params: dict) -> MetricField:
+    """The metric diag(entries) with zero partials, and its float form."""
+    g = np.diag(entries)
+    dg = np.zeros((len(entries),) * 3)
+    d = tuple(float(v) for v in entries)
+    return _declare(MetricField(len(d), lambda x: g.copy(), lambda x: dg.copy(),
+                                catalog_id, params),
+                    lambda x: _diagonal_form(d, (), x))
 
 
 def schwarzschild(mass: float = 1.0) -> MetricField:
@@ -291,7 +305,19 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
         dg[2, 3, 3] = -2.0 * r * r * s * c
         return dg
 
-    return MetricField(4, value, partials, "schwarzschild", {"M": big_m})
+    def form(x):  # value's and partials' formulas, once
+        r = x[1]
+        if not r > r_min:
+            check(x)
+        r, th = float(r), float(x[2])
+        f = 1.0 - 2.0 * big_m / r
+        df = 2.0 * big_m / (r * r)
+        s, c = math.sin(th), math.cos(th)
+        d = f, -1.0 / f, -r * r, -r * r * s ** 2
+        return _diagonal_form(d, ((1, 0, df), (1, 1, df / (f * f)), (1, 2, -2.0 * r),
+                                  (1, 3, -2.0 * r * s * s), (2, 3, -2.0 * r * r * s * c)), x)
+
+    return _declare(MetricField(4, value, partials, "schwarzschild", {"M": big_m}), form)
 
 
 def catalog_metric(name: str, *, dim: int = 4, mass: float = 1.0,
@@ -375,28 +401,35 @@ def _diagonal(a: Array) -> Optional[Array]:
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
-def _diagonal_form(metric: MetricField, x: Array) -> Optional[Tuple[Array, Array]]:
-    """(d, dd) where ``metric`` and its partials are diagonal at the one
-    point ``x``: g = diag(d) with finite, nonzero d, and dd[mu, a] = d_mu g_aa.
-    Else None, which leaves the point to the general formulas.
-
-    The integrators' stage kernels read it at every stage, with ``x`` their
-    own float (m,) slice, so the fields are called directly: ``value``, then
-    ``partials``, as the general path orders them.  A diagonal g passes the
-    condition test of :func:`inverse_metric_at` first, with its bits and
-    message, so a metric that is not diagonal costs one ``value`` call and
-    no ``partials`` call.
-    """
-    g = np.asarray(metric.value(x), float)
-    d = g.diagonal()
-    ad = [abs(v) for v in d.tolist()]
+def _diagonal_form(d: tuple, slopes: tuple, x):
+    """The float form (d, slopes) of the diagonal metric g = diag(d) at
+    ``x``.  None where an entry is zero or the sum of the |d| is not
+    finite, which leaves the point to the general formulas; the
+    SingularMetric of :func:`inverse_metric_at`, with its condition
+    estimate max|d| / min|d| and message, where g is too badly
+    conditioned."""
+    ad = list(map(abs, d))
     lo = min(ad)
-    if not (lo > 0.0 and math.isfinite(sum(ad))) or np.count_nonzero(g) != d.size:
+    if not (lo > 0.0 and sum(ad) < math.inf):  # a sum of |d| is finite unless it is inf or nan
         return None
-    _check_condition(max(ad) * (1.0 / lo), x)
-    dg = np.asarray(metric.partials(x), float)
-    dd = dg.diagonal(0, -2, -1)
-    return (d, dd) if np.count_nonzero(dg) == np.count_nonzero(dd) else None
+    cond = max(ad) * (1.0 / lo)
+    if not cond < _COND_LIMIT:
+        _check_condition(cond, np.asarray(x, dtype=float))
+    return d, slopes
+
+
+def _declare(field, form: Callable):
+    """``field``, with ``form`` declared as the float form of its callables."""
+    field.value.float_form = field.partials.float_form = form
+    return field
+
+
+def _float_form(field) -> Optional[Callable]:
+    """The float form that ``value`` and ``partials`` of ``field`` both
+    declare, else None: replacing either callable drops it, and a wrapper
+    made with ``functools.wraps`` keeps it."""
+    form = getattr(field.value, "float_form", None)
+    return form if getattr(field.partials, "float_form", None) is form else None
 
 
 def _check_condition(cond, x) -> None:
@@ -459,7 +492,9 @@ class PotentialField:
 def zero_potential(dim: int = 4) -> PotentialField:
     a = np.zeros(dim)
     da = np.zeros((dim, dim))
-    return PotentialField(dim, lambda x: a.copy(), lambda x: da.copy())
+    form = (0.0,) * dim, ()
+    return _declare(PotentialField(dim, lambda x: a.copy(), lambda x: da.copy()),
+                    lambda x: form)
 
 
 def uniform_field(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> PotentialField:
@@ -481,15 +516,14 @@ def uniform_field(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> Potential
     da[1, 2] = bb[2]        # d_1 A_2 = B_3
     da[2, 3] = bb[0]        # d_2 A_3 = B_1
 
-    def value(x):
-        return np.array([
-            ee @ x[1:4],
-            bb[1] * x[3],
-            bb[2] * x[1],
-            bb[0] * x[2],
-        ])
+    b1, b2, b3 = bb.tolist()
+    slopes = tuple((int(lam), int(mu), float(da[lam, mu])) for lam, mu in zip(*np.nonzero(da)))
 
-    return PotentialField(4, value, lambda x: da.copy())
+    def components(x):
+        return float(np.dot(ee, np.asarray(x[1:4]))), b2 * x[3], b3 * x[1], b1 * x[2]
+
+    return _declare(PotentialField(4, lambda x: np.array(components(x)), lambda x: da.copy()),
+                    lambda x: (components(x), slopes))
 
 
 def coulomb_potential(charge: float, center=(0.0, 0.0, 0.0)) -> PotentialField:
@@ -499,24 +533,40 @@ def coulomb_potential(charge: float, center=(0.0, 0.0, 0.0)) -> PotentialField:
     if c.shape != (3,):
         raise DimensionMismatch("coulomb center must have 3 components")
 
-    def value(x):
-        rho = np.linalg.norm(x[1:4] - c)
+    c1, c2, c3 = c.tolist()
+
+    def offset(x):
+        """x - center and its length (np.linalg.norm's bits), raising at the center."""
+        d = [x[1] - c1, x[2] - c2, x[3] - c3]
+        a = np.array(d)
+        rho = math.sqrt(a.dot(a))
         if rho < 1e-12:
             raise DomainError("coulomb potential is singular at its center")
+        return d, rho
+
+    def value(x):
         out = np.zeros(4)
-        out[0] = q / rho
+        out[0] = q / offset(x)[1]
         return out
 
+    def slopes(d, rho):
+        try:
+            rho3 = rho ** 3
+        except OverflowError:  # as numpy's power gives it
+            rho3 = math.inf
+        return tuple((i, 0, -q * v / rho3) for i, v in enumerate(d, 1))
+
     def partials(x):
-        d = x[1:4] - c
-        rho = np.linalg.norm(d)
-        if rho < 1e-12:
-            raise DomainError("coulomb potential is singular at its center")
         da = np.zeros((4, 4))
-        da[1:, 0] = -q * d / rho ** 3
+        for lam, mu, v in slopes(*offset(x)):
+            da[lam, mu] = v
         return da
 
-    return PotentialField(4, value, partials)
+    def form(x):
+        d, rho = offset(x)
+        return (q / rho, 0.0, 0.0, 0.0), slopes(d, rho)
+
+    return _declare(PotentialField(4, value, partials), form)
 
 
 def faraday_at(potential: PotentialField, x) -> Array:

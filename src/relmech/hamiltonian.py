@@ -14,6 +14,11 @@ The standard family
 satisfies H_T = (2/m) H - 1, hence {H, H_T} = 0 identically and the flow
 preserves the shell.  Its second-order reduction reproduces the geodesic
 equation of the charged connection exactly.
+
+On fields that declare a float form, :func:`integrate_hamiltonian` steps
+the standard family through float stages (:func:`_float_flow`) with the
+bits of ``flow`` and ``value``; every other model is integrated through its
+``flow``.
 """
 
 from __future__ import annotations
@@ -24,15 +29,15 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .dynamics import _kernel_first, _rk4
+from .dynamics import _dot_du, _rk4
 from .errors import DimensionMismatch
 from .geometry import (
     Array,
     MetricField,
     PotentialField,
-    _diagonal_form,
     _dot,
     _field_at,
+    _float_form,
     fd_partials,
     inverse_metric_at,
     metric_at,
@@ -161,7 +166,9 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
         da = None if e == 0.0 else _field_at(potential.partials, x)
         return _dot(ginv, w) / m, -_standard_dh_dx(std, w, ginv, dginv, da)
 
-    flow._diagonal_stage = value._diagonal_stage = _diagonal_stage(std)
+    stage = _float_flow(std)
+    if stage is not None:
+        flow._float_stage = value._float_stage = stage
     return HamiltonianModel(metric.dim, value, lambda x, p: -flow(x, p)[1],
                             grad_p, flow, std)
 
@@ -174,44 +181,58 @@ def _kinetic(std: StandardData, x, p) -> Array:
     return p - std.charge * _field_at(std.potential.value, x)
 
 
-def _diagonal_stage(std: StandardData):
-    """``stage(x, p, shell=None) -> (flow, H, d)``: the flow (dH/dp, -dH/dx),
-    concatenated, at one phase point where g and its partials are diagonal;
-    None elsewhere, which leaves the point to ``flow``.
+def _float_flow(std: StandardData):
+    """(form, stage, energy) for the integrator's float stages, or None where
+    the metric, or at a nonzero charge the potential, declares no float form.
 
-    With g = diag(d), dd[mu, a] = d_mu g_aa and v_a = w_a / d_a, w = p - eA,
-    the flow is dH/dp = v / mass and -dH/dx = dd (v^2) / (2 mass) +
-    (e / mass) dA v, from d_lam g^{aa} = -dd[lam, a] / d_a^2: O(m^2) work
-    instead of the O(m^3) partials of the inverse.  v is w times 1/d, as the
-    closed-form inverse applies it, so dH/dp has the bits of ``flow``.
-
-    ``shell`` is the metric of the integrator's shell monitor at a settled
-    point: H = v . w / (2 mass) is given then, with the bits of ``value``,
-    and d too when that metric is this model's; else both are None.  A
-    stage reads g and its partials once, through
-    :func:`geometry._diagonal_form`, in the order of ``flow``, so errors and
-    their messages are the same; a zero or non-finite entry gives None.  At
-    charge 0 the potential is not read, as in ``flow``.  The flow holds no -0.
+    ``stage(x, p)`` takes lists x, p and returns (k, v, w, d): the flow k =
+    (dH/dp, -dH/dx) as one list, w = p - eA, v = w / d and g = diag(d) from
+    the metric's float form, read once; None where the form declines.  With
+    dd[mu, a] = d_mu g_aa the flow is dH/dp = v / mass and -dH/dx = dd (v^2)
+    / (2 mass) + (e / mass) dA v, from d_lam g^{aa} = -dd[lam, a] / d_a^2:
+    O(m^2) work instead of the O(m^3) partials of the inverse.  v is w times
+    1/d, as the closed-form inverse applies it, so dH/dp has the bits of
+    ``flow``; the sum over dd runs as in :func:`dynamics._float_acceleration`
+    and dA v is one ``np.dot``.  ``energy(v, w)`` is H = v . w / (2 mass),
+    with the bits of ``value``.  The potential is read first, as ``flow``
+    reads it, and not at all at charge 0.  The flow holds no -0.
     """
-    metric, potential, mass, e = std.metric, std.potential, std.mass, std.charge
+    metric, mass, e = std.metric, std.mass, std.charge
+    form = _float_form(metric)
+    potential_form = _float_form(std.potential) if e != 0.0 else None
+    if form is None or (e != 0.0 and potential_form is None):
+        return None
+    m = metric.dim
 
-    def stage(x, p, shell=None):
-        w = _kinetic(std, x, p)
-        form = _diagonal_form(metric, x)
-        if form is None:
+    def stage(x, p):
+        if e == 0.0:
+            w = p
+        else:
+            a, slopes_a = potential_form(x)
+            w = [pi - e * ai for pi, ai in zip(p, a)]
+        f = form(x)
+        if f is None:
             return None
-        d, dd = form
-        v = w * (1.0 / d)
-        k = np.concatenate((v, 0.5 * (dd @ (v * v))))
-        k /= mass
-        if e != 0.0:
-            k[d.size:] += (e / mass) * (_field_at(potential.partials, x) @ v)
-        k += 0.0
-        if shell is None:
-            return k, None, None
-        return k, 0.5 * float(v @ w) / mass, d if shell is metric else None
+        d, slopes = f
+        v = [wi * (1.0 / di) for wi, di in zip(w, d)]
+        vv = [vi * vi for vi in v]
+        s = [0.0] * m  # dd @ (v * v)
+        for mu, a, val in slopes:
+            s[mu] += val * vv[a]
+        k = [vi / mass + 0.0 for vi in v]
+        if e == 0.0:
+            return k + [0.5 * si / mass + 0.0 for si in s], v, w, d
+        da = np.zeros((m, m))
+        for lam, mu, val in slopes_a:
+            da[lam, mu] = val
+        c = e / mass
+        return k + [0.5 * si / mass + c * t + 0.0
+                    for si, t in zip(s, np.dot(da, np.array(v)).tolist())], v, w, d
 
-    return stage
+    def energy(v, w):
+        return 0.5 * float(np.dot(np.array(v), np.array(w))) / mass
+
+    return form, stage, energy
 
 
 def _standard_dh_dx(std: StandardData, w: Array, ginv: Array, dginv: Array,
@@ -380,28 +401,6 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     return _dot(mixed / m, gp) - _dot(ginv, gx) / m
 
 
-def _phase_stage(h: HamiltonianModel):
-    """The flow (dH/dp, -dH/dx), concatenated, that integrate_hamiltonian
-    evaluates at each RK4 stage of one run, with H and the diagonal of g
-    where the stage gives them: ``stage(x, p, shell=None) -> (flow, H or
-    None, d or None)``.
-
-    The ``flow`` and ``value`` of :func:`standard_hamiltonian` carry an
-    O(m^2) kernel for points where the metric is diagonal; wrappers made
-    with ``functools.wraps`` keep it, and a model whose ``flow`` or ``value``
-    was replaced otherwise is integrated through them.  Where the kernel
-    does not apply, the run goes on with ``h.flow`` (:func:`_kernel_first`).
-    """
-    kernel = getattr(h.flow, "_diagonal_stage", None)
-    if getattr(h.value, "_diagonal_stage", None) is not kernel:
-        kernel = None
-
-    def general(x, p, shell=None):
-        return np.concatenate(h.flow(x, p)), None, None
-
-    return _kernel_first(kernel, general)
-
-
 def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
                           steps: int, record_every: int = 1,
                           metric: Optional[MetricField] = None) -> PhaseTrajectory:
@@ -414,36 +413,67 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
 
     A step evaluates the flow four times: its last evaluation, at the updated
     point, is the next step's first stage, and its velocity v = dH/dp gives
-    H_T there.  Where the O(m^2) kernel of the standard family applies (see
-    :func:`_phase_stage`), H comes from that first stage, and so does g =
-    diag(d) when ``metric`` is the model's own: H_T = (v d) . v - 1, with the
-    bits of v . g . v.  Elsewhere H comes from ``h.value`` and g from
-    :func:`metric_at`, read after the flow.
+    H_T there.  Where ``flow`` and ``value`` both carry the float stage of
+    :func:`standard_hamiltonian` (a wrapper made with ``functools.wraps``
+    keeps it, any other replacement drops it), each stage is float
+    arithmetic that reads the metric's float form once, H comes from the
+    first stage, and so does g = diag(d) when ``metric`` declares the same
+    form: H_T = (v d) . v - 1, with the bits of v . g . v.  From the first
+    stage where the form declines, and for every other model, the run calls
+    ``h.flow``; H then comes from ``h.value`` and g from :func:`metric_at`,
+    read after the flow.
     """
     shell_metric = _shell_metric(h, metric)
     m = np.size(s0.x)
-    stage = _phase_stage(h)
+    float_stage = getattr(h.flow, "_float_stage", None)
+    if getattr(h.value, "_float_stage", None) is not float_stage:
+        float_stage = None
+    form, stage, energy = float_stage or (None, None, None)
+    floats = stage is not None  # until the first stage the form declines
+    shell_d = floats and _float_form(shell_metric) is form
+
+    def general(y):
+        return np.concatenate(h.flow(np.array(y[:m]), np.array(y[m:]))).tolist()
 
     def flow(y):
-        return stage(y[:m], y[m:])[0]
+        nonlocal floats
+        if floats:
+            out = stage(y[:m], y[m:])
+            if out is not None:
+                return out[0]
+            floats = False
+        return general(y)
+
+    def shell_residual(u, y):
+        v = np.array(u)
+        return float(v @ metric_at(shell_metric, np.array(y[:m])) @ v) - 1.0
 
     def first_stage(y):
-        """The flow at y, the shell residual of its velocity and H (None
-        when ``h.value`` gives it)."""
-        k, hv, d = stage(y[:m], y[m:], shell_metric)
-        v = k[:m]
-        if d is None:
-            return k, float(v @ metric_at(shell_metric, y[:m]) @ v) - 1.0, hv
-        return k, float((v * d) @ v) - 1.0, hv
+        """The flow at y, the shell residual of its velocity, and the (v, w)
+        that give H by ``energy`` (None when ``h.value`` gives it)."""
+        nonlocal floats
+        if floats:
+            out = stage(y[:m], y[m:])
+            if out is not None:
+                k, v, w, d = out
+                u = k[:m]
+                if shell_d:
+                    ht = float(_dot_du(d, u)) - 1.0
+                else:
+                    ht = shell_residual(u, y)
+                return k, ht, (v, w)
+            floats = False
+        k = general(y)
+        return k, shell_residual(k[:m], y), None
 
     def settle(y):
         nonlocal drift
-        k1, ht, hv = first_stage(y)
+        k1, ht, vw = first_stage(y)
         drift = max(drift, abs(ht))
-        return y, (ht, hv), k1
+        return y, (ht, vw), k1
 
-    y0 = np.concatenate((s0.x, s0.p)).astype(float)
-    k1, ht0, hv0 = first_stage(y0)
+    y0 = np.concatenate((s0.x, s0.p)).astype(float).tolist()
+    k1, ht0, vw0 = first_stage(y0)
     if abs(ht0) > 1e-8:
         warnings.warn(
             f"initial phase point is off the mass shell: H_T = {ht0!r}",
@@ -451,16 +481,16 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
         )
     drift = abs(ht0)
 
-    taus, ys, values = _rk4(flow, y0, (ht0, hv0), dt, steps, settle,
+    taus, ys, values = _rk4(flow, y0, (ht0, vw0), dt, steps, settle,
                             record_every, k1)
-    ys = np.stack(ys)
-    hts, hs = zip(*values)
+    ys = np.array(ys).reshape(-1, 2 * m)
+    hts, vws = zip(*values)
     return PhaseTrajectory(
         tau=np.asarray(taus),
         x=ys[:, :m],
         p=ys[:, m:],
-        H=np.asarray([float(h.value(y[:m], y[m:])) if hv is None else hv
-                      for y, hv in zip(ys, hs)]),
+        H=np.asarray([float(h.value(y[:m], y[m:])) if vw is None else energy(*vw)
+                      for y, vw in zip(ys, vws)]),
         HT=np.asarray(hts),
         max_shell_drift=drift,
     )

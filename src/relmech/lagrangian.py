@@ -99,12 +99,16 @@ def _require_positive(g) -> None:
 
 
 def lagrangian_value(model: LagrangianModel, x, u) -> float:
-    """L(x, u) = mass * G^(1/2N) + charge * u . A(x)."""
+    """L(x, u) = mass * G^(1/2N) + charge * u . A(x); at charge 0 the
+    potential is not read."""
     g = g_value(model.gfield, x, u)
     _require_positive(g)
-    a_form = np.asarray(model.potential.value(np.asarray(x, float)), float)
     n2 = 2 * model.order_half
-    return model.mass * g ** (1.0 / n2) + model.charge * float(np.dot(u, a_form))
+    coupling = 0.0  # what a zero potential gives
+    if model.charge != 0.0:
+        a_form = np.asarray(model.potential.value(np.asarray(x, float)), float)
+        coupling = model.charge * float(np.dot(u, a_form))
+    return model.mass * g ** (1.0 / n2) + coupling
 
 
 def constraint_value(model: LagrangianModel, x, u) -> float:
@@ -250,11 +254,14 @@ def _reduced_pieces(model: LagrangianModel, t: ThreeVelocity):
 
 
 def three_lagrangian_value(model: LagrangianModel, t: ThreeVelocity) -> float:
-    """Chart-local Lagrangian Lbar = mass Gbar^(1/2N) + charge (v.A_i + A_0)."""
+    """Chart-local Lagrangian Lbar = mass Gbar^(1/2N) + charge (v.A_i + A_0);
+    at charge 0 the potential is not read."""
     x, _, _, gbar, n2 = _reduced_pieces(model, t)
-    a_form = np.asarray(model.potential.value(x), dtype=float)
-    return (model.mass * gbar ** (1.0 / n2)
-            + model.charge * float(t.v @ a_form[1:] + a_form[0]))
+    coupling = 0.0  # what a zero potential gives
+    if model.charge != 0.0:
+        a_form = np.asarray(model.potential.value(x), dtype=float)
+        coupling = model.charge * float(t.v @ a_form[1:] + a_form[0])
+    return model.mass * gbar ** (1.0 / n2) + coupling
 
 
 def three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w) -> Array:
@@ -356,7 +363,7 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
             three = chart_state(y)
         except ValueError as exc:  # a non-finite stage
             raise StepRejected("non-finite chart state") from exc
-        return np.concatenate(([1.0], three.v, three_acceleration(model, three)))
+        return [1.0, *three.v.tolist(), *three_acceleration(model, three).tolist()]
 
     def settle(y):
         nonlocal last
@@ -364,7 +371,7 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
         last = chart_state(y)
         return y, last, None
 
-    y0 = np.concatenate(([last.q0], last.q, last.v))
+    y0 = [last.q0, *last.q.tolist(), *last.v.tolist()]
     try:
         samples = _rk4(rhs, y0, last, dt, steps, settle)[2]
     except (StepRejected, ArithmeticError) as exc:  # an overflowing stage, a non-finite state

@@ -184,9 +184,9 @@ def same_bits(a, b):
 
 def generic(model):
     """A copy of a Connection or HamiltonianModel whose ``K`` or ``flow`` is a
-    plain wrapper of the original: the integrators then call it at every
-    stage (the generic path: inverse metric and connection symbols) instead
-    of their O(m^2) kernel for diagonal metrics."""
+    plain wrapper of the original, which carries no float stage: the
+    integrators then call it at every stage (the generic path: inverse
+    metric and connection symbols) instead of their float stages."""
     if isinstance(model, rm.Connection):
         return dataclasses.replace(model, K=lambda x, u: model.K(x, u))
     return dataclasses.replace(model, flow=lambda x, p: model.flow(x, p))
@@ -208,3 +208,46 @@ def counting_fields(metric):
 
     return dataclasses.replace(metric, value=counted("value"),
                                partials=counted("partials")), calls
+
+
+def counting_forms(field):
+    """(copy of ``field``, calls): the copy counts its ``value``, ``partials``
+    and float form calls in the dict ``calls``, and declares the counting
+    form in place of the field's own."""
+    calls = {"value": 0, "partials": 0, "form": 0}
+    form = field.value.float_form
+
+    def counted_form(x):
+        calls["form"] += 1
+        return form(x)
+
+    def counted(name):
+        fn = getattr(field, name)
+
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+
+        call.float_form = counted_form
+        return call
+
+    return dataclasses.replace(field, value=counted("value"),
+                               partials=counted("partials")), calls
+
+
+def stage_acceleration(conn):
+    """The acceleration integrate_geodesic evaluates at each RK4 stage of one
+    run, on arrays: ``K``'s float stage while its form holds, from then on
+    K(x, u) u."""
+    form, accel = getattr(conn.K, "_float_stage", (None, None))
+    floats = [accel is not None]
+
+    def acc(x, u):
+        if floats[0]:
+            f = form(x.tolist())
+            if f is not None:
+                return np.array(accel(x.tolist(), u.tolist(), f))
+            floats[0] = False
+        return conn.K(x, u) @ u
+
+    return acc

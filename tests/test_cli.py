@@ -839,6 +839,20 @@ def test_unknown_section_or_key_exits_2(tmp_path, capsys, key, named, command):
     assert err.startswith(named)
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"scenario.kind": "three_velocity"},
+     "particle.v0: three_velocity scenarios require v0"),
+    ({"scenario.kind": "compare"},
+     "scenario.kind: use the compare subcommand for compare configs"),
+    ({"output.csv": None}, "output.csv: required key is missing"),
+])
+def test_documented_config_errors_exit_2(tmp_path, capsys, changes, message):
+    # a three-velocity run given u0, a compare config under simulate, and a
+    # simulate with nowhere to write
+    code, out, err = run_cli(capsys, "simulate", write_scenario(tmp_path, changes))
+    assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+
 def test_readme_example_config_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("```ini\n")[1].split("```")[0]

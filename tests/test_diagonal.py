@@ -1,13 +1,14 @@
-"""The integrators' O(m^2) stage kernels for diagonal metrics.
+"""The integrators' O(m^2) float stages for the catalog fields.
 
-Where a metric and its partials are diagonal, ``integrate_geodesic`` and
-``integrate_hamiltonian`` step through private kernels that ``connection_from``
-and ``standard_hamiltonian`` attach to ``K`` and to ``flow``/``value``.  They
-must stay within a few ulps of the public kernels (``K(x, u) u`` and
-``HamiltonianModel.flow``), raise the same errors with the same messages,
-and write no -0.
+Where the metric (and, at a nonzero charge, the potential) declares a float
+form, ``integrate_geodesic`` and ``integrate_hamiltonian`` step through
+float stages that ``connection_from`` and ``standard_hamiltonian`` attach to
+``K`` and to ``flow``/``value``.  They must stay within a few ulps of the
+public kernels (``K(x, u) u`` and ``HamiltonianModel.flow``), raise the same
+errors with the same messages, and write no -0.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,11 +17,12 @@ import pytest
 import relmech as rm
 from relmech.checks import sample_point, sample_velocity
 from relmech.errors import DomainError, SingularMetric, StepRejected
+from relmech.geometry import _diagonal_form
 
 from conftest import generic, same_bits, shear_minkowski
 
 EPS = float(np.finfo(float).eps)
-#: per state, |kernel - public| <= TOL_ULPS * eps * (1 + max |public|)
+#: per state, |float stage - public| <= TOL_ULPS * eps * (1 + max |public|)
 TOL_ULPS = 8.0
 STATES = 2000
 
@@ -66,8 +68,8 @@ def test_kernels_match_public_kernels(name, pot):
 
     for charge in (0.0, 0.7):
         conn = rm.connection_from(metric, potential, 1.3, charge)
-        accel = conn.K._diagonal_acceleration
-        got = np.stack([accel(xi, ui) for xi, ui in zip(x, u)])
+        form, accel = conn.K._float_stage
+        got = np.array([accel(xi, ui, form(xi)) for xi, ui in zip(x.tolist(), u.tolist())])
         want = rm.geodesic_rhs(conn, x, u)
         _assert_close(got, want)
         assert _no_negative_zero(got)
@@ -75,38 +77,55 @@ def test_kernels_match_public_kernels(name, pot):
             assert same_bits(got, want + 0.0)
 
     ham = rm.standard_hamiltonian(metric, potential, 1.3, 0.7)
-    stage = ham.flow._diagonal_stage
-    assert ham.value._diagonal_stage is stage
-    got = np.stack([stage(xi, pi)[0] for xi, pi in zip(x, p)])
+    _, stage, energy = ham.flow._float_stage
+    assert ham.value._float_stage is ham.flow._float_stage
+    got = np.array([stage(xi, pi)[0] for xi, pi in zip(x.tolist(), p.tolist())])
     want = np.concatenate(ham.flow(x, p), axis=-1)
     _assert_close(got, want)
     assert _no_negative_zero(got)
     # dH/dp and H keep the bits of flow and value
     assert same_bits(got[:, :4], want[:, :4] + 0.0)
     for xi, pi in zip(x[:100], p[:100]):
-        assert stage(xi, pi, metric)[1] == ham.value(xi, pi)
+        _, v, w, _ = stage(xi.tolist(), pi.tolist())
+        assert energy(v, w) == ham.value(xi, pi)
 
 
 def test_kernels_find_diagonal_metrics_from_value_and_partials(schw, uniform_b):
     rng = np.random.default_rng(11)
     x = sample_point(schw, rng)
     u = sample_velocity(schw, x, rng)
-    # a copy built from the same callables takes the kernel with the same bits
+    # a copy built from the same callables takes the float stage with the same bits
     copy = rm.MetricField.from_function(4, schw.value, schw.partials)
     for metric in (schw, copy):
-        a = rm.connection_from(metric, uniform_b, 1.0, 0.7).K._diagonal_acceleration(x, u)
-        k = rm.standard_hamiltonian(metric, uniform_b, 1.0, 0.7).flow._diagonal_stage(x, u)[0]
+        form, accel = rm.connection_from(metric, uniform_b, 1.0, 0.7).K._float_stage
+        a = accel(x.tolist(), u.tolist(), form(x.tolist()))
+        k = rm.standard_hamiltonian(metric, uniform_b, 1.0, 0.7).flow._float_stage[1](
+            x.tolist(), u.tolist())[0]
         if metric is schw:
             want = a, k
-        assert same_bits(a, want[0]) and same_bits(k, want[1])
-    # neither a metric that is not diagonal nor a diagonal g whose partials
-    # are not diagonal (here d_y g_xy, as on the shear chart where g_xy = 0)
+        assert same_bits(np.array(a), np.array(want[0]))
+        assert same_bits(np.array(k), np.array(want[1]))
+    # a field that declares no form gives no float stage, diagonal or not: a
+    # metric that is not diagonal, a diagonal g whose partials are not (here
+    # d_y g_xy, as on the shear chart where g_xy = 0), a copy of a catalog
+    # metric or potential with its value or partials replaced, and one whose
+    # partials are finite differences
     dg = np.zeros((4, 4, 4))
     dg[2, 1, 2] = dg[2, 2, 1] = 0.9
     eta = np.diag([1.0, -1.0, -1.0, -1.0])
-    for metric in (shear_minkowski(0.9)[0], rm.MetricField(4, lambda x: eta, lambda x: dg)):
-        assert rm.connection_from(metric, uniform_b).K._diagonal_acceleration(x, u) is None
-        assert rm.standard_hamiltonian(metric, uniform_b).flow._diagonal_stage(x, u) is None
+    undeclared = [(shear_minkowski(0.9)[0], uniform_b),
+                  (rm.MetricField(4, lambda x: eta, lambda x: dg), uniform_b),
+                  (dataclasses.replace(schw, value=lambda x: schw.value(x)), uniform_b),
+                  (dataclasses.replace(schw, partials=lambda x: schw.partials(x)), uniform_b),
+                  (rm.MetricField.from_function(4, schw.value), uniform_b),
+                  (schw, dataclasses.replace(uniform_b, partials=lambda x: uniform_b.partials(x)))]
+    for metric, potential in undeclared:
+        assert not hasattr(rm.connection_from(metric, potential).K, "_float_stage")
+        ham = rm.standard_hamiltonian(metric, potential)
+        assert not hasattr(ham.flow, "_float_stage")
+        assert not hasattr(ham.value, "_float_stage")
+    # at charge 0 the potential's declaration is not needed
+    assert hasattr(rm.connection_from(schw, undeclared[-1][1], 1.0, 0.0).K, "_float_stage")
 
 
 def _failure(run):
@@ -172,8 +191,8 @@ def test_failures_match_generic_path(case, schw):
 def test_wall_seen_by_finite_difference_partials_alone(schw):
     # value ends the chart just below the point settled by step 13, whose
     # finite-difference partials read value across the wall: the monitor's
-    # g_value passes that point and step 14's first stage raises, on the
-    # kernel as on the generic path
+    # g_value passes that point and step 14's first stage raises.  The field
+    # declares no float form, so a wrapped K must fail as K itself does
     def value(x):
         if x[1] < 2.548415311878169:
             raise DomainError(f"r = {x[1]:.9f} is inside the wall")
@@ -191,20 +210,30 @@ def test_wall_seen_by_finite_difference_partials_alone(schw):
 
 
 def test_zero_diagonal_entry_names_the_singular_metric():
-    # an exact zero on the diagonal goes to K and its message
+    # an exact zero on the diagonal goes to K and its message; where the
+    # field declares a float form, that form declines there, from the
+    # stage at t = 0.2 on, and the run goes on through K; so does a start
+    # at the pole, where Schwarzschild's form declines
     eta = np.array([1.0, -1.0, -1.0, -1.0])
 
     def value(x):
         return np.diag(eta * np.array([1.0, 1.0, 1.0, 0.0 if x[0] > 0.15 else 1.0]))
 
-    metric = rm.MetricField(4, value, lambda x: np.zeros((4, 4, 4)))
-    gf = rm.GTensorField.from_metric(metric)
-    conn = rm.levi_civita_connection(metric)
-    failures = [_failure(lambda: rm.integrate_geodesic(
-        path(conn), gf, rm.FourState(np.zeros(4), np.eye(4)[0]), 0.1, 10))
-        for path in (lambda model: model, generic)]
-    assert failures[0] == failures[1]
-    assert failures[0][0] is SingularMetric and "metric is singular at x" in failures[0][1]
+    undeclared = rm.MetricField(4, value, lambda x: np.zeros((4, 4, 4)))
+    declared = rm.MetricField(4, lambda x: value(x), lambda x: np.zeros((4, 4, 4)))
+    declared.value.float_form = declared.partials.float_form = (
+        lambda x: _diagonal_form(tuple(value(x).diagonal().tolist()), (), x))
+    runs = [(undeclared, np.zeros(4), np.eye(4)[0]), (declared, np.zeros(4), np.eye(4)[0]),
+            (rm.schwarzschild(1.0), np.array([0.0, 10.0, 0.0, 0.0]),
+             np.eye(4)[0] / math.sqrt(0.8))]
+    for metric, x0, u0 in runs:
+        conn = rm.levi_civita_connection(metric)
+        assert hasattr(conn.K, "_float_stage") == (metric is not undeclared)
+        failures = [_failure(lambda: rm.integrate_geodesic(
+            path(conn), rm.GTensorField.from_metric(metric), rm.FourState(x0, u0), 0.1, 10))
+            for path in (lambda model: model, generic)]
+        assert failures[0] == failures[1]
+        assert failures[0][0] is SingularMetric and "metric is singular at x" in failures[0][1]
 
 
 @pytest.mark.parametrize("name", ["schwarzschild", "minkowski"])
@@ -225,7 +254,7 @@ def test_hamiltonian_column_equals_value(name, uniform_b):
 
 def test_charge_zero_reads_no_potential(mink):
     # at charge 0 no path reads the potential, so a Coulomb center on the
-    # path stops neither the kernels, nor the generic path, nor H_T's flow
+    # path stops neither the float stages, nor the generic path, nor H_T's flow
     x0, u0 = np.zeros(4), np.array([math.sqrt(2.0), 1.0, 0.0, 0.0])
     free = rm.standard_hamiltonian(mink, rm.zero_potential(4), 1.0, 0.0)
     s0 = rm.PhaseState(x0, rm.on_shell_momentum(free, x0, u0))
@@ -265,3 +294,8 @@ def test_charge_zero_reads_no_potential(mink):
     for got, ref in ((run.tau, free_run.tau), (run.x, free_run.x),
                      (run.u, free_run.u), (run.G, free_run.G)):
         assert same_bits(got, ref)
+    # nor the Lagrangians' values, at the center itself
+    assert same_bits(np.float64(rm.lagrangian_value(lag, center, u)),
+                     np.float64(rm.lagrangian_value(free_lag, center, u)))
+    assert same_bits(np.float64(rm.three_lagrangian_value(lag, three)),
+                     np.float64(rm.three_lagrangian_value(free_lag, three)))

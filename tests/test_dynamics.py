@@ -7,11 +7,10 @@ import numpy.testing as npt
 import pytest
 
 import relmech as rm
-from relmech.dynamics import _stage_acceleration
 from relmech.errors import DomainError, NonPositiveG, StepRejected
 
-from conftest import (counting_fields, generic, random_state, same_bits,
-                      shear_minkowski)
+from conftest import (counting_fields, counting_forms, generic, random_state,
+                      same_bits, shear_minkowski, stage_acceleration)
 
 X0 = np.zeros(4)
 X_SCHW = np.array([0.0, 10.0, math.pi / 2, 0.0])
@@ -321,34 +320,33 @@ def test_one_inversion_per_rhs_stage(mink, mink_gf, uniform_b, inversion_count):
     s0 = rm.FourState(X0, np.array([1.25, 0.75, 0.0, 0.0]))
     rm.integrate_geodesic(generic(conn), mink_gf, s0, 1e-2, 25, "none", 5)
     assert inversion_count[0] == 4 * 25
-    # a diagonal metric: g and its partials once per stage, and no inversion
-    counted, calls = counting_fields(mink)
+    # a metric with a float form: one form read per stage, and no inversion
+    counted, calls = counting_forms(mink)
     rm.integrate_geodesic(rm.connection_from(counted, uniform_b, 1.0, 1.0), mink_gf,
                           s0, 1e-2, 25, "none", 5)
     assert inversion_count[0] == 4 * 25
-    assert calls == {"value": 4 * 25, "partials": 4 * 25}
-    # a metric that is not diagonal: one probe of the kernel, which reads g
-    # alone, then K at every stage
+    assert calls == {"value": 0, "partials": 0, "form": 4 * 25}
+    # a metric that declares no form: K at every stage, and no probe
     shear, calls = counting_fields(shear_minkowski(0.9)[0])
     rm.integrate_geodesic(rm.connection_from(shear, uniform_b, 1.0, 1.0),
                           rm.GTensorField.from_metric(shear_minkowski(0.9)[0]),
                           s0, 1e-2, 25, "none", 5)
     assert inversion_count[0] == 2 * 4 * 25
-    assert calls == {"value": 1 + 4 * 25, "partials": 4 * 25}
+    assert calls == {"value": 4 * 25, "partials": 4 * 25}
 
-    # G the metric's own form: still one value and one partials read per
-    # stage, and none more for the monitor or the projection.  Over N steps
-    # that is g_value at the start, then 4 N + 1 stages, the last step's
-    # settle evaluating a first stage that no step uses.  The potential is
-    # read as K reads it, its partials once per stage.
+    # G the metric's own form: still one form read per stage, and none more
+    # for the monitor or the projection.  Over N steps that is g_value at
+    # the start, then 4 N + 1 stages, the last step's settle evaluating a
+    # first stage that no step uses.  The potential's form is read as K
+    # reads the partials, once per stage.
     for projection in ("none", "rescale"):
-        metric, calls = counting_fields(mink)
-        potential, pot_calls = counting_fields(uniform_b)
+        metric, calls = counting_forms(mink)
+        potential, pot_calls = counting_forms(uniform_b)
         traj = rm.integrate_geodesic(rm.connection_from(metric, potential, 1.0, 1.0),
                                      rm.GTensorField.from_metric(metric), s0, 1e-2, 25,
                                      projection, 5)
-        assert calls == {"value": 2 + 4 * 25, "partials": 1 + 4 * 25}
-        assert pot_calls == {"value": 0, "partials": 1 + 4 * 25}
+        assert calls == {"value": 1, "partials": 0, "form": 1 + 4 * 25}
+        assert pot_calls == {"value": 0, "partials": 0, "form": 1 + 4 * 25}
         want = rm.integrate_geodesic(rm.connection_from(mink, uniform_b, 1.0, 1.0),
                                      rm.GTensorField.from_metric(rm.minkowski()), s0,
                                      1e-2, 25, projection, 5)
@@ -420,7 +418,7 @@ def test_integrator_matches_reference_loop(schw, schw_gf, mink, mink_gf, uniform
             traj = rm.integrate_geodesic(conn, gf, s0, 0.05, 200, projection, 7)
             taus, xs, us, gs, drift = _reference_rk4(conn, gf, s0, 0.05, 200,
                                                      projection, 7,
-                                                     _stage_acceleration(conn))
+                                                     stage_acceleration(conn))
             assert len(traj) == 30
             npt.assert_array_equal(traj.tau, taus)
             npt.assert_array_equal(traj.x, xs)
@@ -449,7 +447,7 @@ def test_generic_path_keeps_reference_bits(schw, schw_gf, mink, mink_gf, uniform
 
 def test_replaced_k_is_integrated(schw, schw_gf):
     # a K put in with dataclasses.replace is the equation integrated, and
-    # a functools.wraps wrapper (a tracer's, say) keeps the kernel and its bits
+    # a functools.wraps wrapper (a tracer's, say) keeps the float stage and its bits
     conn = rm.levi_civita_connection(schw)
     u0 = rm.project_to_shell(schw_gf, X_SCHW, np.array([1.1, -0.05, 0.0, 0.03]))
     s0 = rm.FourState(X_SCHW, u0)
@@ -509,7 +507,7 @@ def test_settled_point_error_names_the_next_step(schw, schw_gf):
             rm.integrate_geodesic(conn, gf, rm.FourState(x0, u0), 0.05, 100)
         with pytest.raises(DomainError) as want:
             _reference_rk4(conn, gf, rm.FourState(x0, u0), 0.05, 100,
-                           acc=_stage_acceleration(conn))
+                           acc=stage_acceleration(conn))
         assert str(got.value) == str(want.value)
         assert got.value.tau == want.value.tau
     assert "during step 14" in str(got.value) and got.value.tau == 13 * 0.05

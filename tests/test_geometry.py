@@ -11,7 +11,7 @@ from relmech.errors import DimensionMismatch, DomainError, SingularMetric
 from relmech.geometry import fd_partials
 from relmech.hamiltonian import _dginv
 
-from conftest import dense_minkowski, random_point, shear_minkowski
+from conftest import dense_minkowski, random_point, same_bits, shear_minkowski
 
 X0 = np.zeros(4)
 X_SCHW = np.array([0.0, 10.0, math.pi / 2, 0.0])
@@ -53,7 +53,7 @@ def test_schwarzschild_domain_guard(schw):
 def test_schwarzschild_domain_messages(schw):
     # the chart check runs inside value and partials, so every reader raises
     # it with the same message: a point, the first failing row of a batch,
-    # the N = 1 form and the integrators' stage kernels
+    # the N = 1 form and the float forms of the integrators' stages
     def message(read):
         with pytest.raises(DomainError) as info:
             read()
@@ -70,8 +70,8 @@ def test_schwarzschild_domain_messages(schw):
     got = [message(lambda: rm.metric_at(schw, point(1.5))),
            message(lambda: rm.metric_at(schw, rows)),
            message(lambda: rm.g_value(gf, point(1.9), u)),
-           message(lambda: conn.K._diagonal_acceleration(point(1.25), u)),
-           message(lambda: ham.flow._diagonal_stage(point(1.75), u))]
+           message(lambda: conn.K._float_stage[0](point(1.25).tolist())),
+           message(lambda: ham.flow._float_stage[1](point(1.75).tolist(), u.tolist()))]
     want = [f"schwarzschild chart requires r > 2M = 2; got r = {r}"
             for r in ("1.5", "2", "1.9", "1.25", "1.75")]
     assert got == want
@@ -485,3 +485,117 @@ def test_catalog_dispatch():
     assert rm.catalog_metric("diagonal", diag=[1, -1, -1, -1]).dim == 4
     with pytest.raises(ValueError):
         rm.catalog_metric("kerr")
+
+
+# -- float forms -----------------------------------------------------------------
+
+def _outcome(read, x):
+    """``read(x)``, or the type and message of the DomainError or
+    SingularMetric it raises."""
+    try:
+        return read(x)
+    except (DomainError, SingularMetric) as exc:
+        return type(exc), str(exc)
+
+
+def _schwarzschild_points(big_m):
+    """Off the equator, near r = 2M on both sides, at and near the poles, and
+    where g stops being finite."""
+    rng = np.random.default_rng(41)
+    r_min = 2.0 * big_m * (1.0 + 1e-9)
+    pts = [[rng.uniform(-1, 1), rng.uniform(2.05, 40.0) * big_m, rng.uniform(0.01, 3.13),
+            rng.uniform(0, 2 * math.pi)] for _ in range(300)]
+    pts += [[0.0, r, rng.uniform(0.3, 2.8), 0.5]
+            for r in (r_min * (1 + k * 2.2e-16) for k in range(-3, 4))]
+    pts += [[0.0, 2.0 * big_m * (1 + 10.0 ** -k), 1.2, 0.0] for k in range(1, 12)]
+    pts += [[0.0, 2.0 * big_m, 1.2, 0.0], [0.0, 1.5 * big_m, 1.2, 0.0]]
+    pts += [[0.0, 5.0 * big_m, th, 1.0] for th in
+            (0.0, -0.0, 1e-200, 1e-160, 1e-9, 1e-5, math.pi, math.pi - 1e-9, -1e-7)]
+    pts += [[0.0, r, th, 0.0] for r in (1e154, 1e200, math.inf) for th in (1.2, 0.0)]
+    return np.array(pts)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inverse_metric_at near the pole
+@pytest.mark.parametrize("metric", [
+    rm.minkowski(), rm.euclidean(), rm.minkowski(3), rm.schwarzschild(1.0),
+    rm.schwarzschild(2.5), rm.diagonal_metric([1.5, -0.75, -2.0, -1.25]),
+    rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0]),
+    rm.diagonal_metric([1e308, 1e308, -1.0, -1.0])])
+def test_metric_float_forms_equal_value_and_partials(metric):
+    # the form has the bits of value and partials, raises their errors and
+    # inverse_metric_at's SingularMetric with their messages, and declines
+    # where g has a zero entry or the sum of |g_aa| is not finite
+    form = metric.value.float_form
+    assert metric.partials.float_form is form
+    if metric.catalog_id == "schwarzschild":
+        points = _schwarzschild_points(metric.params["M"])
+    else:
+        points = np.random.default_rng(43).uniform(-3.0, 3.0, (100, metric.dim))
+    seen = set()
+    for x in points:
+        got = _outcome(form, x.tolist())
+        want = _outcome(metric.value, x)
+        if isinstance(want, tuple):
+            seen.add("raises")
+            assert got == want
+            continue
+        d = want.diagonal().tolist()
+        if not (min(map(abs, d)) > 0.0 and math.isfinite(sum(map(abs, d)))):
+            seen.add("declines")
+            assert got is None
+            continue
+        singular = _outcome(lambda x: rm.inverse_metric_at(metric, x), x)
+        if isinstance(singular, tuple):
+            seen.add("singular")
+            assert got == singular
+            continue
+        seen.add("form")
+        d, slopes = got
+        dg = np.zeros((metric.dim,) * 3)
+        for mu, a, v in slopes:
+            dg[mu, a, a] = v
+        assert same_bits(np.diag(d), want)
+        assert same_bits(dg, metric.partials(x))
+    if metric.catalog_id == "schwarzschild":
+        assert seen == {"raises", "declines", "singular", "form"}
+    elif metric.params.get("diag", (1.0,))[0] == 1e308:
+        assert seen == {"declines"}
+    elif metric.params.get("diag", (0.0, 0.0))[1] == -1e-13:
+        assert seen == {"singular"}
+    else:
+        assert seen == {"form"}
+
+
+@pytest.mark.parametrize("potential, center", [
+    (rm.zero_potential(4), None), (rm.zero_potential(3), None), (rm.uniform_field(), None),
+    (rm.uniform_field((0.3, -0.2, 0.5), (1.0, 2.0, -0.7)), None),
+    (rm.uniform_field((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)), None),
+    (rm.coulomb_potential(0.8, center=(0.1, -0.2, 0.3)), (0.1, -0.2, 0.3)),
+    (rm.coulomb_potential(-1e-3), (0.0, 0.0, 0.0))])
+def test_potential_float_forms_equal_value_and_partials(potential, center):
+    # A and the slopes have the bits of value and partials, also near the
+    # Coulomb center, where the form raises their error with its message
+    form = potential.value.float_form
+    assert potential.partials.float_form is form
+    rng = np.random.default_rng(47)
+    points = list(rng.uniform(-3.0, 3.0, (200, potential.dim)))
+    if center is not None:
+        for scale in (0.0, 1e-12 * (1 - 1e-6), 1e-12, 1e-12 * (1 + 1e-6), 1e-9, 1e-6):
+            step = rng.standard_normal(3)
+            points.append(np.concatenate(([0.5], center + scale * step / np.linalg.norm(step))))
+    seen = set()
+    for x in points:
+        got = _outcome(form, x.tolist())
+        want = _outcome(potential.value, x)
+        if isinstance(want, tuple):
+            seen.add("raises")
+            assert got == want == _outcome(potential.partials, x)
+            continue
+        seen.add("form")
+        a, slopes = got
+        da = np.zeros((potential.dim,) * 2)
+        for lam, mu, v in slopes:
+            da[lam, mu] = v
+        assert same_bits(np.array(a, dtype=float), want)
+        assert same_bits(da, potential.partials(x))
+    assert seen == ({"raises", "form"} if center is not None else {"form"})

@@ -12,8 +12,8 @@ from relmech.geometry import (FD_STEP, _check_condition, _diagonal, _field_at,
                               fd_partials, metric_at)
 from relmech.hamiltonian import _shell_metric
 
-from conftest import (counting_fields, generic, random_point, random_state,
-                      same_bits, shear_minkowski)
+from conftest import (counting_fields, counting_forms, generic, random_point,
+                      random_state, same_bits, shear_minkowski)
 
 X0 = np.zeros(4)
 
@@ -425,10 +425,10 @@ def _reference_rk4(h, s0, dt, steps, record_every, metric=None):
     return np.stack(xs), np.stack(ps), np.asarray(hts)
 
 
-# The diagonal-metric kernel and the integrator's first stage as they were
-# when the shell monitor read g through metric_at and every stage read the
-# potential, copied verbatim (with the reader they called) so that a change
-# of bits inside the kernel shows against them.
+# The numpy diagonal-metric kernel and the integrator's first stage as they
+# were when the shell monitor read g through metric_at and every stage read
+# the potential, copied verbatim (with the reader they called) so that a
+# change of bits inside the float stages shows against them.
 
 def _frozen_diagonal_form(metric, x, g=None):
     if g is None:
@@ -502,7 +502,7 @@ def _frozen_rk4(h, s0, dt, steps, record_every):
 
 
 def test_integrator_matches_reference_loop(schw, schw_gf, mink, uniform_b):
-    # the integrator keeps the bits of the frozen kernel: at charge 0 with
+    # the float stages keep the bits of the frozen kernel: at charge 0 with
     # any potential, which it no longer reads, and at charge 1
     x0 = np.array([0.0, 10.0, math.pi / 2, 0.0])
     u0 = rm.project_to_shell(schw_gf, x0, np.array([1.1, -0.05, 0.0, 0.03]))
@@ -606,24 +606,24 @@ def test_one_inversion_per_rhs_stage(schw, schw_gf, mink, uniform_b, inversion_c
     # start plus four flow evaluations per step
     assert at_samples[0] == len(traj) == 4
     assert inversion_count[0] - at_samples[0] == 1 + 4 * 30
-    # a diagonal metric: g and its partials once per stage, H and the
+    # a metric with a float form: one form read per stage, H and the
     # monitor's g from the first stage, and no inversion
     before = inversion_count[0]
-    metric, calls = counting_fields(schw)
+    metric, calls = counting_forms(schw)
     ham = rm.standard_hamiltonian(metric, rm.zero_potential(4), 1.0, 0.0)
     rm.integrate_hamiltonian(ham, rm.PhaseState(x0, p0), 0.1, 30, 10)
     assert inversion_count[0] == before
-    assert calls == {"value": 1 + 4 * 30, "partials": 1 + 4 * 30}
-    # the potential: not read at charge 0; at charge 1, A and its partials
-    # once per stage
+    assert calls == {"value": 0, "partials": 0, "form": 1 + 4 * 30}
+    # the potential: not read at charge 0; at charge 1, its form (A and its
+    # partials) once per stage
     cases = [(schw, rm.uniform_field((0.3, -0.2, 0.5), (1.0, 2.0, -0.7)), 0.0, x0, u0,
-              {"value": 0, "partials": 0}),
+              {"value": 0, "partials": 0, "form": 0}),
              (mink, uniform_b, 1.0, X0, np.array([1.25, 0.75, 0.0, 0.0]),
-              {"value": 1 + 4 * 30, "partials": 1 + 4 * 30})]
+              {"value": 0, "partials": 0, "form": 1 + 4 * 30})]
     for metric, pot, charge, x, u, want in cases:
-        counted, calls = counting_fields(pot)
+        counted, calls = counting_forms(pot)
         ham = rm.standard_hamiltonian(metric, counted, 1.0, charge)
         s0 = rm.PhaseState(x, rm.on_shell_momentum(ham, x, u))
-        calls.update(value=0, partials=0)
+        calls.update(value=0, partials=0, form=0)
         rm.integrate_hamiltonian(ham, s0, 0.1, 30, 10)
         assert calls == want

@@ -7,8 +7,8 @@ H = g^{mu nu} (p - eA)_mu (p - eA)_nu / (2m).  They are turned into numpy
 functions with ``lambdify`` and integrated with scipy's DOP853 at rtol and
 atol 1e-12 (Hairer, Norsett & Wanner, Solving ODEs I, 1993).  relmech's RK4
 runs must approach these solutions at fourth order, both through the
-integrators' O(m^2) kernels for diagonal metrics and through the generic path
-(inverse metric and connection symbols).
+integrators' O(m^2) float stages for the catalog fields and through the
+generic path (inverse metric and connection symbols).
 
 The ISCO test needs neither: it starts from the closed-form circular orbits
 of Schwarzschild and predicts the radial turning points, or their absence,
