@@ -159,8 +159,8 @@ def _float_acceleration(metric: MetricField, potential: PotentialField,
             faraday[lam * m + mu] += v
             faraday[mu * m + lam] -= v
         row = [ratio * (1.0 / di) for di in d]
-        force = np.dot(np.array([[row[l] * v for v in faraday[l * m:l * m + m]]
-                                 for l in range(m)]), np.array(u))
+        solder = [c * v for l, c in enumerate(row) for v in faraday[l * m:l * m + m]]
+        force = np.dot(np.array(solder).reshape(m, m), np.array(u))
         return [(0.5 * p - ui * q) / di + v + 0.0
                 for p, ui, q, di, v in zip(s1, u, s2, d, force.tolist())]
 

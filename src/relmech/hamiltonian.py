@@ -222,12 +222,12 @@ def _float_flow(std: StandardData):
         k = [vi / mass + 0.0 for vi in v]
         if e == 0.0:
             return k + [0.5 * si / mass + 0.0 for si in s], v, w, d
-        da = np.zeros((m, m))
+        da = [0.0] * (m * m)
         for lam, mu, val in slopes_a:
-            da[lam, mu] = val
+            da[lam * m + mu] = val
         c = e / mass
-        return k + [0.5 * si / mass + c * t + 0.0
-                    for si, t in zip(s, np.dot(da, np.array(v)).tolist())], v, w, d
+        force = np.dot(np.array(da).reshape(m, m), np.array(v))
+        return k + [0.5 * si / mass + c * t + 0.0 for si, t in zip(s, force.tolist())], v, w, d
 
     def energy(v, w):
         return 0.5 * float(np.dot(np.array(v), np.array(w))) / mass

@@ -12,7 +12,7 @@ from relmech.geometry import (FD_STEP, _check_condition, _diagonal, _field_at,
                               fd_partials, metric_at)
 from relmech.hamiltonian import _shell_metric
 
-from conftest import (counting_fields, counting_forms, generic, random_point,
+from conftest import (counting_forms, generic, random_point,
                       random_state, same_bits, shear_minkowski)
 
 X0 = np.zeros(4)
