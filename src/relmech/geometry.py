@@ -29,8 +29,8 @@ d_lam A_mu) entries that can be nonzero.  Each number has the bits of
 declines (returns None) where g has a zero or non-finite entry, and raises
 the :class:`SingularMetric` of :func:`inverse_metric_at` where g is too
 badly conditioned.  A field whose ``value`` or ``partials`` was replaced
-declares no form (:func:`_float_form`); ``from_function`` fields declare
-none.
+declares no form (:func:`_float_form`), and a ``from_function`` field
+declares one only when both of its callables carry the same form.
 """
 
 from __future__ import annotations
