@@ -261,7 +261,7 @@ def _constant_metric(entries: list, catalog_id: str, params: dict) -> MetricFiel
     d = tuple(float(v) for v in entries)
     return _declare(MetricField(len(d), lambda x: g.copy(), lambda x: dg.copy(),
                                 catalog_id, params),
-                    lambda x: _diagonal_form(d, (), x))
+                    lambda x: _diagonal_float_form(d, (), x))
 
 
 def schwarzschild(mass: float = 1.0) -> MetricField:
@@ -314,8 +314,9 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
         df = 2.0 * big_m / (r * r)
         s, c = math.sin(th), math.cos(th)
         d = f, -1.0 / f, -r * r, -r * r * s ** 2
-        return _diagonal_form(d, ((1, 0, df), (1, 1, df / (f * f)), (1, 2, -2.0 * r),
-                                  (1, 3, -2.0 * r * s * s), (2, 3, -2.0 * r * r * s * c)), x)
+        slopes = ((1, 0, df), (1, 1, df / (f * f)), (1, 2, -2.0 * r),
+                  (1, 3, -2.0 * r * s * s), (2, 3, -2.0 * r * r * s * c))
+        return _diagonal_float_form(d, slopes, x)
 
     return _declare(MetricField(4, value, partials, "schwarzschild", {"M": big_m}), form)
 
@@ -401,7 +402,7 @@ def _diagonal(a: Array) -> Optional[Array]:
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
-def _diagonal_form(d: tuple, slopes: tuple, x):
+def _diagonal_float_form(d: tuple, slopes: tuple, x):
     """The float form (d, slopes) of the diagonal metric g = diag(d) at
     ``x``.  None where an entry is zero or the sum of the |d| is not
     finite, which leaves the point to the general formulas; the

@@ -17,7 +17,7 @@ import pytest
 import relmech as rm
 from relmech.checks import sample_point, sample_velocity
 from relmech.errors import DomainError, SingularMetric, StepRejected
-from relmech.geometry import _diagonal_form
+from relmech.geometry import _diagonal_float_form
 
 from conftest import generic, same_bits, shear_minkowski
 
@@ -222,7 +222,7 @@ def test_zero_diagonal_entry_names_the_singular_metric():
     undeclared = rm.MetricField(4, value, lambda x: np.zeros((4, 4, 4)))
     declared = rm.MetricField(4, lambda x: value(x), lambda x: np.zeros((4, 4, 4)))
     declared.value.float_form = declared.partials.float_form = (
-        lambda x: _diagonal_form(tuple(value(x).diagonal().tolist()), (), x))
+        lambda x: _diagonal_float_form(tuple(value(x).diagonal().tolist()), (), x))
     runs = [(undeclared, np.zeros(4), np.eye(4)[0]), (declared, np.zeros(4), np.eye(4)[0]),
             (rm.schwarzschild(1.0), np.array([0.0, 10.0, 0.0, 0.0]),
              np.eye(4)[0] / math.sqrt(0.8))]
