@@ -272,12 +272,13 @@ def _rk4(rhs: Callable[[list], list], y: list, value, dt: float, steps: int,
     Each stage and the update are done entry by entry, with the bits of the
     same expressions on numpy arrays.  ``value`` is the monitored value at
     the start, ``k1`` rhs(y) there if known.  After each finite step
-    ``settle(y)`` returns (y, value, k1): the state to go on from (it may
-    change y in place), the monitored value, and rhs(y) if it computed it,
-    else None.  A DomainError from a stage or from ``settle`` is re-raised
-    naming the step, with the last good tau.  Returns (taus, ys, values) of
-    the start, every ``record_every``-th step and the last step: ys is one
-    flat ``array('d')`` of the recorded states.
+    ``settle(y, recorded)`` returns (y, value, k1): the state to go on from
+    (it may change y in place), the monitored value, and rhs(y) if it
+    computed it, else None; ``recorded`` says whether this step's value is
+    kept.  A DomainError from a stage or from ``settle`` is re-raised naming
+    the step, with the last good tau.  Returns (taus, ys, values) of the
+    start, every ``record_every``-th step and the last step: ys is one flat
+    ``array('d')`` of the recorded states.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -301,13 +302,14 @@ def _rk4(rhs: Callable[[list], list], y: list, value, dt: float, steps: int,
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
             if not (math.isfinite(sum(y)) or all(map(math.isfinite, y))):
                 raise StepRejected(f"non-finite state after step {k}", tau=tau)
-            y, value, k1 = settle(y)
+            recorded = k % record_every == 0 or k == steps
+            y, value, k1 = settle(y, recorded)
         except DomainError as exc:
             raise DomainError(
                 f"left the metric domain during step {k}: {exc}", tau=tau
             ) from exc
         tau = k * dt
-        if k % record_every == 0 or k == steps:
+        if recorded:
             taus.append(tau)
             ys.extend(y)
             values.append(value)
@@ -375,7 +377,7 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
         xa, ua = np.array(x), np.array(u)
         return u + (c.K(xa, ua) @ ua).tolist()
 
-    def settle(y):
+    def settle(y, recorded):
         nonlocal drift
         x, u = y[:m], y[m:]
         f = None

@@ -416,9 +416,10 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     H_T there.  Where ``flow`` and ``value`` both carry the float stage of
     :func:`standard_hamiltonian` (a wrapper made with ``functools.wraps``
     keeps it, any other replacement drops it), each stage is float
-    arithmetic that reads the metric's float form once, H comes from the
-    first stage, and so does g = diag(d) when ``metric`` declares the same
-    form: H_T = (v d) . v - 1, with the bits of v . g . v.  From the first
+    arithmetic that reads the metric's float form once, the H of a recorded
+    sample comes from its first stage, and so does g = diag(d) when
+    ``metric`` declares the same form: H_T = (v d) . v - 1, with the bits of
+    v . g . v.  From the first
     stage where the form declines, and for every other model, the run calls
     ``h.flow``; H then comes from ``h.value`` and g from :func:`metric_at`,
     read after the flow.
@@ -448,9 +449,10 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
         v = np.array(u)
         return float(v @ metric_at(shell_metric, np.array(y[:m])) @ v) - 1.0
 
-    def first_stage(y):
-        """The flow at y, the shell residual of its velocity, and the (v, w)
-        that give H by ``energy`` (None when ``h.value`` gives it)."""
+    def first_stage(y, recorded):
+        """The flow at y, the shell residual of its velocity, and H where
+        the float stage gives it and the step is recorded, else None (for a
+        recorded step, ``h.value`` then gives it)."""
         nonlocal floats
         if floats:
             out = stage(y[:m], y[m:])
@@ -461,19 +463,19 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
                     ht = float(_dot_du(d, u)) - 1.0
                 else:
                     ht = shell_residual(u, y)
-                return k, ht, (v, w)
+                return k, ht, energy(v, w) if recorded else None
             floats = False
         k = general(y)
         return k, shell_residual(k[:m], y), None
 
-    def settle(y):
+    def settle(y, recorded):
         nonlocal drift
-        k1, ht, vw = first_stage(y)
+        k1, ht, hv = first_stage(y, recorded)
         drift = max(drift, abs(ht))
-        return y, (ht, vw), k1
+        return y, (ht, hv), k1
 
     y0 = np.concatenate((s0.x, s0.p)).astype(float).tolist()
-    k1, ht0, vw0 = first_stage(y0)
+    k1, ht0, hv0 = first_stage(y0, True)
     if abs(ht0) > 1e-8:
         warnings.warn(
             f"initial phase point is off the mass shell: H_T = {ht0!r}",
@@ -481,16 +483,16 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
         )
     drift = abs(ht0)
 
-    taus, ys, values = _rk4(flow, y0, (ht0, vw0), dt, steps, settle,
+    taus, ys, values = _rk4(flow, y0, (ht0, hv0), dt, steps, settle,
                             record_every, k1)
     ys = np.array(ys).reshape(-1, 2 * m)
-    hts, vws = zip(*values)
+    hts, hs = zip(*values)
     return PhaseTrajectory(
         tau=np.asarray(taus),
         x=ys[:, :m],
         p=ys[:, m:],
-        H=np.asarray([float(h.value(y[:m], y[m:])) if vw is None else energy(*vw)
-                      for y, vw in zip(ys, vws)]),
+        H=np.asarray([float(h.value(y[:m], y[m:])) if hv is None else hv
+                      for y, hv in zip(ys, hs)]),
         HT=np.asarray(hts),
         max_shell_drift=drift,
     )

@@ -365,7 +365,7 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
             raise StepRejected("non-finite chart state") from exc
         return [1.0, *three.v.tolist(), *three_acceleration(model, three).tolist()]
 
-    def settle(y):
+    def settle(y, recorded):
         nonlocal last
         y[0] = last.q0 + dt
         last = chart_state(y)
