@@ -419,10 +419,9 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     arithmetic that reads the metric's float form once, the H of a recorded
     sample comes from its first stage, and so does g = diag(d) when
     ``metric`` declares the same form: H_T = (v d) . v - 1, with the bits of
-    v . g . v.  From the first
-    stage where the form declines, and for every other model, the run calls
-    ``h.flow``; H then comes from ``h.value`` and g from :func:`metric_at`,
-    read after the flow.
+    v . g . v.  From the first stage where the form declines, and for every
+    other model, the run calls ``h.flow``; H then comes from ``h.value`` and
+    g from :func:`metric_at`, read after the flow.
     """
     shell_metric = _shell_metric(h, metric)
     m = np.size(s0.x)
