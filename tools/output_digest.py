@@ -18,8 +18,10 @@ The digest covers, in a fixed order:
   workload reaches (``COVERAGE``): Coulomb potentials in every scenario
   kind, charged Schwarzschild runs off the equator, ``projection =
   rescale``, the euclidean and diagonal metrics under an electric field,
-  sign -1 and charge-0 three-velocity runs, and runs that fail at the
-  pole and at the horizon.  Each is hashed as the workload operations are.
+  sign -1 and charge-0 three-velocity runs, charged Schwarzschild
+  three-velocity runs under Coulomb and uniform E, B potentials, and runs
+  that fail at the pole and at the horizon.  Each is hashed as the
+  workload operations are.
 
 Each round of operations runs in a fresh temporary directory, and the paths
 of that directory and of TREE are masked in every byte hashed, so two
@@ -66,6 +68,12 @@ _EB = {"kind": "uniform_field", "E": "0.01,0.02,-0.01", "B": "0.02,-0.01,0.03"}
 _OFF_EQUATOR = {"mass": "1", "charge": "0.5", "x0": "0,12,1.1,0.3",
                 "u0": "1.1,0.02,0.01,0.03", "normalize": "true"}
 _ORBIT = {"dt": "0.5", "steps": "300"}
+#: a charged chart-time start off the equator, close in, whose every v
+#: component is large enough that the radial row of (dg . u) . u and the
+#: v . dd sums add terms of comparable size: with dt = 0.5 an ulp of the
+#: acceleration reaches the state, so their summation order shows in the bits
+_SCHW_CHART_TIME = {"mass": "1", "charge": "0.5", "x0": "0,8,1.1,0.3",
+                    "v0": "0.1,0.03,0.05"}
 
 #: (name, kinds, INI sections without the scenario and output) of the coverage round
 COVERAGE = (
@@ -106,6 +114,12 @@ COVERAGE = (
      {"manifold": _FLAT, "potential": _EB,
       "particle": {"charge": "1", "x0": "0,0,0,0", "v0": "0.3,-0.1,0.2", "sign": "-1"},
       "integrator": {"dt": "0.1", "steps": "300"}}),
+    ("schwarzschild-coulomb-chart-time", ("three_velocity",),
+     {"manifold": _SCHW, "potential": _SCHW_COULOMB, "particle": _SCHW_CHART_TIME,
+      "integrator": {"dt": "0.5", "steps": "300"}}),
+    ("schwarzschild-eb-chart-time", ("three_velocity",),
+     {"manifold": _SCHW, "potential": _EB, "particle": _SCHW_CHART_TIME,
+      "integrator": {"dt": "0.5", "steps": "300"}}),
     ("charge-zero", ("three_velocity",),
      {"manifold": _SCHW, "potential": _SCHW_COULOMB,
       "particle": {"charge": "0", "x0": "0,12,1.1,0.3", "v0": "0.02,0.01,0.03"},
