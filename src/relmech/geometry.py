@@ -24,11 +24,12 @@ for the integrators' RK4 stages, as ``float_form`` on both of their
 callables: a diagonal metric's form gives ``(d, slopes)`` with g = diag(d)
 and ``slopes`` the (mu, a, d_mu g_aa) entries that can be nonzero, in that
 index order; a potential's form gives ``(A, slopes)`` with the (lam, mu,
-d_lam A_mu) entries that can be nonzero.  Each number has the bits of
-``value`` or ``partials`` and a form raises their errors.  A metric's form
-declines (returns None) where g has a zero or non-finite entry, and raises
-the :class:`SingularMetric` of :func:`inverse_metric_at` where g is too
-badly conditioned.  A field whose ``value`` or ``partials`` was replaced
+d_lam A_mu) entries that can be nonzero and ``A()`` the components, computed
+only when called, since most stages read the slopes alone.  Each number has
+the bits of ``value`` or ``partials`` and a form raises their errors.  A
+metric's form declines (returns None) where g has a zero or non-finite
+entry, and raises the :class:`SingularMetric` of :func:`inverse_metric_at`
+where g is too badly conditioned.  A field whose ``value`` or ``partials`` was replaced
 declares no form (:func:`_float_form`), and a ``from_function`` field
 declares one only when both of its callables carry the same form.
 """
@@ -255,13 +256,20 @@ def diagonal_metric(entries: Sequence[float]) -> MetricField:
 
 
 def _constant_metric(entries: list, catalog_id: str, params: dict) -> MetricField:
-    """The metric diag(entries) with zero partials, and its float form."""
+    """The metric diag(entries) with zero partials, and its float form,
+    which makes the condition test of :func:`_diagonal_float_form` once,
+    since d never changes: a metric that fails it raises at each read,
+    naming the point."""
     g = np.diag(entries)
     dg = np.zeros((len(entries),) * 3)
     d = tuple(float(v) for v in entries)
+    try:
+        f = _diagonal_float_form(d, (), [0.0] * len(d))
+        form = lambda x: f
+    except SingularMetric:
+        form = lambda x: _diagonal_float_form(d, (), x)
     return _declare(MetricField(len(d), lambda x: g.copy(), lambda x: dg.copy(),
-                                catalog_id, params),
-                    lambda x: _diagonal_float_form(d, (), x))
+                                catalog_id, params), form)
 
 
 def schwarzschild(mass: float = 1.0) -> MetricField:
@@ -493,7 +501,8 @@ class PotentialField:
 def zero_potential(dim: int = 4) -> PotentialField:
     a = np.zeros(dim)
     da = np.zeros((dim, dim))
-    form = (0.0,) * dim, ()
+    zeros = (0.0,) * dim
+    form = (lambda: zeros), ()
     return _declare(PotentialField(dim, lambda x: a.copy(), lambda x: da.copy()),
                     lambda x: form)
 
@@ -524,7 +533,7 @@ def uniform_field(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> Potential
         return float(np.dot(ee, np.asarray(x[1:4]))), b2 * x[3], b3 * x[1], b1 * x[2]
 
     return _declare(PotentialField(4, lambda x: np.array(components(x)), lambda x: da.copy()),
-                    lambda x: (components(x), slopes))
+                    lambda x: ((lambda: components(x)), slopes))
 
 
 def coulomb_potential(charge: float, center=(0.0, 0.0, 0.0)) -> PotentialField:
@@ -565,7 +574,7 @@ def coulomb_potential(charge: float, center=(0.0, 0.0, 0.0)) -> PotentialField:
 
     def form(x):
         d, rho = offset(x)
-        return (q / rho, 0.0, 0.0, 0.0), slopes(d, rho)
+        return (lambda: (q / rho, 0.0, 0.0, 0.0)), slopes(d, rho)
 
     return _declare(PotentialField(4, value, partials), form)
 

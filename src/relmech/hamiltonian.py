@@ -209,7 +209,7 @@ def _float_flow(std: StandardData):
             w = p
         else:
             a, slopes_a = potential_form(x)
-            w = [pi - e * ai for pi, ai in zip(p, a)]
+            w = [pi - e * ai for pi, ai in zip(p, a())]
         f = form(x)
         if f is None:
             return None

@@ -596,6 +596,6 @@ def test_potential_float_forms_equal_value_and_partials(potential, center):
         da = np.zeros((potential.dim,) * 2)
         for lam, mu, v in slopes:
             da[lam, mu] = v
-        assert same_bits(np.array(a, dtype=float), want)
+        assert same_bits(np.array(a(), dtype=float), want)
         assert same_bits(da, potential.partials(x))
     assert seen == ({"raises", "form"} if center is not None else {"form"})
