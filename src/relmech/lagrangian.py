@@ -24,12 +24,13 @@ Ebar_0 = -v^i Ebar_i.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import Trajectory, _rk4
-from .errors import DimensionMismatch, DomainError, NonPositiveG, StepRejected
+from .errors import DimensionMismatch, DomainError, NonPositiveG, SingularMetric, StepRejected
 from .geometry import (
     Array,
     GTensorField,
@@ -37,6 +38,7 @@ from .geometry import (
     _dot,
     _field_at,
     _first_failure,
+    _float_form,
     _norm,
     _power,
     _scalar,
@@ -245,12 +247,16 @@ def _reduced_pieces(model: LagrangianModel, t: ThreeVelocity):
     uhat = np.concatenate(([1.0], t.v))
     gt = np.asarray(gf.value(x), dtype=float)
     gbar = float(contract_all(gt, uhat, n2))
+    _require_reduced_positive(gbar)
+    return x, uhat, gt, gbar, n2
+
+
+def _require_reduced_positive(gbar: float) -> None:
     if not gbar > 0.0:
         raise NonPositiveG(
             f"reduced form Gbar = {gbar:g} is not positive; the chart-local "
             "three-velocity picture breaks down here"
         )
-    return x, uhat, gt, gbar, n2
 
 
 def three_lagrangian_value(model: LagrangianModel, t: ThreeVelocity) -> float:
@@ -334,6 +340,93 @@ def three_acceleration(model: LagrangianModel, t: ThreeVelocity) -> Array:
     return np.linalg.solve(mat, -base)
 
 
+def _float_three_acceleration(model: LagrangianModel):
+    """:func:`three_acceleration` in Python floats for an N = 1 G field
+    whose callables declare a float form, as ``GTensorField.from_metric``
+    keeps the metric's; None for any other field, or at a nonzero charge
+    where the potential declares no form.
+
+    ``stage(x, v)`` takes lists x = (q^0, q) and v and returns w as a list,
+    with the bits of ``three_acceleration``, its errors and their messages.
+    It returns None where the form declines or raises SingularMetric (this
+    picture never inverts g), where Gbar is not finite and where Gbar^(3/2)
+    underflows to 0, which numpy divides by and Python does not: the caller
+    then calls ``three_acceleration``.  Written out for N = 1, g = diag(d)
+    and dd[mu, a] = d_mu g_aa, with u = (1, v), the stage follows the order
+    rule of :mod:`relmech.dynamics`: c = d u, (dg . u) and dg_dir . u have
+    one term per entry, copied in floats with + 0.0 for numpy's +0, while
+    Gbar = c . u, the rows (dg . u) . u, v . dd[1:], (dg_dir . u) . u and
+    F[1:, 1:] v each stay one ``np.dot`` of numpy's shape, and the solve
+    stays ``np.linalg.solve``.  A slope-free metric, or a potential without
+    spatial slopes in F[1:, 1:], makes those products +0 without a call.
+    """
+    gf, mass, charge = model.gfield, model.mass, model.charge
+    form = _float_form(gf) if gf.order_half == 1 else None
+    potential_form = _float_form(model.potential) if charge != 0.0 else None
+    if form is None or (charge != 0.0 and potential_form is None):
+        return None
+    m = gf.dim
+    n = m - 1
+
+    def stage(x, v):
+        try:
+            f = form(x)
+        except SingularMetric:
+            return None
+        if f is None:
+            return None
+        d, slopes = f
+        uhat = [1.0, *v]
+        ua = np.array(uhat)
+        c = [di * ui + 0.0 for di, ui in zip(d, uhat)]
+        gbar = float(np.dot(np.array(c), ua))
+        _require_reduced_positive(gbar)
+        ge1, ge2 = gbar ** 0.5, gbar ** 1.5  # Gbar^e1 and Gbar^(e1 + 1)
+        if not (gbar < math.inf and ge2 > 0.0):
+            return None
+        if slopes:
+            rows = [0.0] * (m * m)  # dg . u
+            dd = [0.0] * (n * m)  # d_i g_aa, i spatial
+            dd0 = [0.0] * m  # d_0 g_aa
+            for mu, a, val in slopes:
+                rows[mu * m + a] = val * uhat[a] + 0.0
+                if mu:
+                    dd[(mu - 1) * m + a] = val
+                else:
+                    dd0[a] = val
+            dgbar = np.dot(np.array(rows).reshape(m, m), ua).tolist()
+            dir_dd = np.dot(np.array(v), np.array(dd).reshape(n, m)).tolist()
+            dir_c = [(p + q) * ui + 0.0 for p, q, ui in zip(dd0, dir_dd, uhat)]
+            d0_gbar = float(np.dot(np.array(dir_c), ua))
+        else:
+            dgbar = dir_c = [0.0] * m
+            d0_gbar = 0.0
+        ebar = [mass * (g / (2 * ge1) - (dc / ge1 - 0.5 * ci * d0_gbar / ge2))
+                for g, dc, ci in zip(dgbar[1:], dir_c[1:], c[1:])]
+        if charge == 0.0:
+            ebar = [e + 0.0 for e in ebar]
+        else:
+            da = [0.0] * (m * m)
+            spatial = False  # F[1:, 1:] has an entry that can be nonzero
+            for lam, mu, val in potential_form(x)[1]:
+                da[lam * m + mu] = val
+                spatial = spatial or (lam > 0 and mu > 0)
+            fv = [0.0] * n
+            if spatial:
+                block = [da[i * m + j] - da[j * m + i] for i in range(1, m) for j in range(1, m)]
+                fv = np.dot(np.array(block).reshape(n, n), np.array(v)).tolist()
+            ebar = [e + charge * (t + (da[i * m] - da[i]))
+                    for i, (e, t) in enumerate(zip(ebar, fv), 1)]
+        # (2N - 1) g_red and e1 2N c c^T carry factors 1 and 1.0, exact
+        cs = c[1:]
+        mat = [-mass * ((d[i] if i == j else 0.0) / ge1 - ci * cj / ge2)
+               for i, ci in enumerate(cs, 1) for j, cj in enumerate(cs, 1)]
+        return np.linalg.solve(np.array(mat).reshape(n, n),
+                               np.array([-e for e in ebar])).tolist()
+
+    return stage
+
+
 def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
                              dt: float, steps: int, sign: int = 1,
                              record_every: int = 1) -> Trajectory:
@@ -341,7 +434,9 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     and lift the run to proper time.
 
     The state is (q^0, q, v), with d(q^0, q, v)/dq^0 = (1, v, w) and w from
-    :func:`three_acceleration`.  Each step sets q^0 to the previous chart
+    :func:`three_acceleration`, or with its bits from the float stage of
+    :func:`_float_three_acceleration` where the model has one, until the
+    first stage where that declines.  Each step sets q^0 to the previous chart
     time plus dt, since the RK4 sum (dt/6)*6 can miss dt by one ulp.  The
     run is lifted by :func:`lift_three_solution` on the sign branch ``sign``
     over the full grid (best tau quadrature), then every
@@ -354,11 +449,21 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
         raise ValueError("record_every must be >= 1")
     n = start.v.size
     last = start
+    stage = _float_three_acceleration(model) if n + 1 == model.dim else None
+    floats = stage is not None  # until the first stage the form declines
 
     def chart_state(y):
         return ThreeVelocity(y[0], y[1:n + 1], y[n + 1:])
 
     def rhs(y):
+        nonlocal floats
+        if floats:
+            if not (math.isfinite(sum(y)) or all(map(math.isfinite, y))):
+                raise StepRejected("non-finite chart state")
+            w = stage(y[:n + 1], y[n + 1:])
+            if w is not None:
+                return [1.0, *y[n + 1:], *w]
+            floats = False
         try:
             three = chart_state(y)
         except ValueError as exc:  # a non-finite stage

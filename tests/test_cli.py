@@ -18,6 +18,8 @@ from relmech.cli import main
 from relmech.errors import DomainError, RelMechError
 from relmech.geometry import PotentialField, faraday_at
 
+from conftest import counting_forms
+
 LN2 = math.log(2.0)
 
 
@@ -506,20 +508,45 @@ def test_three_velocity_domain_exit_names_chart_time(tmp_path, capsys, monkeypat
     assert "tau" not in err
 
 
-def test_three_velocity_four_accelerations_per_step(tmp_path, capsys, monkeypatch):
+def _count_chart_time_stages(tmp_path, capsys, monkeypatch):
+    """Run 25 chart-time steps of THREE_VELOCITY; returns (three_acceleration
+    calls, float form reads of the catalog metric)."""
     calls = [0]
+    forms = {"form": 0}
     acceleration = lagrangian.three_acceleration
+    catalog_metric = cli.catalog_metric
 
     def counted(model, three):
         calls[0] += 1
         return acceleration(model, three)
 
+    def counting_metric(*args, **kwargs):
+        metric, metric_calls = counting_forms(catalog_metric(*args, **kwargs))
+        forms.update(calls=metric_calls)
+        return metric
+
     monkeypatch.setattr(lagrangian, "three_acceleration", counted)
+    monkeypatch.setattr(cli, "catalog_metric", counting_metric)
     cfg = write_config(tmp_path, "count.ini", THREE_VELOCITY.format(
         x0=0.25, dt=0.01, steps=25, csv=tmp_path / "count.csv"))
     code, _, _ = run_cli(capsys, "simulate", cfg)
     assert code == 0
-    assert calls[0] == 4 * 25
+    return calls[0], forms["calls"]["form"]
+
+
+def test_three_velocity_four_accelerations_per_step(tmp_path, capsys, monkeypatch):
+    # the G field keeps the metric's float form: each RK4 stage reads it once
+    calls, forms = _count_chart_time_stages(tmp_path, capsys, monkeypatch)
+    assert (calls, forms) == (0, 4 * 25)
+
+
+def test_three_velocity_generic_field_four_accelerations_per_step(tmp_path, capsys,
+                                                                  monkeypatch):
+    # a from_function G field declares no form: three_acceleration per stage
+    monkeypatch.setattr(cli.GTensorField, "from_metric", classmethod(
+        lambda cls, metric: cls.from_function(metric.dim, 1, metric.value, metric.partials)))
+    calls, forms = _count_chart_time_stages(tmp_path, capsys, monkeypatch)
+    assert (calls, forms) == (4 * 25, 0)
 
 
 def test_cli_imports_no_private_name():

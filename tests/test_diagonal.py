@@ -5,7 +5,8 @@ form, ``integrate_geodesic`` and ``integrate_hamiltonian`` step through
 float stages that ``connection_from`` and ``standard_hamiltonian`` attach to
 ``K`` and to ``flow``/``value``.  They must stay within a few ulps of the
 public kernels (``K(x, u) u`` and ``HamiltonianModel.flow``), raise the same
-errors with the same messages, and write no -0.
+errors with the same messages, and write no -0.  The chart-time stage of
+``integrate_three_velocity`` must have the bits of ``three_acceleration``.
 """
 
 import dataclasses
@@ -15,9 +16,11 @@ import numpy as np
 import pytest
 
 import relmech as rm
+import relmech.lagrangian as lagrangian
 from relmech.checks import sample_point, sample_velocity
-from relmech.errors import DomainError, SingularMetric, StepRejected
+from relmech.errors import DomainError, NonPositiveG, SingularMetric, StepRejected
 from relmech.geometry import _diagonal_float_form
+from relmech.lagrangian import _float_three_acceleration
 
 from conftest import generic, same_bits, shear_minkowski
 
@@ -299,3 +302,162 @@ def test_charge_zero_reads_no_potential(mink):
                      np.float64(rm.lagrangian_value(free_lag, center, u)))
     assert same_bits(np.float64(rm.three_lagrangian_value(lag, three)),
                      np.float64(rm.three_lagrangian_value(free_lag, three)))
+
+
+#: chart-time states per (metric, potential) pair, and the charges they meet
+CHART_STATES = 400
+CHARGES = (0.0, 1.0, -1.0, 0.5)
+
+
+def _bits(call):
+    """The bytes of the float array call() returns, or its error's type and
+    message."""
+    try:
+        return np.asarray(call(), dtype=float).tobytes()
+    except (DomainError, NonPositiveG, SingularMetric, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("pot", sorted(POTENTIALS))
+@pytest.mark.parametrize("name", sorted(METRICS))
+def test_chart_time_stage_has_the_bits_of_three_acceleration(name, pot):
+    # v = u[1:] / u[0] inside the light cone, with +0 and -0 components; on
+    # Schwarzschild the sums over the slopes add terms of comparable size,
+    # so a stage that sums them in another order than numpy's BLAS calls
+    # misses by an ulp on a share of these states
+    metric, potential = METRICS[name](), POTENTIALS[pot]()
+    gf = rm.GTensorField.from_metric(metric)
+    x, u, _ = _states(metric, sorted(METRICS).index(name))
+    x, u = x[:CHART_STATES], u[:CHART_STATES]
+    v = u[:, 1:] / u[:, :1]
+    v[1::4, 0] = 0.0
+    v[2::4, 2] = -0.0
+    for charge in CHARGES:
+        model = rm.LagrangianModel(gf, potential, 1.3, charge)
+        stage = _float_three_acceleration(model)
+        for xi, vi in zip(x, v):
+            got = stage(xi.tolist(), vi.tolist())
+            assert got is not None
+            three = rm.ThreeVelocity(xi[0], xi[1:], vi)
+            assert _bits(lambda: got) == _bits(lambda: rm.three_acceleration(model, three))
+
+
+def test_chart_time_stage_errors_are_three_accelerations(schw):
+    # the chart's edge, the light cone and the Coulomb center raise in
+    # three_acceleration's order, with its messages
+    coulomb = rm.coulomb_potential(0.8, center=(6.0, 1.0, 0.5))
+    model = rm.LagrangianModel(rm.GTensorField.from_metric(schw), coulomb, 1.0, 0.5)
+    stage = _float_three_acceleration(model)
+    cases = [((0.0, 1.5, 1.0, 0.5), (0.1, 0.0, 0.0)),  # inside the horizon
+             ((0.0, 6.0, 1.0, 0.5), (0.9, 0.0, 0.0)),  # outside the light cone
+             ((0.0, 6.0, 1.0, 0.5), (0.1, 0.0, 0.0))]  # at the Coulomb center
+    outcomes = []
+    for x, v in cases:
+        three = rm.ThreeVelocity(x[0], x[1:], v)
+        want = _bits(lambda: rm.three_acceleration(model, three))
+        assert _bits(lambda: stage(list(x), list(v))) == want
+        outcomes.append(want[0])
+    assert outcomes == [DomainError, NonPositiveG, DomainError]
+
+
+def _chart_run(model, start, dt=0.5, steps=40):
+    traj = rm.integrate_three_velocity(model, start, dt, steps, 1, 3)
+    return traj.tau, traj.x, traj.u, traj.G
+
+
+def _singular(x):
+    raise SingularMetric(f"metric is numerically singular at x = {x}")
+
+
+def _declared(metric, form):
+    """A copy of ``metric`` whose callables declare ``form``."""
+    copy = rm.MetricField(metric.dim, lambda x: metric.value(x),
+                          lambda x: metric.partials(x))
+    copy.value.float_form = copy.partials.float_form = form
+    return copy
+
+
+def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfield):
+    # G fields without a float form of order 1, and forms that decline or
+    # raise SingularMetric, go through three_acceleration with the bits of
+    # the generic run (no float stage at all)
+    eb = rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
+    schw_start = rm.ThreeVelocity(0.0, [8.0, 1.1, 0.3], [0.1, 0.03, 0.05])
+    flat_start = rm.ThreeVelocity(0.0, [0.3, -0.2, 0.4], [0.1, 0.05, -0.02])
+    gf = rm.GTensorField.from_metric(schw)
+    quartic = dataclasses.replace(n2_gfield, value=lambda x: n2_gfield.value(x),
+                                  partials=lambda x: n2_gfield.partials(x))
+    quartic.value.float_form = quartic.partials.float_form = rm.minkowski().value.float_form
+    schw_form = schw.value.float_form
+    # (G field, start, three_acceleration calls of the 4 * 40 stages,
+    # whether the field has the values of the catalog Schwarzschild field)
+    cases = [
+        (quartic, flat_start, "all", False),
+        (dataclasses.replace(gf, value=lambda x: schw.value(x)), schw_start, "all", True),
+        (dataclasses.replace(gf, partials=lambda x: schw.partials(x)), schw_start, "all", True),
+        (rm.GTensorField.from_metric(rm.MetricField.from_function(4, schw.value)),
+         schw_start, "all", False),
+        # a form that declines, or raises SingularMetric, from chart time 6 on
+        (rm.GTensorField.from_metric(_declared(
+            schw, lambda x: None if x[0] > 6.0 else schw_form(x))), schw_start, "some", True),
+        (rm.GTensorField.from_metric(_declared(
+            schw, lambda x: _singular(x) if x[0] > 6.0 else schw_form(x))),
+         schw_start, "some", True),
+    ]
+    calls = [0]
+    acceleration = lagrangian.three_acceleration
+
+    def counted(model, three):
+        calls[0] += 1
+        return acceleration(model, three)
+
+    monkeypatch.setattr(lagrangian, "three_acceleration", counted)
+    want = _chart_run(rm.LagrangianModel(gf, eb, 1.0, 0.5), schw_start)
+    assert calls[0] == 0  # the catalog field's float stage
+    for field, start, path, same in cases:
+        model = rm.LagrangianModel(field, eb, 1.0, 0.5)
+        calls[0] = 0
+        got = _chart_run(model, start)
+        assert calls[0] == 4 * 40 if path == "all" else 0 < calls[0] < 4 * 40
+        with monkeypatch.context() as m:
+            m.setattr(lagrangian, "_float_three_acceleration", lambda model: None)
+            generic = _chart_run(model, start)
+        for a, b in zip(got, generic):
+            assert same_bits(a, b)
+        if same:
+            for a, b in zip(got, want):
+                assert same_bits(a, b)
+
+
+def _reference_chart_run(model, start, dt, steps):
+    """``integrate_three_velocity`` as a numpy loop over (q^0, q, v) with
+    ``three_acceleration`` at every stage, lifted on the full grid."""
+    q0, q, v = start.q0, start.q.copy(), start.v.copy()
+    samples = [start]
+
+    def rhs(t, q_, v_):
+        return v_, rm.three_acceleration(model, rm.ThreeVelocity(t, q_, v_))
+
+    half = 0.5 * dt
+    for _ in range(steps):
+        k1q, k1v = rhs(q0, q, v)
+        k2q, k2v = rhs(q0 + half, q + half * k1q, v + half * k1v)
+        k3q, k3v = rhs(q0 + half, q + half * k2q, v + half * k2v)
+        k4q, k4v = rhs(q0 + dt, q + dt * k3q, v + dt * k3v)
+        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        q0 += dt
+        samples.append(rm.ThreeVelocity(q0, q, v))
+    return rm.lift_three_solution(samples, model.gfield, 1)
+
+
+@pytest.mark.parametrize("pot", ["uniform", "coulomb"])
+def test_chart_time_run_matches_numpy_reference_loop(schw, pot):
+    potential = {"uniform": rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03)),
+                 "coulomb": rm.coulomb_potential(0.4, center=(1.5, -0.5, 0.25))}[pot]
+    model = rm.LagrangianModel(rm.GTensorField.from_metric(schw), potential, 1.0, 0.5)
+    start = rm.ThreeVelocity(0.0, [8.0, 1.1, 0.3], [0.1, 0.03, 0.05])
+    got = rm.integrate_three_velocity(model, start, 0.5, 150)
+    want = _reference_chart_run(model, start, 0.5, 150)
+    for a, b in ((got.tau, want.tau), (got.x, want.x), (got.u, want.u), (got.G, want.G)):
+        assert same_bits(a, b)
