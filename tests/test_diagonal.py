@@ -369,10 +369,11 @@ def _singular(x):
     raise SingularMetric(f"metric is numerically singular at x = {x}")
 
 
-def _declared(metric, form):
-    """A copy of ``metric`` whose callables declare ``form``."""
-    copy = rm.MetricField(metric.dim, lambda x: metric.value(x),
-                          lambda x: metric.partials(x))
+def _declared(field, form):
+    """A copy of the metric or potential ``field`` whose callables declare
+    ``form``."""
+    copy = dataclasses.replace(field, value=lambda x: field.value(x),
+                               partials=lambda x: field.partials(x))
     copy.value.float_form = copy.partials.float_form = form
     return copy
 
@@ -427,6 +428,37 @@ def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfi
         if same:
             for a, b in zip(got, want):
                 assert same_bits(a, b)
+
+
+def test_only_the_hamiltonian_stage_computes_a(mink):
+    # geodesic and chart-time stages read the potential's slopes alone; the
+    # Hamiltonian stage computes A once per stage, for w = p - eA
+    potential = rm.uniform_field((0.3, -0.2, 0.5), (1.0, 2.0, -0.7))
+    form = potential.value.float_form
+    calls = [0]
+
+    def counted_form(x):
+        a, slopes = form(x)
+
+        def counted_a():
+            calls[0] += 1
+            return a()
+
+        return counted_a, slopes
+
+    counted = _declared(potential, counted_form)
+    x0, u0 = np.zeros(4), np.array([1.25, 0.75, 0.0, 0.0])
+    gf = rm.GTensorField.from_metric(mink)
+    rm.integrate_geodesic(rm.connection_from(mink, counted, 1.0, 0.5), gf,
+                          rm.FourState(x0, u0), 0.01, 10)
+    rm.integrate_three_velocity(rm.LagrangianModel(gf, counted, 1.0, 0.5),
+                                rm.ThreeVelocity(0.0, x0[1:], u0[1:] / u0[0]), 0.01, 10)
+    assert calls[0] == 0
+    ham = rm.standard_hamiltonian(mink, counted, 1.0, 0.5)
+    p0 = rm.on_shell_momentum(ham, x0, u0)
+    calls[0] = 0
+    rm.integrate_hamiltonian(ham, rm.PhaseState(x0, p0), 0.01, 10)
+    assert calls[0] == 1 + 4 * 10
 
 
 def _reference_chart_run(model, start, dt, steps):

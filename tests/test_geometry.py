@@ -566,6 +566,28 @@ def test_metric_float_forms_equal_value_and_partials(metric):
         assert seen == {"form"}
 
 
+def test_constant_metric_forms_test_their_condition_once(monkeypatch):
+    # d never changes, so the test is made when the metric is built; one
+    # that fails it names the point at each read
+    import relmech.geometry as geometry
+
+    metrics = [rm.minkowski(), rm.diagonal_metric([1.5, -0.75, -2.0, -1.25]),
+               rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0])]
+    points = ([0.5, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+
+    def condition_test(d, slopes, x):
+        raise AssertionError("a read made the condition test")
+
+    monkeypatch.setattr(geometry, "_diagonal_float_form", condition_test)
+    for metric, x in zip(metrics[:2], points):
+        assert metric.value.float_form(x) == (tuple(np.diag(metric.value(x))), ())
+    monkeypatch.undo()
+    for x in points:
+        want = _outcome(lambda x: rm.inverse_metric_at(metrics[2], x), np.array(x))
+        assert _outcome(metrics[2].value.float_form, x) == want
+        assert f"x = {np.array(x)} " in want[1]
+
+
 @pytest.mark.parametrize("potential, center", [
     (rm.zero_potential(4), None), (rm.zero_potential(3), None), (rm.uniform_field(), None),
     (rm.uniform_field((0.3, -0.2, 0.5), (1.0, 2.0, -0.7)), None),
