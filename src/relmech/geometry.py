@@ -29,9 +29,10 @@ only when called, since most stages read the slopes alone.  Each number has
 the bits of ``value`` or ``partials`` and a form raises their errors.  A
 metric's form declines (returns None) where g has a zero or non-finite
 entry, and raises the :class:`SingularMetric` of :func:`inverse_metric_at`
-where g is too badly conditioned.  A field whose ``value`` or ``partials`` was replaced
-declares no form (:func:`_float_form`), and a ``from_function`` field
-declares one only when both of its callables carry the same form.
+where g is too badly conditioned.  A field whose ``value`` or ``partials``
+was replaced declares no form (:func:`_float_form`), and a
+``from_function`` field declares one only when both of its callables carry
+the same form.
 """
 
 from __future__ import annotations
@@ -264,7 +265,7 @@ def _constant_metric(entries: list, catalog_id: str, params: dict) -> MetricFiel
     dg = np.zeros((len(entries),) * 3)
     d = tuple(float(v) for v in entries)
     try:
-        f = _diagonal_float_form(d, (), [0.0] * len(d))
+        f = _diagonal_float_form(d, (), [0.0] * len(d))  # x only names a failure
         form = lambda x: f
     except SingularMetric:
         form = lambda x: _diagonal_float_form(d, (), x)

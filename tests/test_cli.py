@@ -512,7 +512,7 @@ def _count_chart_time_stages(tmp_path, capsys, monkeypatch):
     """Run 25 chart-time steps of THREE_VELOCITY; returns (three_acceleration
     calls, float form reads of the catalog metric)."""
     calls = [0]
-    forms = {"form": 0}
+    form_calls = []
     acceleration = lagrangian.three_acceleration
     catalog_metric = cli.catalog_metric
 
@@ -522,7 +522,7 @@ def _count_chart_time_stages(tmp_path, capsys, monkeypatch):
 
     def counting_metric(*args, **kwargs):
         metric, metric_calls = counting_forms(catalog_metric(*args, **kwargs))
-        forms.update(calls=metric_calls)
+        form_calls.append(metric_calls)
         return metric
 
     monkeypatch.setattr(lagrangian, "three_acceleration", counted)
@@ -531,7 +531,7 @@ def _count_chart_time_stages(tmp_path, capsys, monkeypatch):
         x0=0.25, dt=0.01, steps=25, csv=tmp_path / "count.csv"))
     code, _, _ = run_cli(capsys, "simulate", cfg)
     assert code == 0
-    return calls[0], forms["calls"]["form"]
+    return calls[0], sum(c["form"] for c in form_calls)
 
 
 def test_three_velocity_four_accelerations_per_step(tmp_path, capsys, monkeypatch):
