@@ -19,9 +19,11 @@ The digest covers, in a fixed order:
   kind, charged Schwarzschild runs off the equator, ``projection =
   rescale``, the euclidean and diagonal metrics under an electric field,
   sign -1 and charge-0 three-velocity runs, charged Schwarzschild
-  three-velocity runs under Coulomb and uniform E, B potentials, and runs
-  that fail at the pole and at the horizon.  Each is hashed as the
-  workload operations are.
+  three-velocity runs under Coulomb and uniform E, B potentials, runs
+  that fail at the pole (three-velocity too) and at the horizon, and runs
+  on ``diag = 1e308,1e308,-1e308,-1e308``, whose entries are finite but
+  whose sum of |g_aa| overflows.  Each is hashed as the workload
+  operations are.
 
 Each round of operations runs in a fresh temporary directory, and the paths
 of that directory and of TREE are masked in every byte hashed, so two
@@ -129,6 +131,17 @@ COVERAGE = (
       "particle": {"charge": "0.5", "x0": "0,10,0,0", "u0": "1.1,0,0,0.01",
                    "normalize": "true"},
       "integrator": {"dt": "0.25", "steps": "10"}}),
+    ("pole-chart-time", ("three_velocity",),
+     {"manifold": _SCHW, "potential": _EB,
+      "particle": {"charge": "0.5", "x0": "0,10,0,0", "v0": "0.01,0,0"},
+      "integrator": {"dt": "0.25", "steps": "10"}}),
+    ("huge-diagonal", ("geodesic", "hamiltonian", "compare"),
+     {"manifold": {"dimension": 4, "metric": "diagonal",
+                   "diag": "1e308,1e308,-1e308,-1e308"},
+      "potential": _EB,
+      "particle": {"charge": "0.5", "x0": "0,0,0,0", "u0": "1.1,0.2,-0.1,0.3",
+                   "normalize": "true"},
+      "integrator": {"dt": "0.05", "steps": "300"}}),
     ("plunge", ("geodesic", "hamiltonian"),
      {"manifold": _SCHW, "potential": _SCHW_COULOMB,
       "particle": {"charge": "0.5", "x0": "0,3,1.2,0", "u0": "2,-0.5,0.01,0",
