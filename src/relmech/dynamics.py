@@ -338,13 +338,13 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
     equation itself is defined off the shell).
 
     Where ``K`` carries a float stage (see :func:`connection_from`), each
-    RK4 stage reads the metric's float form once and is float arithmetic;
-    from the first stage where the form declines, and at every stage of any
-    other ``K``, the run calls ``K``.  While the float stage is in use and
-    ``gfield`` is the N = 1 form of that metric, a settled point's float
-    form gives the projection's G, the monitored G = (d u) . u, with the
-    bits of :func:`g_value`, and the next step's first stage.  Elsewhere the
-    monitor and the projection call :func:`g_value`.
+    RK4 stage reads the metric's float form once and is float arithmetic,
+    which raises what ``K`` raises; every stage of any other ``K`` calls
+    ``K``.  With the float stage and ``gfield`` the N = 1 form of that
+    metric, a settled point's float form gives the projection's G, the
+    monitored G = (d u) . u, with the bits of :func:`g_value`, and the next
+    step's first stage.  Elsewhere, and where that form raises, the monitor
+    and the projection call :func:`g_value`.
     """
     if projection not in PROJECTION_MODES:
         raise ValueError(f"projection must be one of {PROJECTION_MODES}")
@@ -362,26 +362,23 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
     m = x.size
     drift = abs(g0 - 1.0)
     form, accel = getattr(c.K, "_float_stage", (None, None))
-    floats = accel is not None  # until the first stage the form declines
-    monitor = (floats and gfield.order_half == 1
+    monitor = (accel is not None and gfield.order_half == 1
                and getattr(gfield.value, "float_form", None) is form)
 
-    def rhs(y):
-        nonlocal floats
-        x, u = y[:m], y[m:]
-        if floats:
-            f = form(x)
-            if f is not None:
-                return u + accel(x, u, f)
-            floats = False
-        xa, ua = np.array(x), np.array(u)
-        return u + (c.K(xa, ua) @ ua).tolist()
+    if accel is None:
+        def rhs(y):
+            xa, ua = np.array(y[:m]), np.array(y[m:])
+            return y[m:] + (c.K(xa, ua) @ ua).tolist()
+    else:
+        def rhs(y):
+            x, u = y[:m], y[m:]
+            return u + accel(x, u, form(x))
 
     def settle(y, recorded):
         nonlocal drift
         x, u = y[:m], y[m:]
         f = None
-        if monitor and floats:
+        if monitor:
             try:
                 f = form(x)
             except (DomainError, SingularMetric):

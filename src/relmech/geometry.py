@@ -26,10 +26,10 @@ and ``slopes`` the (mu, a, d_mu g_aa) entries that can be nonzero, in that
 index order; a potential's form gives ``(A, slopes)`` with the (lam, mu,
 d_lam A_mu) entries that can be nonzero and ``A()`` the components, computed
 only when called, since most stages read the slopes alone.  Each number has
-the bits of ``value`` or ``partials`` and a form raises their errors.  A
-metric's form declines (returns None) where g has a zero or non-finite
-entry, and raises the :class:`SingularMetric` of :func:`inverse_metric_at`
-where g is too badly conditioned.  A field whose ``value`` or ``partials``
+the bits of ``value`` or ``partials``.  A form gives its numbers or
+raises: the errors of ``value`` and ``partials``, and a metric's form also
+the :class:`SingularMetric` of :func:`inverse_metric_at` at that point,
+with its message.  A field whose ``value`` or ``partials``
 was replaced declares no form (:func:`_float_form`), and a
 ``from_function`` field declares one only when both of its callables carry
 the same form.
@@ -383,7 +383,12 @@ def inverse_metric_at(metric: MetricField, x) -> Array:
     ``max|d| * max|1/d|``, the same number the infinity norms give, so both
     paths reject the same metrics.
     """
-    g = metric_at(metric, x)
+    return _inverse(metric_at(metric, x), x)
+
+
+def _inverse(g: Array, x) -> Array:
+    """:func:`inverse_metric_at` of the metric ``g`` (m x m, or a stack of
+    them) evaluated at ``x``, which names a failure."""
     d = _diagonal(g)
     if d is not None and np.count_nonzero(d) == d.size:  # cheaper than d.all()
         dinv = 1.0 / d
@@ -395,8 +400,9 @@ def inverse_metric_at(metric: MetricField, x) -> Array:
         inv = np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
         if g.ndim > 2:
-            for row in np.reshape(x, (-1, metric.dim)):
-                inverse_metric_at(metric, row)  # raises for the first singular point
+            m = g.shape[-1]
+            for gi, row in zip(g.reshape(-1, m, m), np.reshape(x, (-1, m))):
+                _inverse(gi, row)  # raises for the first singular point
         raise SingularMetric(f"metric is singular at x = {x}") from exc
     _check_condition(np.linalg.norm(g, np.inf, axis=(-2, -1))
                      * np.linalg.norm(inv, np.inf, axis=(-2, -1)), x)
@@ -413,15 +419,15 @@ def _diagonal(a: Array) -> Optional[Array]:
 
 def _diagonal_float_form(d: tuple, slopes: tuple, x):
     """The float form (d, slopes) of the diagonal metric g = diag(d) at
-    ``x``.  None where an entry is zero or the sum of the |d| is not
-    finite, which leaves the point to the general formulas; the
-    SingularMetric of :func:`inverse_metric_at`, with its condition
-    estimate max|d| / min|d| and message, where g is too badly
-    conditioned."""
+    ``x``, or the SingularMetric that :func:`inverse_metric_at` raises
+    there, with its message.  Where an entry is zero or the sum of the |d|
+    is not finite, g goes through :func:`_inverse`, which raises for every
+    zero or non-finite entry; finite nonzero entries whose sum overflows
+    pass on to the condition estimate max|d| / min|d|."""
     ad = list(map(abs, d))
     lo = min(ad)
     if not (lo > 0.0 and sum(ad) < math.inf):  # a sum of |d| is finite unless it is inf or nan
-        return None
+        _inverse(np.diag(d), np.asarray(x, dtype=float))
     cond = max(ad) * (1.0 / lo)
     if not cond < _COND_LIMIT:
         _check_condition(cond, np.asarray(x, dtype=float))

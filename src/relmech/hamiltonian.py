@@ -187,7 +187,7 @@ def _float_flow(std: StandardData):
 
     ``stage(x, p)`` takes lists x, p and returns (k, v, w, d): the flow k =
     (dH/dp, -dH/dx) as one list, w = p - eA, v = w / d and g = diag(d) from
-    the metric's float form, read once; None where the form declines.  With
+    the metric's float form, read once, whose errors it raises.  With
     dd[mu, a] = d_mu g_aa the flow is dH/dp = v / mass and -dH/dx = dd (v^2)
     / (2 mass) + (e / mass) dA v, from d_lam g^{aa} = -dd[lam, a] / d_a^2:
     O(m^2) work instead of the O(m^3) partials of the inverse.  v is w times
@@ -210,10 +210,7 @@ def _float_flow(std: StandardData):
         else:
             a, slopes_a = potential_form(x)
             w = [pi - e * ai for pi, ai in zip(p, a())]
-        f = form(x)
-        if f is None:
-            return None
-        d, slopes = f
+        d, slopes = form(x)
         v = [wi * (1.0 / di) for wi, di in zip(w, d)]
         vv = [vi * vi for vi in v]
         s = [0.0] * m  # dd @ (v * v)
@@ -419,9 +416,9 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     arithmetic that reads the metric's float form once, the H of a recorded
     sample comes from its first stage, and so does g = diag(d) when
     ``metric`` declares the same form: H_T = (v d) . v - 1, with the bits of
-    v . g . v.  From the first stage where the form declines, and for every
-    other model, the run calls ``h.flow``; H then comes from ``h.value`` and
-    g from :func:`metric_at`, read after the flow.
+    v . g . v.  Every other model's run calls ``h.flow`` at each stage; H
+    then comes from ``h.value`` and g from :func:`metric_at`, read after the
+    flow.
     """
     shell_metric = _shell_metric(h, metric)
     m = np.size(s0.x)
@@ -429,20 +426,15 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
     if getattr(h.value, "_float_stage", None) is not float_stage:
         float_stage = None
     form, stage, energy = float_stage or (None, None, None)
-    floats = stage is not None  # until the first stage the form declines
-    shell_d = floats and _float_form(shell_metric) is form
+    shell_d = stage is not None and _float_form(shell_metric) is form
 
     def general(y):
         return np.concatenate(h.flow(np.array(y[:m]), np.array(y[m:]))).tolist()
 
     def flow(y):
-        nonlocal floats
-        if floats:
-            out = stage(y[:m], y[m:])
-            if out is not None:
-                return out[0]
-            floats = False
-        return general(y)
+        if stage is None:
+            return general(y)
+        return stage(y[:m], y[m:])[0]
 
     def shell_residual(u, y):
         v = np.array(u)
@@ -452,20 +444,13 @@ def integrate_hamiltonian(h: HamiltonianModel, s0: PhaseState, dt: float,
         """The flow at y, the shell residual of its velocity, and H where
         the float stage gives it and the step is recorded, else None (for a
         recorded step, ``h.value`` then gives it)."""
-        nonlocal floats
-        if floats:
-            out = stage(y[:m], y[m:])
-            if out is not None:
-                k, v, w, d = out
-                u = k[:m]
-                if shell_d:
-                    ht = float(_dot_du(d, u)) - 1.0
-                else:
-                    ht = shell_residual(u, y)
-                return k, ht, energy(v, w) if recorded else None
-            floats = False
-        k = general(y)
-        return k, shell_residual(k[:m], y), None
+        if stage is None:
+            k = general(y)
+            return k, shell_residual(k[:m], y), None
+        k, v, w, d = stage(y[:m], y[m:])
+        u = k[:m]
+        ht = float(_dot_du(d, u)) - 1.0 if shell_d else shell_residual(u, y)
+        return k, ht, energy(v, w) if recorded else None
 
     def settle(y, recorded):
         nonlocal drift

@@ -348,8 +348,8 @@ def _float_three_acceleration(model: LagrangianModel):
 
     ``stage(x, v)`` takes lists x = (q^0, q) and v and returns w as a list,
     with the bits of ``three_acceleration``, its errors and their messages.
-    It returns None where the form declines or raises SingularMetric (this
-    picture never inverts g), where Gbar is not finite and where Gbar^(3/2)
+    It returns None where the form raises SingularMetric (this picture
+    never inverts g), where Gbar is not finite and where Gbar^(3/2)
     underflows to 0, which numpy divides by and Python does not: the caller
     then calls ``three_acceleration``.  Written out for N = 1, g = diag(d)
     and dd[mu, a] = d_mu g_aa, with u = (1, v), the stage follows the order
@@ -370,12 +370,9 @@ def _float_three_acceleration(model: LagrangianModel):
 
     def stage(x, v):
         try:
-            f = form(x)
+            d, slopes = form(x)
         except SingularMetric:
             return None
-        if f is None:
-            return None
-        d, slopes = f
         uhat = [1.0, *v]
         ua = np.array(uhat)
         c = [di * ui + 0.0 for di, ui in zip(d, uhat)]
@@ -436,10 +433,10 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     The state is (q^0, q, v), with d(q^0, q, v)/dq^0 = (1, v, w) and w from
     :func:`three_acceleration`, or with its bits from the float stage of
     :func:`_float_three_acceleration` where the model has one, until the
-    first stage where that declines.  Each step sets q^0 to the previous chart
-    time plus dt, since the RK4 sum (dt/6)*6 can miss dt by one ulp.  The
-    run is lifted by :func:`lift_three_solution` on the sign branch ``sign``
-    over the full grid (best tau quadrature), then every
+    first stage where that returns None.  Each step sets q^0 to the previous
+    chart time plus dt, since the RK4 sum (dt/6)*6 can miss dt by one ulp.
+    The run is lifted by :func:`lift_three_solution` on the sign branch
+    ``sign`` over the full grid (best tau quadrature), then every
     ``record_every``-th sample and the last are kept.  A failure names the
     last good chart time q^0, not a proper time.
     """
@@ -450,7 +447,7 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     n = start.v.size
     last = start
     stage = _float_three_acceleration(model) if n + 1 == model.dim else None
-    floats = stage is not None  # until the first stage the form declines
+    floats = stage is not None  # until the first stage that returns None
 
     def chart_state(y):
         return ThreeVelocity(y[0], y[1:n + 1], y[n + 1:])

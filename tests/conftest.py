@@ -236,18 +236,9 @@ def counting_forms(field):
 
 
 def stage_acceleration(conn):
-    """The acceleration integrate_geodesic evaluates at each RK4 stage of one
-    run, on arrays: ``K``'s float stage while its form holds, from then on
-    K(x, u) u."""
+    """The acceleration integrate_geodesic evaluates at each RK4 stage, on
+    arrays: ``K``'s float stage where it has one, else K(x, u) u."""
     form, accel = getattr(conn.K, "_float_stage", (None, None))
-    floats = [accel is not None]
-
-    def acc(x, u):
-        if floats[0]:
-            f = form(x.tolist())
-            if f is not None:
-                return np.array(accel(x.tolist(), u.tolist(), f))
-            floats[0] = False
-        return conn.K(x, u) @ u
-
-    return acc
+    if accel is None:
+        return lambda x, u: conn.K(x, u) @ u
+    return lambda x, u: np.array(accel(x.tolist(), u.tolist(), form(x.tolist())))

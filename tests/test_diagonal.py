@@ -213,10 +213,11 @@ def test_wall_seen_by_finite_difference_partials_alone(schw):
 
 
 def test_zero_diagonal_entry_names_the_singular_metric():
-    # an exact zero on the diagonal goes to K and its message; where the
-    # field declares a float form, that form declines there, from the
-    # stage at t = 0.2 on, and the run goes on through K; so does a start
-    # at the pole, where Schwarzschild's form declines
+    # an exact zero on the diagonal raises K's SingularMetric and message;
+    # where the field declares a float form, that form raises it, from the
+    # stage at t = 0.2 on, and so does Schwarzschild's at a start at the
+    # pole; Hamiltonian runs, at charge 0 and 0.5, raise as the generic
+    # flow does
     eta = np.array([1.0, -1.0, -1.0, -1.0])
 
     def value(x):
@@ -229,14 +230,47 @@ def test_zero_diagonal_entry_names_the_singular_metric():
     runs = [(undeclared, np.zeros(4), np.eye(4)[0]), (declared, np.zeros(4), np.eye(4)[0]),
             (rm.schwarzschild(1.0), np.array([0.0, 10.0, 0.0, 0.0]),
              np.eye(4)[0] / math.sqrt(0.8))]
+    eb = rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
     for metric, x0, u0 in runs:
         conn = rm.levi_civita_connection(metric)
         assert hasattr(conn.K, "_float_stage") == (metric is not undeclared)
-        failures = [_failure(lambda: rm.integrate_geodesic(
-            path(conn), rm.GTensorField.from_metric(metric), rm.FourState(x0, u0), 0.1, 10))
-            for path in (lambda model: model, generic)]
-        assert failures[0] == failures[1]
-        assert failures[0][0] is SingularMetric and "metric is singular at x" in failures[0][1]
+        gf = rm.GTensorField.from_metric(metric)
+        integrations = [(conn, lambda model: rm.integrate_geodesic(
+            model, gf, rm.FourState(x0, u0), 0.1, 10))]
+        for charge in (0.0, 0.5):
+            ham = rm.standard_hamiltonian(metric, eb, 1.0, charge)
+            p0 = rm.on_shell_momentum(ham, x0, u0)
+            integrations.append((ham, lambda model, p0=p0: rm.integrate_hamiltonian(
+                model, rm.PhaseState(x0, p0), 0.1, 10)))
+        for model, integrate in integrations:
+            failures = [_failure(lambda: integrate(path(model)))
+                        for path in (lambda model: model, generic)]
+            assert failures[0] == failures[1]
+            assert failures[0][0] is SingularMetric and "metric is singular at x" in failures[0][1]
+
+
+def test_overflowing_diagonal_runs_have_the_generic_bits():
+    # finite nonzero entries whose sum of |g_aa| overflows: the form gives
+    # its numbers, and the float stages' runs have the generic runs' bits
+    metric = rm.diagonal_metric([1e308, 1e308, -1e308, -1e308])
+    eb = rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
+    gf = rm.GTensorField.from_metric(metric)
+    x0 = np.zeros(4)
+    u0 = rm.project_to_shell(gf, x0, np.array([1.1, 0.2, -0.1, 0.3]))
+    conn = rm.connection_from(metric, eb, 1.0, 0.5)
+    ham = rm.standard_hamiltonian(metric, eb, 1.0, 0.5)
+    assert hasattr(conn.K, "_float_stage") and hasattr(ham.flow, "_float_stage")
+    p0 = rm.on_shell_momentum(ham, x0, u0)
+    runs = []
+    for path in (lambda model: model, generic):
+        geo = rm.integrate_geodesic(path(conn), gf, rm.FourState(x0, u0), 0.05, 300,
+                                    record_every=7)
+        phase = rm.integrate_hamiltonian(path(ham), rm.PhaseState(x0, p0), 0.05, 300, 7)
+        runs.append((geo.tau, geo.x, geo.u, geo.G, np.float64(geo.max_constraint_drift),
+                     phase.tau, phase.x, phase.p, phase.H, phase.HT,
+                     np.float64(phase.max_shell_drift)))
+    for a, b in zip(*runs):
+        assert same_bits(a, b)
 
 
 @pytest.mark.parametrize("name", ["schwarzschild", "minkowski"])
@@ -379,9 +413,9 @@ def _declared(field, form):
 
 
 def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfield):
-    # G fields without a float form of order 1, and forms that decline or
-    # raise SingularMetric, go through three_acceleration with the bits of
-    # the generic run (no float stage at all)
+    # G fields without a float form of order 1, and forms that raise
+    # SingularMetric, go through three_acceleration with the bits of the
+    # generic run (no float stage at all)
     eb = rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
     schw_start = rm.ThreeVelocity(0.0, [8.0, 1.1, 0.3], [0.1, 0.03, 0.05])
     flat_start = rm.ThreeVelocity(0.0, [0.3, -0.2, 0.4], [0.1, 0.05, -0.02])
@@ -398,9 +432,7 @@ def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfi
         (dataclasses.replace(gf, partials=lambda x: schw.partials(x)), schw_start, "all", True),
         (rm.GTensorField.from_metric(rm.MetricField.from_function(4, schw.value)),
          schw_start, "all", False),
-        # a form that declines, or raises SingularMetric, from chart time 6 on
-        (rm.GTensorField.from_metric(_declared(
-            schw, lambda x: None if x[0] > 6.0 else schw_form(x))), schw_start, "some", True),
+        # a form that raises SingularMetric from chart time 6 on
         (rm.GTensorField.from_metric(_declared(
             schw, lambda x: _singular(x) if x[0] > 6.0 else schw_form(x))),
          schw_start, "some", True),
