@@ -438,7 +438,8 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     The run is lifted by :func:`lift_three_solution` on the sign branch
     ``sign`` over the full grid (best tau quadrature), then every
     ``record_every``-th sample and the last are kept.  A failure names the
-    last good chart time q^0, not a proper time.
+    last good chart time q^0, not a proper time; a singular system for w
+    (at the polar axis, for one) raises :class:`SingularMetric`.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -481,6 +482,9 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
                            f"q^0 = {last.q0:.17g})") from exc
     except (DomainError, NonPositiveG) as exc:  # left the domain or the timelike region
         raise type(exc)(f"{exc} (last good chart time q^0 = {last.q0:.17g})") from exc
+    except np.linalg.LinAlgError as exc:  # the solve for w
+        raise SingularMetric(f"chart-time system for w is singular (last good chart "
+                             f"time q^0 = {last.q0:.17g})") from exc
 
     traj = lift_three_solution(samples, model.gfield, sign)
     keep = np.append(np.arange(len(traj) - 1)[::record_every], len(traj) - 1)

@@ -1390,6 +1390,19 @@ def test_three_velocity_overflow_in_a_stage_exits_3(tmp_path, capsys):
                    "(last good chart time q^0 = 0)\n")
 
 
+def test_three_velocity_singular_system_exits_3(tmp_path, capsys):
+    # on Schwarzschild's polar axis g_33 = 0: the system for w is singular
+    cfg = write_scenario(tmp_path, {"scenario.kind": "three_velocity",
+                                    "manifold.metric": "schwarzschild", "manifold.M": "1",
+                                    "particle.x0": "0, 10, 0, 0", "particle.u0": None,
+                                    "particle.v0": "0.01, 0, 0"})
+    code, out, err = run_cli(capsys, "simulate", cfg)
+    assert code == 3
+    assert out == ""
+    assert err == ("integration failed: chart-time system for w is singular "
+                   "(last good chart time q^0 = 0)\n")
+
+
 @pytest.mark.parametrize("error", [ArithmeticError("overflow in a stage"),
                                    ValueError("no finite value"),
                                    np.linalg.LinAlgError("singular matrix"),

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 import relmech as rm
 import relmech.lagrangian as lagrangian
-from relmech.errors import DimensionMismatch, DomainError, NonPositiveG, StepRejected
+from relmech.errors import (DimensionMismatch, DomainError, NonPositiveG, SingularMetric,
+                            StepRejected)
 from relmech.geometry import contract_all, faraday_at
 
 from conftest import CHART_FIELDS, chart_field, random_state, same_bits
@@ -691,3 +692,14 @@ def test_integrate_three_velocity_failures_name_chart_time(mink_gf):
         with pytest.raises(error) as got:
             rm.integrate_three_velocity(model, start, dt, steps)
         assert str(got.value) == message
+
+
+def test_integrate_three_velocity_singular_system_names_chart_time(schw):
+    # on the polar axis g_33 = 0, so the 3 x 3 system for w is singular
+    eb = rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
+    model = rm.LagrangianModel(rm.GTensorField.from_metric(schw), eb, charge=0.5)
+    start = rm.ThreeVelocity(0.0, np.array([10.0, 0.0, 0.0]), np.array([0.01, 0.0, 0.0]))
+    with pytest.raises(SingularMetric) as got:
+        rm.integrate_three_velocity(model, start, 0.25, 10)
+    assert str(got.value) == ("chart-time system for w is singular "
+                              "(last good chart time q^0 = 0)")
