@@ -20,9 +20,12 @@ The digest covers, in a fixed order:
   rescale``, the euclidean and diagonal metrics under an electric field,
   sign -1 and charge-0 three-velocity runs, charged Schwarzschild
   three-velocity runs under Coulomb and uniform E, B potentials, runs
-  that fail at the pole (three-velocity too) and at the horizon, and runs
+  that fail at the pole (three-velocity too) and at the horizon, runs
   on ``diag = 1e308,1e308,-1e308,-1e308``, whose entries are finite but
-  whose sum of |g_aa| overflows.  Each is hashed as the workload
+  whose sum of |g_aa| overflows, and three-velocity runs on every stage
+  that Python floats cannot follow: a near-singular diagonal metric, one
+  whose Gbar^(3/2) underflows, one whose Gbar overflows, and a plunge
+  towards Schwarzschild's horizon.  Each is hashed as the workload
   operations are.
 
 Each round of operations runs in a fresh temporary directory, and the paths
@@ -76,6 +79,9 @@ _ORBIT = {"dt": "0.5", "steps": "300"}
 #: acceleration reaches the state, so their summation order shows in the bits
 _SCHW_CHART_TIME = {"mass": "1", "charge": "0.5", "x0": "0,8,1.1,0.3",
                     "v0": "0.1,0.03,0.05"}
+
+#: a charged flat-chart chart-time start for the runs on extreme diagonal metrics
+_FLAT_CHART_TIME = {"charge": "0.5", "x0": "0,0.3,-0.2,0.4", "v0": "0,0.05,-0.02"}
 
 #: (name, kinds, INI sections without the scenario and output) of the coverage round
 COVERAGE = (
@@ -142,6 +148,24 @@ COVERAGE = (
       "particle": {"charge": "0.5", "x0": "0,0,0,0", "u0": "1.1,0.2,-0.1,0.3",
                    "normalize": "true"},
       "integrator": {"dt": "0.05", "steps": "300"}}),
+    ("near-singular-chart-time", ("three_velocity",),
+     {"manifold": {"dimension": 4, "metric": "diagonal", "diag": "1,-1e-13,-1,-1"},
+      "potential": {"kind": "uniform_field", "E": "0,0.02,0", "B": "0.03,0,0"},
+      "particle": _FLAT_CHART_TIME, "integrator": {"dt": "0.1", "steps": "200"}}),
+    ("underflow-chart-time", ("three_velocity",),
+     {"manifold": {"dimension": 4, "metric": "diagonal",
+                   "diag": "1e-250,-1e-250,-1e-250,-1e-250"},
+      "potential": _EB, "particle": {**_FLAT_CHART_TIME, "v0": "0.1,0.05,-0.02"},
+      "integrator": {"dt": "0.1", "steps": "200"}}),
+    ("overflow-chart-time", ("three_velocity",),
+     {"manifold": {"dimension": 4, "metric": "diagonal",
+                   "diag": "1e250,-1e250,-1e250,-1e250"},
+      "potential": _EB, "particle": {**_FLAT_CHART_TIME, "v0": "0.1,0.05,-0.02"},
+      "integrator": {"dt": "0.1", "steps": "200"}}),
+    ("horizon-chart-time", ("three_velocity",),
+     {"manifold": _SCHW,
+      "particle": {"charge": "0", "x0": "0,4,1.2,0", "v0": "-0.3,0,0"},
+      "integrator": {"dt": "0.5", "steps": "400"}}),
     ("plunge", ("geodesic", "hamiltonian"),
      {"manifold": _SCHW, "potential": _SCHW_COULOMB,
       "particle": {"charge": "0.5", "x0": "0,3,1.2,0", "u0": "2,-0.5,0.01,0",
