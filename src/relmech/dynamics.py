@@ -343,8 +343,10 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
     ``K``.  With the float stage and ``gfield`` the N = 1 form of that
     metric, a settled point's float form gives the projection's G, the
     monitored G = (d u) . u, with the bits of :func:`g_value`, and the next
-    step's first stage.  Elsewhere, and where that form raises, the monitor
-    and the projection call :func:`g_value`.
+    step's first stage.  Elsewhere, and where that form raises
+    :class:`SingularMetric`, the monitor and the projection call
+    :func:`g_value`; a DomainError of the form is the one :func:`g_value`
+    raises there, and it ends the run.
     """
     if projection not in PROJECTION_MODES:
         raise ValueError(f"projection must be one of {PROJECTION_MODES}")
@@ -381,7 +383,7 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
         if monitor:
             try:
                 f = form(x)
-            except (DomainError, SingularMetric):
+            except SingularMetric:
                 pass  # g_value reads g alone: the next step's first stage raises the rest
         if f is None:
             xa, ua = np.array(x), np.array(u)

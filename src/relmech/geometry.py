@@ -29,8 +29,9 @@ only when called, since most stages read the slopes alone.  Each number has
 the bits of ``value`` or ``partials``.  A form gives its numbers or
 raises: the errors of ``value`` and ``partials``, and a metric's form also
 the :class:`SingularMetric` of :func:`inverse_metric_at` at that point,
-with its message.  A field whose ``value`` or ``partials``
-was replaced declares no form (:func:`_float_form`), and a
+with its message.  A constant metric that :func:`inverse_metric_at`
+rejects at every point declares no form, nor does a field whose ``value``
+or ``partials`` was replaced (:func:`_float_form`), and a
 ``from_function`` field declares one only when both of its callables carry
 the same form.
 """
@@ -94,15 +95,12 @@ def _symmetrize_tail(t: Array) -> Array:
 
 
 def contract_all(t: Array, u: Array, count: int) -> Array:
-    """Contract the last ``count`` axes of ``t`` with the vector ``u``.
+    """Contract the last ``count`` axes of ``t`` with the vector ``u``, one
+    :func:`_dot` per axis: ``t @ u`` for a single point.
 
     A batch of vectors u (..., m) pairs each row with the same leading axes
     of ``t``.
     """
-    if u.ndim == 1:  # one point, on the integrators' hot path: no call per product
-        for _ in range(count):
-            t = t @ u
-        return t
     for _ in range(count):
         t = _dot(t, u)
     return t
@@ -259,18 +257,18 @@ def diagonal_metric(entries: Sequence[float]) -> MetricField:
 def _constant_metric(entries: list, catalog_id: str, params: dict) -> MetricField:
     """The metric diag(entries) with zero partials, and its float form,
     which makes the condition test of :func:`_diagonal_float_form` once,
-    since d never changes: a metric that fails it raises at each read,
-    naming the point."""
+    since d never changes.  A metric that fails it, which
+    :func:`inverse_metric_at` then rejects at every point, declares no
+    form."""
     g = np.diag(entries)
     dg = np.zeros((len(entries),) * 3)
     d = tuple(float(v) for v in entries)
+    metric = MetricField(len(d), lambda x: g.copy(), lambda x: dg.copy(), catalog_id, params)
     try:
         f = _diagonal_float_form(d, (), [0.0] * len(d))  # x only names a failure
-        form = lambda x: f
     except SingularMetric:
-        form = lambda x: _diagonal_float_form(d, (), x)
-    return _declare(MetricField(len(d), lambda x: g.copy(), lambda x: dg.copy(),
-                                catalog_id, params), form)
+        return metric
+    return _declare(metric, lambda x: f)
 
 
 def schwarzschild(mass: float = 1.0) -> MetricField:

@@ -340,6 +340,11 @@ def three_acceleration(model: LagrangianModel, t: ThreeVelocity) -> Array:
     return np.linalg.solve(mat, -base)
 
 
+def _listed_three_acceleration(model: LagrangianModel, x: list, v: list) -> list:
+    """:func:`three_acceleration` at lists x = (q^0, q) and v, as a list."""
+    return three_acceleration(model, ThreeVelocity(x[0], x[1:], v)).tolist()
+
+
 def _float_three_acceleration(model: LagrangianModel):
     """:func:`three_acceleration` in Python floats for an N = 1 G field
     whose callables declare a float form, as ``GTensorField.from_metric``
@@ -348,17 +353,18 @@ def _float_three_acceleration(model: LagrangianModel):
 
     ``stage(x, v)`` takes lists x = (q^0, q) and v and returns w as a list,
     with the bits of ``three_acceleration``, its errors and their messages.
-    It returns None where the form raises SingularMetric (this picture
-    never inverts g), where Gbar is not finite and where Gbar^(3/2)
-    underflows to 0, which numpy divides by and Python does not: the caller
-    then calls ``three_acceleration``.  Written out for N = 1, g = diag(d)
-    and dd[mu, a] = d_mu g_aa, with u = (1, v), the stage follows the order
-    rule of :mod:`relmech.dynamics`: c = d u, (dg . u) and dg_dir . u have
-    one term per entry, copied in floats with + 0.0 for numpy's +0, while
-    Gbar = c . u, the rows (dg . u) . u, v . dd[1:], (dg_dir . u) . u and
-    F[1:, 1:] v each stay one ``np.dot`` of numpy's shape, and the solve
-    stays ``np.linalg.solve``.  A slope-free metric, or a potential without
-    spatial slopes in F[1:, 1:], makes those products +0 without a call.
+    Where floats cannot follow numpy, that stage calls
+    ``three_acceleration`` itself: where the form raises SingularMetric
+    (this picture never inverts g), where Gbar is not finite and where
+    Gbar^(3/2) underflows to 0, which numpy divides by and Python does not.
+    Written out for N = 1, g = diag(d) and dd[mu, a] = d_mu g_aa, with
+    u = (1, v), the stage follows the order rule of :mod:`relmech.dynamics`:
+    c = d u, (dg . u) and dg_dir . u have one term per entry, copied in
+    floats with + 0.0 for numpy's +0, while Gbar = c . u, the rows
+    (dg . u) . u, v . dd[1:], (dg_dir . u) . u and F[1:, 1:] v each stay one
+    ``np.dot`` of numpy's shape, and the solve stays ``np.linalg.solve``.
+    A slope-free metric, or a potential without spatial slopes in
+    F[1:, 1:], makes those products +0 without a call.
     """
     gf, mass, charge = model.gfield, model.mass, model.charge
     form = _float_form(gf) if gf.order_half == 1 else None
@@ -372,7 +378,7 @@ def _float_three_acceleration(model: LagrangianModel):
         try:
             d, slopes = form(x)
         except SingularMetric:
-            return None
+            return _listed_three_acceleration(model, x, v)
         uhat = [1.0, *v]
         ua = np.array(uhat)
         c = [di * ui + 0.0 for di, ui in zip(d, uhat)]
@@ -380,7 +386,7 @@ def _float_three_acceleration(model: LagrangianModel):
         _require_reduced_positive(gbar)
         ge1, ge2 = gbar ** 0.5, gbar ** 1.5  # Gbar^e1 and Gbar^(e1 + 1)
         if not (gbar < math.inf and ge2 > 0.0):
-            return None
+            return _listed_three_acceleration(model, x, v)
         if slopes:
             rows = [0.0] * (m * m)  # dg . u
             dd = [0.0] * (n * m)  # d_i g_aa, i spatial
@@ -432,8 +438,8 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
 
     The state is (q^0, q, v), with d(q^0, q, v)/dq^0 = (1, v, w) and w from
     :func:`three_acceleration`, or with its bits from the float stage of
-    :func:`_float_three_acceleration` where the model has one, until the
-    first stage where that returns None.  Each step sets q^0 to the previous
+    :func:`_float_three_acceleration` at every stage where the model has
+    one.  Each step sets q^0 to the previous
     chart time plus dt, since the RK4 sum (dt/6)*6 can miss dt by one ulp.
     The run is lifted by :func:`lift_three_solution` on the sign branch
     ``sign`` over the full grid (best tau quadrature), then every
@@ -448,25 +454,16 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     n = start.v.size
     last = start
     stage = _float_three_acceleration(model) if n + 1 == model.dim else None
-    floats = stage is not None  # until the first stage that returns None
+    if stage is None:
+        stage = lambda x, v: _listed_three_acceleration(model, x, v)
 
     def chart_state(y):
         return ThreeVelocity(y[0], y[1:n + 1], y[n + 1:])
 
     def rhs(y):
-        nonlocal floats
-        if floats:
-            if not (math.isfinite(sum(y)) or all(map(math.isfinite, y))):
-                raise StepRejected("non-finite chart state")
-            w = stage(y[:n + 1], y[n + 1:])
-            if w is not None:
-                return [1.0, *y[n + 1:], *w]
-            floats = False
-        try:
-            three = chart_state(y)
-        except ValueError as exc:  # a non-finite stage
-            raise StepRejected("non-finite chart state") from exc
-        return [1.0, *three.v.tolist(), *three_acceleration(model, three).tolist()]
+        if not (math.isfinite(sum(y)) or all(map(math.isfinite, y))):
+            raise StepRejected("non-finite chart state")
+        return [1.0, *y[n + 1:], *stage(y[:n + 1], y[n + 1:])]
 
     def settle(y, recorded):
         nonlocal last

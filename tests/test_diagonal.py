@@ -462,6 +462,51 @@ def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfi
                 assert same_bits(a, b)
 
 
+def test_chart_time_stages_fall_back_one_at_a_time(monkeypatch, schw):
+    # a form that raises SingularMetric for 4 <= q^0 < 6 sends the 16 stages
+    # in that window, and no other, to three_acceleration, and the run keeps
+    # the bits of the catalog field's run
+    eb = rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
+    start = rm.ThreeVelocity(0.0, [8.0, 1.1, 0.3], [0.1, 0.03, 0.05])
+    schw_form = schw.value.float_form
+    window = _declared(schw, lambda x: _singular(x) if 4.0 <= x[0] < 6.0 else schw_form(x))
+    chart_times = []
+    acceleration = lagrangian.three_acceleration
+
+    def counted(model, three):
+        chart_times.append(three.q0)
+        return acceleration(model, three)
+
+    monkeypatch.setattr(lagrangian, "three_acceleration", counted)
+    want = _chart_run(rm.LagrangianModel(rm.GTensorField.from_metric(schw), eb, 1.0, 0.5), start)
+    assert chart_times == []
+    got = _chart_run(rm.LagrangianModel(rm.GTensorField.from_metric(window), eb, 1.0, 0.5),
+                     start)
+    assert len(chart_times) == 16 and all(4.0 <= q0 < 6.0 for q0 in chart_times)
+    for a, b in zip(got, want):
+        assert same_bits(a, b)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's stage divides by 0
+@pytest.mark.parametrize("metric, potential", [
+    (rm.diagonal_metric([1e-250, -1e-250, -1e-250, -1e-250]), None),  # Gbar^(3/2) underflows
+    (rm.diagonal_metric([1e250, -1e250, -1e250, -1e250]), None),  # Gbar^(3/2) overflows
+    (rm.minkowski(), rm.uniform_field((math.inf, 0.0, 0.0)))])  # a non-finite force
+def test_chart_time_runs_fail_as_the_generic_run(metric, potential):
+    # the catalog run raises the error, with its message, of a run whose G
+    # field declares no form and so calls three_acceleration at every stage
+    potential = potential or rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
+    start = rm.ThreeVelocity(0.0, [0.3, -0.2, 0.4], [0.1, 0.05, -0.02])
+    outcomes = []
+    for metric in (metric, rm.MetricField.from_function(4, metric.value)):
+        model = rm.LagrangianModel(rm.GTensorField.from_metric(metric), potential, 1.0, 0.5)
+        with pytest.raises(StepRejected) as got:
+            rm.integrate_three_velocity(model, start, 0.1, 20)
+        outcomes.append((type(got.value), str(got.value)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == "non-finite chart state (last good chart time q^0 = 0)"
+
+
 def test_only_the_hamiltonian_stage_computes_a(mink):
     # geodesic and chart-time stages read the potential's slopes alone; the
     # Hamiltonian stage computes A once per stage, for w = p - eA

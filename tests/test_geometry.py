@@ -525,28 +525,30 @@ def _schwarzschild_points(big_m):
 def test_metric_float_forms_equal_value_and_partials(metric):
     # the form has the bits of value and partials, and raises their errors
     # and inverse_metric_at's SingularMetric with their messages, also where
-    # g has a zero entry or the sum of |g_aa| is not finite
-    form = metric.value.float_form
-    assert metric.partials.float_form is form
+    # g has a zero entry or the sum of |g_aa| is not finite; a constant
+    # metric that inverse_metric_at rejects at every point declares no form
+    never = metric.params.get("diag") in ((1e308, 1e308, -1.0, -1.0), (1.0, -1e-13, -1.0, -1.0))
+    form = getattr(metric.value, "float_form", None)
+    assert getattr(metric.partials, "float_form", None) is form
+    assert (form is None) == never
     if metric.catalog_id == "schwarzschild":
         points = _schwarzschild_points(metric.params["M"])
     else:
         points = np.random.default_rng(43).uniform(-3.0, 3.0, (100, metric.dim))
     seen = set()
     for x in points:
-        got = _outcome(form, x.tolist())
         want = _outcome(metric.value, x)
         if isinstance(want, tuple):
             seen.add("raises")
-            assert got == want
+            assert _outcome(form, x.tolist()) == want
             continue
         singular = _outcome(lambda x: rm.inverse_metric_at(metric, x), x)
         if isinstance(singular, tuple):
             seen.add("singular")
-            assert got == singular
+            assert never or _outcome(form, x.tolist()) == singular
             continue
         seen.add("form")
-        d, slopes = got
+        d, slopes = form(x.tolist())
         dg = np.zeros((metric.dim,) * 3)
         for mu, a, v in slopes:
             dg[mu, a, a] = v
@@ -554,7 +556,7 @@ def test_metric_float_forms_equal_value_and_partials(metric):
         assert same_bits(dg, metric.partials(x))
     if metric.catalog_id == "schwarzschild":
         assert seen == {"raises", "singular", "form"}
-    elif metric.params.get("diag") in ((1e308, 1e308, -1.0, -1.0), (1.0, -1e-13, -1.0, -1.0)):
+    elif never:
         assert seen == {"singular"}
     else:
         assert seen == {"form"}
@@ -562,7 +564,8 @@ def test_metric_float_forms_equal_value_and_partials(metric):
 
 def test_constant_metric_forms_test_their_condition_once(monkeypatch):
     # d never changes, so the test is made when the metric is built; one
-    # that fails it names the point at each read
+    # that fails it declares no form, and inverse_metric_at names the point
+    # at each read
     import relmech.geometry as geometry
 
     metrics = [rm.minkowski(), rm.diagonal_metric([1.5, -0.75, -2.0, -1.25]),
@@ -576,9 +579,11 @@ def test_constant_metric_forms_test_their_condition_once(monkeypatch):
     for metric, x in zip(metrics[:2], points):
         assert metric.value.float_form(x) == (tuple(np.diag(metric.value(x))), ())
     monkeypatch.undo()
+    assert not hasattr(metrics[2].value, "float_form")
+    assert not hasattr(metrics[2].partials, "float_form")
     for x in points:
         want = _outcome(lambda x: rm.inverse_metric_at(metrics[2], x), np.array(x))
-        assert _outcome(metrics[2].value.float_form, x) == want
+        assert want[0] is SingularMetric
         assert f"x = {np.array(x)} " in want[1]
 
 
