@@ -401,7 +401,7 @@ def _inverse(g: Array, x) -> Array:
             m = g.shape[-1]
             for gi, row in zip(g.reshape(-1, m, m), np.reshape(x, (-1, m))):
                 _inverse(gi, row)  # raises for the first singular point
-        raise SingularMetric(f"metric is singular at x = {x}") from exc
+        raise SingularMetric(f"metric is singular at x = {np.asarray(x, dtype=float)}") from exc
     _check_condition(np.linalg.norm(g, np.inf, axis=(-2, -1))
                      * np.linalg.norm(inv, np.inf, axis=(-2, -1)), x)
     return 0.5 * (inv + inv.swapaxes(-1, -2))
@@ -425,10 +425,10 @@ def _diagonal_float_form(d: tuple, slopes: tuple, x):
     ad = list(map(abs, d))
     lo = min(ad)
     if not (lo > 0.0 and sum(ad) < math.inf):  # a sum of |d| is finite unless it is inf or nan
-        _inverse(np.diag(d), np.asarray(x, dtype=float))
+        _inverse(np.diag(d), x)
     cond = max(ad) * (1.0 / lo)
     if not cond < _COND_LIMIT:
-        _check_condition(cond, np.asarray(x, dtype=float))
+        _check_condition(cond, x)
     return d, slopes
 
 

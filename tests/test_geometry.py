@@ -562,6 +562,13 @@ def test_metric_float_forms_equal_value_and_partials(metric):
         assert seen == {"form"}
 
 
+def test_inverse_metric_at_names_a_listed_point_as_an_array():
+    # the singular message and the condition message format x alike
+    for metric in (rm.schwarzschild(), rm.diagonal_metric([1, -1e-13, -1, -1])):
+        with pytest.raises(SingularMetric, match=re.escape("x = [ 0. 10.  0.  0.]")):
+            rm.inverse_metric_at(metric, [0.0, 10.0, 0.0, 0.0])
+
+
 def test_constant_metric_forms_test_their_condition_once(monkeypatch):
     # d never changes, so the test is made when the metric is built; one
     # that fails it declares no form, and inverse_metric_at names the point
