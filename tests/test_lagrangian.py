@@ -11,6 +11,7 @@ import relmech as rm
 import relmech.lagrangian as lagrangian
 from relmech.errors import (DimensionMismatch, DomainError, NonPositiveG, SingularMetric,
                             StepRejected)
+from relmech.checks import sample_point, sample_velocity
 from relmech.geometry import contract_all, faraday_at
 
 from conftest import CHART_FIELDS, chart_field, random_state, same_bits
@@ -258,6 +259,25 @@ def test_three_lagrangian_examples(free_model):
     null = rm.ThreeVelocity(0.0, np.zeros(3), np.array([1.0, 0, 0]))
     with pytest.raises(NonPositiveG):
         rm.three_lagrangian_value(free_model, null)
+
+
+@pytest.mark.parametrize("metric", [rm.minkowski(), rm.schwarzschild(1.0)])
+def test_three_lagrangian_value_is_the_lagrangian_at_unit_time_rate(metric):
+    # at a nonzero charge, Lbar(q^0, q, v) = L(x, (1, v)) up to the order of
+    # the coupling's sum: v . A_i + A_0 against (1, v) . A
+    potential = rm.uniform_field((0.3, -0.2, 0.5), (1.0, 2.0, -0.7))
+    model = rm.LagrangianModel(rm.GTensorField.from_metric(metric), potential, 1.3, 0.7)
+    rng = np.random.default_rng(53)
+    eps = float(np.finfo(float).eps)
+    for _ in range(200):
+        x = sample_point(metric, rng)
+        u = sample_velocity(metric, x, rng)
+        v = u[1:] / u[0]
+        got = rm.three_lagrangian_value(model, rm.ThreeVelocity(x[0], x[1:], v))
+        want = rm.lagrangian_value(model, x, np.concatenate(([1.0], v)))
+        a = potential.value(x)
+        scale = abs(want) + 0.7 * (abs(a[0]) + np.abs(v * a[1:]).sum())
+        assert abs(got - want) <= 4 * eps * scale
 
 
 def test_three_el_uniform_motion(free_model):
