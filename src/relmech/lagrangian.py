@@ -439,8 +439,8 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     The state is (q^0, q, v), with d(q^0, q, v)/dq^0 = (1, v, w) and w from
     :func:`three_acceleration`, or with its bits from the float stage of
     :func:`_float_three_acceleration` at every stage where the model has
-    one.  Each step sets q^0 to the previous
-    chart time plus dt, since the RK4 sum (dt/6)*6 can miss dt by one ulp.
+    one.  Each step sets q^0 to the previous chart time plus dt, since the
+    RK4 sum (dt/6)*6 can miss dt by one ulp.
     The run is lifted by :func:`lift_three_solution` on the sign branch
     ``sign`` over the full grid (best tau quadrature), then every
     ``record_every``-th sample and the last are kept.  A failure names the

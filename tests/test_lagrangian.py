@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import relmech as rm
 import relmech.lagrangian as lagrangian
+from relmech.checks import sample_point, sample_velocity
 from relmech.errors import (DimensionMismatch, DomainError, NonPositiveG, SingularMetric,
                             StepRejected)
-from relmech.checks import sample_point, sample_velocity
 from relmech.geometry import contract_all, faraday_at
 
 from conftest import CHART_FIELDS, chart_field, random_state, same_bits
