@@ -457,9 +457,6 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     if stage is None:
         stage = lambda x, v: _listed_three_acceleration(model, x, v)
 
-    def chart_state(y):
-        return ThreeVelocity(y[0], y[1:n + 1], y[n + 1:])
-
     def rhs(y):
         if not (math.isfinite(sum(y)) or all(map(math.isfinite, y))):
             raise StepRejected("non-finite chart state")
@@ -468,7 +465,7 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     def settle(y, recorded):
         nonlocal last
         y[0] = last.q0 + dt
-        last = chart_state(y)
+        last = ThreeVelocity(y[0], y[1:n + 1], y[n + 1:])
         return y, last, None
 
     y0 = [last.q0, *last.q.tolist(), *last.v.tolist()]
