@@ -354,12 +354,22 @@ def _bits(call):
 
 @pytest.mark.parametrize("pot", sorted(POTENTIALS))
 @pytest.mark.parametrize("name", sorted(METRICS))
-def test_chart_time_stage_has_the_bits_of_three_acceleration(name, pot):
+def test_chart_time_stage_has_the_bits_of_three_acceleration(monkeypatch, name, pot):
     # v = u[1:] / u[0] inside the light cone, with +0 and -0 components; on
     # Schwarzschild the sums over the slopes add terms of comparable size,
     # so a stage that sums them in another order than numpy's BLAS calls
-    # misses by an ulp on a share of these states
+    # misses by an ulp on a share of these states.  Every state goes
+    # through the float arithmetic: the stage calls three_acceleration at
+    # none of them
     metric, potential = METRICS[name](), POTENTIALS[pot]()
+    calls = [0]
+    acceleration = lagrangian.three_acceleration
+
+    def counted(model, three):
+        calls[0] += 1
+        return acceleration(model, three)
+
+    monkeypatch.setattr(lagrangian, "three_acceleration", counted)
     gf = rm.GTensorField.from_metric(metric)
     x, u, _ = _states(metric, sorted(METRICS).index(name))
     x, u = x[:CHART_STATES], u[:CHART_STATES]
@@ -371,9 +381,9 @@ def test_chart_time_stage_has_the_bits_of_three_acceleration(name, pot):
         stage = _float_three_acceleration(model)
         for xi, vi in zip(x, v):
             got = stage(xi.tolist(), vi.tolist())
-            assert got is not None
+            assert calls[0] == 0
             three = rm.ThreeVelocity(xi[0], xi[1:], vi)
-            assert _bits(lambda: got) == _bits(lambda: rm.three_acceleration(model, three))
+            assert _bits(lambda: got) == _bits(lambda: acceleration(model, three))
 
 
 def test_chart_time_stage_errors_are_three_accelerations(schw):
@@ -413,9 +423,10 @@ def _declared(field, form):
 
 
 def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfield):
-    # G fields without a float form of order 1, and forms that raise
-    # SingularMetric, go through three_acceleration with the bits of the
-    # generic run (no float stage at all)
+    # G fields without a float form of order 1 go through
+    # three_acceleration with the bits of the generic run (no float stage at
+    # all); a form that raises SingularMetric sends only the stages where it
+    # raises there
     eb = rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
     schw_start = rm.ThreeVelocity(0.0, [8.0, 1.1, 0.3], [0.1, 0.03, 0.05])
     flat_start = rm.ThreeVelocity(0.0, [0.3, -0.2, 0.4], [0.1, 0.05, -0.02])
@@ -424,34 +435,39 @@ def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfi
                                   partials=lambda x: n2_gfield.partials(x))
     quartic.value.float_form = quartic.partials.float_form = rm.minkowski().value.float_form
     schw_form = schw.value.float_form
-    # (G field, start, three_acceleration calls of the 4 * 40 stages,
-    # whether the field has the values of the catalog Schwarzschild field)
+    # (G field, start, the stages of the 4 * 40 that call
+    # three_acceleration, whether the field has the values of the catalog
+    # Schwarzschild field)
     cases = [
         (quartic, flat_start, "all", False),
         (dataclasses.replace(gf, value=lambda x: schw.value(x)), schw_start, "all", True),
         (dataclasses.replace(gf, partials=lambda x: schw.partials(x)), schw_start, "all", True),
         (rm.GTensorField.from_metric(rm.MetricField.from_function(4, schw.value)),
          schw_start, "all", False),
-        # a form that raises SingularMetric from chart time 6 on
+        # a form that raises SingularMetric for 4 <= q^0 < 6: the 16
+        # stages in that window, and no other
         (rm.GTensorField.from_metric(_declared(
-            schw, lambda x: _singular(x) if x[0] > 6.0 else schw_form(x))),
-         schw_start, "some", True),
+            schw, lambda x: _singular(x) if 4.0 <= x[0] < 6.0 else schw_form(x))),
+         schw_start, "window", True),
     ]
-    calls = [0]
+    chart_times = []  # q^0 at each three_acceleration call
     acceleration = lagrangian.three_acceleration
 
     def counted(model, three):
-        calls[0] += 1
+        chart_times.append(three.q0)
         return acceleration(model, three)
 
     monkeypatch.setattr(lagrangian, "three_acceleration", counted)
     want = _chart_run(rm.LagrangianModel(gf, eb, 1.0, 0.5), schw_start)
-    assert calls[0] == 0  # the catalog field's float stage
+    assert chart_times == []  # the catalog field's float stage
     for field, start, path, same in cases:
         model = rm.LagrangianModel(field, eb, 1.0, 0.5)
-        calls[0] = 0
+        chart_times.clear()
         got = _chart_run(model, start)
-        assert calls[0] == 4 * 40 if path == "all" else 0 < calls[0] < 4 * 40
+        if path == "all":
+            assert len(chart_times) == 4 * 40
+        else:
+            assert len(chart_times) == 16 and all(4.0 <= q0 < 6.0 for q0 in chart_times)
         with monkeypatch.context() as m:
             m.setattr(lagrangian, "_float_three_acceleration", lambda model: None)
             generic = _chart_run(model, start)
@@ -460,31 +476,6 @@ def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfi
         if same:
             for a, b in zip(got, want):
                 assert same_bits(a, b)
-
-
-def test_chart_time_stages_fall_back_one_at_a_time(monkeypatch, schw):
-    # a form that raises SingularMetric for 4 <= q^0 < 6 sends the 16 stages
-    # in that window, and no other, to three_acceleration, and the run keeps
-    # the bits of the catalog field's run
-    eb = rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
-    start = rm.ThreeVelocity(0.0, [8.0, 1.1, 0.3], [0.1, 0.03, 0.05])
-    schw_form = schw.value.float_form
-    window = _declared(schw, lambda x: _singular(x) if 4.0 <= x[0] < 6.0 else schw_form(x))
-    chart_times = []
-    acceleration = lagrangian.three_acceleration
-
-    def counted(model, three):
-        chart_times.append(three.q0)
-        return acceleration(model, three)
-
-    monkeypatch.setattr(lagrangian, "three_acceleration", counted)
-    want = _chart_run(rm.LagrangianModel(rm.GTensorField.from_metric(schw), eb, 1.0, 0.5), start)
-    assert chart_times == []
-    got = _chart_run(rm.LagrangianModel(rm.GTensorField.from_metric(window), eb, 1.0, 0.5),
-                     start)
-    assert len(chart_times) == 16 and all(4.0 <= q0 < 6.0 for q0 in chart_times)
-    for a, b in zip(got, want):
-        assert same_bits(a, b)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's stage divides by 0
