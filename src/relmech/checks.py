@@ -7,9 +7,12 @@ serialize to JSON unchanged; given the same (metric, samples, seed) the
 report is fully deterministic.
 
 Samples are drawn one at a time, in the order a per-sample loop would draw
-them, and each identity is then evaluated on a block of up to ``_BLOCK``
-samples at once through the batched kernels, which give every sample the
-bits its own evaluation would.
+them; where the metric declares a float form, each velocity is drawn in
+Python floats from its d = g_aa, with the bits and the random numbers of
+the numpy draw.  Each identity is then evaluated on a block of up to
+``_BLOCK`` samples at once through the batched kernels, which give every
+sample the bits its own evaluation would and read the block's fields
+through the float forms (:func:`relmech.geometry._fields_at`).
 """
 
 from __future__ import annotations
@@ -30,9 +33,11 @@ from .errors import COMPUTATION_ERRORS, ConstraintUnreachable
 from .geometry import (
     GTensorField,
     MetricField,
+    _check_point,
     _diagonal,
     _dot,
-    _field_at,
+    _fields_at,
+    _float_form,
     _norm,
     catalog_metric,
     contract_all,
@@ -86,7 +91,22 @@ def sample_velocity(metric: MetricField, x, rng: np.random.Generator,
     first positive-signature direction boosted, then rejection sampled on the
     sign of the form.  A diagonal metric is its own frame; any other metric
     takes the eigenvectors of ``np.linalg.eigh``.
+
+    Where the metric declares a float form, d comes from it and a draw is
+    made in Python floats with the bits of the numpy draw: the same
+    ``standard_normal`` calls, entrywise products, and the sum of sig u u
+    left to right, as numpy sums fewer than 8 entries.  A point where the
+    form raises takes the numpy draw.
     """
+    x = _check_point(x, metric.dim)
+    form = _float_form(metric) if x.ndim == 1 and metric.dim < 8 else None
+    if form is not None:
+        try:
+            d = form(x.tolist())[0]
+        except COMPUTATION_ERRORS:
+            pass
+        else:
+            return _float_velocity(d, rng, margin)
     g = metric_at(metric, x)
     d = _diagonal(g)
     frame = None
@@ -101,6 +121,24 @@ def sample_velocity(metric: MetricField, x, rng: np.random.Generator,
         uhat[k] = math.copysign(1.0 + abs(n[k]), n[k])
         if float(np.sum(sig * uhat * uhat)) > margin:
             return scale * uhat if frame is None else frame @ (scale * uhat)
+    raise ConstraintUnreachable("velocity sampling failed to find G > margin")
+
+
+def _float_velocity(d: tuple, rng: np.random.Generator, margin: float) -> np.ndarray:
+    """:func:`sample_velocity` for g = diag(d), d finite and nonzero, in
+    Python floats."""
+    sig = [1.0 if v > 0.0 else -1.0 for v in d]
+    scale = [1.0 / math.sqrt(abs(v)) for v in d]
+    k = sig.index(1.0) if 1.0 in sig else 0
+    for _ in range(200):
+        n = rng.standard_normal(len(d)).tolist()
+        uhat = [0.5 * v for v in n]
+        uhat[k] = math.copysign(1.0 + abs(n[k]), n[k])
+        total = 0.0
+        for s, v in zip(sig, uhat):
+            total += s * v * v
+        if total > margin:
+            return np.array([c * v for c, v in zip(scale, uhat)])
     raise ConstraintUnreachable("velocity sampling failed to find G > margin")
 
 
@@ -179,7 +217,7 @@ def run_invariant_checks(metric_id: str, samples: int = 1000, seed: int = 0,
 
     def projector(x, u):
         n2 = 2 * gfield.order_half
-        gt = _field_at(gfield.value, x)
+        gt = _fields_at(gfield, x, "value")[0]
         g = contract_all(gt, u, n2)
         c = contract_all(gt, u, n2 - 1)
         # np.outer(u, c) / g, for each sample

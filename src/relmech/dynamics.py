@@ -32,9 +32,10 @@ from .geometry import (
     GTensorField,
     MetricField,
     PotentialField,
+    _check_point,
     _christoffel_and_inverse,
     _dot,
-    _field_at,
+    _fields_at,
     _first_failure,
     _float_form,
     _power,
@@ -194,10 +195,9 @@ def geodesic_condition_terms(metric: MetricField, x, u, k):
     evaluation of the metric and of its partials.  Two floats for one state;
     two arrays for a batch x, u (..., m) with k (..., m, m).
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_point(x, metric.dim)
     u = np.asarray(u, dtype=float)
-    dg = _field_at(metric.partials, x)
-    g = metric_at(metric, x)
+    dg, g = _fields_at(metric, x, "partials", "value")
     au = np.abs(u)
     t1 = np.einsum("...lmn,...m,...l,...n->...", dg, u, u, u)
     t2 = 2.0 * _dot(_vecmat(u, g), _dot(k, u))

@@ -34,6 +34,14 @@ rejects at every point declares no form, nor does a field whose ``value``
 or ``partials`` was replaced (:func:`_float_form`), and a
 ``from_function`` field declares one only when both of its callables carry
 the same form.
+
+The forms also serve block reads: :func:`metric_at`,
+:func:`inverse_metric_at`, the connection symbols, :func:`faraday_at` and
+the batched kernels of the other modules read a batch of points through
+:func:`_fields_at`, one form call per row for the callables a reader names
+(g and its partials together, where it reads both), with the bits and the
+errors of the per-row loop :func:`_field_at`.  :func:`g_value` reads G, and
+a block read reads a potential's A, row by row.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, SingularMetric
+from .errors import COMPUTATION_ERRORS, DimensionMismatch, DomainError, SingularMetric
 
 Array = np.ndarray
 FieldFn = Callable[[Array], Array]
@@ -172,23 +180,86 @@ def _field_at(fn: FieldFn, x: Array) -> Array:
     the results stacked behind the batch axes.
 
     Field callables take one point: a vectorised field could round
-    differently from its scalar form.
+    differently from its scalar form.  This is the per-row loop of every
+    field; :func:`_fields_at` reads a block through the field's float form
+    instead, where it declares one.
     """
     x = np.asarray(x)
     if x.ndim == 1:
         return np.asarray(fn(x), dtype=float)
     rows = x.reshape(-1, x.shape[-1])
-    first = _field_at(fn, rows[0])
+    first = np.asarray(fn(rows[0]), dtype=float)
     out = np.empty((len(rows),) + first.shape)  # filled in place: no list of rows
     out[0] = first
     for i in range(1, len(rows)):
-        value = _field_at(fn, rows[i])
-        if value.shape != first.shape:
-            raise DimensionMismatch(
-                f"field value has shape {value.shape} at {rows[i]}, {first.shape} at {rows[0]}"
-            )
-        out[i] = value
+        _put(out, i, fn(rows[i]), rows)
     return out.reshape(x.shape[:-1] + first.shape)
+
+
+def _put(out: Array, i: int, value, rows: Array) -> None:
+    """``out[i] = value`` for row ``i`` of a block whose every value must
+    have the shape of ``out[i]``."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != out.shape[1:]:
+        raise DimensionMismatch(
+            f"field value has shape {value.shape} at {rows[i]}, {out.shape[1:]} at {rows[0]}"
+        )
+    out[i] = value
+
+
+def _fields_at(field, x, *names: str) -> list:
+    """``_field_at(getattr(field, name), x)`` for each of ``names``, each
+    "value" or "partials", from one call of the field's float form per row
+    of a batch x (..., m).
+
+    The reader names the callables it reads; one form call serves them
+    all.  Each row gets the bits of the callables: the entries the form
+    lists, zeros elsewhere.  A row where the form raises is read from the
+    callables themselves, in the order of ``names``: where a metric's form
+    raises the SingularMetric of :func:`inverse_metric_at`, ``value`` still
+    gives g, and the first row outside the chart raises the callables'
+    error.  Both callables of a field with a form fail at the same rows, so
+    that is the error of the per-row loop too.  A metric's form reads the
+    row as a list of floats, which is faster and rounds alike; a
+    potential's form reads the array row, since it computes with the numpy
+    scalars of the callables, and so warns where they warn.  A potential's
+    A is read row by row: its form also computes the slopes, which ``value``
+    does not, and which can warn where A does not.  A single point, and a
+    field without a form, take the per-row loop.
+    """
+    x = np.asarray(x)
+    m = field.dim
+    potential = isinstance(field, PotentialField)
+    batch = x.ndim > 1 and x.size and x.shape[-1] == m
+    form = _float_form(field) if batch and not (potential and "value" in names) else None
+    if form is None:
+        return [_field_at(getattr(field, name), x) for name in names]
+    rows = x.reshape(-1, m)
+    n = len(rows)
+    # flat offsets within one row: slope (lam, mu) at lam * lam_step + mu *
+    # mu_step, d_k at k * mu_step
+    lam_step, mu_step = (m, 1) if potential else (m * m, m + 1)
+    shapes = {"value": (m,) if potential else (m, m),
+              "partials": (m, m) if potential else (m, m, m)}
+    outs = [np.zeros((n,) + shapes[name]) for name in names]
+    reads = [(name == "value", memoryview(out.reshape(-1)), out[0].size)
+             for name, out in zip(names, outs)]
+    for i in range(n):
+        try:
+            entries, slopes = form(rows[i] if potential else rows[i].tolist())
+        except COMPUTATION_ERRORS:
+            for name, out in zip(names, outs):
+                _put(out, i, getattr(field, name)(rows[i]), rows)
+            continue
+        for value, flat, size in reads:
+            base = i * size
+            if value:
+                for k, v in enumerate(entries):
+                    flat[base + k * mu_step] = v
+            else:
+                for lam, mu, v in slopes:
+                    flat[base + lam * lam_step + mu * mu_step] = v
+    return [out.reshape(x.shape[:-1] + out.shape[1:]) for out in outs]
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +432,7 @@ def metric_at(metric: MetricField, x) -> Array:
     :class:`DimensionMismatch` for a wrong-length point.
     """
     x = _check_point(x, metric.dim)
-    return _field_at(metric.value, x)
+    return _fields_at(metric, x, "value")[0]
 
 
 def inverse_metric_at(metric: MetricField, x) -> Array:
@@ -461,7 +532,7 @@ def _christoffel_and_inverse(metric: MetricField, x) -> tuple[Array, Array]:
     inversion."""
     x = _check_point(x, metric.dim)
     ginv = inverse_metric_at(metric, x)
-    dg = _field_at(metric.partials, x)
+    dg = _fields_at(metric, x, "partials")[0]
     # S[mu, beta, nu] = d_mu g_{beta nu} + d_nu g_{beta mu} - d_beta g_{mu nu}
     s = dg + dg.swapaxes(-1, -3)
     s -= dg.swapaxes(-3, -2)
@@ -530,6 +601,7 @@ def uniform_field(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> Potential
     da[3, 1] = bb[1]        # d_3 A_1 = B_2
     da[1, 2] = bb[2]        # d_1 A_2 = B_3
     da[2, 3] = bb[0]        # d_2 A_3 = B_1
+    da += 0.0               # a -0.0 component is a zero slope, as the form lists it
 
     b1, b2, b3 = bb.tolist()
     slopes = tuple((int(lam), int(mu), float(da[lam, mu])) for lam, mu in zip(*np.nonzero(da)))
@@ -588,7 +660,7 @@ def faraday_at(potential: PotentialField, x) -> Array:
     """Field strength F_{lam mu} = d_lam A_mu - d_mu A_lam at ``x``, or at
     each row of a batch x (..., m)."""
     x = _check_point(x, potential.dim)
-    da = _field_at(potential.partials, x)
+    da = _fields_at(potential, x, "partials")[0]
     if da.shape[x.ndim - 1:] != (potential.dim, potential.dim):
         raise DimensionMismatch(
             f"potential partials must be {(potential.dim,) * 2}, "

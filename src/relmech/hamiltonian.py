@@ -37,6 +37,7 @@ from .geometry import (
     PotentialField,
     _dot,
     _field_at,
+    _fields_at,
     _float_form,
     fd_partials,
     inverse_metric_at,
@@ -162,8 +163,8 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
     def flow(x, p):
         w = _kinetic(std, x, p)
         ginv = inverse_metric_at(metric, x)
-        dginv = _dginv(ginv, _field_at(metric.partials, x))
-        da = None if e == 0.0 else _field_at(potential.partials, x)
+        dginv = _dginv(ginv, _fields_at(metric, x, "partials")[0])
+        da = None if e == 0.0 else _fields_at(potential, x, "partials")[0]
         return _dot(ginv, w) / m, -_standard_dh_dx(std, w, ginv, dginv, da)
 
     stage = _float_flow(std)
@@ -295,10 +296,10 @@ def mass_shell_scalar(h: HamiltonianModel,
     def flow(x, p):
         w = _kinetic(std, x, p)
         ginv = inverse_metric_at(std.metric, x)
-        dg = _field_at(std.metric.partials, x)
+        dg = _fields_at(std.metric, x, "partials")[0]
         t = np.einsum("...lab,...a,...b->...l", _dginv(ginv, dg), w, w)
         if e != 0.0:
-            da = _field_at(std.potential.partials, x)
+            da = _fields_at(std.potential, x, "partials")[0]
             t = t - 2.0 * e * np.einsum("...ab,...a,...lb->...l", ginv, w, da)
         return 2.0 * _dot(ginv, w) / m2, -(t / m2)
 
@@ -382,7 +383,7 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     m, e = std.mass, std.charge
     g = metric_at(std.metric, x)
     ginv = inverse_metric_at(std.metric, x)
-    dginv = _dginv(ginv, _field_at(std.metric.partials, x))
+    dginv = _dginv(ginv, _fields_at(std.metric, x, "partials")[0])
 
     w = m * _dot(g, u)                   # kinetic momenta p - eA
     gp = _dot(ginv, w) / m               # dH/dp, equals u up to rounding
@@ -390,7 +391,7 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     mixed = np.einsum("...mln,...n->...lm", dginv, w)
     da = None
     if e != 0.0:
-        da = _field_at(std.potential.partials, x)
+        da = _fields_at(std.potential, x, "partials")[0]
         mixed = mixed - e * np.einsum("...ln,...mn->...lm", ginv, da)
         ea = e * _field_at(std.potential.value, x)
         w = (w + ea) - ea  # p - eA recomputed from p, as H's own gradient does

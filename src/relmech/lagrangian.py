@@ -36,7 +36,7 @@ from .geometry import (
     GTensorField,
     PotentialField,
     _dot,
-    _field_at,
+    _fields_at,
     _first_failure,
     _float_form,
     _norm,
@@ -137,8 +137,7 @@ def _velocity_form_pieces(model: LagrangianModel, x, u):
     if x.shape[-1:] != (gf.dim,) or u.shape != x.shape:
         raise DimensionMismatch(f"x and u must have shape ({gf.dim},) or (..., {gf.dim})")
     n2 = 2 * gf.order_half
-    gt = _field_at(gf.value, x)
-    dg = _field_at(gf.partials, x)
+    gt, dg = _fields_at(gf, x, "value", "partials")
     g = _scalar(contract_all(gt, u, n2))
     dg_full = contract_all(dg, u, n2)
     # u^mu d_mu G_{...}: the row-vector product np.tensordot(u, dg, 1) makes

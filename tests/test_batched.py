@@ -3,6 +3,7 @@ single-point calls (``np.array_equal``, not a tolerance)."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ import pytest
 import relmech as rm
 from relmech.checks import _CHECK_B, _CHECK_E, sample_point, sample_velocity
 from relmech.dynamics import geodesic_condition_terms
-from relmech.geometry import _christoffel_and_inverse, _field_at, contract_all
+from relmech.geometry import _christoffel_and_inverse, _field_at, _fields_at, contract_all
 from relmech.hamiltonian import _bracket, _dginv, _standard_dh_dx
 from relmech.lagrangian import _velocity_form_pieces
 
-from conftest import dense_minkowski, random_velocity, shear_minkowski
+from conftest import counting_forms, dense_minkowski, random_velocity, shear_minkowski
 
 METRICS = {
     "minkowski": lambda: rm.minkowski(),
@@ -251,3 +252,133 @@ def test_wrong_batch_shapes_are_rejected():
     with pytest.raises(rm.DimensionMismatch):
         rm.metric_at(rm.minkowski(), np.zeros((3, 5)))
     assert math.isfinite(rm.g_value(gfield, np.zeros(4), np.ones(4)))
+
+
+# -- block reads through the float form ----------------------------------------
+
+FIELDS = {
+    "minkowski": lambda: rm.minkowski(),
+    "euclidean": lambda: rm.euclidean(),
+    "schwarzschild": lambda: rm.schwarzschild(1.0),
+    "diagonal": lambda: rm.diagonal_metric([1.5, -0.75, -2.0, -1.25]),
+    "minkowski-3": lambda: rm.minkowski(3),
+    "zero": lambda: rm.zero_potential(),
+    "uniform": lambda: rm.uniform_field(_CHECK_E, _CHECK_B),
+    "uniform-signed-zeros": lambda: rm.uniform_field((-0.0, 0.2, 0.0), (0.0, -0.0, -0.5)),
+    "coulomb": lambda: rm.coulomb_potential(0.4, center=(0.5, -0.25, 0.0)),
+}
+
+
+def _per_row(fn, x):
+    """``fn`` called on each row of x (..., m), stacked behind the batch axes."""
+    rows = [np.asarray(fn(row), dtype=float) for row in x.reshape(-1, x.shape[-1])]
+    return np.stack(rows).reshape(x.shape[:-1] + rows[0].shape)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_block_reads_equal_per_row_reads(name):
+    field = FIELDS[name]()
+    counted, calls = counting_forms(field)
+    if field.dim == 4:
+        x, _, _ = _states(rm.schwarzschild(1.0), 30, seed=4)  # r > 3: off every center
+    else:
+        x = np.random.default_rng(4).uniform(-2.0, 2.0, (30, field.dim))
+    potential = isinstance(field, rm.PotentialField)
+    for batch in (x, x.reshape(5, 6, field.dim), x[:1]):
+        for names in (("value",), ("partials",), ("value", "partials"), ("partials", "value")):
+            before = dict(calls)
+            got = _fields_at(counted, batch, *names)
+            rows = batch.size // field.dim
+            if potential and "value" in names:  # A is read row by row
+                assert calls["form"] == before["form"]
+                assert calls["value"] - before["value"] == rows
+            else:
+                assert calls["form"] - before["form"] == rows
+                assert calls["value"] == before["value"]
+            for out, which in zip(got, names):
+                assert _same_bits(out, _per_row(getattr(field, which), batch))
+    if isinstance(field, rm.PotentialField):
+        assert _same_bits(rm.faraday_at(field, x), np.stack([rm.faraday_at(field, r) for r in x]))
+    else:
+        for read in (rm.metric_at, rm.inverse_metric_at, _christoffel_and_inverse):
+            for got, want in zip(_parts(read(field, x)),
+                                 zip(*[_parts(read(field, r)) for r in x])):
+                assert _same_bits(got, np.stack(want))
+
+
+def _near_horizon_rows():
+    """Schwarzschild rows just above r_min, where the form raises
+    SingularMetric (cond >= 1e12) and ``value`` still gives g, between
+    ordinary rows."""
+    x = np.array([[0.0, 7.0, 1.1, 0.3], [0.1, 2.0 + 1e-7, 1.2, 0.0],
+                  [0.2, 9.0, 0.7, 2.0], [0.3, 2.0 + 4e-9, 2.0, 1.0],
+                  [0.4, 2.0 + 1e-5, 0.5, 4.0]])
+    return rm.schwarzschild(1.0), x
+
+
+def test_block_read_falls_back_where_the_form_raises():
+    metric, x = _near_horizon_rows()
+    form = metric.value.float_form
+    for row in x[[1, 3]]:
+        with pytest.raises(rm.SingularMetric):
+            form(row.tolist())
+        metric.value(row)
+    counted, calls = counting_forms(metric)
+    g, dg = _fields_at(counted, x, "value", "partials")
+    assert calls == {"value": 2, "partials": 2, "form": 5}
+    assert _same_bits(g, _per_row(metric.value, x))
+    assert _same_bits(dg, _per_row(metric.partials, x))
+    assert _same_bits(rm.metric_at(metric, x), _per_row(metric.value, x))
+    with pytest.raises(rm.SingularMetric) as batch:
+        rm.inverse_metric_at(metric, x)
+    with pytest.raises(rm.SingularMetric) as one:
+        rm.inverse_metric_at(metric, x[1])
+    assert str(batch.value) == str(one.value)
+
+
+@pytest.mark.parametrize("names", [("value",), ("partials",), ("partials", "value")])
+def test_block_read_raises_the_per_row_error(names):
+    # rows 2 and 4 lie inside the horizon: the first of them names the error
+    metric = rm.schwarzschild(1.0)
+    x = np.array([[0.0, 7.0, 1.1, 0.3], [0.1, 2.0 + 1e-7, 1.2, 0.0],
+                  [0.2, 1.5, 0.7, 2.0], [0.3, 9.0, 2.0, 1.0], [0.4, 1.0, 0.5, 4.0]])
+    with pytest.raises(rm.DomainError) as one:
+        _field_at(getattr(metric, names[0]), x)
+    assert "r = 1.5" in str(one.value)
+    with pytest.raises(rm.DomainError) as block:
+        _fields_at(metric, x, *names)
+    assert str(block.value) == str(one.value)
+    with pytest.raises(rm.DomainError) as read:
+        rm.metric_at(metric, x)
+    assert str(read.value) == str(one.value)
+
+    coulomb = rm.coulomb_potential(0.4, center=(0.5, -0.25, 0.0))
+    x = np.array([[0.0, 1.0, 1.0, 1.0], [0.0, 0.5, -0.25, 0.0], [0.0, 2.0, 0.0, 0.0]])
+    with pytest.raises(rm.DomainError, match="singular at its center"):
+        _fields_at(coulomb, x, *names)
+    with pytest.raises(rm.DomainError, match="singular at its center"):
+        rm.faraday_at(coulomb, x)
+
+
+def test_block_read_warns_as_the_callables():
+    # a potential's form computes A with the numpy scalars of its callables,
+    # so an overflow warns in a block read as it warns row by row
+    cases = [(rm.uniform_field((0.0, 0.0, 0.0), (0.0, 1e300, 0.0)),
+              np.array([[0.0, 1.0, 1.0, 1e10], [0.0, 1.0, 1.0, 1.0]])),
+             (rm.coulomb_potential(0.4, center=(-1e308, 0.0, 0.0)),
+              np.array([[0.0, 1e308, 1.0, 1.0], [0.0, 2.0, 1.0, 1.0]]))]
+    for potential, x in cases:
+        for name in ("value", "partials"):
+            with warnings.catch_warnings(record=True) as rows:
+                warnings.simplefilter("always")
+                want = _per_row(getattr(potential, name), x)
+            with warnings.catch_warnings(record=True) as block:
+                warnings.simplefilter("always")
+                got, = _fields_at(potential, x, name)
+            assert _same_bits(got, want)
+            assert [str(w.message) for w in block] == [str(w.message) for w in rows]
+    assert rows

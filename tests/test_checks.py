@@ -6,6 +6,7 @@ import pytest
 
 import relmech as rm
 import relmech.checks
+import relmech.cli
 import relmech.dynamics
 import relmech.hamiltonian
 from relmech.checks import (
@@ -19,7 +20,7 @@ from relmech.checks import (
 )
 from relmech.geometry import _check_point, contract_all
 
-from conftest import dense_minkowski, shear_minkowski
+from conftest import counting_forms, dense_minkowski, shear_minkowski
 
 DIAG = (1.5, -0.75, -2.0, -1.25)
 
@@ -63,9 +64,30 @@ def _second_order_rhs_two_inversions(h, x, u):
     return mixed @ gp - (ginv @ gx) / m
 
 
+def _numpy_sample_velocity(metric, x, rng, margin=0.05):
+    """``sample_velocity`` as it was before its float draw: g from
+    ``metric_at``, every draw on numpy arrays."""
+    g = rm.metric_at(metric, x)
+    d = np.diag(g).copy()
+    frame = None
+    if np.count_nonzero(g) != np.count_nonzero(d):
+        d, frame = np.linalg.eigh(g)
+    sig = np.sign(d)
+    scale = 1.0 / np.sqrt(np.abs(d))
+    k = int(np.argmax(sig > 0))
+    for _ in range(200):
+        n = rng.standard_normal(metric.dim)
+        uhat = 0.5 * n
+        uhat[k] = math.copysign(1.0 + abs(n[k]), n[k])
+        if float(np.sum(sig * uhat * uhat)) > margin:
+            return scale * uhat if frame is None else frame @ (scale * uhat)
+    raise rm.ConstraintUnreachable("velocity sampling failed to find G > margin")
+
+
 def _reference_checks(metric_id, samples, seed, diag=None):
     """``run_invariant_checks`` before one-pass evaluation, loop for loop: 11
-    inversions per Schwarzschild sample.  Run it with the einsum paths patched in."""
+    inversions per Schwarzschild sample, and velocities drawn on numpy arrays.
+    Run it with the einsum paths patched in."""
     metric = rm.catalog_metric(metric_id, diag=diag)
     rng = np.random.default_rng(seed)
     dim = metric.dim
@@ -82,7 +104,7 @@ def _reference_checks(metric_id, samples, seed, diag=None):
     worst = 0.0
     for _ in range(samples):
         x = sample_point(metric, rng)
-        u = sample_velocity(metric, x, rng)
+        u = _numpy_sample_velocity(metric, x, rng)
         a = rng.standard_normal(dim)
         worst = max(worst, rm.noether_residual(model, x, u, a))
     checks.append(_check_record("noether_identity", samples, worst))
@@ -90,7 +112,7 @@ def _reference_checks(metric_id, samples, seed, diag=None):
     worst = 0.0
     for _ in range(samples):
         x = sample_point(metric, rng)
-        u = sample_velocity(metric, x, rng)
+        u = _numpy_sample_velocity(metric, x, rng)
         n2 = 2 * gfield.order_half
         gt = np.asarray(gfield.value(x), float)
         g = float(contract_all(gt, u, n2))
@@ -106,7 +128,7 @@ def _reference_checks(metric_id, samples, seed, diag=None):
     worst = 0.0
     for _ in range(samples):
         x = sample_point(metric, rng)
-        u = sample_velocity(metric, x, rng)
+        u = _numpy_sample_velocity(metric, x, rng)
         for c in (conn_free, conn):
             res = abs(rm.check_geodesic_condition(c, metric, x, u))
             res /= rm.geodesic_condition_scale(c, metric, x, u)
@@ -123,7 +145,7 @@ def _reference_checks(metric_id, samples, seed, diag=None):
     worst = 0.0
     for _ in range(samples):
         x = sample_point(metric, rng)
-        u = rm.project_to_shell(gfield, x, sample_velocity(metric, x, rng))
+        u = rm.project_to_shell(gfield, x, _numpy_sample_velocity(metric, x, rng))
         a_geo = rm.geodesic_rhs(conn, x, u)
         a_ham = _second_order_rhs_two_inversions(ham, x, u)
         denom = max(float(np.max(np.abs(a_geo))), float(np.max(np.abs(a_ham))), 1e-12)
@@ -178,10 +200,33 @@ def test_six_inversions_per_identity_sample(inversion_count):
 
 
 
+def test_form_reads_per_identity_sample(monkeypatch):
+    # each block read is one float-form call per sample, reading g and its
+    # partials together where a kernel reads them one after the other:
+    # draws: one per velocity (4); noether: G and dG (1); projector: G (1);
+    # geodesic condition: the connection's inverse and partials, the
+    # soldering's inverse, and g and dg for each of two residuals (5);
+    # bracket: inverse and partials in each of two flows (4); RHS agreement:
+    # the connection (2) and second_order_rhs's g, inverse and partials (3).
+    # project_to_shell's g_value reads ``value`` row by row (1).  The
+    # potential's form: F in noether, the soldering and the connection (3),
+    # dA in each flow (2) and in second_order_rhs (1); A is read row by row,
+    # in each flow (2) and in second_order_rhs (1).
+    metric, metric_calls = counting_forms(rm.schwarzschild(1.0))
+    potential, potential_calls = counting_forms(rm.uniform_field(_CHECK_E, _CHECK_B))
+    want = run_invariant_checks("schwarzschild", samples=100)
+    monkeypatch.setattr(relmech.checks, "catalog_metric", lambda *args, **kwargs: metric)
+    monkeypatch.setattr(relmech.checks, "uniform_field", lambda e, b: potential)
+    assert run_invariant_checks("schwarzschild", samples=100) == want
+    assert metric_calls == {"value": 100, "partials": 0, "form": 100 * 20}
+    assert potential_calls == {"value": 100 * 3, "partials": 0, "form": 100 * 6}
+
+
 # -- batched evaluation ---------------------------------------------------------
 
 @pytest.mark.parametrize("metric_id, diag, block", [
-    ("schwarzschild", None, 16), ("diagonal", DIAG, 16), ("minkowski", None, None),
+    ("schwarzschild", None, 16), ("diagonal", DIAG, 16), ("euclidean", None, 16),
+    ("minkowski", None, None),
 ])
 def test_block_plus_one_equals_reference_loops(monkeypatch, metric_id, diag, block):
     if block is not None:
@@ -234,7 +279,7 @@ def test_nan_residual_in_a_check(monkeypatch):
     loop = []
     for _ in range(20):
         x = sample_point(metric, rng)
-        u = sample_velocity(metric, x, rng)
+        u = _numpy_sample_velocity(metric, x, rng)
         loop.append(float(patched(model, x, u, rng.standard_normal(4))))
     assert any(math.isnan(r) for r in loop)
     assert report["checks"][0]["max_residual"] == _loop_worst(loop)
@@ -300,6 +345,94 @@ def test_floating_point_exception_falls_back_to_the_loop():
         with pytest.raises(ValueError, match="negative sample"):
             _worst(failing, lambda: (np.float64(next(draws)),), 3)
     assert not got
+
+
+# -- the float draw ---------------------------------------------------------------
+
+@pytest.mark.parametrize("metric", [
+    rm.minkowski(), rm.euclidean(), rm.schwarzschild(1.0), rm.diagonal_metric(DIAG),
+    rm.diagonal_metric([-1.0, 2.0, -3.0, 0.5]),  # the boosted direction is not the first
+    rm.diagonal_metric([1e-200, 1e-200, -1e-200, -1e-200]),
+    rm.minkowski(3), rm.minkowski(7), rm.minkowski(9),  # numpy sums 8 or more pairwise
+], ids=["minkowski", "euclidean", "schwarzschild", "diagonal", "boost-1", "tiny",
+        "minkowski-3", "minkowski-7", "minkowski-9"])
+def test_float_draw_equals_the_numpy_draw(metric):
+    # the same velocities, bit for bit, and the same state of the generator after
+    assert relmech.geometry._float_form(metric) is not None
+    points = np.random.default_rng(11)
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    for margin in (0.05, 0.05, 0.05, 0.9, 0.0):
+        for _ in range(200):
+            x = sample_point(metric, points)
+            got = sample_velocity(metric, x, ours, margin)
+            want = _numpy_sample_velocity(metric, x, theirs, margin)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_float_draw_sums_in_numpy_order():
+    # a draw whose sum of sig u u, in numpy's order, equals the margin is
+    # rejected; summed in another order it would exceed the margin
+    metric = rm.diagonal_metric(DIAG)
+    sig = np.sign(np.array(DIAG))
+    x = np.zeros(4)
+    found = 0
+    for seed in range(2000):
+        n = np.random.default_rng(seed).standard_normal(4)
+        uhat = 0.5 * n
+        uhat[0] = math.copysign(1.0 + abs(n[0]), n[0])
+        terms = (sig * uhat * uhat).tolist()
+        margin = float(np.sum(sig * uhat * uhat))
+        others = [((terms[3] + terms[2]) + terms[1]) + terms[0],
+                  (terms[0] + terms[1]) + (terms[2] + terms[3])]
+        if 0.0 < margin < 1.0 and max(others) > margin:
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_velocity(metric, x, ours, margin)
+            assert got.tobytes() == _numpy_sample_velocity(metric, x, theirs, margin).tobytes()
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            first = np.random.default_rng(seed)
+            first.standard_normal(4)  # the rejected draw
+            assert ours.bit_generator.state != first.bit_generator.state
+            found += 1
+    assert found >= 5
+
+
+def test_metric_without_a_form_takes_the_numpy_draw():
+    # inverse_metric_at rejects this metric everywhere, so it declares no form
+    metric = rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0])
+    assert relmech.geometry._float_form(metric) is None
+    ours, theirs = np.random.default_rng(2), np.random.default_rng(2)
+    for _ in range(100):
+        x = sample_point(metric, ours)
+        assert np.array_equal(x, sample_point(metric, theirs))
+        got = sample_velocity(metric, x, ours)
+        assert got.tobytes() == _numpy_sample_velocity(metric, x, theirs).tobytes()
+
+
+def test_unreachable_velocity_gives_up_after_200_draws(capsys):
+    metric = rm.diagonal_metric([-1.0, -1.0, -1.0, -1.0])
+    x = np.zeros(4)
+    ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
+    message = "^velocity sampling failed to find G > margin$"
+    with pytest.raises(rm.ConstraintUnreachable, match=message):
+        sample_velocity(metric, x, ours)
+    with pytest.raises(rm.ConstraintUnreachable, match=message):
+        _numpy_sample_velocity(metric, x, theirs)
+    draws = np.random.default_rng(0)
+    for _ in range(200):
+        draws.standard_normal(4)
+    assert ours.bit_generator.state == theirs.bit_generator.state == draws.bit_generator.state
+
+    with pytest.raises(rm.ConstraintUnreachable, match=message):
+        run_invariant_checks("diagonal", samples=10, diag=(-1.0, -1.0, -1.0, -1.0))
+    with pytest.raises(rm.ConstraintUnreachable, match=message):
+        _reference_checks("diagonal", 10, 0, diag=(-1.0, -1.0, -1.0, -1.0))
+    code = relmech.cli.main(["check", "--metric", "diagonal", "--diag=-1,-1,-1,-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.strip().endswith("velocity sampling failed to find G > margin")
+    assert "\n" not in captured.err.strip() and "Traceback" not in captured.err
 
 
 def test_sample_velocity_on_a_non_diagonal_metric():

@@ -8,10 +8,13 @@ The digest covers, in a fixed order:
 
 * every operation of ``workloads.build`` for each workload at seeds 0-2: the
   exit code, stdout, stderr and the bytes of the operation's CSV;
-* ``relmech check`` on the four catalog metrics and on two diagonal metrics
-  at the edge of the checks (``1e-200,...`` and ``3,-1e-11,-1,-7``), at
-  seeds 0-3 with 50 and 1025 samples (1025 is one sample past a block): the
-  exit code, the JSON report and stderr;
+* ``relmech check`` on the four catalog metrics and on four diagonal
+  metrics at the edge of the checks (``1e-200,...`` and ``3,-1e-11,-1,-7``;
+  ``-1,-1,-1,-1``, where no velocity has G > 0 and the sampler gives up;
+  ``1,-1e-13,-1,-1``, which declares no float form, so its samples are drawn
+  on numpy arrays and its fields read row by row), at seeds 0-3 with 50 and
+  1025 samples (1025 is one sample past a block): the exit code, the JSON
+  report and stderr;
 * each demo under ``demos/``, run in process with warnings as errors, as
   ``python -W error`` would run it: the exit code, stdout and stderr;
 * a coverage round of ``simulate`` and ``compare`` runs on paths that no
@@ -63,6 +66,8 @@ CHECK_METRICS = (
     ("diagonal", ["--diag=1.5,-0.75,-2,-1.25"]),
     ("diagonal", ["--diag=1e-200,1e-200,-1e-200,-1e-200"]),
     ("diagonal", ["--diag=3,-1e-11,-1,-7"]),
+    ("diagonal", ["--diag=-1,-1,-1,-1"]),
+    ("diagonal", ["--diag=1,-1e-13,-1,-1"]),
 )
 
 _FLAT = {"dimension": 4, "metric": "minkowski"}
