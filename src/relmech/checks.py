@@ -71,15 +71,17 @@ _BLOCK = 1024
 
 
 def sample_point(metric: MetricField, rng: np.random.Generator) -> np.ndarray:
-    """A pseudo-random chart point inside the metric's domain."""
+    """A pseudo-random chart point inside the metric's domain.
+
+    A Schwarzschild point is drawn in one ``rng.random(4)`` call as
+    low + (high - low) r, which gives the bits and leaves the generator in
+    the state of one scalar ``rng.uniform(low, high)`` call per coordinate.
+    """
     if metric.catalog_id == "schwarzschild":
         big_m = metric.params.get("M", 1.0)
-        return np.array([
-            rng.uniform(-1.0, 1.0),
-            rng.uniform(3.0 * big_m, 20.0 * big_m),
-            rng.uniform(0.4, math.pi - 0.4),
-            rng.uniform(0.0, 2.0 * math.pi),
-        ])
+        low = np.array([-1.0, 3.0 * big_m, 0.4, 0.0])
+        high = np.array([1.0, 20.0 * big_m, math.pi - 0.4, 2.0 * math.pi])
+        return low + (high - low) * rng.random(4)
     return rng.uniform(-2.0, 2.0, metric.dim)
 
 

@@ -35,6 +35,17 @@ or ``partials`` was replaced (:func:`_float_form`), and a
 ``from_function`` field declares one only when both of its callables carry
 the same form.
 
+The float stages keep the force matrix they build from a form's d and
+slopes, keyed by the identity of those objects (see
+:func:`relmech.dynamics._float_acceleration`), and rely on two more
+promises.  A form returns tuples, which nobody mutates, so an object that
+is still the key holds the numbers the matrix was built from.  And a field
+whose numbers do not change returns the same objects at every call: a
+constant metric the same d and slopes, and ``zero_potential`` and
+``uniform_field`` the same slopes, so such a field builds the matrix once
+per run.  Where a form returns new objects at every call, as Schwarzschild's
+and ``coulomb_potential``'s do, the stage builds the matrix at every call.
+
 The forms also serve block reads: :func:`metric_at`,
 :func:`inverse_metric_at`, the connection symbols, :func:`faraday_at` and
 the batched kernels of the other modules read a batch of points through

@@ -196,7 +196,11 @@ def _float_flow(std: StandardData):
     ``flow``; the sum over dd runs as in :func:`dynamics._float_acceleration`
     and dA v is one ``np.dot``.  ``energy(v, w)`` is H = v . w / (2 mass),
     with the bits of ``value``.  The potential is read first, as ``flow``
-    reads it, and not at all at charge 0.  The flow holds no -0.
+    reads it, and not at all at charge 0.  The flow holds no -0.  The dA
+    matrix is kept as one tuple (slopes, matrix) and built again only where
+    the potential's slopes are not the object it was built from, as the
+    soldering matrix of :func:`dynamics._float_acceleration` is: once per
+    run in a uniform field.
     """
     metric, mass, e = std.metric, std.mass, std.charge
     form = _float_form(metric)
@@ -204,8 +208,10 @@ def _float_flow(std: StandardData):
     if form is None or (e != 0.0 and potential_form is None):
         return None
     m = metric.dim
+    cache = (None, None)  # (slopes of A, dA as an m x m array)
 
     def stage(x, p):
+        nonlocal cache
         if e == 0.0:
             w = p
         else:
@@ -220,11 +226,15 @@ def _float_flow(std: StandardData):
         k = [vi / mass + 0.0 for vi in v]
         if e == 0.0:
             return k + [0.5 * si / mass + 0.0 for si in s], v, w, d
-        da = [0.0] * (m * m)
-        for lam, mu, val in slopes_a:
-            da[lam * m + mu] = val
+        key, mat = cache
+        if key is not slopes_a:
+            da = [0.0] * (m * m)
+            for lam, mu, val in slopes_a:
+                da[lam * m + mu] = val
+            mat = np.array(da).reshape(m, m)
+            cache = slopes_a, mat
         c = e / mass
-        force = np.dot(np.array(da).reshape(m, m), np.array(v))
+        force = np.dot(mat, np.array(v))
         return k + [0.5 * si / mass + c * t + 0.0 for si, t in zip(s, force.tolist())], v, w, d
 
     def energy(v, w):

@@ -340,8 +340,15 @@ def three_acceleration(model: LagrangianModel, t: ThreeVelocity) -> Array:
 
 
 def _listed_three_acceleration(model: LagrangianModel, x: list, v: list) -> list:
-    """:func:`three_acceleration` at lists x = (q^0, q) and v, as a list."""
-    return three_acceleration(model, ThreeVelocity(x[0], x[1:], v)).tolist()
+    """:func:`three_acceleration` at lists x = (q^0, q) and v of finite
+    floats, as a list.  The state is built without the shape and
+    finiteness tests of ``ThreeVelocity``: the right-hand side of
+    :func:`integrate_three_velocity` has tested it."""
+    three = object.__new__(ThreeVelocity)
+    object.__setattr__(three, "q0", float(x[0]))
+    object.__setattr__(three, "q", np.array(x[1:], dtype=float))
+    object.__setattr__(three, "v", np.array(v, dtype=float))
+    return three_acceleration(model, three).tolist()
 
 
 def _float_three_acceleration(model: LagrangianModel):
@@ -363,7 +370,12 @@ def _float_three_acceleration(model: LagrangianModel):
     (dg . u) . u, v . dd[1:], (dg_dir . u) . u and F[1:, 1:] v each stay one
     ``np.dot`` of numpy's shape, and the solve stays ``np.linalg.solve``.
     A slope-free metric, or a potential without spatial slopes in
-    F[1:, 1:], makes those products +0 without a call.
+    F[1:, 1:], makes those products +0 without a call.  F[1:, 0] and the
+    F[1:, 1:] array (None without spatial slopes) are kept as one tuple
+    (slopes, F[1:, 0], F[1:, 1:]) and built again only where the
+    potential's slopes are not the object they were built from, as the
+    soldering matrix of :func:`dynamics._float_acceleration` is: once per
+    run in a uniform field.
     """
     gf, mass, charge = model.gfield, model.mass, model.charge
     form = _float_form(gf) if gf.order_half == 1 else None
@@ -372,8 +384,10 @@ def _float_three_acceleration(model: LagrangianModel):
         return None
     m = gf.dim
     n = m - 1
+    cache = (None, None, None)  # (slopes of A, F[1:, 0], F[1:, 1:] or None)
 
     def stage(x, v):
+        nonlocal cache
         try:
             d, slopes = form(x)
         except SingularMetric:
@@ -408,17 +422,20 @@ def _float_three_acceleration(model: LagrangianModel):
         if charge == 0.0:
             ebar = [e + 0.0 for e in ebar]
         else:
-            da = [0.0] * (m * m)
-            spatial = False  # F[1:, 1:] has an entry that can be nonzero
-            for lam, mu, val in potential_form(x)[1]:
-                da[lam * m + mu] = val
-                spatial = spatial or (lam > 0 and mu > 0)
-            fv = [0.0] * n
-            if spatial:
-                block = [da[i * m + j] - da[j * m + i] for i in range(1, m) for j in range(1, m)]
-                fv = np.dot(np.array(block).reshape(n, n), np.array(v)).tolist()
-            ebar = [e + charge * (t + (da[i * m] - da[i]))
-                    for i, (e, t) in enumerate(zip(ebar, fv), 1)]
+            slopes_a = potential_form(x)[1]
+            key, f0, block = cache
+            if key is not slopes_a:
+                da = [0.0] * (m * m)
+                for lam, mu, val in slopes_a:
+                    da[lam * m + mu] = val
+                f0 = [da[i * m] - da[i] for i in range(1, m)]  # F[1:, 0]
+                block = None  # F[1:, 1:], where it has an entry that can be nonzero
+                if any(lam > 0 and mu > 0 for lam, mu, _ in slopes_a):
+                    block = np.array([da[i * m + j] - da[j * m + i] for i in range(1, m)
+                                      for j in range(1, m)]).reshape(n, n)
+                cache = slopes_a, f0, block
+            fv = [0.0] * n if block is None else np.dot(block, np.array(v)).tolist()
+            ebar = [e + charge * (t + f) for e, t, f in zip(ebar, fv, f0)]
         # (2N - 1) g_red and e1 2N c c^T carry factors 1 and 1.0, exact
         cs = c[1:]
         mat = [-mass * ((d[i] if i == j else 0.0) / ge1 - ci * cj / ge2)

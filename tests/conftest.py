@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -242,3 +244,80 @@ def stage_acceleration(conn):
     if accel is None:
         return lambda x, u: conn.K(x, u) @ u
     return lambda x, u: np.array(accel(x.tolist(), u.tolist(), form(x.tolist())))
+
+
+def stage_states(metric, seed, count):
+    """``count`` states (x, u) of ``metric`` as lists of floats, for calling
+    float stages directly."""
+    rng = np.random.default_rng(seed)
+    gfield = rm.GTensorField.from_metric(metric)
+    return [tuple(a.tolist() for a in random_state(metric, gfield, rng)) for _ in range(count)]
+
+
+def in_threads(calls, timeout=60.0):
+    """The results of the no-argument functions ``calls``, each run in its
+    own thread, all at once, with the interpreter switching threads every
+    microsecond so that their steps interleave finely.  The first error a
+    call raised is raised here."""
+    results, errors = [None] * len(calls), []
+
+    def run(i):
+        try:
+            results[i] = calls[i]()
+        except Exception as exc:  # raised in the test's thread below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(len(calls))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def two_region(a, b):
+    """A copy of the metric or potential ``a`` that is ``a`` where x^1 < 0
+    and ``b`` elsewhere, with the float form of each there: a float stage
+    that moves between the regions of two constant fields reads the
+    constant objects of one form, then of the other."""
+    def pick(x):
+        return a if x[1] < 0.0 else b
+
+    def value(x):
+        return pick(x).value(x)
+
+    def partials(x):
+        return pick(x).partials(x)
+
+    def form(x):
+        return pick(x).value.float_form(x)
+
+    value.float_form = partials.float_form = form
+    return dataclasses.replace(a, value=value, partials=partials)
+
+
+#: (metric, potential) for the float stages' kept force matrices: the key
+#: changes at every state (Schwarzschild's d, Coulomb's slopes) or never
+KEPT_CASES = {
+    "schwarzschild-uniform": (rm.schwarzschild(1.0),
+                              rm.uniform_field((0.3, 0.0, -0.2), (0.0, 0.5, 1.0))),
+    "minkowski-coulomb": (rm.minkowski(), rm.coulomb_potential(-0.4, center=(0.3, -0.1, 0.2))),
+    "minkowski-uniform": (rm.minkowski(), rm.uniform_field((0.3, 0.0, -0.2), (0.0, 0.5, 1.0))),
+}
+
+
+def two_region_fields(mink):
+    """(metric, potential): two constant metrics and two uniform fields,
+    each pair glued at x^1 = 0 by :func:`two_region`, so the key of a kept
+    matrix alternates between the same constant objects."""
+    return (two_region(mink, rm.diagonal_metric([2.0, -0.5, -1.0, -3.0])),
+            two_region(KEPT_CASES["minkowski-uniform"][1],
+                       rm.uniform_field((0.0, 0.4, 0.1), (-0.6, 0.0, 0.2))))

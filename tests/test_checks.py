@@ -409,6 +409,36 @@ def test_metric_without_a_form_takes_the_numpy_draw():
         assert got.tobytes() == _numpy_sample_velocity(metric, x, theirs).tobytes()
 
 
+def test_point_where_the_form_raises_takes_the_numpy_draw():
+    # just above Schwarzschild's r_min g is too badly conditioned for the
+    # form (cond ~ 1e17), which raises SingularMetric, while value does not
+    metric = rm.schwarzschild(1.0)
+    x = np.array([0.0, 2.0 + 4e-9, 1.2, 0.3])
+    with pytest.raises(rm.SingularMetric):
+        metric.value.float_form(x.tolist())
+    ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(50):
+        got = sample_velocity(metric, x, ours)
+        assert got.tobytes() == _numpy_sample_velocity(metric, x, theirs).tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@pytest.mark.parametrize("mass", [1.0, 2.5])
+def test_schwarzschild_point_is_four_uniform_draws(mass):
+    # one rng.random(4) gives the bits of one rng.uniform(low, high) per
+    # coordinate, and leaves the generator where they leave it
+    metric = rm.schwarzschild(mass)
+    for seed in range(10):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(50):
+            want = np.array([theirs.uniform(-1.0, 1.0),
+                             theirs.uniform(3.0 * mass, 20.0 * mass),
+                             theirs.uniform(0.4, math.pi - 0.4),
+                             theirs.uniform(0.0, 2.0 * math.pi)])
+            assert sample_point(metric, ours).tobytes() == want.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 def test_unreachable_velocity_gives_up_after_200_draws(capsys):
     metric = rm.diagonal_metric([-1.0, -1.0, -1.0, -1.0])
     x = np.zeros(4)

@@ -7,10 +7,11 @@ import numpy.testing as npt
 import pytest
 
 import relmech as rm
-from relmech.errors import DomainError, NonPositiveG, StepRejected
+from relmech.errors import DomainError, NonPositiveG, SingularMetric, StepRejected
 
-from conftest import (counting_fields, counting_forms, generic, random_state,
-                      same_bits, shear_minkowski, stage_acceleration)
+from conftest import (KEPT_CASES, counting_fields, counting_forms, generic, in_threads,
+                      random_state, same_bits, shear_minkowski, stage_acceleration,
+                      stage_states, two_region_fields)
 
 X0 = np.zeros(4)
 X_SCHW = np.array([0.0, 10.0, math.pi / 2, 0.0])
@@ -511,3 +512,109 @@ def test_settled_point_error_names_the_next_step(schw, schw_gf):
         assert str(got.value) == str(want.value)
         assert got.value.tau == want.value.tau
     assert "during step 14" in str(got.value) and got.value.tau == 13 * 0.05
+
+
+@pytest.mark.parametrize("projection, wall", [("none", 2.54843075), ("rescale", 2.5484308)])
+def test_settled_point_where_only_the_form_raises(schw, schw_gf, projection, wall):
+    # the plunge of the test above, with a form that raises SingularMetric
+    # behind a wall that only the settled point of step 13 is behind, as
+    # Schwarzschild's form does just above r_min, where value does not
+    # raise: the monitor and the projection there take g_value's G, with
+    # the bits of the form's, and step 14's first stage raises the form's error
+    schw_form = schw.value.float_form
+    raised = []
+
+    def form(x):
+        if x[1] < wall:
+            raised.append(x[1])
+            raise SingularMetric(f"metric is numerically singular at x = {x}")
+        return schw_form(x)
+
+    def value(x):
+        return schw.value(x)
+
+    def partials(x):
+        return schw.partials(x)
+
+    value.float_form = partials.float_form = form
+    metric = rm.MetricField(4, value, partials)
+    x0 = np.array([0.0, 3.0, math.pi / 2, 0.0])
+    s0 = rm.FourState(x0, rm.project_to_shell(schw_gf, x0, np.array([2.0, -0.5, 0.0, 0.0])))
+    conn, gf = rm.levi_civita_connection(metric), rm.GTensorField.from_metric(metric)
+    got = rm.integrate_geodesic(conn, gf, s0, 0.05, 13, projection)
+    assert len(raised) == 1
+    want = rm.integrate_geodesic(rm.levi_civita_connection(schw), schw_gf, s0, 0.05, 13,
+                                 projection)
+    for a, b in ((got.x, want.x), (got.u, want.u), (got.G, want.G)):
+        assert same_bits(a, b)
+    assert got.max_constraint_drift == want.max_constraint_drift
+    with pytest.raises(SingularMetric, match="numerically singular"):
+        rm.integrate_geodesic(conn, gf, s0, 0.05, 14, projection)
+    assert len(raised) == 3  # step 13's settled point, then step 14's first stage
+
+
+# -- the soldering matrix kept between stages -----------------------------------
+
+@pytest.mark.parametrize("case", sorted(KEPT_CASES))
+def test_kept_soldering_matrix_keeps_the_bits(case):
+    # one stage called at a run of states gives, at each, the bits of a
+    # stage built afresh and called once there
+    metric, potential = KEPT_CASES[case]
+    form, accel = rm.connection_from(metric, potential, 1.3, 0.7).K._float_stage
+    for x, u in stage_states(metric, 3, 60):
+        fresh_form, fresh = rm.connection_from(metric, potential, 1.3, 0.7).K._float_stage
+        assert same_bits(np.array(accel(x, u, form(x))), np.array(fresh(x, u, fresh_form(x))))
+
+
+def test_threads_sharing_a_connection_get_the_serial_bits(schw, mink):
+    # four threads (more than the two cores CI has) call one stage on their
+    # own states.  Between two constant metrics and two uniform fields the
+    # kept matrix changes whenever a thread crosses x^1 = 0, between the
+    # same four key objects in every thread; on Schwarzschild its d differs
+    # at every call.
+    for metric, potential, points in (two_region_fields(mink) + (mink,),
+                                      KEPT_CASES["schwarzschild-uniform"] + (schw,)):
+        form, accel = rm.connection_from(metric, potential, 1.3, 0.7).K._float_stage
+        states = [stage_states(points, seed, 25) for seed in range(4)]
+
+        def calls(own):
+            return lambda: [accel(x, u, form(x)) for _ in range(40) for x, u in own]
+
+        serial = [calls(own)() for own in states]
+        for got, want in zip(in_threads([calls(own) for own in states]), serial):
+            assert same_bits(np.array(got), np.array(want))
+    # and whole runs on a shared connection
+    potential = KEPT_CASES["schwarzschild-uniform"][1]
+    conn = rm.connection_from(schw, potential, 1.3, 0.7)
+    gf = rm.GTensorField.from_metric(schw)
+    starts = []
+    for r in (8.0, 10.0, 12.0, 14.0):
+        x = np.array([0.0, r, 1.2, 0.0])
+        starts.append(rm.FourState(x, rm.project_to_shell(gf, x, np.array([1.2, 0.05, 0.01, 0.03]))))
+
+    def runs(s0):
+        return lambda: rm.integrate_geodesic(conn, gf, s0, 0.05, 150, "none", 7)
+
+    serial = [runs(s0)() for s0 in starts]
+    for got, want in zip(in_threads([runs(s0) for s0 in starts]), serial):
+        assert same_bits(got.x, want.x) and same_bits(got.u, want.u)
+
+
+def test_constant_fields_build_the_soldering_matrix_once(monkeypatch, mink, mink_gf, uniform_b):
+    # Minkowski in a uniform B field: one build of (e/m) g^{ll} F per run,
+    # counted as the np.array calls on its entries
+    ratio = 0.5
+    entries = (ratio * np.diag(1.0 / np.diag(rm.metric_at(mink, X0)))
+               @ rm.faraday_at(uniform_b, X0)).ravel().tolist()
+    builds = [0]
+    array = np.array
+
+    def counted(obj, *args, **kwargs):
+        builds[0] += isinstance(obj, list) and obj == entries
+        return array(obj, *args, **kwargs)
+
+    conn = rm.connection_from(mink, uniform_b, 1.0, ratio)
+    monkeypatch.setattr(np, "array", counted)
+    traj = rm.integrate_geodesic(conn, mink_gf, rm.FourState(X0, np.array([1.25, 0.75, 0.0, 0.0])),
+                                 0.01, 50)
+    assert len(traj) == 51 and builds[0] == 1

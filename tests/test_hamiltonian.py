@@ -12,8 +12,9 @@ from relmech.geometry import (FD_STEP, _check_condition, _diagonal, _field_at,
                               fd_partials, metric_at)
 from relmech.hamiltonian import _shell_metric
 
-from conftest import (counting_forms, generic, random_point,
-                      random_state, same_bits, shear_minkowski)
+from conftest import (KEPT_CASES, counting_forms, generic, in_threads, random_point,
+                      random_state, same_bits, shear_minkowski, stage_states,
+                      two_region_fields)
 
 X0 = np.zeros(4)
 
@@ -627,3 +628,71 @@ def test_one_inversion_per_rhs_stage(schw, schw_gf, mink, uniform_b, inversion_c
         calls.update(value=0, partials=0, form=0)
         rm.integrate_hamiltonian(ham, s0, 0.1, 30, 10)
         assert calls == want
+
+
+# -- the dA matrix kept between stages -----------------------------------------
+
+def _flow_stage(metric, potential):
+    return rm.standard_hamiltonian(metric, potential, 1.3, 0.7).flow._float_stage[1]
+
+
+def _flow_bits(out):
+    k, v, w, d = out
+    return np.array(k + v + list(w) + list(d)).tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(KEPT_CASES))
+def test_kept_da_matrix_keeps_the_bits(case):
+    # one stage called at a run of states gives, at each, the bits of a
+    # stage built afresh and called once there
+    metric, potential = KEPT_CASES[case]
+    stage = _flow_stage(metric, potential)
+    for x, p in stage_states(metric, 4, 60):
+        assert _flow_bits(stage(x, p)) == _flow_bits(_flow_stage(metric, potential)(x, p))
+
+
+def test_threads_sharing_a_model_get_the_serial_bits(schw, mink):
+    # four threads share one stage, on the key objects of two uniform fields
+    # in turn, and on Schwarzschild in a uniform field; whole runs too
+    for metric, potential, points in (two_region_fields(mink) + (mink,),
+                                      KEPT_CASES["schwarzschild-uniform"] + (schw,)):
+        stage = _flow_stage(metric, potential)
+        states = [stage_states(points, seed, 25) for seed in range(4)]
+
+        def calls(own):
+            return lambda: [_flow_bits(stage(x, p)) for _ in range(40) for x, p in own]
+
+        serial = [calls(own)() for own in states]
+        assert in_threads([calls(own) for own in states]) == serial
+    ham = rm.standard_hamiltonian(schw, KEPT_CASES["schwarzschild-uniform"][1], 1.0, 0.7)
+    starts = []
+    for r in (8.0, 10.0, 12.0, 14.0):
+        x = np.array([0.0, r, 1.2, 0.0])
+        u = rm.project_to_shell(rm.GTensorField.from_metric(schw), x,
+                                np.array([1.2, 0.05, 0.01, 0.03]))
+        starts.append(rm.PhaseState(x, rm.on_shell_momentum(ham, x, u)))
+
+    def runs(s0):
+        return lambda: rm.integrate_hamiltonian(ham, s0, 0.05, 150, 7)
+
+    serial = [runs(s0)() for s0 in starts]
+    for got, want in zip(in_threads([runs(s0) for s0 in starts]), serial):
+        assert same_bits(got.x, want.x) and same_bits(got.p, want.p)
+
+
+def test_constant_fields_build_the_da_matrix_once(monkeypatch, mink, uniform_b):
+    # Minkowski in a uniform B field: one build of dA per run, counted as the
+    # np.array calls on its entries
+    entries = uniform_b.partials(X0).ravel().tolist()
+    builds = [0]
+    array = np.array
+
+    def counted(obj, *args, **kwargs):
+        builds[0] += isinstance(obj, list) and obj == entries
+        return array(obj, *args, **kwargs)
+
+    ham = rm.standard_hamiltonian(mink, uniform_b, 1.0, 0.5)
+    s0 = rm.PhaseState(X0, rm.on_shell_momentum(ham, X0, np.array([1.25, 0.75, 0.0, 0.0])))
+    monkeypatch.setattr(np, "array", counted)
+    traj = rm.integrate_hamiltonian(ham, s0, 0.01, 50)
+    assert len(traj) == 51 and builds[0] == 1

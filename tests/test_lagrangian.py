@@ -14,7 +14,8 @@ from relmech.errors import (DimensionMismatch, DomainError, NonPositiveG, Singul
                             StepRejected)
 from relmech.geometry import contract_all, faraday_at
 
-from conftest import CHART_FIELDS, chart_field, random_state, same_bits
+from conftest import (CHART_FIELDS, KEPT_CASES, chart_field, in_threads, random_state,
+                      same_bits, stage_states, two_region_fields)
 from test_cli import _reference_three_velocity
 
 X0 = np.zeros(4)
@@ -723,3 +724,95 @@ def test_integrate_three_velocity_singular_system_names_chart_time(schw):
         rm.integrate_three_velocity(model, start, 0.25, 10)
     assert str(got.value) == ("chart-time system for w is singular "
                               "(last good chart time q^0 = 0)")
+
+
+def test_generic_stage_tests_the_state_once(monkeypatch):
+    # a G field without a float form: each stage calls three_acceleration on
+    # a state that the right-hand side has tested, so a ThreeVelocity is
+    # built, and tested, once per step, at the settled point
+    metric = rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0])
+    model = rm.LagrangianModel(rm.GTensorField.from_metric(metric),
+                               rm.uniform_field((0.0, 0.01, 0.0), (0.02, 0.0, 0.0)), 1.0, 0.5)
+    start = rm.ThreeVelocity(0.0, [0.3, -0.2, 0.4], [0.0, 0.05, -0.02])
+    built, stages = [0], [0]
+    post_init, acceleration = rm.ThreeVelocity.__post_init__, lagrangian.three_acceleration
+
+    def counted_post_init(self):
+        built[0] += 1
+        post_init(self)
+
+    def counted_acceleration(model, three):
+        stages[0] += 1
+        return acceleration(model, three)
+
+    monkeypatch.setattr(rm.ThreeVelocity, "__post_init__", counted_post_init)
+    monkeypatch.setattr(lagrangian, "three_acceleration", counted_acceleration)
+    rm.integrate_three_velocity(model, start, 0.01, 20)
+    assert stages[0] == 4 * 20 and built[0] == 20
+
+
+# -- F kept between stages -------------------------------------------------------
+
+def _chart_stage(metric, potential):
+    model = rm.LagrangianModel(rm.GTensorField.from_metric(metric), potential, 1.3, 0.7)
+    return lagrangian._float_three_acceleration(model)
+
+
+def _chart_states(points, seed, count):
+    # half the three-velocity of a timelike u, so Gbar > 0 on every metric used here
+    return [(x, [0.5 * ui / u[0] for ui in u[1:]]) for x, u in stage_states(points, seed, count)]
+
+
+@pytest.mark.parametrize("case", sorted(KEPT_CASES))
+def test_kept_faraday_blocks_keep_the_bits(case):
+    # one stage called at a run of states gives, at each, the bits of a
+    # stage built afresh and called once there
+    metric, potential = KEPT_CASES[case]
+    stage = _chart_stage(metric, potential)
+    for x, v in _chart_states(metric, 5, 60):
+        assert same_bits(np.array(stage(x, v)), np.array(_chart_stage(metric, potential)(x, v)))
+
+
+def test_threads_sharing_a_chart_time_stage_get_the_serial_bits(schw, mink):
+    # four threads share one stage, on the key objects of two uniform fields
+    # in turn, and on Schwarzschild in a uniform field; whole runs too
+    for metric, potential, points in (two_region_fields(mink) + (mink,),
+                                      KEPT_CASES["schwarzschild-uniform"] + (schw,)):
+        stage = _chart_stage(metric, potential)
+        states = [_chart_states(points, seed, 25) for seed in range(4)]
+
+        def calls(own):
+            return lambda: [stage(x, v) for _ in range(40) for x, v in own]
+
+        serial = [calls(own)() for own in states]
+        for got, want in zip(in_threads([calls(own) for own in states]), serial):
+            assert same_bits(np.array(got), np.array(want))
+    model = rm.LagrangianModel(rm.GTensorField.from_metric(schw),
+                               KEPT_CASES["schwarzschild-uniform"][1], 1.0, 0.7)
+    starts = [rm.ThreeVelocity(0.0, [r, 1.2, 0.0], [0.01, 0.005, 0.002])
+              for r in (8.0, 10.0, 12.0, 14.0)]
+
+    def runs(start):
+        return lambda: rm.integrate_three_velocity(model, start, 0.05, 100, 1, 7)
+
+    serial = [runs(start)() for start in starts]
+    for got, want in zip(in_threads([runs(start) for start in starts]), serial):
+        assert same_bits(got.x, want.x) and same_bits(got.u, want.u)
+
+
+def test_constant_fields_build_the_faraday_block_once(monkeypatch, mink_gf, uniform_b):
+    # Minkowski in a uniform B field: one build of F[1:, 1:] per run, counted
+    # as the np.array calls on its entries
+    entries = faraday_at(uniform_b, X0)[1:, 1:].ravel().tolist()
+    builds = [0]
+    array = np.array
+
+    def counted(obj, *args, **kwargs):
+        builds[0] += isinstance(obj, list) and obj == entries
+        return array(obj, *args, **kwargs)
+
+    model = rm.LagrangianModel(mink_gf, uniform_b, 1.0, 0.5)
+    start = rm.ThreeVelocity(0.0, np.zeros(3), np.array([0.6, 0.0, 0.0]))
+    monkeypatch.setattr(np, "array", counted)
+    traj = rm.integrate_three_velocity(model, start, 0.01, 50)
+    assert len(traj) == 51 and builds[0] == 1
