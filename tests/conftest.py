@@ -246,6 +246,15 @@ def stage_acceleration(conn):
     return lambda x, u: np.array(accel(x.tolist(), u.tolist(), form(x.tolist())))
 
 
+def declared(field, form):
+    """A copy of the metric or potential ``field`` whose callables declare
+    ``form``."""
+    copy = dataclasses.replace(field, value=lambda x: field.value(x),
+                               partials=lambda x: field.partials(x))
+    copy.value.float_form = copy.partials.float_form = form
+    return copy
+
+
 def stage_states(metric, seed, count):
     """``count`` states (x, u) of ``metric`` as lists of floats, for calling
     float stages directly."""

@@ -22,7 +22,7 @@ from relmech.errors import DomainError, NonPositiveG, SingularMetric, StepReject
 from relmech.geometry import _diagonal_float_form
 from relmech.lagrangian import _float_three_acceleration
 
-from conftest import generic, same_bits, shear_minkowski
+from conftest import declared, generic, same_bits, shear_minkowski
 
 EPS = float(np.finfo(float).eps)
 #: per state, |float stage - public| <= TOL_ULPS * eps * (1 + max |public|)
@@ -413,15 +413,6 @@ def _singular(x):
     raise SingularMetric(f"metric is numerically singular at x = {x}")
 
 
-def _declared(field, form):
-    """A copy of the metric or potential ``field`` whose callables declare
-    ``form``."""
-    copy = dataclasses.replace(field, value=lambda x: field.value(x),
-                               partials=lambda x: field.partials(x))
-    copy.value.float_form = copy.partials.float_form = form
-    return copy
-
-
 def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfield):
     # G fields without a float form of order 1 go through
     # three_acceleration with the bits of the generic run (no float stage at
@@ -446,7 +437,7 @@ def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfi
          schw_start, "all", False),
         # a form that raises SingularMetric for 4 <= q^0 < 6: the 16
         # stages in that window, and no other
-        (rm.GTensorField.from_metric(_declared(
+        (rm.GTensorField.from_metric(declared(
             schw, lambda x: _singular(x) if 4.0 <= x[0] < 6.0 else schw_form(x))),
          schw_start, "window", True),
     ]
@@ -514,7 +505,7 @@ def test_only_the_hamiltonian_stage_computes_a(mink):
 
         return counted_a, slopes
 
-    counted = _declared(potential, counted_form)
+    counted = declared(potential, counted_form)
     x0, u0 = np.zeros(4), np.array([1.25, 0.75, 0.0, 0.0])
     gf = rm.GTensorField.from_metric(mink)
     rm.integrate_geodesic(rm.connection_from(mink, counted, 1.0, 0.5), gf,

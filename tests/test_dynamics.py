@@ -9,9 +9,9 @@ import pytest
 import relmech as rm
 from relmech.errors import DomainError, NonPositiveG, SingularMetric, StepRejected
 
-from conftest import (KEPT_CASES, counting_fields, counting_forms, generic, in_threads,
-                      random_state, same_bits, shear_minkowski, stage_acceleration,
-                      stage_states, two_region_fields)
+from conftest import (KEPT_CASES, counting_fields, counting_forms, declared, generic,
+                      in_threads, random_state, same_bits, shear_minkowski,
+                      stage_acceleration, stage_states, two_region_fields)
 
 X0 = np.zeros(4)
 X_SCHW = np.array([0.0, 10.0, math.pi / 2, 0.0])
@@ -530,14 +530,7 @@ def test_settled_point_where_only_the_form_raises(schw, schw_gf, projection, wal
             raise SingularMetric(f"metric is numerically singular at x = {x}")
         return schw_form(x)
 
-    def value(x):
-        return schw.value(x)
-
-    def partials(x):
-        return schw.partials(x)
-
-    value.float_form = partials.float_form = form
-    metric = rm.MetricField(4, value, partials)
+    metric = declared(schw, form)
     x0 = np.array([0.0, 3.0, math.pi / 2, 0.0])
     s0 = rm.FourState(x0, rm.project_to_shell(schw_gf, x0, np.array([2.0, -0.5, 0.0, 0.0])))
     conn, gf = rm.levi_civita_connection(metric), rm.GTensorField.from_metric(metric)

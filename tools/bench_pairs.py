@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py PARENT CHANGE [--workloads W ...] [--pairs 10]
         [--seconds 18] [--out BENCH_N.json] [--claim WORKLOAD:METRIC]
-        [--change-name TEXT] [--notes TEXT]
+        [--change-name TEXT]
 
 PARENT and CHANGE are commits of this repository.  Each is exported with
 ``git archive`` to its own temporary directory, so uncommitted files take no
@@ -122,7 +122,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path)
     parser.add_argument("--claim", help="WORKLOAD:METRIC to summarise in the record")
     parser.add_argument("--change-name", help="what the change does (default: its subject)")
-    parser.add_argument("--notes", default="")
     args = parser.parse_args(argv)
     if args.pairs < 2 or not args.seconds > 0:
         parser.error("--pairs must be at least 2 and --seconds positive")
@@ -162,7 +161,6 @@ def main(argv=None) -> int:
                      "parent and change alternating which runs first (parent first on odd "
                      "pair numbers); all runs back to back on one machine, each side from a "
                      "clean `git archive` of its commit (tools/bench_pairs.py)"),
-        "notes": args.notes,
         "git_sha": shas,
         "machine": {"nproc": os.cpu_count(), "numpy": metadata.version("numpy"),
                     "python": platform.python_version()},
