@@ -38,6 +38,7 @@ from .geometry import (
     _fields_at,
     _first_failure,
     _float_form,
+    _identity_cache,
     _power,
     _scalar,
     _vecmat,
@@ -140,23 +141,28 @@ def _float_acceleration(metric: MetricField, potential: PotentialField,
     holds no -0.
 
     The soldering matrix depends only on d and the potential's slopes, so
-    ``accel`` keeps the last one it built, as one tuple (d, slopes,
-    matrix), and builds it again only where either object is not the one
-    it was built from.  A constant metric in a uniform field builds it once
-    per run.  The tuple is read once per call and replaced whole, so
-    threads that share the stage never pair one call's key with another's
-    matrix, and it holds its key objects, which keeps the ``is`` test
-    sound (see the float forms in :mod:`relmech.geometry`).
+    ``accel`` keeps the last one it built in an ``_identity_cache`` keyed
+    by those two objects (see the float forms in :mod:`relmech.geometry`):
+    a constant metric in a uniform field builds it once per run.
     """
     form = _float_form(metric)
     potential_form = _float_form(potential) if ratio != 0.0 else None
     if form is None or (ratio != 0.0 and potential_form is None):
         return None
     m = metric.dim
-    cache = (None, None, None)  # (d, slopes, soldering matrix)
+
+    def solder(d, slopes_a):
+        faraday = [0.0] * (m * m)  # F = dA - dA^T, row by row
+        for lam, mu, v in slopes_a:
+            faraday[lam * m + mu] += v
+            faraday[mu * m + lam] -= v
+        row = [ratio * (1.0 / di) for di in d]
+        return np.array([c * v for l, c in enumerate(row)
+                         for v in faraday[l * m:l * m + m]]).reshape(m, m)
+
+    soldering = _identity_cache(solder)
 
     def accel(x, u, f):
-        nonlocal cache
         d, slopes = f
         s1 = [0.0] * m  # dd @ (u * u)
         s2 = [0.0] * m  # u @ dd
@@ -166,18 +172,7 @@ def _float_acceleration(metric: MetricField, potential: PotentialField,
             s2[a] += u[mu] * v
         if ratio == 0.0:
             return [(0.5 * p - ui * q) / di + 0.0 for p, ui, q, di in zip(s1, u, s2, d)]
-        slopes_a = potential_form(x)[1]
-        key_d, key_a, mat = cache
-        if key_d is not d or key_a is not slopes_a:
-            faraday = [0.0] * (m * m)  # F = dA - dA^T, row by row
-            for lam, mu, v in slopes_a:
-                faraday[lam * m + mu] += v
-                faraday[mu * m + lam] -= v
-            row = [ratio * (1.0 / di) for di in d]
-            solder = [c * v for l, c in enumerate(row) for v in faraday[l * m:l * m + m]]
-            mat = np.array(solder).reshape(m, m)
-            cache = d, slopes_a, mat
-        force = np.dot(mat, np.array(u))
+        force = np.dot(soldering(d, potential_form(x)[1]), np.array(u))
         return [(0.5 * p - ui * q) / di + v + 0.0
                 for p, ui, q, di, v in zip(s1, u, s2, d, force.tolist())]
 

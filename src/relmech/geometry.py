@@ -36,8 +36,11 @@ or ``partials`` was replaced (:func:`_float_form`), and a
 the same form.
 
 The float stages keep the force matrix they build from a form's d and
-slopes, keyed by the identity of those objects (see
-:func:`relmech.dynamics._float_acceleration`), and rely on two more
+slopes in an :func:`_identity_cache`: one entry, keyed by the identity of
+those objects.  The entry is one tuple (key a, key b, value), read once per
+call and replaced whole, so threads that share a stage never pair one
+call's key with another call's value, and it holds its key objects alive,
+so no other object can take their identity.  The cache relies on two more
 promises.  A form returns tuples, which nobody mutates, so an object that
 is still the key holds the numbers the matrix was built from.  And a field
 whose numbers do not change returns the same objects at every call: a
@@ -526,6 +529,22 @@ def _float_form(field) -> Optional[Callable]:
     made with ``functools.wraps`` keeps it."""
     form = getattr(field.value, "float_form", None)
     return form if getattr(field.partials, "float_form", None) is form else None
+
+
+def _identity_cache(build: Callable) -> Callable:
+    """``build(a, b)`` behind a one-entry cache keyed by the identity of a
+    and b (b is None for one key), as the float forms above describe."""
+    entry = (None, None, None)
+
+    def get(a, b=None):
+        nonlocal entry
+        key_a, key_b, value = entry
+        if key_a is not a or key_b is not b:
+            value = build(a, b)
+            entry = a, b, value
+        return value
+
+    return get
 
 
 def _check_condition(cond, x) -> None:

@@ -39,6 +39,7 @@ from .geometry import (
     _field_at,
     _fields_at,
     _float_form,
+    _identity_cache,
     fd_partials,
     inverse_metric_at,
     metric_at,
@@ -197,10 +198,9 @@ def _float_flow(std: StandardData):
     and dA v is one ``np.dot``.  ``energy(v, w)`` is H = v . w / (2 mass),
     with the bits of ``value``.  The potential is read first, as ``flow``
     reads it, and not at all at charge 0.  The flow holds no -0.  The dA
-    matrix is kept as one tuple (slopes, matrix) and built again only where
-    the potential's slopes are not the object it was built from, as the
-    soldering matrix of :func:`dynamics._float_acceleration` is: once per
-    run in a uniform field.
+    matrix is kept in an ``_identity_cache`` keyed by the potential's
+    slopes, as the soldering matrix of :func:`dynamics._float_acceleration`
+    is: built once per run in a uniform field.
     """
     metric, mass, e = std.metric, std.mass, std.charge
     form = _float_form(metric)
@@ -208,10 +208,16 @@ def _float_flow(std: StandardData):
     if form is None or (e != 0.0 and potential_form is None):
         return None
     m = metric.dim
-    cache = (None, None)  # (slopes of A, dA as an m x m array)
+
+    def build_da(slopes_a, _):
+        da = [0.0] * (m * m)
+        for lam, mu, val in slopes_a:
+            da[lam * m + mu] = val
+        return np.array(da).reshape(m, m)
+
+    da_matrix = _identity_cache(build_da)
 
     def stage(x, p):
-        nonlocal cache
         if e == 0.0:
             w = p
         else:
@@ -226,15 +232,8 @@ def _float_flow(std: StandardData):
         k = [vi / mass + 0.0 for vi in v]
         if e == 0.0:
             return k + [0.5 * si / mass + 0.0 for si in s], v, w, d
-        key, mat = cache
-        if key is not slopes_a:
-            da = [0.0] * (m * m)
-            for lam, mu, val in slopes_a:
-                da[lam * m + mu] = val
-            mat = np.array(da).reshape(m, m)
-            cache = slopes_a, mat
         c = e / mass
-        force = np.dot(mat, np.array(v))
+        force = np.dot(da_matrix(slopes_a), np.array(v))
         return k + [0.5 * si / mass + c * t + 0.0 for si, t in zip(s, force.tolist())], v, w, d
 
     def energy(v, w):

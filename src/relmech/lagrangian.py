@@ -39,6 +39,7 @@ from .geometry import (
     _fields_at,
     _first_failure,
     _float_form,
+    _identity_cache,
     _norm,
     _power,
     _scalar,
@@ -235,15 +236,16 @@ def four_acceleration(model: LagrangianModel, x, u) -> Array:
 # chart-local three-velocity picture
 # ---------------------------------------------------------------------------
 
-def _reduced_pieces(model: LagrangianModel, t: ThreeVelocity):
+def _reduced_pieces(model: LagrangianModel, x: Array, v: Array):
+    """(x, uhat, G, Gbar, 2N) at the chart point x = (q^0, q) and
+    three-velocity v, arrays, with uhat = (1, v)."""
     gf = model.gfield
-    x = t.point
     if x.size != gf.dim:
         raise DimensionMismatch(
             f"three-velocity lives in dimension {x.size}, model in {gf.dim}"
         )
     n2 = 2 * gf.order_half
-    uhat = np.concatenate(([1.0], t.v))
+    uhat = np.concatenate(([1.0], v))
     gt = np.asarray(gf.value(x), dtype=float)
     gbar = float(contract_all(gt, uhat, n2))
     _require_reduced_positive(gbar)
@@ -261,7 +263,7 @@ def _require_reduced_positive(gbar: float) -> None:
 def three_lagrangian_value(model: LagrangianModel, t: ThreeVelocity) -> float:
     """Chart-local Lagrangian Lbar = mass Gbar^(1/2N) + charge (v.A_i + A_0);
     at charge 0 the potential is not read."""
-    x, _, _, gbar, n2 = _reduced_pieces(model, t)
+    x, _, _, gbar, n2 = _reduced_pieces(model, t.point, t.v)
     coupling = 0.0  # what a zero potential gives
     if model.charge != 0.0:
         a_form = np.asarray(model.potential.value(x), dtype=float)
@@ -281,19 +283,19 @@ def three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w) -> Array:
 
     where d0 is the total chart-time derivative along the jet (q^0, q, v, w).
     """
-    return _three_euler_lagrange(model, t, w)[0]
+    return _three_euler_lagrange(model, t.point, t.v, w)[0]
 
 
-def _three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w):
+def _three_euler_lagrange(model: LagrangianModel, x: Array, v: Array, w):
     """:func:`three_euler_lagrange` with the pieces :func:`three_acceleration`
     reuses: (Ebar, g_red, c, Gbar, 2N), with g_red and c as in its docstring.
 
     G and its partials, the potential's partials and Gbar are evaluated once;
     at charge 0 the potential is not read.
     """
-    x, uhat, gt, gbar, n2 = _reduced_pieces(model, t)
+    x, uhat, gt, gbar, n2 = _reduced_pieces(model, x, v)
     w = np.asarray(w, dtype=float)
-    if w.shape != t.v.shape:
+    if w.shape != v.shape:
         raise DimensionMismatch("w must match the shape of the three-velocity")
     what = np.concatenate(([0.0], w))
 
@@ -303,7 +305,7 @@ def _three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w):
     dgbar_coord = contract_all(dg, uhat, n2)
     # directional coordinate derivative along (1, v); the row-vector product
     # makes the bits of np.tensordot(v, dg[1:], 1) without its overhead
-    dg_dir = dg[0] + (t.v @ dg[1:].reshape(t.v.size, -1)).reshape(dg.shape[1:])
+    dg_dir = dg[0] + (v @ dg[1:].reshape(v.size, -1)).reshape(dg.shape[1:])
     dir_c = contract_all(dg_dir, uhat, n2 - 1)
     d0_c = dir_c + (n2 - 1) * (g_red @ what)
     d0_gbar = float(contract_all(dg_dir, uhat, n2)) + n2 * float(c @ what)
@@ -316,7 +318,7 @@ def _three_euler_lagrange(model: LagrangianModel, t: ThreeVelocity, w):
         ebar += 0.0  # what 0 * force adds with a zero potential
     else:
         f = faraday_at(model.potential, x)
-        ebar += model.charge * (f[1:, 1:] @ t.v + f[1:, 0])
+        ebar += model.charge * (f[1:, 1:] @ v + f[1:, 0])
     return ebar, g_red, c, gbar, n2
 
 
@@ -331,7 +333,13 @@ def three_acceleration(model: LagrangianModel, t: ThreeVelocity) -> Array:
 
     So one evaluation of Ebar at w = 0 and one linear solve give w.
     """
-    base, g_red, c, gbar, n2 = _three_euler_lagrange(model, t, np.zeros(t.v.size))
+    return _solve_three_acceleration(model, t.point, t.v)
+
+
+def _solve_three_acceleration(model: LagrangianModel, x: Array, v: Array) -> Array:
+    """:func:`three_acceleration` at the chart point x = (q^0, q) and
+    three-velocity v, arrays."""
+    base, g_red, c, gbar, n2 = _three_euler_lagrange(model, x, v, np.zeros(v.size))
     c = c[1:]
     e1 = 1.0 - 1.0 / n2
     mat = -model.mass * ((n2 - 1) * g_red[1:, 1:] / gbar ** e1
@@ -340,15 +348,11 @@ def three_acceleration(model: LagrangianModel, t: ThreeVelocity) -> Array:
 
 
 def _listed_three_acceleration(model: LagrangianModel, x: list, v: list) -> list:
-    """:func:`three_acceleration` at lists x = (q^0, q) and v of finite
-    floats, as a list.  The state is built without the shape and
-    finiteness tests of ``ThreeVelocity``: the right-hand side of
-    :func:`integrate_three_velocity` has tested it."""
-    three = object.__new__(ThreeVelocity)
-    object.__setattr__(three, "q0", float(x[0]))
-    object.__setattr__(three, "q", np.array(x[1:], dtype=float))
-    object.__setattr__(three, "v", np.array(v, dtype=float))
-    return three_acceleration(model, three).tolist()
+    """:func:`three_acceleration` at lists x = (q^0, q) and v, as a list,
+    without a ``ThreeVelocity``: the right-hand side of
+    :func:`integrate_three_velocity` has tested the state's entries."""
+    return _solve_three_acceleration(model, np.array(x, dtype=float),
+                                     np.array(v, dtype=float)).tolist()
 
 
 def _float_three_acceleration(model: LagrangianModel):
@@ -371,11 +375,10 @@ def _float_three_acceleration(model: LagrangianModel):
     ``np.dot`` of numpy's shape, and the solve stays ``np.linalg.solve``.
     A slope-free metric, or a potential without spatial slopes in
     F[1:, 1:], makes those products +0 without a call.  F[1:, 0] and the
-    F[1:, 1:] array (None without spatial slopes) are kept as one tuple
-    (slopes, F[1:, 0], F[1:, 1:]) and built again only where the
-    potential's slopes are not the object they were built from, as the
-    soldering matrix of :func:`dynamics._float_acceleration` is: once per
-    run in a uniform field.
+    F[1:, 1:] array (None without spatial slopes) are kept in an
+    ``_identity_cache`` keyed by the potential's slopes, as the soldering
+    matrix of :func:`dynamics._float_acceleration` is: built once per run
+    in a uniform field.
     """
     gf, mass, charge = model.gfield, model.mass, model.charge
     form = _float_form(gf) if gf.order_half == 1 else None
@@ -384,10 +387,22 @@ def _float_three_acceleration(model: LagrangianModel):
         return None
     m = gf.dim
     n = m - 1
-    cache = (None, None, None)  # (slopes of A, F[1:, 0], F[1:, 1:] or None)
+
+    def build_faraday(slopes_a, _):
+        """(F[1:, 0], F[1:, 1:]), the block None where it has no entry that
+        can be nonzero."""
+        da = [0.0] * (m * m)
+        for lam, mu, val in slopes_a:
+            da[lam * m + mu] = val
+        block = None
+        if any(lam > 0 and mu > 0 for lam, mu, _ in slopes_a):
+            block = np.array([da[i * m + j] - da[j * m + i] for i in range(1, m)
+                              for j in range(1, m)]).reshape(n, n)
+        return [da[i * m] - da[i] for i in range(1, m)], block
+
+    faraday = _identity_cache(build_faraday)
 
     def stage(x, v):
-        nonlocal cache
         try:
             d, slopes = form(x)
         except SingularMetric:
@@ -422,18 +437,7 @@ def _float_three_acceleration(model: LagrangianModel):
         if charge == 0.0:
             ebar = [e + 0.0 for e in ebar]
         else:
-            slopes_a = potential_form(x)[1]
-            key, f0, block = cache
-            if key is not slopes_a:
-                da = [0.0] * (m * m)
-                for lam, mu, val in slopes_a:
-                    da[lam * m + mu] = val
-                f0 = [da[i * m] - da[i] for i in range(1, m)]  # F[1:, 0]
-                block = None  # F[1:, 1:], where it has an entry that can be nonzero
-                if any(lam > 0 and mu > 0 for lam, mu, _ in slopes_a):
-                    block = np.array([da[i * m + j] - da[j * m + i] for i in range(1, m)
-                                      for j in range(1, m)]).reshape(n, n)
-                cache = slopes_a, f0, block
+            f0, block = faraday(potential_form(x)[1])
             fv = [0.0] * n if block is None else np.dot(block, np.array(v)).tolist()
             ebar = [e + charge * (t + f) for e, t, f in zip(ebar, fv, f0)]
         # (2N - 1) g_red and e1 2N c c^T carry factors 1 and 1.0, exact

@@ -509,23 +509,23 @@ def test_three_velocity_domain_exit_names_chart_time(tmp_path, capsys, monkeypat
 
 
 def _count_chart_time_stages(tmp_path, capsys, monkeypatch):
-    """Run 25 chart-time steps of THREE_VELOCITY; returns (three_acceleration
-    calls, float form reads of the catalog metric)."""
+    """Run 25 chart-time steps of THREE_VELOCITY; returns (solves of the
+    generic three_acceleration, float form reads of the catalog metric)."""
     calls = [0]
     form_calls = []
-    acceleration = lagrangian.three_acceleration
+    solve = lagrangian._solve_three_acceleration
     catalog_metric = cli.catalog_metric
 
-    def counted(model, three):
+    def counted(model, x, v):
         calls[0] += 1
-        return acceleration(model, three)
+        return solve(model, x, v)
 
     def counting_metric(*args, **kwargs):
         metric, metric_calls = counting_forms(catalog_metric(*args, **kwargs))
         form_calls.append(metric_calls)
         return metric
 
-    monkeypatch.setattr(lagrangian, "three_acceleration", counted)
+    monkeypatch.setattr(lagrangian, "_solve_three_acceleration", counted)
     monkeypatch.setattr(cli, "catalog_metric", counting_metric)
     cfg = write_config(tmp_path, "count.ini", THREE_VELOCITY.format(
         x0=0.25, dt=0.01, steps=25, csv=tmp_path / "count.csv"))

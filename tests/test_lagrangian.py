@@ -677,7 +677,8 @@ def test_integrate_three_velocity_matches_reference_loop(mink_gf, sign, record_e
 def test_integrate_three_velocity_rejects_arguments_before_a_stage(charged_model, monkeypatch,
                                                                    bad, message):
     calls = []
-    monkeypatch.setattr(lagrangian, "three_acceleration", lambda *args: calls.append(args))
+    monkeypatch.setattr(lagrangian, "_solve_three_acceleration",
+                        lambda *args: calls.append(args))
     start = rm.ThreeVelocity(0.0, np.zeros(3), np.array([0.3, 0.0, 0.0]))
     with pytest.raises(ValueError, match=message):
         rm.integrate_three_velocity(charged_model, start, 0.01, 10, **bad)
@@ -727,26 +728,26 @@ def test_integrate_three_velocity_singular_system_names_chart_time(schw):
 
 
 def test_generic_stage_tests_the_state_once(monkeypatch):
-    # a G field without a float form: each stage calls three_acceleration on
-    # a state that the right-hand side has tested, so a ThreeVelocity is
+    # a G field without a float form: each stage solves three_acceleration
+    # on a state that the right-hand side has tested, so a ThreeVelocity is
     # built, and tested, once per step, at the settled point
     metric = rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0])
     model = rm.LagrangianModel(rm.GTensorField.from_metric(metric),
                                rm.uniform_field((0.0, 0.01, 0.0), (0.02, 0.0, 0.0)), 1.0, 0.5)
     start = rm.ThreeVelocity(0.0, [0.3, -0.2, 0.4], [0.0, 0.05, -0.02])
     built, stages = [0], [0]
-    post_init, acceleration = rm.ThreeVelocity.__post_init__, lagrangian.three_acceleration
+    post_init, solve = rm.ThreeVelocity.__post_init__, lagrangian._solve_three_acceleration
 
     def counted_post_init(self):
         built[0] += 1
         post_init(self)
 
-    def counted_acceleration(model, three):
+    def counted_solve(model, x, v):
         stages[0] += 1
-        return acceleration(model, three)
+        return solve(model, x, v)
 
     monkeypatch.setattr(rm.ThreeVelocity, "__post_init__", counted_post_init)
-    monkeypatch.setattr(lagrangian, "three_acceleration", counted_acceleration)
+    monkeypatch.setattr(lagrangian, "_solve_three_acceleration", counted_solve)
     rm.integrate_three_velocity(model, start, 0.01, 20)
     assert stages[0] == 4 * 20 and built[0] == 20
 

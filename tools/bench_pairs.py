@@ -1,8 +1,7 @@
 """Alternating benchmark pairs of two commits, written as a ``BENCH_*.json``.
 
     python3 tools/bench_pairs.py PARENT CHANGE [--workloads W ...] [--pairs 10]
-        [--seconds 18] [--out BENCH_N.json] [--claim WORKLOAD:METRIC]
-        [--change-name TEXT]
+        [--seconds 18] [--out BENCH_N.json]
 
 PARENT and CHANGE are commits of this repository.  Each is exported with
 ``git archive`` to its own temporary directory, so uncommitted files take no
@@ -12,12 +11,12 @@ part.  For each workload (by default every workload of the change's
 the change first on even ones, so a drift of the host's speed within a pair
 does not favour one side.  All runs go back to back; run it on an idle host.
 
-The record holds, per workload and end-to-end metric of ``BENCHMARK.json``,
-the median and quartiles (``statistics.quantiles``, n = 4) of each side's
+The record holds the change's commit subject, and per workload and
+end-to-end metric of ``BENCHMARK.json`` the median and quartiles (``statistics.quantiles``, n = 4) of each side's
 runs, change median over parent median, ``pairs_change_better`` (the pairs
 where the change read better, in the metric's direction) and every run;
 and per side the operations attempted and failed and whether every run was
-correct.  ``--claim`` adds a one-line summary of that metric.  A run that
+correct.  A run that
 exits nonzero or prints no result stops the tool.  The record goes to
 ``--out``, else to standard output; nothing else is written in this
 checkout.
@@ -103,15 +102,6 @@ def workload_record(specs: dict, runs: dict, seeds: list) -> dict:
     }
 
 
-def claim_line(workloads: dict, claim: str) -> str:
-    workload, metric = claim.split(":")
-    rec = workloads[workload]["end_to_end"][metric]
-    p, c = rec["parent"], rec["change"]
-    return (f"{metric} on {workload}: parent median {p['median']:,.0f} "
-            f"[q1 {p['q1']:,.0f}, q3 {p['q3']:,.0f}], change {c['median']:,.0f}, "
-            f"{rec['change_over_parent']:.2f}x, better in {rec['pairs_change_better']} pairs")
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -120,8 +110,6 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=18.0)
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--claim", help="WORKLOAD:METRIC to summarise in the record")
-    parser.add_argument("--change-name", help="what the change does (default: its subject)")
     args = parser.parse_args(argv)
     if args.pairs < 2 or not args.seconds > 0:
         parser.error("--pairs must be at least 2 and --seconds positive")
@@ -135,8 +123,6 @@ def main(argv=None) -> int:
             export(sha, trees[side])
         bench = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         names = args.workloads or [w["name"] for w in bench["workloads"]]
-        if args.claim and args.claim.split(":")[0] not in names:
-            parser.error(f"--claim names a workload not run: {args.claim}")
         specs = {spec["name"]: spec for spec in bench["end_to_end"]}
         seeds = list(range(FIRST_SEED, FIRST_SEED + args.pairs))
         results = {}
@@ -155,7 +141,7 @@ def main(argv=None) -> int:
         shutil.rmtree(tmp, ignore_errors=True)
 
     record = {
-        "change": args.change_name or git("log", "-1", "--format=%s", shas["change"]).decode().strip(),
+        "change": git("log", "-1", "--format=%s", shas["change"]).decode().strip(),
         "command": " ".join(bench["command"]) + f" --workload W --seed S --seconds {args.seconds:g} --trace 0",
         "protocol": (f"per workload: {args.pairs} untraced pairs, seeds {seeds[0]}-{seeds[-1]}, "
                      "parent and change alternating which runs first (parent first on odd "
@@ -166,8 +152,6 @@ def main(argv=None) -> int:
                     "python": platform.python_version()},
         "workloads": results,
     }
-    if args.claim:
-        record["claim"] = claim_line(results, args.claim)
     text = json.dumps(record, indent=1) + "\n"
     if args.out:
         args.out.write_text(text)
