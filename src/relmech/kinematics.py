@@ -227,27 +227,34 @@ def lift_three_solution(samples: Iterable, gfield: GTensorField,
     calls with the bits of one call per sample, and tau is accumulated by
     trapezoidal quadrature of d tau/d q^0 = 1/u^0.  For the sign = -1 branch
     tau decreases with q^0, so the samples are stored in reversed order to
-    keep tau increasing along the trajectory.
+    keep tau increasing along the trajectory.  A chart-time run lifts its
+    own RK4 record through the same code.
     """
     pts = [s if isinstance(s, ThreeVelocity) else ThreeVelocity(*s)
            for s in samples]
     if not pts:
         raise ValueError("need at least one sample")
-    q0s = np.array([p.q0 for p in pts])
+    return _lift(np.array([p.q0 for p in pts]), [p.q for p in pts],
+                 [p.v for p in pts], gfield, sign)
+
+
+def _lift(q0s: Array, qs, vs, gfield: GTensorField, sign: int) -> Trajectory:
+    """:func:`lift_three_solution` of the samples (q0s[k], qs[k], vs[k]):
+    q0s an array, qs and vs 2-d arrays or lists of rows."""
     if q0s.size > 1 and not np.all(np.diff(q0s) > 0.0):
         raise NonMonotoneTime("chart time samples must be strictly increasing")
 
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     try:  # all samples at once, each row with the bits of a one-sample lift
-        xs = np.column_stack((q0s, np.stack([p.q for p in pts])))
-        uhat = np.column_stack((np.ones(q0s.size), np.stack([p.v for p in pts])))
+        xs = np.column_stack((q0s, np.asarray(qs, dtype=float)))
+        uhat = np.column_stack((np.ones(q0s.size), np.asarray(vs, dtype=float)))
         gbar = g_value(gfield, xs, uhat)
         if _first_failure(gbar > 0.0) is not None:
             raise ConstraintUnreachable("a reduced form Gbar is not positive")
     except COMPUTATION_ERRORS:  # lifted one by one, the first failing sample raises its own error
-        for p in pts:
-            four_from_three(p, gfield, sign)
+        for q0, q, v in zip(q0s, qs, vs):
+            four_from_three(ThreeVelocity(q0, q, v), gfield, sign)
         raise
     us = (sign * _power(gbar, -1.0 / (2 * gfield.order_half)))[:, None] * uhat
     if sign < 0:

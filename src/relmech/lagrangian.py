@@ -47,7 +47,7 @@ from .geometry import (
     faraday_at,
     g_value,
 )
-from .kinematics import ThreeVelocity, lift_three_solution
+from .kinematics import ThreeVelocity, _lift
 
 #: floor added to normalization denominators so identities stay scale-free
 RESIDUAL_FLOOR = 1e-30
@@ -461,18 +461,20 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     :func:`_float_three_acceleration` at every stage where the model has
     one.  Each step sets q^0 to the previous chart time plus dt, since the
     RK4 sum (dt/6)*6 can miss dt by one ulp.
-    The run is lifted by :func:`lift_three_solution` on the sign branch
-    ``sign`` over the full grid (best tau quadrature), then every
-    ``record_every``-th sample and the last are kept.  A failure names the
-    last good chart time q^0, not a proper time; a singular system for w
-    (at the polar axis, for one) raises :class:`SingularMetric`.
+    The RK4 core's own record of every state is lifted on the sign branch
+    ``sign`` over the full grid (best tau quadrature), with the bits and
+    errors of :func:`relmech.kinematics.lift_three_solution` on the same
+    samples, then every ``record_every``-th sample and the last are kept.
+    A failure names the last good chart time q^0, not a proper time; a
+    singular system for w (at the polar axis, for one) raises
+    :class:`SingularMetric`.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if record_every < 1:
         raise ValueError("record_every must be >= 1")
     n = start.v.size
-    last = start
+    q0 = start.q0
     stage = _float_three_acceleration(model) if n + 1 == model.dim else None
     if stage is None:
         stage = lambda x, v: _listed_three_acceleration(model, x, v)
@@ -483,24 +485,24 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
         return [1.0, *y[n + 1:], *stage(y[:n + 1], y[n + 1:])]
 
     def settle(y, recorded):
-        nonlocal last
-        y[0] = last.q0 + dt
-        last = ThreeVelocity(y[0], y[1:n + 1], y[n + 1:])
-        return y, last, None
+        nonlocal q0
+        q0 = y[0] = q0 + dt
+        return y, None, None
 
-    y0 = [last.q0, *last.q.tolist(), *last.v.tolist()]
+    y0 = [q0, *start.q.tolist(), *start.v.tolist()]
     try:
-        samples = _rk4(rhs, y0, last, dt, steps, settle)[2]
+        ys = _rk4(rhs, y0, None, dt, steps, settle)[1]
     except (StepRejected, ArithmeticError) as exc:  # an overflowing stage, a non-finite state
         raise StepRejected("non-finite chart state (last good chart time "
-                           f"q^0 = {last.q0:.17g})") from exc
+                           f"q^0 = {q0:.17g})") from exc
     except (DomainError, NonPositiveG) as exc:  # left the domain or the timelike region
-        raise type(exc)(f"{exc} (last good chart time q^0 = {last.q0:.17g})") from exc
+        raise type(exc)(f"{exc} (last good chart time q^0 = {q0:.17g})") from exc
     except np.linalg.LinAlgError as exc:  # the solve for w
         raise SingularMetric(f"chart-time system for w is singular (last good chart "
-                             f"time q^0 = {last.q0:.17g})") from exc
+                             f"time q^0 = {q0:.17g})") from exc
 
-    traj = lift_three_solution(samples, model.gfield, sign)
+    record = np.array(ys).reshape(-1, 2 * n + 1)
+    traj = _lift(record[:, 0], record[:, 1:n + 1], record[:, n + 1:], model.gfield, sign)
     keep = np.append(np.arange(len(traj) - 1)[::record_every], len(traj) - 1)
     traj.tau, traj.x, traj.u, traj.G = (traj.tau[keep], traj.x[keep],
                                         traj.u[keep], traj.G[keep])

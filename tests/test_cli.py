@@ -944,12 +944,13 @@ def test_check_diag_wrong_length_exits_2(capsys):
 
 
 def test_check_without_timelike_direction_exits_2(capsys):
-    code, out, err = run_cli(capsys, "check", "--metric", "diagonal",
-                             "--diag=-1,-1,-1,-1")
-    assert code == 2
-    assert out == ""
-    assert_one_line_error(err)
-    assert "G > margin" in err
+    # -1,-1e-13,-1,-1 declares no float form (cond 1e13): the numpy draw gives up
+    for diag in ("-1,-1,-1,-1", "-1,-1e-13,-1,-1"):
+        code, out, err = run_cli(capsys, "check", "--metric", "diagonal", f"--diag={diag}")
+        assert code == 2
+        assert out == ""
+        assert_one_line_error(err)
+        assert "G > margin" in err
 
 
 @pytest.mark.parametrize("diag, cond", [("1e300,-1,-1,-1", "1.000e+300"),
@@ -1401,6 +1402,18 @@ def test_three_velocity_singular_system_exits_3(tmp_path, capsys):
     assert out == ""
     assert err == ("integration failed: chart-time system for w is singular "
                    "(last good chart time q^0 = 0)\n")
+
+
+def test_three_velocity_chart_time_that_stops_advancing_exits_3(tmp_path, capsys):
+    # at q^0 = 1e20, q^0 + dt rounds back to q^0: the lift writes no CSV
+    cfg = write_scenario(tmp_path, {"scenario.kind": "three_velocity",
+                                    "particle.x0": "1e20, 0, 0, 0", "particle.u0": None,
+                                    "particle.v0": "0.1, 0, 0", "integrator.steps": "5"})
+    code, out, err = run_cli(capsys, "simulate", cfg)
+    assert code == 3
+    assert out == ""
+    assert err == "integration failed: chart time samples must be strictly increasing\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("error", [ArithmeticError("overflow in a stage"),

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import relmech as rm
 import relmech.lagrangian as lagrangian
 from relmech.checks import sample_point, sample_velocity
-from relmech.errors import (DimensionMismatch, DomainError, NonPositiveG, SingularMetric,
-                            StepRejected)
+from relmech.errors import (DimensionMismatch, DomainError, NonMonotoneTime, NonPositiveG,
+                            SingularMetric, StepRejected)
 from relmech.geometry import contract_all, faraday_at
 
 from conftest import (CHART_FIELDS, KEPT_CASES, chart_field, in_threads, random_state,
@@ -728,12 +728,13 @@ def test_integrate_three_velocity_singular_system_names_chart_time(schw):
 
 
 def test_generic_stage_tests_the_state_once(monkeypatch):
-    # a G field without a float form: each stage solves three_acceleration
-    # on a state that the right-hand side has tested, so a ThreeVelocity is
-    # built, and tested, once per step, at the settled point
-    metric = rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0])
-    model = rm.LagrangianModel(rm.GTensorField.from_metric(metric),
-                               rm.uniform_field((0.0, 0.01, 0.0), (0.02, 0.0, 0.0)), 1.0, 0.5)
+    # the right-hand side tests each stage's state, and the run lifts the RK4
+    # core's own record: no ThreeVelocity is built during the run, on a G
+    # field without a float form (each stage solves three_acceleration) or
+    # on the float stage (which solves none)
+    field = rm.uniform_field((0.0, 0.01, 0.0), (0.02, 0.0, 0.0))
+    cases = [(rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0]), 4 * 20),
+             (rm.minkowski(), 0)]
     start = rm.ThreeVelocity(0.0, [0.3, -0.2, 0.4], [0.0, 0.05, -0.02])
     built, stages = [0], [0]
     post_init, solve = rm.ThreeVelocity.__post_init__, lagrangian._solve_three_acceleration
@@ -748,8 +749,20 @@ def test_generic_stage_tests_the_state_once(monkeypatch):
 
     monkeypatch.setattr(rm.ThreeVelocity, "__post_init__", counted_post_init)
     monkeypatch.setattr(lagrangian, "_solve_three_acceleration", counted_solve)
-    rm.integrate_three_velocity(model, start, 0.01, 20)
-    assert stages[0] == 4 * 20 and built[0] == 20
+    for metric, solves in cases:
+        built[0] = stages[0] = 0
+        model = rm.LagrangianModel(rm.GTensorField.from_metric(metric), field, 1.0, 0.5)
+        rm.integrate_three_velocity(model, start, 0.01, 20)
+        assert stages[0] == solves and built[0] == 0
+
+
+def test_chart_time_that_stops_advancing_is_not_monotone(charged_model):
+    # at q^0 = 1e20, q^0 + dt rounds back to q^0: the lift of the run's
+    # record rejects it as lift_three_solution rejects such samples
+    start = rm.ThreeVelocity(1e20, np.zeros(3), np.zeros(3))
+    with pytest.raises(NonMonotoneTime) as got:
+        rm.integrate_three_velocity(charged_model, start, 0.01, 5)
+    assert str(got.value) == "chart time samples must be strictly increasing"
 
 
 # -- F kept between stages -------------------------------------------------------

@@ -8,13 +8,14 @@ The digest covers, in a fixed order:
 
 * every operation of ``workloads.build`` for each workload at seeds 0-2: the
   exit code, stdout, stderr and the bytes of the operation's CSV;
-* ``relmech check`` on the four catalog metrics and on four diagonal
+* ``relmech check`` on the four catalog metrics and on five diagonal
   metrics at the edge of the checks (``1e-200,...`` and ``3,-1e-11,-1,-7``;
   ``-1,-1,-1,-1``, where no velocity has G > 0 and the sampler gives up;
-  ``1,-1e-13,-1,-1``, which declares no float form, so its samples are drawn
-  on numpy arrays and its fields read row by row), at seeds 0-3 with 50 and
-  1025 samples (1025 is one sample past a block): the exit code, the JSON
-  report and stderr;
+  ``-1,-1e-13,-1,-1``, where the numpy draw gives up, since it declares no
+  float form; ``1,-1e-13,-1,-1``, which declares none either, so its
+  samples are drawn on numpy arrays and its fields read row by row), at
+  seeds 0-3 with 50 and 1025 samples (1025 is one sample past a block):
+  the exit code, the JSON report and stderr;
 * each demo under ``demos/``, run in process with warnings as errors, as
   ``python -W error`` would run it: the exit code, stdout and stderr;
 * a coverage round of ``simulate`` and ``compare`` runs on paths that no
@@ -28,8 +29,9 @@ The digest covers, in a fixed order:
   whose sum of |g_aa| overflows, and three-velocity runs on every stage
   that Python floats cannot follow: a near-singular diagonal metric, one
   whose Gbar^(3/2) underflows, one whose Gbar overflows, and a plunge
-  towards Schwarzschild's horizon.  Each is hashed as the workload
-  operations are.
+  towards Schwarzschild's horizon; and a three-velocity run at q^0 = 1e20,
+  where q^0 + dt rounds back to q^0 and the lift rejects the chart times.
+  Each is hashed as the workload operations are.
 
 Each round of operations runs in a fresh temporary directory, and the paths
 of that directory and of TREE are masked in every byte hashed, so two
@@ -67,6 +69,7 @@ CHECK_METRICS = (
     ("diagonal", ["--diag=1e-200,1e-200,-1e-200,-1e-200"]),
     ("diagonal", ["--diag=3,-1e-11,-1,-7"]),
     ("diagonal", ["--diag=-1,-1,-1,-1"]),
+    ("diagonal", ["--diag=-1,-1e-13,-1,-1"]),
     ("diagonal", ["--diag=1,-1e-13,-1,-1"]),
 )
 
@@ -167,6 +170,10 @@ COVERAGE = (
                    "diag": "1e250,-1e250,-1e250,-1e250"},
       "potential": _EB, "particle": {**_FLAT_CHART_TIME, "v0": "0.1,0.05,-0.02"},
       "integrator": {"dt": "0.1", "steps": "200"}}),
+    ("stalled-chart-time", ("three_velocity",),
+     {"manifold": _FLAT,
+      "particle": {**_FLAT_CHART_TIME, "x0": "1e20,0,0,0"},
+      "integrator": {"dt": "0.01", "steps": "5"}}),
     ("horizon-chart-time", ("three_velocity",),
      {"manifold": _SCHW,
       "particle": {"charge": "0", "x0": "0,4,1.2,0", "v0": "-0.3,0,0"},
