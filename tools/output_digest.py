@@ -25,6 +25,9 @@ The digest covers, in a fixed order:
   sign -1 and charge-0 three-velocity runs, charged Schwarzschild
   three-velocity runs under Coulomb and uniform E, B potentials, runs
   that fail at the pole (three-velocity too) and at the horizon, runs
+  that start just off the pole (theta = 1e-7), where g's condition number
+  is about 1e14, so the geodesic and Hamiltonian runs fail and the
+  chart-time run, which never inverts g, completes, runs
   on ``diag = 1e308,1e308,-1e308,-1e308``, whose entries are finite but
   whose sum of |g_aa| overflows, and three-velocity runs on every stage
   that Python floats cannot follow: a near-singular diagonal metric, one
@@ -149,6 +152,10 @@ COVERAGE = (
      {"manifold": _SCHW, "potential": _EB,
       "particle": {"charge": "0.5", "x0": "0,10,0,0", "v0": "0.01,0,0"},
       "integrator": {"dt": "0.25", "steps": "10"}}),
+    ("near-pole", ("three_velocity", "geodesic", "hamiltonian"),
+     {"manifold": _SCHW,
+      "particle": {"mass": "1", "charge": "0", "x0": "0,10,1e-7,0", "v0": "0.01,0,0.02"},
+      "integrator": {"dt": "0.5", "steps": "20"}}),
     ("huge-diagonal", ("geodesic", "hamiltonian", "compare"),
      {"manifold": {"dimension": 4, "metric": "diagonal",
                    "diag": "1e308,1e308,-1e308,-1e308"},
