@@ -97,17 +97,15 @@ def sample_velocity(metric: MetricField, x, rng: np.random.Generator,
     Where the metric declares a float form, d comes from it and a draw is
     made in Python floats with the bits of the numpy draw: the same
     ``standard_normal`` calls, entrywise products, and the sum of sig u u
-    left to right, as numpy sums fewer than 8 entries.  A point where the
-    form raises takes the numpy draw.
+    left to right, as numpy sums fewer than 8 entries.  A point where an
+    entry of d is zero or d is not finite (Schwarzschild's pole, for one)
+    takes the numpy draw, which divides by zero and warns as numpy does.
     """
     x = _check_point(x, metric.dim)
     form = _float_form(metric) if x.ndim == 1 and metric.dim < 8 else None
     if form is not None:
-        try:
-            d = form(x.tolist())[0]
-        except COMPUTATION_ERRORS:
-            pass
-        else:
+        d = form(x.tolist())[0]
+        if 0.0 not in d and all(map(math.isfinite, d)):
             return _float_velocity(d, rng, margin)
     g = metric_at(metric, x)
     d = _diagonal(g)

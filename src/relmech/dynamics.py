@@ -32,6 +32,7 @@ from .geometry import (
     GTensorField,
     MetricField,
     PotentialField,
+    _check_diagonal,
     _check_point,
     _christoffel_and_inverse,
     _dot,
@@ -131,7 +132,12 @@ def _float_acceleration(metric: MetricField, potential: PotentialField,
     declares no form.
 
     ``accel(x, u, f)`` takes lists x, u and f = form(x) = (d, slopes), g =
-    diag(d).  The connection term is a^l = (dd[l] . u^2 / 2 - u^l (dd[:, l]
+    diag(d).  It first raises the SingularMetric of ``K`` where
+    :func:`inverse_metric_at` rejects g (:func:`geometry._check_diagonal`),
+    except for the d object that passed the test last: a constant metric,
+    whose form returns the same d at every call, is tested once per run.
+    The one d kept holds that object alive, so no other object can take its
+    identity.  The connection term is a^l = (dd[l] . u^2 / 2 - u^l (dd[:, l]
     . u)) / d_l with dd[mu, a] = d_mu g_aa: O(m^2) work instead of the
     symbols' O(m^3).  Both sums run left to right from 0.0 over the entries
     that can be nonzero, which gives the bits of numpy's own loop over the
@@ -161,9 +167,14 @@ def _float_acceleration(metric: MetricField, potential: PotentialField,
                          for v in faraday[l * m:l * m + m]]).reshape(m, m)
 
     soldering = _identity_cache(solder)
+    passed = None  # the last d that passed the condition test
 
     def accel(x, u, f):
+        nonlocal passed
         d, slopes = f
+        if d is not passed:
+            _check_diagonal(d, x)
+            passed = d
         s1 = [0.0] * m  # dd @ (u * u)
         s2 = [0.0] * m  # u @ dd
         for mu, a, v in slopes:
@@ -354,10 +365,11 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
     ``K``.  With the float stage and ``gfield`` the N = 1 form of that
     metric, a settled point's float form gives the projection's G, the
     monitored G = (d u) . u, with the bits of :func:`g_value`, and the next
-    step's first stage.  Elsewhere, and where that form raises
-    :class:`SingularMetric`, the monitor and the projection call
-    :func:`g_value`; a DomainError of the form is the one :func:`g_value`
-    raises there, and it ends the run.
+    step's first stage.  A DomainError of the form is the one
+    :func:`g_value` raises there, and it ends the run.  Where that first
+    stage raises :class:`SingularMetric` (g_value reads g alone), the run
+    still settles the point, and the next step computes the stage again and
+    raises.  Elsewhere the monitor and the projection call :func:`g_value`.
     """
     if projection not in PROJECTION_MODES:
         raise ValueError(f"projection must be one of {PROJECTION_MODES}")
@@ -390,25 +402,22 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
     def settle(y, recorded):
         nonlocal drift
         x, u = y[:m], y[m:]
-        f = None
+        k1 = None
         if monitor:
+            f = form(x)
+            if projection == "rescale":
+                u = _rescale(np.array(u), _dot_du(f[0], u), 1).tolist()
+            gk = float(_dot_du(f[0], u))
             try:
-                f = form(x)
-            except SingularMetric:
-                pass  # g_value reads g alone: the next step's first stage raises the rest
-        if f is None:
+                k1 = u + accel(x, u, f)
+            except SingularMetric:  # g_value reads g alone: the next step raises it
+                pass
+        else:
             xa, ua = np.array(x), np.array(u)
             if projection == "rescale":
                 ua = project_to_shell(gfield, xa, ua)
                 u = ua.tolist()
             gk = g_value(gfield, xa, ua)
-            k1 = None
-        else:
-            d = f[0]
-            if projection == "rescale":
-                u = _rescale(np.array(u), _dot_du(d, u), 1).tolist()
-            gk = float(_dot_du(d, u))
-            k1 = u + accel(x, u, f)
         drift = max(drift, abs(gk - 1.0))
         return x + u, gk, k1
 

@@ -26,12 +26,13 @@ and ``slopes`` the (mu, a, d_mu g_aa) entries that can be nonzero, in that
 index order; a potential's form gives ``(A, slopes)`` with the (lam, mu,
 d_lam A_mu) entries that can be nonzero and ``A()`` the components, computed
 only when called, since most stages read the slopes alone.  Each number has
-the bits of ``value`` or ``partials``.  A form gives its numbers or
-raises: the errors of ``value`` and ``partials``, and a metric's form also
-the :class:`SingularMetric` of :func:`inverse_metric_at` at that point,
-with its message.  A constant metric that :func:`inverse_metric_at`
-rejects at every point declares no form, nor does a field whose ``value``
-or ``partials`` was replaced (:func:`_float_form`), and a
+the bits of ``value`` or ``partials``.  A form only reads the field: it
+gives its numbers or raises what ``value`` and ``partials`` raise there,
+with their messages.  Whether g can be inverted is for the two float
+stages that stand in for g^-1 to decide, the geodesic and the Hamiltonian
+one: each makes the condition test of :func:`inverse_metric_at` on d,
+:func:`_check_diagonal`, before it divides by d.  A field whose ``value``
+or ``partials`` was replaced declares no form (:func:`_float_form`), and a
 ``from_function`` field declares one only when both of its callables carry
 the same form.
 
@@ -67,7 +68,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import COMPUTATION_ERRORS, DimensionMismatch, DomainError, SingularMetric
+from .errors import DimensionMismatch, DomainError, SingularMetric
 
 Array = np.ndarray
 FieldFn = Callable[[Array], Array]
@@ -206,19 +207,13 @@ def _field_at(fn: FieldFn, x: Array) -> Array:
     out = np.empty((len(rows),) + first.shape)  # filled in place: no list of rows
     out[0] = first
     for i in range(1, len(rows)):
-        _put(out, i, fn(rows[i]), rows)
+        value = np.asarray(fn(rows[i]), dtype=float)
+        if value.shape != first.shape:
+            raise DimensionMismatch(
+                f"field value has shape {value.shape} at {rows[i]}, {first.shape} at {rows[0]}"
+            )
+        out[i] = value
     return out.reshape(x.shape[:-1] + first.shape)
-
-
-def _put(out: Array, i: int, value, rows: Array) -> None:
-    """``out[i] = value`` for row ``i`` of a block whose every value must
-    have the shape of ``out[i]``."""
-    value = np.asarray(value, dtype=float)
-    if value.shape != out.shape[1:]:
-        raise DimensionMismatch(
-            f"field value has shape {value.shape} at {rows[i]}, {out.shape[1:]} at {rows[0]}"
-        )
-    out[i] = value
 
 
 def _fields_at(field, x, *names: str) -> list:
@@ -228,12 +223,10 @@ def _fields_at(field, x, *names: str) -> list:
 
     The reader names the callables it reads; one form call serves them
     all.  Each row gets the bits of the callables: the entries the form
-    lists, zeros elsewhere.  A row where the form raises is read from the
-    callables themselves, in the order of ``names``: where a metric's form
-    raises the SingularMetric of :func:`inverse_metric_at`, ``value`` still
-    gives g, and the first row outside the chart raises the callables'
-    error.  Both callables of a field with a form fail at the same rows, so
-    that is the error of the per-row loop too.  A metric's form reads the
+    lists, zeros elsewhere.  The first row where the form raises raises the
+    callables' error there, with its message: a form raises what they
+    raise, and both callables of a field with a form fail at the same rows,
+    so that is the error of the per-row loop too.  A metric's form reads the
     row as a list of floats, which is faster and rounds alike; a
     potential's form reads the array row, since it computes with the numpy
     scalars of the callables, and so warns where they warn.  A potential's
@@ -259,12 +252,7 @@ def _fields_at(field, x, *names: str) -> list:
     reads = [(name == "value", memoryview(out.reshape(-1)), out[0].size)
              for name, out in zip(names, outs)]
     for i in range(n):
-        try:
-            entries, slopes = form(rows[i] if potential else rows[i].tolist())
-        except COMPUTATION_ERRORS:
-            for name, out in zip(names, outs):
-                _put(out, i, getattr(field, name)(rows[i]), rows)
-            continue
+        entries, slopes = form(rows[i] if potential else rows[i].tolist())
         for value, flat, size in reads:
             base = i * size
             if value:
@@ -341,19 +329,14 @@ def diagonal_metric(entries: Sequence[float]) -> MetricField:
 
 def _constant_metric(entries: list, catalog_id: str, params: dict) -> MetricField:
     """The metric diag(entries) with zero partials, and its float form,
-    which makes the condition test of :func:`_diagonal_float_form` once,
-    since d never changes.  A metric that fails it, which
-    :func:`inverse_metric_at` then rejects at every point, declares no
-    form."""
+    which returns the same d and slopes at every call: a float stage then
+    makes the condition test once per run, and at the first stage of every
+    run where :func:`inverse_metric_at` rejects d."""
     g = np.diag(entries)
     dg = np.zeros((len(entries),) * 3)
-    d = tuple(float(v) for v in entries)
-    metric = MetricField(len(d), lambda x: g.copy(), lambda x: dg.copy(), catalog_id, params)
-    try:
-        f = _diagonal_float_form(d, (), [0.0] * len(d))  # x only names a failure
-    except SingularMetric:
-        return metric
-    return _declare(metric, lambda x: f)
+    f = tuple(float(v) for v in entries), ()
+    return _declare(MetricField(len(f[0]), lambda x: g.copy(), lambda x: dg.copy(),
+                                catalog_id, params), lambda x: f)
 
 
 def schwarzschild(mass: float = 1.0) -> MetricField:
@@ -405,10 +388,9 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
         f = 1.0 - 2.0 * big_m / r
         df = 2.0 * big_m / (r * r)
         s, c = math.sin(th), math.cos(th)
-        d = f, -1.0 / f, -r * r, -r * r * s ** 2
-        slopes = ((1, 0, df), (1, 1, df / (f * f)), (1, 2, -2.0 * r),
-                  (1, 3, -2.0 * r * s * s), (2, 3, -2.0 * r * r * s * c))
-        return _diagonal_float_form(d, slopes, x)
+        return (f, -1.0 / f, -r * r, -r * r * s ** 2), (
+            (1, 0, df), (1, 1, df / (f * f)), (1, 2, -2.0 * r),
+            (1, 3, -2.0 * r * s * s), (2, 3, -2.0 * r * r * s * c))
 
     return _declare(MetricField(4, value, partials, "schwarzschild", {"M": big_m}), form)
 
@@ -500,13 +482,13 @@ def _diagonal(a: Array) -> Optional[Array]:
     return d if np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
-def _diagonal_float_form(d: tuple, slopes: tuple, x):
-    """The float form (d, slopes) of the diagonal metric g = diag(d) at
-    ``x``, or the SingularMetric that :func:`inverse_metric_at` raises
-    there, with its message.  Where an entry is zero or the sum of the |d|
-    is not finite, g goes through :func:`_inverse`, which raises for every
-    zero or non-finite entry; finite nonzero entries whose sum overflows
-    pass on to the condition estimate max|d| / min|d|."""
+def _check_diagonal(d: tuple, x) -> None:
+    """Raise the SingularMetric that :func:`inverse_metric_at` raises at
+    ``x`` for g = diag(d), with its message; return where it inverts g.
+    Where an entry is zero or the sum of the |d| is not finite, g goes
+    through :func:`_inverse`, which raises for every zero or non-finite
+    entry; finite nonzero entries whose sum overflows pass on to the
+    condition estimate max|d| / min|d|."""
     ad = list(map(abs, d))
     lo = min(ad)
     if not (lo > 0.0 and sum(ad) < math.inf):  # a sum of |d| is finite unless it is inf or nan
@@ -514,7 +496,6 @@ def _diagonal_float_form(d: tuple, slopes: tuple, x):
     cond = max(ad) * (1.0 / lo)
     if not cond < _COND_LIMIT:
         _check_condition(cond, x)
-    return d, slopes
 
 
 def _declare(field, form: Callable):

@@ -35,11 +35,13 @@ from .geometry import (
     Array,
     MetricField,
     PotentialField,
+    _check_diagonal,
     _dot,
     _field_at,
     _fields_at,
     _float_form,
     _identity_cache,
+    _inverse,
     fd_partials,
     inverse_metric_at,
     metric_at,
@@ -189,7 +191,10 @@ def _float_flow(std: StandardData):
 
     ``stage(x, p)`` takes lists x, p and returns (k, v, w, d): the flow k =
     (dH/dp, -dH/dx) as one list, w = p - eA, v = w / d and g = diag(d) from
-    the metric's float form, read once, whose errors it raises.  With
+    the metric's float form, read once, whose errors it raises, and then
+    the SingularMetric of ``flow`` where :func:`inverse_metric_at` rejects
+    g, tested on d once per d object, as :func:`dynamics._float_acceleration`
+    tests it.  With
     dd[mu, a] = d_mu g_aa the flow is dH/dp = v / mass and -dH/dx = dd (v^2)
     / (2 mass) + (e / mass) dA v, from d_lam g^{aa} = -dd[lam, a] / d_a^2:
     O(m^2) work instead of the O(m^3) partials of the inverse.  v is w times
@@ -216,14 +221,19 @@ def _float_flow(std: StandardData):
         return np.array(da).reshape(m, m)
 
     da_matrix = _identity_cache(build_da)
+    passed = None  # the last d that passed the condition test
 
     def stage(x, p):
+        nonlocal passed
         if e == 0.0:
             w = p
         else:
             a, slopes_a = potential_form(x)
             w = [pi - e * ai for pi, ai in zip(p, a())]
         d, slopes = form(x)
+        if d is not passed:
+            _check_diagonal(d, x)
+            passed = d
         v = [wi * (1.0 / di) for wi, di in zip(w, d)]
         vv = [vi * vi for vi in v]
         s = [0.0] * m  # dd @ (v * v)
@@ -391,7 +401,7 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     u = np.asarray(u, dtype=float)
     m, e = std.mass, std.charge
     g = metric_at(std.metric, x)
-    ginv = inverse_metric_at(std.metric, x)
+    ginv = _inverse(g, x)
     dginv = _dginv(ginv, _fields_at(std.metric, x, "partials")[0])
 
     w = m * _dot(g, u)                   # kinetic momenta p - eA

@@ -363,9 +363,9 @@ def _float_three_acceleration(model: LagrangianModel):
 
     ``stage(x, v)`` takes lists x = (q^0, q) and v and returns w as a list,
     with the bits of ``three_acceleration``, its errors and their messages.
-    Where floats cannot follow numpy, that stage calls
-    ``three_acceleration`` itself: where the form raises SingularMetric
-    (this picture never inverts g), where Gbar is not finite and where
+    This picture never inverts g, so the stage makes no condition test on
+    d.  Where floats cannot follow numpy, that stage calls
+    ``three_acceleration`` itself: where Gbar is not finite and where
     Gbar^(3/2) underflows to 0, which numpy divides by and Python does not.
     Written out for N = 1, g = diag(d) and dd[mu, a] = d_mu g_aa, with
     u = (1, v), the stage follows the order rule of :mod:`relmech.dynamics`:
@@ -403,10 +403,7 @@ def _float_three_acceleration(model: LagrangianModel):
     faraday = _identity_cache(build_faraday)
 
     def stage(x, v):
-        try:
-            d, slopes = form(x)
-        except SingularMetric:
-            return _listed_three_acceleration(model, x, v)
+        d, slopes = form(x)
         uhat = [1.0, *v]
         ua = np.array(uhat)
         c = [di * ui + 0.0 for di, ui in zip(d, uhat)]

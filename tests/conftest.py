@@ -86,23 +86,23 @@ def random_state(metric, gfield, rng, margin=0.1):
 
 @pytest.fixture
 def inversion_count(monkeypatch):
-    """Count the metrics inverse_metric_at inverts, as geometry, dynamics and
-    hamiltonian see it: [matrices, calls].  A batch x (..., m) counts one
-    matrix per point, a single point one."""
-    import relmech.dynamics
+    """Count the metrics that geometry's ``_inverse`` inverts, the one
+    inversion behind inverse_metric_at, as geometry and hamiltonian see it:
+    [matrices, calls].  A batch x (..., m) counts one matrix per point, a
+    single point one."""
     import relmech.geometry
     import relmech.hamiltonian
 
     calls = [0, 0]
-    inverse = relmech.geometry.inverse_metric_at
+    inverse = relmech.geometry._inverse
 
-    def counted(metric, x):
+    def counted(g, x):
         calls[0] += int(np.prod(np.shape(x)[:-1]))
         calls[1] += 1
-        return inverse(metric, x)
+        return inverse(g, x)
 
-    for mod in (relmech.geometry, relmech.dynamics, relmech.hamiltonian):
-        monkeypatch.setattr(mod, "inverse_metric_at", counted)
+    for mod in (relmech.geometry, relmech.hamiltonian):
+        monkeypatch.setattr(mod, "_inverse", counted)
     return calls
 
 

@@ -207,7 +207,8 @@ def test_form_reads_per_identity_sample(monkeypatch):
     # geodesic condition: the connection's inverse and partials, the
     # soldering's inverse, and g and dg for each of two residuals (5);
     # bracket: inverse and partials in each of two flows (4); RHS agreement:
-    # the connection (2) and second_order_rhs's g, inverse and partials (3).
+    # the connection (2) and second_order_rhs's g and partials (2), which
+    # inverts the g it has read.
     # project_to_shell's g_value reads ``value`` row by row (1).  The
     # potential's form: F in noether, the soldering and the connection (3),
     # dA in each flow (2) and in second_order_rhs (1); A is read row by row,
@@ -218,7 +219,7 @@ def test_form_reads_per_identity_sample(monkeypatch):
     monkeypatch.setattr(relmech.checks, "catalog_metric", lambda *args, **kwargs: metric)
     monkeypatch.setattr(relmech.checks, "uniform_field", lambda e, b: potential)
     assert run_invariant_checks("schwarzschild", samples=100) == want
-    assert metric_calls == {"value": 100, "partials": 0, "form": 100 * 20}
+    assert metric_calls == {"value": 100, "partials": 0, "form": 100 * 19}
     assert potential_calls == {"value": 100 * 3, "partials": 0, "form": 100 * 6}
 
 
@@ -397,10 +398,23 @@ def test_float_draw_sums_in_numpy_order():
     assert found >= 5
 
 
-def test_metric_without_a_form_takes_the_numpy_draw():
-    # inverse_metric_at rejects this metric everywhere, so it declares no form
-    metric = rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0])
+def _formless(entries):
+    """The constant metric diag(entries), declaring no float form."""
+    g = np.diag(entries)
+    return rm.MetricField(len(entries), lambda x: g.copy(), lambda x: np.zeros((len(entries),) * 3))
+
+
+def _no_float_draw(monkeypatch):
+    def float_velocity(d, rng, margin):
+        raise AssertionError("the float draw was taken")
+
+    monkeypatch.setattr(relmech.checks, "_float_velocity", float_velocity)
+
+
+def test_metric_without_a_form_takes_the_numpy_draw(monkeypatch):
+    metric = _formless(DIAG)
     assert relmech.geometry._float_form(metric) is None
+    _no_float_draw(monkeypatch)
     ours, theirs = np.random.default_rng(2), np.random.default_rng(2)
     for _ in range(100):
         x = sample_point(metric, ours)
@@ -409,17 +423,53 @@ def test_metric_without_a_form_takes_the_numpy_draw():
         assert got.tobytes() == _numpy_sample_velocity(metric, x, theirs).tobytes()
 
 
-def test_point_where_the_form_raises_takes_the_numpy_draw():
-    # just above Schwarzschild's r_min g is too badly conditioned for the
-    # form (cond ~ 1e17), which raises SingularMetric, while value does not
-    metric = rm.schwarzschild(1.0)
-    x = np.array([0.0, 2.0 + 4e-9, 1.2, 0.3])
+@pytest.mark.parametrize("metric, x", [
+    (rm.schwarzschild(1.0), [0.0, 2.0 + 4e-9, 1.2, 0.3]),  # just above r_min: cond ~ 1e17
+    (rm.schwarzschild(1.0), [0.0, 10.0, 1e-7, 0.3]),  # just off the pole: cond ~ 1e14
+    (rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0]), [0.5, -1.0, 0.25, 2.0]),
+], ids=["near-horizon", "near-pole", "diagonal"])
+def test_point_where_g_is_badly_conditioned_takes_the_float_draw(monkeypatch, metric, x):
+    # inverse_metric_at rejects g here, which the draw never inverts: the
+    # float draw, with the numpy draw's bits and generator state
+    x = np.array(x)
     with pytest.raises(rm.SingularMetric):
-        metric.value.float_form(x.tolist())
+        rm.inverse_metric_at(metric, x)
+    draws = []
+    float_velocity = relmech.checks._float_velocity
+
+    def counted(d, rng, margin):
+        draws.append(d)
+        return float_velocity(d, rng, margin)
+
+    monkeypatch.setattr(relmech.checks, "_float_velocity", counted)
     ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(50):
         got = sample_velocity(metric, x, ours)
         assert got.tobytes() == _numpy_sample_velocity(metric, x, theirs).tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert len(draws) == 50
+
+
+@pytest.mark.parametrize("theta", [0.0, -0.0])
+def test_schwarzschild_pole_takes_the_numpy_draw(monkeypatch, theta):
+    # g_33 is a zero there, which the float draw cannot divide by: the
+    # numpy draw, with its infinite scale, its bits, generator state and
+    # divide-by-zero warning
+    metric = rm.schwarzschild(1.0)
+    x = np.array([0.0, 10.0, theta, 0.3])
+    _no_float_draw(monkeypatch)
+    ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(40):
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = sample_velocity(metric, x, ours)
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = _numpy_sample_velocity(metric, x, theirs)
+        assert got.tobytes() == want.tobytes()
+        assert [(w.category, str(w.message)) for w in got_warnings] == \
+            [(w.category, str(w.message)) for w in want_warnings]
+        assert got_warnings and got_warnings[0].category is RuntimeWarning
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -463,6 +513,18 @@ def test_unreachable_velocity_gives_up_after_200_draws(capsys):
     assert captured.out == ""
     assert captured.err.strip().endswith("velocity sampling failed to find G > margin")
     assert "\n" not in captured.err.strip() and "Traceback" not in captured.err
+
+
+def test_numpy_draw_gives_up_after_200_draws(monkeypatch):
+    # a metric without a form and without a timelike direction: the numpy
+    # draw gives up as the float draw does, after the same draws
+    _no_float_draw(monkeypatch)
+    ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
+    with pytest.raises(rm.ConstraintUnreachable, match="^velocity sampling failed to find G > margin$"):
+        sample_velocity(_formless([-1.0, -1e-13, -1.0, -1.0]), np.zeros(4), ours)
+    for _ in range(200):
+        theirs.standard_normal(4)
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_sample_velocity_on_a_non_diagonal_metric():

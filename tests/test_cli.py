@@ -944,7 +944,8 @@ def test_check_diag_wrong_length_exits_2(capsys):
 
 
 def test_check_without_timelike_direction_exits_2(capsys):
-    # -1,-1e-13,-1,-1 declares no float form (cond 1e13): the numpy draw gives up
+    # -1,-1e-13,-1,-1 (cond 1e13) gives up in the float draw, as -1,-1,-1,-1
+    # does: the draw never inverts g
     for diag in ("-1,-1,-1,-1", "-1,-1e-13,-1,-1"):
         code, out, err = run_cli(capsys, "check", "--metric", "diagonal", f"--diag={diag}")
         assert code == 2

@@ -19,7 +19,7 @@ import relmech as rm
 import relmech.lagrangian as lagrangian
 from relmech.checks import sample_point, sample_velocity
 from relmech.errors import DomainError, NonPositiveG, SingularMetric, StepRejected
-from relmech.geometry import _declare, _diagonal_float_form
+from relmech.geometry import _declare
 from relmech.lagrangian import _float_three_acceleration
 
 from conftest import declared, generic, same_bits, shear_minkowski
@@ -191,6 +191,28 @@ def test_failures_match_generic_path(case, schw):
     assert all(f[1].startswith(want) for f in failures), failures
 
 
+def test_stages_on_a_rejected_metric_raise_at_every_call():
+    # inverse_metric_at rejects diag = 1, -1e-13, -1, -1 at every point; its
+    # form returns the same d at every call, and a geodesic and a
+    # Hamiltonian stage raise inverse_metric_at's error and message at
+    # every call, not at the first alone
+    metric = _near_singular()
+    eb = rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
+    points = [[0.0, 0.0, 0.0, 0.0], [0.5, -1.0, 0.25, 2.0], [0.0, 0.0, 0.0, 0.0]]
+    u = [1.0, 0.1, -0.2, 0.05]
+    for charge in (0.0, 0.5):
+        form, accel = rm.connection_from(metric, eb, 1.0, charge).K._float_stage
+        flow = rm.standard_hamiltonian(metric, eb, 1.0, charge).flow._float_stage[1]
+        for stage in (lambda x: accel(x, u, form(x)), lambda x: flow(x, u)):
+            for x in points:
+                with pytest.raises(SingularMetric) as want:
+                    rm.inverse_metric_at(metric, x)
+                for _ in range(2):
+                    with pytest.raises(SingularMetric) as got:
+                        stage(x)
+                    assert str(got.value) == str(want.value)
+
+
 def test_wall_seen_by_finite_difference_partials_alone(schw):
     # value ends the chart just below the point settled by step 13, whose
     # finite-difference partials read value across the wall: the monitor's
@@ -226,7 +248,7 @@ def test_zero_diagonal_entry_names_the_singular_metric():
     undeclared = rm.MetricField(4, value, lambda x: np.zeros((4, 4, 4)))
     declared = rm.MetricField(4, lambda x: value(x), lambda x: np.zeros((4, 4, 4)))
     declared.value.float_form = declared.partials.float_form = (
-        lambda x: _diagonal_float_form(tuple(value(x).diagonal().tolist()), (), x))
+        lambda x: (tuple(value(x).diagonal().tolist()), ()))
     runs = [(undeclared, np.zeros(4), np.eye(4)[0]), (declared, np.zeros(4), np.eye(4)[0]),
             (rm.schwarzschild(1.0), np.array([0.0, 10.0, 0.0, 0.0]),
              np.eye(4)[0] / math.sqrt(0.8))]
@@ -358,7 +380,7 @@ def _time_dependent_metric():
         return dg
 
     metric = rm.MetricField(4, lambda x: np.diag(entries(x)[0]), partials)
-    return _declare(metric, lambda x: _diagonal_float_form(*entries(x), x))
+    return _declare(metric, entries)
 
 
 CHART_METRICS = {**METRICS, "time-dependent": _time_dependent_metric}
@@ -431,15 +453,11 @@ def _chart_run(model, start, dt=0.5, steps=40):
     return traj.tau, traj.x, traj.u, traj.G
 
 
-def _singular(x):
-    raise SingularMetric(f"metric is numerically singular at x = {x}")
-
-
 def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfield):
     # G fields without a float form of order 1 go through
     # three_acceleration with the bits of the generic run (no float stage at
-    # all); a form that raises SingularMetric sends only the stages where it
-    # raises there
+    # all); a g that inverse_metric_at rejects sends no stage there, since
+    # this picture never inverts g
     eb = rm.uniform_field((0.01, 0.02, -0.01), (0.02, -0.01, 0.03))
     schw_start = rm.ThreeVelocity(0.0, [8.0, 1.1, 0.3], [0.1, 0.03, 0.05])
     flat_start = rm.ThreeVelocity(0.0, [0.3, -0.2, 0.4], [0.1, 0.05, -0.02])
@@ -447,21 +465,14 @@ def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfi
     quartic = dataclasses.replace(n2_gfield, value=lambda x: n2_gfield.value(x),
                                   partials=lambda x: n2_gfield.partials(x))
     quartic.value.float_form = quartic.partials.float_form = rm.minkowski().value.float_form
-    schw_form = schw.value.float_form
-    # (G field, start, the stages of the 4 * 40 that call
-    # three_acceleration, whether the field has the values of the catalog
+    # (G field, start, whether the field has the values of the catalog
     # Schwarzschild field)
     cases = [
-        (quartic, flat_start, "all", False),
-        (dataclasses.replace(gf, value=lambda x: schw.value(x)), schw_start, "all", True),
-        (dataclasses.replace(gf, partials=lambda x: schw.partials(x)), schw_start, "all", True),
+        (quartic, flat_start, False),
+        (dataclasses.replace(gf, value=lambda x: schw.value(x)), schw_start, True),
+        (dataclasses.replace(gf, partials=lambda x: schw.partials(x)), schw_start, True),
         (rm.GTensorField.from_metric(rm.MetricField.from_function(4, schw.value)),
-         schw_start, "all", False),
-        # a form that raises SingularMetric for 4 <= q^0 < 6: the 16
-        # stages in that window, and no other
-        (rm.GTensorField.from_metric(declared(
-            schw, lambda x: _singular(x) if 4.0 <= x[0] < 6.0 else schw_form(x))),
-         schw_start, "window", True),
+         schw_start, False),
     ]
     chart_times = []  # q^0 at each solve of the generic three_acceleration
     solve = lagrangian._solve_three_acceleration
@@ -473,14 +484,11 @@ def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfi
     monkeypatch.setattr(lagrangian, "_solve_three_acceleration", counted)
     want = _chart_run(rm.LagrangianModel(gf, eb, 1.0, 0.5), schw_start)
     assert chart_times == []  # the catalog field's float stage
-    for field, start, path, same in cases:
+    for field, start, same in cases:
         model = rm.LagrangianModel(field, eb, 1.0, 0.5)
         chart_times.clear()
         got = _chart_run(model, start)
-        if path == "all":
-            assert len(chart_times) == 4 * 40
-        else:
-            assert len(chart_times) == 16 and all(4.0 <= q0 < 6.0 for q0 in chart_times)
+        assert len(chart_times) == 4 * 40
         with monkeypatch.context() as m:
             m.setattr(lagrangian, "_float_three_acceleration", lambda model: None)
             generic = _chart_run(model, start)
@@ -489,6 +497,22 @@ def test_chart_time_runs_decline_to_three_acceleration(monkeypatch, schw, n2_gfi
         if same:
             for a, b in zip(got, want):
                 assert same_bits(a, b)
+    # just off the pole (cond ~ 1e14 at every sample of the run) the
+    # catalog field's stage solves in floats, with the generic run's bits
+    pole = rm.ThreeVelocity(0.0, [10.0, 1e-7, 0.0], [0.01, 0.0, 0.02])
+    model = rm.LagrangianModel(gf, eb, 1.0, 0.0)
+    chart_times.clear()
+    got = _chart_run(model, pole)
+    assert chart_times == []
+    for x in got[1]:
+        with pytest.raises(SingularMetric, match="numerically singular"):
+            rm.inverse_metric_at(schw, x)
+    with monkeypatch.context() as m:
+        m.setattr(lagrangian, "_float_three_acceleration", lambda model: None)
+        generic = _chart_run(model, pole)
+    assert len(chart_times) == 4 * 40
+    for a, b in zip(got, generic):
+        assert same_bits(a, b)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's stage divides by 0

@@ -7,11 +7,12 @@ import numpy.testing as npt
 import pytest
 
 import relmech as rm
+import relmech.dynamics as dynamics
 from relmech.errors import DomainError, NonPositiveG, SingularMetric, StepRejected
 
-from conftest import (KEPT_CASES, counting_fields, counting_forms, declared, generic,
+from conftest import (KEPT_CASES, counting_fields, counting_forms, generic,
                       in_threads, random_state, same_bits, shear_minkowski,
-                      stage_acceleration, stage_states, two_region_fields)
+                      stage_acceleration, stage_states, two_region, two_region_fields)
 
 X0 = np.zeros(4)
 X_SCHW = np.array([0.0, 10.0, math.pi / 2, 0.0])
@@ -515,34 +516,36 @@ def test_settled_point_error_names_the_next_step(schw, schw_gf):
 
 
 @pytest.mark.parametrize("projection, wall", [("none", 2.54843075), ("rescale", 2.5484308)])
-def test_settled_point_where_only_the_form_raises(schw, schw_gf, projection, wall):
-    # the plunge of the test above, with a form that raises SingularMetric
-    # behind a wall that only the settled point of step 13 is behind, as
-    # Schwarzschild's form does just above r_min, where value does not
-    # raise: the monitor and the projection there take g_value's G, with
-    # the bits of the form's, and step 14's first stage raises the form's error
-    schw_form = schw.value.float_form
+def test_settled_point_where_only_the_form_raises(monkeypatch, schw, schw_gf, projection,
+                                                  wall):
+    # the plunge of the test above, with a stage whose condition test
+    # raises SingularMetric behind a wall that only the settled point of
+    # step 13 is behind, as Schwarzschild's g fails the test just above
+    # r_min, where value and the form do not raise: the monitor and the
+    # projection there take the form's G, with the bits of g_value's, and
+    # step 14's first stage raises the stage's error
+    check = dynamics._check_diagonal
     raised = []
 
-    def form(x):
+    def walled(d, x):
         if x[1] < wall:
             raised.append(x[1])
             raise SingularMetric(f"metric is numerically singular at x = {x}")
-        return schw_form(x)
+        check(d, x)
 
-    metric = declared(schw, form)
     x0 = np.array([0.0, 3.0, math.pi / 2, 0.0])
     s0 = rm.FourState(x0, rm.project_to_shell(schw_gf, x0, np.array([2.0, -0.5, 0.0, 0.0])))
-    conn, gf = rm.levi_civita_connection(metric), rm.GTensorField.from_metric(metric)
-    got = rm.integrate_geodesic(conn, gf, s0, 0.05, 13, projection)
+    conn = rm.levi_civita_connection(schw)
+    by_g_value = dataclasses.replace(schw_gf, value=lambda x: schw.value(x))
+    want = rm.integrate_geodesic(conn, by_g_value, s0, 0.05, 13, projection)
+    monkeypatch.setattr(dynamics, "_check_diagonal", walled)
+    got = rm.integrate_geodesic(conn, schw_gf, s0, 0.05, 13, projection)
     assert len(raised) == 1
-    want = rm.integrate_geodesic(rm.levi_civita_connection(schw), schw_gf, s0, 0.05, 13,
-                                 projection)
     for a, b in ((got.x, want.x), (got.u, want.u), (got.G, want.G)):
         assert same_bits(a, b)
     assert got.max_constraint_drift == want.max_constraint_drift
     with pytest.raises(SingularMetric, match="numerically singular"):
-        rm.integrate_geodesic(conn, gf, s0, 0.05, 14, projection)
+        rm.integrate_geodesic(conn, schw_gf, s0, 0.05, 14, projection)
     assert len(raised) == 3  # step 13's settled point, then step 14's first stage
 
 
@@ -591,6 +594,48 @@ def test_threads_sharing_a_connection_get_the_serial_bits(schw, mink):
     serial = [runs(s0)() for s0 in starts]
     for got, want in zip(in_threads([runs(s0) for s0 in starts]), serial):
         assert same_bits(got.x, want.x) and same_bits(got.u, want.u)
+
+
+def _stage_outcome(stage, x, u):
+    """The bytes of ``stage(x, u)``, or the message of its SingularMetric."""
+    try:
+        return np.array(stage(x, u)).tobytes()
+    except SingularMetric as exc:
+        return str(exc)
+
+
+def test_threads_sharing_a_stage_across_a_rejected_metric(mink):
+    # Minkowski for x^1 < 0, diag = 1, -1e-13, -1, -1 (which
+    # inverse_metric_at rejects) elsewhere: four threads call one geodesic
+    # and one Hamiltonian stage on their own states.  Each call on the
+    # rejected side raises inverse_metric_at's error; each call on the
+    # other side has the bits of a stage built afresh and called once there
+    metric = two_region(mink, rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0]))
+    potential = KEPT_CASES["minkowski-uniform"][1]
+
+    def stages():
+        form, accel = rm.connection_from(metric, potential, 1.3, 0.7).K._float_stage
+        flow = rm.standard_hamiltonian(metric, potential, 1.3, 0.7).flow._float_stage[1]
+        return (lambda x, u: accel(x, u, form(x))), (lambda x, p: flow(x, p)[0])
+
+    states = [stage_states(mink, seed, 25) for seed in range(4)]
+    for i, stage in enumerate(stages()):
+        fresh = [[_stage_outcome(stages()[i], x, u) for x, u in own] for own in states]
+        for own, want in zip(states, fresh):
+            for (x, _), outcome in zip(own, want):
+                if x[1] < 0.0:
+                    assert isinstance(outcome, bytes)
+                else:
+                    with pytest.raises(SingularMetric) as rejected:
+                        rm.inverse_metric_at(metric, x)
+                    assert outcome == str(rejected.value)
+        assert {type(outcome) for want in fresh for outcome in want} == {bytes, str}
+
+        def calls(own, stage=stage):
+            return lambda: [_stage_outcome(stage, x, u) for _ in range(20) for x, u in own]
+
+        for got, want in zip(in_threads([calls(own) for own in states]), fresh):
+            assert got == want * 20
 
 
 def test_constant_fields_build_the_soldering_matrix_once(monkeypatch, mink, mink_gf, uniform_b):

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import relmech as rm
 from relmech.errors import DimensionMismatch, DomainError, SingularMetric
-from relmech.geometry import fd_partials
+from relmech.geometry import _check_diagonal, fd_partials
 from relmech.hamiltonian import _dginv
 
 from conftest import dense_minkowski, random_point, same_bits, shear_minkowski
@@ -523,14 +523,14 @@ def _schwarzschild_points(big_m):
     rm.diagonal_metric([1e308, 1e308, -1.0, -1.0]),
     rm.diagonal_metric([1e308, 1e308, -1e308, -1e308])])
 def test_metric_float_forms_equal_value_and_partials(metric):
-    # the form has the bits of value and partials, and raises their errors
-    # and inverse_metric_at's SingularMetric with their messages, also where
-    # g has a zero entry or the sum of |g_aa| is not finite; a constant
-    # metric that inverse_metric_at rejects at every point declares no form
+    # the form has the bits of value and partials and raises their errors
+    # with their messages, also where inverse_metric_at rejects g, g has a
+    # zero entry or the sum of |g_aa| is not finite.  The stages' condition
+    # test on the form's d raises inverse_metric_at's SingularMetric with
+    # its message where that raises, and passes elsewhere
     never = metric.params.get("diag") in ((1e308, 1e308, -1.0, -1.0), (1.0, -1e-13, -1.0, -1.0))
-    form = getattr(metric.value, "float_form", None)
-    assert getattr(metric.partials, "float_form", None) is form
-    assert (form is None) == never
+    form = metric.value.float_form
+    assert metric.partials.float_form is form
     if metric.catalog_id == "schwarzschild":
         points = _schwarzschild_points(metric.params["M"])
     else:
@@ -542,18 +542,20 @@ def test_metric_float_forms_equal_value_and_partials(metric):
             seen.add("raises")
             assert _outcome(form, x.tolist()) == want
             continue
-        singular = _outcome(lambda x: rm.inverse_metric_at(metric, x), x)
-        if isinstance(singular, tuple):
-            seen.add("singular")
-            assert never or _outcome(form, x.tolist()) == singular
-            continue
-        seen.add("form")
         d, slopes = form(x.tolist())
         dg = np.zeros((metric.dim,) * 3)
         for mu, a, v in slopes:
             dg[mu, a, a] = v
         assert same_bits(np.diag(d), want)
         assert same_bits(dg, metric.partials(x))
+        singular = _outcome(lambda x: rm.inverse_metric_at(metric, x), x)
+        tested = _outcome(lambda x: _check_diagonal(d, x), x.tolist())
+        if isinstance(singular, tuple):
+            seen.add("singular")
+            assert tested == singular
+        else:
+            seen.add("form")
+            assert tested is None
     if metric.catalog_id == "schwarzschild":
         assert seen == {"raises", "singular", "form"}
     elif never:
@@ -570,28 +572,50 @@ def test_inverse_metric_at_names_a_listed_point_as_an_array():
 
 
 def test_constant_metric_forms_test_their_condition_once(monkeypatch):
-    # d never changes, so the test is made when the metric is built; one
-    # that fails it declares no form, and inverse_metric_at names the point
-    # at each read
+    # a constant metric's form returns the same d at every read and makes
+    # no condition test, also where inverse_metric_at rejects g; a float
+    # stage tests that d at its first call, and only then if it passes;
+    # inverse_metric_at names the point at each read
+    import relmech.dynamics as dynamics
     import relmech.geometry as geometry
+    import relmech.hamiltonian as hamiltonian
 
     metrics = [rm.minkowski(), rm.diagonal_metric([1.5, -0.75, -2.0, -1.25]),
                rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0])]
     points = ([0.5, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    tested = []
 
-    def condition_test(d, slopes, x):
+    def condition_test(d, x):
         raise AssertionError("a read made the condition test")
 
-    monkeypatch.setattr(geometry, "_diagonal_float_form", condition_test)
-    for metric, x in zip(metrics[:2], points):
-        assert metric.value.float_form(x) == (tuple(np.diag(metric.value(x))), ())
-    monkeypatch.undo()
-    assert not hasattr(metrics[2].value, "float_form")
-    assert not hasattr(metrics[2].partials, "float_form")
-    for x in points:
-        want = _outcome(lambda x: rm.inverse_metric_at(metrics[2], x), np.array(x))
-        assert want[0] is SingularMetric
-        assert f"x = {np.array(x)} " in want[1]
+    def counted(d, x):
+        tested.append(d)
+        _check_diagonal(d, x)
+
+    monkeypatch.setattr(geometry, "_check_diagonal", condition_test)
+    for metric in metrics:
+        form = metric.value.float_form
+        assert metric.partials.float_form is form
+        for x in points:
+            assert form(x) is form(points[0])
+            assert form(x) == (tuple(np.diag(metric.value(x))), ())
+    monkeypatch.setattr(dynamics, "_check_diagonal", counted)
+    monkeypatch.setattr(hamiltonian, "_check_diagonal", counted)
+    u = [1.0, 0.0, 0.0, 0.0]
+    for metric in metrics:
+        form, accel = rm.levi_civita_connection(metric).K._float_stage
+        flow = rm.standard_hamiltonian(metric, rm.zero_potential(4)).flow._float_stage[1]
+        for stage in (lambda x: accel(x, u, form(x)), lambda x: flow(x, u)):
+            tested.clear()
+            for x in points * 2:
+                want = _outcome(lambda x: rm.inverse_metric_at(metric, x), np.array(x))
+                if metric is metrics[2]:
+                    assert want[0] is SingularMetric
+                    assert f"x = {np.array(x)} " in want[1]
+                    assert _outcome(stage, x) == want
+                else:
+                    stage(x)
+            assert len(tested) == (4 if metric is metrics[2] else 1)
 
 
 @pytest.mark.parametrize("potential, center", [
