@@ -134,10 +134,10 @@ def _float_acceleration(metric: MetricField, potential: PotentialField,
     ``accel(x, u, f)`` takes lists x, u and f = form(x) = (d, slopes), g =
     diag(d).  It first raises the SingularMetric of ``K`` where
     :func:`inverse_metric_at` rejects g (:func:`geometry._check_diagonal`),
-    except for the d object that passed the test last: a constant metric,
-    whose form returns the same d at every call, is tested once per run.
-    The one d kept holds that object alive, so no other object can take its
-    identity.  The connection term is a^l = (dd[l] . u^2 / 2 - u^l (dd[:, l]
+    except for the d object that passed the test last, which it keeps
+    alive, so no other object can take its identity: a constant metric,
+    whose form returns the same d at every call, is tested at the first
+    call alone.  The connection term is a^l = (dd[l] . u^2 / 2 - u^l (dd[:, l]
     . u)) / d_l with dd[mu, a] = d_mu g_aa: O(m^2) work instead of the
     symbols' O(m^3).  Both sums run left to right from 0.0 over the entries
     that can be nonzero, which gives the bits of numpy's own loop over the

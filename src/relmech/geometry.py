@@ -49,6 +49,8 @@ constant metric the same d and slopes, and ``zero_potential`` and
 ``uniform_field`` the same slopes, so such a field builds the matrix once
 per run.  Where a form returns new objects at every call, as Schwarzschild's
 and ``coulomb_potential``'s do, the stage builds the matrix at every call.
+The two stages that test d skip the test, on the same promises, for the d
+object that passed it last: a constant metric is tested at the first call.
 
 The forms also serve block reads: :func:`metric_at`,
 :func:`inverse_metric_at`, the connection symbols, :func:`faraday_at` and
@@ -329,13 +331,14 @@ def diagonal_metric(entries: Sequence[float]) -> MetricField:
 
 def _constant_metric(entries: list, catalog_id: str, params: dict) -> MetricField:
     """The metric diag(entries) with zero partials, and its float form,
-    which returns the same d and slopes at every call: a float stage then
-    makes the condition test once per run, and at the first stage of every
-    run where :func:`inverse_metric_at` rejects d."""
+    which returns the same d and slopes at every call: a float stage that
+    tests d tests it at its first call alone where it passes, and raises at
+    every call where :func:`inverse_metric_at` rejects d."""
     g = np.diag(entries)
     dg = np.zeros((len(entries),) * 3)
-    f = tuple(float(v) for v in entries), ()
-    return _declare(MetricField(len(f[0]), lambda x: g.copy(), lambda x: dg.copy(),
+    d = tuple(float(v) for v in entries)
+    f = d, ()
+    return _declare(MetricField(len(d), lambda x: g.copy(), lambda x: dg.copy(),
                                 catalog_id, params), lambda x: f)
 
 

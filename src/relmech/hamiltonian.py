@@ -193,8 +193,7 @@ def _float_flow(std: StandardData):
     (dH/dp, -dH/dx) as one list, w = p - eA, v = w / d and g = diag(d) from
     the metric's float form, read once, whose errors it raises, and then
     the SingularMetric of ``flow`` where :func:`inverse_metric_at` rejects
-    g, tested on d once per d object, as :func:`dynamics._float_acceleration`
-    tests it.  With
+    g, tested on d as :func:`dynamics._float_acceleration` tests it.  With
     dd[mu, a] = d_mu g_aa the flow is dH/dp = v / mass and -dH/dx = dd (v^2)
     / (2 mass) + (e / mass) dA v, from d_lam g^{aa} = -dd[lam, a] / d_a^2:
     O(m^2) work instead of the O(m^3) partials of the inverse.  v is w times

@@ -11,9 +11,9 @@ The digest covers, in a fixed order:
 * ``relmech check`` on the four catalog metrics and on five diagonal
   metrics at the edge of the checks (``1e-200,...`` and ``3,-1e-11,-1,-7``;
   ``-1,-1,-1,-1``, where no velocity has G > 0 and the sampler gives up;
-  ``-1,-1e-13,-1,-1``, where the numpy draw gives up, since it declares no
-  float form; ``1,-1e-13,-1,-1``, which declares none either, so its
-  samples are drawn on numpy arrays and its fields read row by row), at
+  ``-1,-1e-13,-1,-1``, which gives up too, with a condition number of 1e13
+  that the draw never tests; ``1,-1e-13,-1,-1``, which
+  ``inverse_metric_at`` rejects at every point), at
   seeds 0-3 with 50 and 1025 samples (1025 is one sample past a block):
   the exit code, the JSON report and stderr;
 * each demo under ``demos/``, run in process with warnings as errors, as
@@ -29,10 +29,12 @@ The digest covers, in a fixed order:
   is about 1e14, so the geodesic and Hamiltonian runs fail and the
   chart-time run, which never inverts g, completes, runs
   on ``diag = 1e308,1e308,-1e308,-1e308``, whose entries are finite but
-  whose sum of |g_aa| overflows, and three-velocity runs on every stage
-  that Python floats cannot follow: a near-singular diagonal metric, one
-  whose Gbar^(3/2) underflows, one whose Gbar overflows, and a plunge
-  towards Schwarzschild's horizon; and a three-velocity run at q^0 = 1e20,
+  whose sum of |g_aa| overflows, three-velocity runs where g is too badly
+  conditioned to invert, which that picture never does (a near-singular
+  diagonal metric and a plunge towards Schwarzschild's horizon), and on
+  every stage that Python floats cannot follow: a metric whose Gbar^(3/2)
+  underflows and one whose Gbar overflows; and a three-velocity run at
+  q^0 = 1e20,
   where q^0 + dt rounds back to q^0 and the lift rejects the chart times.
   Each is hashed as the workload operations are.
 
