@@ -29,7 +29,7 @@ from .dynamics import (
     levi_civita_connection,
     project_to_shell,
 )
-from .errors import COMPUTATION_ERRORS, ConstraintUnreachable
+from .errors import COMPUTATION_ERRORS, ConstraintUnreachable, SingularMetric
 from .geometry import (
     GTensorField,
     MetricField,
@@ -97,9 +97,10 @@ def sample_velocity(metric: MetricField, x, rng: np.random.Generator,
     Where the metric declares a float form, d comes from it and a draw is
     made in Python floats with the bits of the numpy draw: the same
     ``standard_normal`` calls, entrywise products, and the sum of sig u u
-    left to right, as numpy sums fewer than 8 entries.  A point where an
-    entry of d is zero or d is not finite (Schwarzschild's pole, for one)
-    takes the numpy draw, which divides by zero and warns as numpy does.
+    left to right, as numpy sums fewer than 8 entries.  A point where d is
+    not finite takes the numpy draw.  Where an entry of d, or an eigenvalue
+    of g, is zero (Schwarzschild's pole, for one), the frame has no finite
+    scale, and the draw raises :class:`SingularMetric`.
     """
     x = _check_point(x, metric.dim)
     form = _float_form(metric) if x.ndim == 1 and metric.dim < 8 else None
@@ -112,6 +113,8 @@ def sample_velocity(metric: MetricField, x, rng: np.random.Generator,
     frame = None
     if d is None:
         d, frame = np.linalg.eigh(g)
+    if not d.all():
+        raise SingularMetric(f"metric is singular at x = {x}")
     sig = np.sign(d)
     scale = 1.0 / np.sqrt(np.abs(d))
     k = int(np.argmax(sig > 0))

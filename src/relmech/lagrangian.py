@@ -35,6 +35,7 @@ from .geometry import (
     Array,
     GTensorField,
     PotentialField,
+    _diagonal,
     _dot,
     _fields_at,
     _first_failure,
@@ -331,7 +332,9 @@ def three_acceleration(model: LagrangianModel, t: ThreeVelocity) -> Array:
         M_ij = -mass [ (2N - 1) g_red_ij / Gbar^e1
                        - e1 2N c_i c_j / Gbar^(e1 + 1) ].
 
-    So one evaluation of Ebar at w = 0 and one linear solve give w.
+    So one evaluation of Ebar at w = 0 and one linear solve give w: for
+    N = 1 and a diagonal g the closed form :func:`_diagonal_solve`, else
+    ``np.linalg.solve``.  A singular M raises ``np.linalg.LinAlgError``.
     """
     return _solve_three_acceleration(model, t.point, t.v)
 
@@ -340,11 +343,32 @@ def _solve_three_acceleration(model: LagrangianModel, x: Array, v: Array) -> Arr
     """:func:`three_acceleration` at the chart point x = (q^0, q) and
     three-velocity v, arrays."""
     base, g_red, c, gbar, n2 = _three_euler_lagrange(model, x, v, np.zeros(v.size))
+    d = _diagonal(g_red) if n2 == 2 else None
+    if d is not None:
+        return np.array(_diagonal_solve(d.tolist(), v.tolist(), base.tolist(),
+                                        gbar ** 0.5, model.mass))
     c = c[1:]
     e1 = 1.0 - 1.0 / n2
     mat = -model.mass * ((n2 - 1) * g_red[1:, 1:] / gbar ** e1
                          - e1 * n2 * np.outer(c, c) / gbar ** (e1 + 1.0))
     return np.linalg.solve(mat, -base)
+
+
+def _diagonal_solve(d: list, v: list, ebar: list, ge1: float, mass: float) -> list:
+    """w from Ebar + M w = 0 for N = 1 and g = diag(d), with ge1 = Gbar^(1/2):
+    M = -(mass / ge1) (diag(d_i) - c c^T / Gbar), c_i = d_i v^i, and
+    Gbar - sum d_i (v^i)^2 = d_0, so Sherman-Morrison gives
+    w_i = (ge1 / mass) (Ebar_i / d_i + v^i (v . Ebar) / d_0).  M is singular
+    exactly where an entry of d is 0 (matrix determinant lemma), and there
+    this raises ``np.linalg.LinAlgError``, as a solve does."""
+    if 0.0 in d:
+        raise np.linalg.LinAlgError("Singular matrix")
+    s = 0.0
+    for vi, e in zip(v, ebar):
+        s += vi * e
+    s /= d[0]
+    scale = ge1 / mass
+    return [scale * (e / di + vi * s) for e, di, vi in zip(ebar, d[1:], v)]
 
 
 def _listed_three_acceleration(model: LagrangianModel, x: list, v: list) -> list:
@@ -372,7 +396,8 @@ def _float_three_acceleration(model: LagrangianModel):
     c = d u, (dg . u) and dg_dir . u have one term per entry, copied in
     floats with + 0.0 for numpy's +0, while Gbar = c . u, the rows
     (dg . u) . u, v . dd[1:], (dg_dir . u) . u and F[1:, 1:] v each stay one
-    ``np.dot`` of numpy's shape, and the solve stays ``np.linalg.solve``.
+    ``np.dot`` of numpy's shape, and the solve is the closed form of
+    :func:`_diagonal_solve` that ``three_acceleration`` makes for such a g.
     A slope-free metric, or a potential without spatial slopes in
     F[1:, 1:], makes those products +0 without a call.  F[1:, 0] and the
     F[1:, 1:] array (None without spatial slopes) are kept in an
@@ -437,12 +462,7 @@ def _float_three_acceleration(model: LagrangianModel):
             f0, block = faraday(potential_form(x)[1])
             fv = [0.0] * n if block is None else np.dot(block, np.array(v)).tolist()
             ebar = [e + charge * (t + f) for e, t, f in zip(ebar, fv, f0)]
-        # (2N - 1) g_red and e1 2N c c^T carry factors 1 and 1.0, exact
-        cs = c[1:]
-        mat = [-mass * ((d[i] if i == j else 0.0) / ge1 - ci * cj / ge2)
-               for i, ci in enumerate(cs, 1) for j, cj in enumerate(cs, 1)]
-        return np.linalg.solve(np.array(mat).reshape(n, n),
-                               np.array([-e for e in ebar])).tolist()
+        return _diagonal_solve(d, v, ebar, ge1, mass)
 
     return stage
 

@@ -188,9 +188,15 @@ def generic(model):
     """A copy of a Connection or HamiltonianModel whose ``K`` or ``flow`` is a
     plain wrapper of the original, which carries no float stage: the
     integrators then call it at every stage (the generic path: inverse
-    metric and connection symbols) instead of their float stages."""
+    metric and connection symbols) instead of their float stages.  A
+    LagrangianModel's copy wraps its G field's callables, which then declare
+    no float form, so every chart-time stage calls ``three_acceleration``."""
     if isinstance(model, rm.Connection):
         return dataclasses.replace(model, K=lambda x, u: model.K(x, u))
+    if isinstance(model, rm.LagrangianModel):
+        gf = model.gfield
+        return dataclasses.replace(model, gfield=dataclasses.replace(
+            gf, value=lambda x: gf.value(x), partials=lambda x: gf.partials(x)))
     return dataclasses.replace(model, flow=lambda x, p: model.flow(x, p))
 
 

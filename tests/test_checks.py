@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -453,24 +454,34 @@ def test_point_where_g_is_badly_conditioned_takes_the_float_draw(monkeypatch, me
 @pytest.mark.parametrize("theta", [0.0, -0.0])
 def test_schwarzschild_pole_takes_the_numpy_draw(monkeypatch, theta):
     # g_33 is a zero there, which the float draw cannot divide by: the
-    # numpy draw, with its infinite scale, its bits, generator state and
-    # divide-by-zero warning
+    # numpy draw finds the zero and raises before it draws, with no warning
+    # and the generator untouched
     metric = rm.schwarzschild(1.0)
     x = np.array([0.0, 10.0, theta, 0.3])
     _no_float_draw(monkeypatch)
-    ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
-    for _ in range(40):
-        with warnings.catch_warnings(record=True) as got_warnings:
-            warnings.simplefilter("always")
-            got = sample_velocity(metric, x, ours)
-        with warnings.catch_warnings(record=True) as want_warnings:
-            warnings.simplefilter("always")
-            want = _numpy_sample_velocity(metric, x, theirs)
-        assert got.tobytes() == want.tobytes()
-        assert [(w.category, str(w.message)) for w in got_warnings] == \
-            [(w.category, str(w.message)) for w in want_warnings]
-        assert got_warnings and got_warnings[0].category is RuntimeWarning
-    assert ours.bit_generator.state == theirs.bit_generator.state
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(rm.SingularMetric) as got:
+            sample_velocity(metric, x, rng)
+    assert str(got.value) == f"metric is singular at x = {x}"
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("g", [
+    np.diag([1.0, -1.0, 0.0, -1.0]),  # a zero entry of d
+    np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],  # eigh gives (-1, -1, 0, 2)
+              [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0]]),
+])
+def test_metric_without_a_form_where_g_is_singular_raises(g):
+    metric = rm.MetricField(4, lambda x: g.copy(), lambda x: np.zeros((4, 4, 4)))
+    x = np.array([0.0, 0.5, -1.0, 2.0])
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    with pytest.raises(rm.SingularMetric, match=re.escape(f"metric is singular at x = {x}")):
+        sample_velocity(metric, x, rng)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("mass", [1.0, 2.5])

@@ -448,6 +448,33 @@ def test_chart_time_stage_errors_are_three_accelerations(schw):
     assert outcomes == [DomainError, NonPositiveG, DomainError]
 
 
+def test_chart_time_system_singular_where_g_00_vanishes():
+    # g = diag(1 - q^0, 1, -1, -1): at q^0 = 1, d_0 = 0 while Gbar = v_1^2
+    # stays positive, so the chart-time system for w is singular (matrix
+    # determinant lemma) and both paths raise as a singular solve does; a
+    # run stepping onto it names the last good chart time
+    def entries(x):
+        return (1.0 - float(x[0]), 1.0, -1.0, -1.0), ((0, 0, -1.0),)
+
+    def partials(x):
+        dg = np.zeros((4, 4, 4))
+        dg[0, 0, 0] = -1.0
+        return dg
+
+    metric = _declare(rm.MetricField(4, lambda x: np.diag(entries(x)[0]), partials), entries)
+    model = rm.LagrangianModel(rm.GTensorField.from_metric(metric), rm.zero_potential(4), 1.0, 0.0)
+    v = [0.5, 0.0, 0.0]
+    with pytest.raises(np.linalg.LinAlgError):
+        _float_three_acceleration(model)([1.0, 0.0, 0.0, 0.0], v)
+    with pytest.raises(np.linalg.LinAlgError):
+        rm.three_acceleration(model, rm.ThreeVelocity(1.0, np.zeros(3), np.array(v)))
+    with pytest.raises(SingularMetric) as got:
+        rm.integrate_three_velocity(model, rm.ThreeVelocity(0.0, np.zeros(3), np.array(v)),
+                                    0.25, 8)
+    assert str(got.value) == ("chart-time system for w is singular "
+                              "(last good chart time q^0 = 0.75)")
+
+
 def _chart_run(model, start, dt=0.5, steps=40):
     traj = rm.integrate_three_velocity(model, start, dt, steps, 1, 3)
     return traj.tau, traj.x, traj.u, traj.G

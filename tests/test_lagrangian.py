@@ -15,7 +15,7 @@ from relmech.errors import (DimensionMismatch, DomainError, NonMonotoneTime, Non
 from relmech.geometry import contract_all, faraday_at
 
 from conftest import (CHART_FIELDS, KEPT_CASES, chart_field, in_threads, random_state,
-                      same_bits, stage_states, two_region_fields)
+                      same_bits, shear_minkowski, stage_states, two_region_fields)
 from test_cli import _reference_three_velocity
 
 X0 = np.zeros(4)
@@ -358,6 +358,47 @@ def test_three_el_consistent_with_full_derivative(charged_model, mink_gf):
         npt.assert_allclose(cal[0], -u0 * float(v @ ebar), rtol=1e-9, atol=1e-12)
 
 
+#: (metric, potential) pairings of the projection test; "shear" is the
+#: non-diagonal chart of ``conftest.shear_minkowski``
+_PROJECTION_PAIRS = {
+    "minkowski-uniform": (rm.minkowski,
+                          lambda: rm.uniform_field((0.3, -0.2, 0.5), (0.1, 0.4, -0.7))),
+    "schwarzschild-coulomb": (lambda: rm.schwarzschild(1.0),
+                              lambda: rm.coulomb_potential(0.8, (5.0, 5.0, 5.0))),
+    "diagonal-uniform": (lambda: rm.diagonal_metric((1.5, -0.75, -2.0, -1.25)),
+                         lambda: rm.uniform_field((0.3, -0.2, 0.5), (1.0, 2.0, -0.7))),
+    "shear-uniform": (lambda: shear_minkowski(0.9)[0],
+                      lambda: rm.uniform_field((0.3, -0.2, 0.5), (0.1, 0.4, -0.7))),
+}
+
+
+@pytest.mark.parametrize("pair", sorted(_PROJECTION_PAIRS))
+def test_chart_time_acceleration_is_the_projected_geodesic_one(pair):
+    # N = 1: along u = (1, v) / Gbar^(1/2), v = u^i / u^0 has
+    # dv/dq^0 = (a^i - v^i a^0) / (u^0)^2 with a the charged geodesic
+    # acceleration, so three_acceleration must give it: in closed form on the
+    # diagonal metrics, by LAPACK on the shear chart.  Worst gap over these
+    # 1,000 states per pairing: 5.5e-15 of max |w| on the diagonal metrics
+    # (Schwarzschild), 3.1e-14 on the shear chart; the bound leaves 30x
+    make_metric, make_potential = _PROJECTION_PAIRS[pair]
+    metric, potential = make_metric(), make_potential()
+    gf = rm.GTensorField.from_metric(metric)
+    rng = np.random.default_rng([19, sorted(_PROJECTION_PAIRS).index(pair)])
+    for k in range(1000):
+        mass, charge = ((1.0, 0.0), (1.3, 0.7), (0.4, -2.0), (2.0, 1.0))[k % 4]
+        model = rm.LagrangianModel(gf, potential, mass, charge)
+        conn = rm.connection_from(metric, potential, mass, charge)
+        x, u = random_state(metric, gf, rng)
+        uhat = np.concatenate(([1.0], u[1:] / u[0]))
+        v = uhat[1:]
+        u = uhat / rm.g_value(gf, x, uhat) ** 0.5
+        a = rm.geodesic_rhs(conn, x, u)
+        want = (a[1:] - v * a[0]) / u[0] ** 2
+        got = rm.three_acceleration(model, rm.ThreeVelocity(x[0], x[1:], v))
+        gap, scale = np.max(np.abs(got - want)), np.max(np.abs(want))
+        assert gap <= 1e-12 * scale, (x, v, mass, charge, gap, scale)
+
+
 # -- determined equation and the two conservation statements -------------------------
 
 def test_constraint_rate_identity(charged_model, n2_gfield):
@@ -501,7 +542,26 @@ def _reference_three_euler_lagrange(model, t, w):
 
 
 def _reference_three_acceleration(model, t):
-    """``three_acceleration`` before the shared helper, verbatim."""
+    """``three_acceleration``'s bits: for N = 1 and a diagonal g the
+    Sherman-Morrison closed form, w_i = (Gbar^(1/2) / mass) (Ebar_i / d_i +
+    v^i (v . Ebar) / d_0), with v . Ebar summed left to right from 0.0;
+    else :func:`_lapack_three_acceleration`."""
+    _, _, gt, gbar, n2 = _reference_reduced_pieces(model, t)
+    if n2 != 2 or not np.array_equal(gt, np.diag(np.diag(gt))):
+        return _lapack_three_acceleration(model, t)
+    base = _reference_three_euler_lagrange(model, t, np.zeros(t.v.size))
+    d = np.diag(gt)
+    if not d.all():
+        raise np.linalg.LinAlgError("Singular matrix")
+    v_ebar = 0.0
+    for vi, e in zip(t.v.tolist(), base.tolist()):
+        v_ebar += vi * e
+    return (gbar ** 0.5 / model.mass) * (base / d[1:] + t.v * (v_ebar / d[0]))
+
+
+def _lapack_three_acceleration(model, t):
+    """``three_acceleration`` as it stood with one LAPACK solve for every
+    field, verbatim: a tolerance oracle for the closed form."""
     _, uhat, gt, gbar, n2 = _reference_reduced_pieces(model, t)
     base = _reference_three_euler_lagrange(model, t, np.zeros(t.v.size))
     g_red = contract_all(gt, uhat, n2 - 2)
@@ -510,6 +570,13 @@ def _reference_three_acceleration(model, t):
     mat = -model.mass * ((n2 - 1) * g_red[1:, 1:] / gbar ** e1
                          - e1 * n2 * np.outer(c, c) / gbar ** (e1 + 1.0))
     return np.linalg.solve(mat, -base)
+
+
+def _assert_near_lapack(w, model, t):
+    """w within 1e-12 of max |w| of the LAPACK solve of the same system (the
+    worst gap on the states of the two tests below is 2.8e-14 of it)."""
+    want = _lapack_three_acceleration(model, t)
+    assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 _CHART_POTENTIALS = {
@@ -540,8 +607,9 @@ def test_chart_local_rhs_bits_equal_reference(request, field, potential):
         if k % 8 == 0:
             w = np.zeros(3)
         t = rm.ThreeVelocity(x[0], x[1:], v)
-        assert same_bits(rm.three_acceleration(model, t),
-                         _reference_three_acceleration(model, t))
+        got = rm.three_acceleration(model, t)
+        assert same_bits(got, _reference_three_acceleration(model, t))
+        _assert_near_lapack(got, model, t)
         assert same_bits(rm.three_euler_lagrange(model, t, w),
                          _reference_three_euler_lagrange(model, t, w))
 
@@ -553,8 +621,9 @@ def test_chart_local_rhs_bits_at_rest_and_origin(mink_gf, n2_gfield):
         for pot in (rm.zero_potential(4), rm.uniform_field((0.0, 0.0, 0.0), (0.0, 0.0, 1.0))):
             for mass, charge in ((1.0, 0.0), (2.0, -1.0)):
                 model = rm.LagrangianModel(gf, pot, mass=mass, charge=charge)
-                assert same_bits(rm.three_acceleration(model, t),
-                                 _reference_three_acceleration(model, t))
+                got = rm.three_acceleration(model, t)
+                assert same_bits(got, _reference_three_acceleration(model, t))
+                _assert_near_lapack(got, model, t)
                 for w in (np.zeros(3), np.array([0.0, -1.0, 0.0])):
                     assert same_bits(rm.three_euler_lagrange(model, t, w),
                                      _reference_three_euler_lagrange(model, t, w))

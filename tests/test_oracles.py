@@ -2,13 +2,15 @@
 
 The equations of motion are derived here with sympy from the metric and the
 potential written out as formulas: the geodesic equation from the Lagrangian
-L = (m/2) g_{mu nu} u^mu u^nu + e A_mu u^mu, and Hamilton's equations from
-H = g^{mu nu} (p - eA)_mu (p - eA)_nu / (2m).  They are turned into numpy
-functions with ``lambdify`` and integrated with scipy's DOP853 at rtol and
-atol 1e-12 (Hairer, Norsett & Wanner, Solving ODEs I, 1993).  relmech's RK4
-runs must approach these solutions at fourth order, both through the
-integrators' O(m^2) float stages for the catalog fields and through the
-generic path (inverse metric and connection symbols).
+L = (m/2) g_{mu nu} u^mu u^nu + e A_mu u^mu, Hamilton's equations from
+H = g^{mu nu} (p - eA)_mu (p - eA)_nu / (2m), and the chart-time equation
+from Lbar = m (g_{mu nu} uhat^mu uhat^nu)^(1/2) + e (A_0 + v . A) with
+uhat = (1, v).  They are turned into numpy functions with ``lambdify`` and
+integrated with scipy's DOP853 at rtol and atol 1e-12 (Hairer, Norsett &
+Wanner, Solving ODEs I, 1993).  relmech's RK4 runs must approach these
+solutions at fourth order, both through the integrators' float stages for
+the catalog fields and through the generic path (inverse metric and
+connection symbols, or ``three_acceleration`` at every chart-time stage).
 
 The ISCO test needs neither: it starts from the closed-form circular orbits
 of Schwarzschild and predicts the radial turning points, or their absence,
@@ -34,6 +36,7 @@ from conftest import generic
 
 COORDS = sympy.symbols("x0:4", real=True)
 VELOCITIES = sympy.symbols("u0:4", real=True)
+THREE_VELOCITIES = sympy.symbols("v1:4", real=True)
 MOMENTA = sympy.symbols("p0:4", real=True)
 
 DIAG = (1.5, -0.75, -2.0, -1.25)
@@ -118,6 +121,29 @@ def equations(name):
             lambda xx: np.array(sym(xx), dtype=float))
 
 
+@functools.lru_cache(maxsize=None)
+def chart_time_equation(name):
+    """Numpy function f(x, v) -> w of the chart-time equation for one case,
+    at x = (q^0, q), for mass 1 and the case's charge.
+
+    Ebar_i = dLbar/dq^i - d/dq^0 (dLbar/dv^i) is affine in w = dv/dq^0:
+    d/dq^0 (dLbar/dv) = (d_0 + v^j d_j) dLbar/dv + (d^2 Lbar / dv dv) w, so
+    Ebar = 0 is one 3 x 3 linear solve with the Hessian of Lbar in v."""
+    charge = CASES[name][2]
+    g = CASES[name][3]()
+    a_form = sympy.Matrix(CASES[name][4]())
+    v = sympy.Matrix(THREE_VELOCITIES)
+    uhat = sympy.Matrix([1, *THREE_VELOCITIES])
+    lbar = sympy.sqrt((uhat.T * g * uhat)[0]) + charge * (a_form.T * uhat)[0]
+    dl_dv = sympy.Matrix([sympy.diff(lbar, vi) for vi in v])
+    dl_dq = sympy.Matrix([sympy.diff(lbar, qi) for qi in COORDS[1:]])
+    rate = sympy.lambdify((COORDS, THREE_VELOCITIES),
+                          list(dl_dq - dl_dv.jacobian(COORDS) * uhat), "numpy")
+    hessian = sympy.lambdify((COORDS, THREE_VELOCITIES), dl_dv.jacobian(v).tolist(), "numpy")
+    return lambda xx, vv: np.linalg.solve(np.array(hessian(xx, vv), dtype=float),
+                                          np.array(rate(xx, vv), dtype=float))
+
+
 def reference(rhs, y0, taus):
     """DOP853 solution of y' = rhs(y) sampled at ``taus``, shape (len, 8)."""
     sol = solve_ivp(lambda _, y: rhs(y), (0.0, taus[-1]), y0, method="DOP853",
@@ -165,6 +191,26 @@ def hamiltonian_gap(name, metric, potential, charge, s0, span, dt, path=_as_buil
     return np.max(np.abs(np.hstack((traj.x, traj.p)) - want))
 
 
+def chart_time_gap(name, span, dt, path=_as_built):
+    """Largest gap in (q, v) between relmech's chart-time run from the case's
+    x0 and three-velocity v0 over q^0 in [0, span] and the reference;
+    ``path`` maps the model to the one integrated."""
+    make_metric, make_potential, charge, _, _, x0, v0 = CASES[name][:7]
+    steps = round(span / dt)
+    model = path(rm.LagrangianModel(rm.GTensorField.from_metric(make_metric()),
+                                    make_potential(), 1.0, charge))
+    traj = rm.integrate_three_velocity(model, rm.ThreeVelocity(x0[0], x0[1:], v0),
+                                       dt, steps, 1, steps // 10)
+    accel = chart_time_equation(name)
+    q0 = traj.x[:, 0]
+    sol = solve_ivp(lambda t, y: np.concatenate((y[3:], accel([t, *y[:3]], y[3:]))),
+                    (x0[0], q0[-1]), np.concatenate((x0[1:], v0)), method="DOP853",
+                    t_eval=q0, rtol=1e-12, atol=1e-12)
+    assert sol.success
+    got = np.hstack((traj.x[:, 1:], traj.u[:, 1:] / traj.u[:, :1]))
+    return np.max(np.abs(got - sol.y.T))
+
+
 @pytest.mark.parametrize("picture", ["geodesic", "hamiltonian"])
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_rk4_converges_to_reference(name, picture):
@@ -174,6 +220,22 @@ def test_rk4_converges_to_reference(name, picture):
     for path in (_as_built, generic):
         coarse = gap(name, metric, potential, charge, s0, span, dt, path)
         fine = gap(name, metric, potential, charge, s0, span, dt / 2, path)
+        assert fine > 1e-9 and coarse / fine >= MIN_RATIO, (coarse, fine)
+
+
+#: chart-time spans that differ from the case's proper-time span: on the
+#: euclidean orbit u^0 falls to 0 near q^0 = 3.45, where v diverges
+CHART_SPANS = {"euclidean-uniform": 2.0}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_chart_time_rk4_converges_to_reference(name):
+    # the case's proper-time step serves as the chart-time step
+    span, dt = CASES[name][7:]
+    span = CHART_SPANS.get(name, span)
+    for path in (_as_built, generic):
+        coarse = chart_time_gap(name, span, dt, path)
+        fine = chart_time_gap(name, span, dt / 2, path)
         assert fine > 1e-9 and coarse / fine >= MIN_RATIO, (coarse, fine)
 
 
