@@ -42,6 +42,7 @@ from .geometry import (
     _identity_cache,
     _power,
     _scalar,
+    _scatter,
     _vecmat,
     faraday_at,
     g_value,
@@ -158,13 +159,10 @@ def _float_acceleration(metric: MetricField, potential: PotentialField,
     m = metric.dim
 
     def solder(d, slopes_a):
-        faraday = [0.0] * (m * m)  # F = dA - dA^T, row by row
-        for lam, mu, v in slopes_a:
-            faraday[lam * m + mu] += v
-            faraday[mu * m + lam] -= v
+        da = _scatter(slopes_a, m)  # F = dA - dA^T, row by row
         row = [ratio * (1.0 / di) for di in d]
-        return np.array([c * v for l, c in enumerate(row)
-                         for v in faraday[l * m:l * m + m]]).reshape(m, m)
+        return np.array([c * (da[l * m + k] - da[k * m + l]) for l, c in enumerate(row)
+                         for k in range(m)]).reshape(m, m)
 
     soldering = _identity_cache(solder)
     passed = None  # the last d that passed the condition test
@@ -387,8 +385,7 @@ def integrate_geodesic(c: Connection, gfield: GTensorField, s0, dt: float,
     m = x.size
     drift = abs(g0 - 1.0)
     form, accel = getattr(c.K, "_float_stage", (None, None))
-    monitor = (accel is not None and gfield.order_half == 1
-               and getattr(gfield.value, "float_form", None) is form)
+    monitor = accel is not None and _float_form(gfield) is form
 
     if accel is None:
         def rhs(y):

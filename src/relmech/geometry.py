@@ -19,22 +19,24 @@ sign of the usual textbook Christoffel symbols,
 so that the free geodesic equation reads ``a^lam = C[mu, lam, nu] u^mu u^nu``
 with no minus sign.  Keep this in mind when comparing against other codes.
 
-Float forms.  The catalog fields also declare their values in Python floats,
-for the integrators' RK4 stages, as ``float_form`` on both of their
-callables: a diagonal metric's form gives ``(d, slopes)`` with g = diag(d)
-and ``slopes`` the (mu, a, d_mu g_aa) entries that can be nonzero, in that
-index order; a potential's form gives ``(A, slopes)`` with the (lam, mu,
-d_lam A_mu) entries that can be nonzero and ``A()`` the components, computed
-only when called, since most stages read the slopes alone.  Each number has
-the bits of ``value`` or ``partials``.  A form only reads the field: it
-gives its numbers or raises what ``value`` and ``partials`` raise there,
-with their messages.  Whether g can be inverted is for the two float
-stages that stand in for g^-1 to decide, the geodesic and the Hamiltonian
-one: each makes the condition test of :func:`inverse_metric_at` on d,
+Float forms.  Each catalog field is declared once, by its float form: a
+function of the point that gives the field's numbers as floats.  The
+integrators' RK4 stages read it, and :func:`_from_form` derives ``value``
+and ``partials`` from it, so they have its bits by construction; both
+carry it as ``float_form``.  A diagonal metric's form gives ``(d,
+slopes)`` with g = diag(d) and ``slopes`` the (mu, a, d_mu g_aa) entries
+that can be nonzero, in that index order; a potential's form gives ``(A,
+slopes)`` with the (lam, mu, d_lam A_mu) entries that can be nonzero and
+``A()`` the components, computed only when called, since most stages read
+the slopes alone.  A form only reads the field: it gives its numbers or
+raises what ``value`` and ``partials`` raise there, with their messages.
+Whether g can be inverted is for the two float stages
+that stand in for g^-1 to decide, the geodesic and the Hamiltonian one:
+each makes the condition test of :func:`inverse_metric_at` on d,
 :func:`_check_diagonal`, before it divides by d.  A field whose ``value``
-or ``partials`` was replaced declares no form (:func:`_float_form`), and a
-``from_function`` field declares one only when both of its callables carry
-the same form.
+or ``partials`` was replaced declares no form (:func:`_float_form`), nor
+does a G field of order N > 1, and a ``from_function`` field declares one
+only when both of its callables carry the same form.
 
 The float stages keep the force matrix they build from a form's d and
 slopes in an :func:`_identity_cache`: one entry, keyed by the identity of
@@ -53,12 +55,12 @@ The two stages that test d skip the test, on the same promises, for the d
 object that passed it last: a constant metric is tested at the first call.
 
 The forms also serve block reads: :func:`metric_at`,
-:func:`inverse_metric_at`, the connection symbols, :func:`faraday_at` and
-the batched kernels of the other modules read a batch of points through
-:func:`_fields_at`, one form call per row for the callables a reader names
-(g and its partials together, where it reads both), with the bits and the
-errors of the per-row loop :func:`_field_at`.  :func:`g_value` reads G, and
-a block read reads a potential's A, row by row.
+:func:`inverse_metric_at`, the connection symbols, :func:`faraday_at`,
+:func:`g_value` and the batched kernels of the other modules read a batch
+of points through :func:`_fields_at`, one form call per row for the
+callables a reader names (a field and its partials together, where it
+reads both), with the bits and the errors of the per-row loop
+:func:`_field_at`.
 """
 
 from __future__ import annotations
@@ -230,17 +232,15 @@ def _fields_at(field, x, *names: str) -> list:
     raise, and both callables of a field with a form fail at the same rows,
     so that is the error of the per-row loop too.  A metric's form reads the
     row as a list of floats, which is faster and rounds alike; a
-    potential's form reads the array row, since it computes with the numpy
-    scalars of the callables, and so warns where they warn.  A potential's
-    A is read row by row: its form also computes the slopes, which ``value``
-    does not, and which can warn where A does not.  A single point, and a
-    field without a form, take the per-row loop.
+    potential's form reads the array row, as its callables pass it, since
+    it computes with numpy scalars, and so warns where they warn.  A single
+    point, and a field without a form, take the per-row loop.
     """
     x = np.asarray(x)
     m = field.dim
     potential = isinstance(field, PotentialField)
     batch = x.ndim > 1 and x.size and x.shape[-1] == m
-    form = _float_form(field) if batch and not (potential and "value" in names) else None
+    form = _float_form(field) if batch else None
     if form is None:
         return [_field_at(getattr(field, name), x) for name in names]
     rows = x.reshape(-1, m)
@@ -258,7 +258,7 @@ def _fields_at(field, x, *names: str) -> list:
         for value, flat, size in reads:
             base = i * size
             if value:
-                for k, v in enumerate(entries):
+                for k, v in enumerate(entries() if potential else entries):
                     flat[base + k * mu_step] = v
             else:
                 for lam, mu, v in slopes:
@@ -330,16 +330,12 @@ def diagonal_metric(entries: Sequence[float]) -> MetricField:
 
 
 def _constant_metric(entries: list, catalog_id: str, params: dict) -> MetricField:
-    """The metric diag(entries) with zero partials, and its float form,
-    which returns the same d and slopes at every call: a float stage that
-    tests d tests it at its first call alone where it passes, and raises at
-    every call where :func:`inverse_metric_at` rejects d."""
-    g = np.diag(entries)
-    dg = np.zeros((len(entries),) * 3)
-    d = tuple(float(v) for v in entries)
-    f = d, ()
-    return _declare(MetricField(len(d), lambda x: g.copy(), lambda x: dg.copy(),
-                                catalog_id, params), lambda x: f)
+    """The metric diag(entries) with zero partials, whose float form
+    returns the same d and slopes at every call: a float stage that tests d
+    tests it at its first call alone where it passes, and raises at every
+    call where :func:`inverse_metric_at` rejects d."""
+    f = tuple(float(v) for v in entries), ()
+    return _from_form(MetricField, len(entries), lambda x: f, catalog_id, params)
 
 
 def schwarzschild(mass: float = 1.0) -> MetricField:
@@ -353,41 +349,13 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
         raise ValueError(f"schwarzschild mass must be positive, got {big_m!r}")
     r_min = 2.0 * big_m * (1.0 + 1e-9)
 
-    def check(x):
+    def form(x):
         r = x[1]
         if not r > r_min:
             raise DomainError(
                 f"schwarzschild chart requires r > 2M = {2 * big_m:g}; got r = {r:g}"
             )
-
-    def value(x):
-        check(x)
-        r, th = float(x[1]), float(x[2])  # Python floats: the same bits, sooner
-        f = 1.0 - 2.0 * big_m / r
-        s2 = math.sin(th) ** 2
-        g = np.zeros((4, 4))  # filled in place: faster than np.diag of a list
-        g[0, 0], g[1, 1], g[2, 2], g[3, 3] = f, -1.0 / f, -r * r, -r * r * s2
-        return g
-
-    def partials(x):
-        check(x)
-        r, th = float(x[1]), float(x[2])
-        f = 1.0 - 2.0 * big_m / r
-        df = 2.0 * big_m / (r * r)
-        s, c = math.sin(th), math.cos(th)
-        dg = np.zeros((4, 4, 4))
-        dg[1, 0, 0] = df
-        dg[1, 1, 1] = df / (f * f)
-        dg[1, 2, 2] = -2.0 * r
-        dg[1, 3, 3] = -2.0 * r * s * s
-        dg[2, 3, 3] = -2.0 * r * r * s * c
-        return dg
-
-    def form(x):  # value's and partials' formulas, once
-        r = x[1]
-        if not r > r_min:
-            check(x)
-        r, th = float(r), float(x[2])
+        r, th = float(r), float(x[2])  # Python floats: the same bits, sooner
         f = 1.0 - 2.0 * big_m / r
         df = 2.0 * big_m / (r * r)
         s, c = math.sin(th), math.cos(th)
@@ -395,7 +363,7 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
             (1, 0, df), (1, 1, df / (f * f)), (1, 2, -2.0 * r),
             (1, 3, -2.0 * r * s * s), (2, 3, -2.0 * r * r * s * c))
 
-    return _declare(MetricField(4, value, partials, "schwarzschild", {"M": big_m}), form)
+    return _from_form(MetricField, 4, form, "schwarzschild", {"M": big_m})
 
 
 def catalog_metric(name: str, *, dim: int = 4, mass: float = 1.0,
@@ -507,10 +475,50 @@ def _declare(field, form: Callable):
     return field
 
 
+def _from_form(cls, dim: int, form: Callable, *args):
+    """The ``cls`` field (a metric or a potential) of dimension ``dim``
+    whose float ``form`` is its one declaration: ``value`` and ``partials``
+    put the form's numbers into zeros, so they have its bits and raise and
+    warn where it does.  A metric's ``value`` is diag(d), a potential's the
+    array of A(); ``partials`` places each slope.  ``args`` are the field's
+    other constructor arguments."""
+    if cls is PotentialField:
+        def value(x):
+            return np.array(form(x)[0](), dtype=float)
+
+        def partials(x):
+            return np.array(_scatter(form(x)[1], dim)).reshape(dim, dim)
+    else:
+        def value(x):
+            g = np.zeros((dim, dim))
+            g.reshape(-1)[::dim + 1] = form(x)[0]
+            return g
+
+        def partials(x):
+            dg = np.zeros((dim, dim, dim))
+            for mu, a, v in form(x)[1]:
+                dg[mu, a, a] = v
+            return dg
+    return _declare(cls(dim, value, partials, *args), form)
+
+
+def _scatter(slopes, m: int) -> list:
+    """A potential form's (lam, mu, d_lam A_mu) slopes as d_lam A_mu at
+    lam * m + mu of a flat list of m * m floats, zeros elsewhere."""
+    da = [0.0] * (m * m)
+    for lam, mu, v in slopes:
+        da[lam * m + mu] = v
+    return da
+
+
 def _float_form(field) -> Optional[Callable]:
     """The float form that ``value`` and ``partials`` of ``field`` both
     declare, else None: replacing either callable drops it, and a wrapper
-    made with ``functools.wraps`` keeps it."""
+    made with ``functools.wraps`` keeps it.  A G field has a form only for
+    N = 1, where G is a metric; one of higher order that carries a
+    metric's callables has none."""
+    if getattr(field, "order_half", 1) != 1:
+        return None
     form = getattr(field.value, "float_form", None)
     return form if getattr(field.partials, "float_form", None) is form else None
 
@@ -589,12 +597,9 @@ class PotentialField:
 
 
 def zero_potential(dim: int = 4) -> PotentialField:
-    a = np.zeros(dim)
-    da = np.zeros((dim, dim))
     zeros = (0.0,) * dim
-    form = (lambda: zeros), ()
-    return _declare(PotentialField(dim, lambda x: a.copy(), lambda x: da.copy()),
-                    lambda x: form)
+    f = (lambda: zeros), ()
+    return _from_form(PotentialField, dim, lambda x: f)
 
 
 def uniform_field(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> PotentialField:
@@ -610,21 +615,17 @@ def uniform_field(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> Potential
     if ee.shape != (3,) or bb.shape != (3,):
         raise DimensionMismatch("uniform_field takes 3-component E and B")
 
-    da = np.zeros((4, 4))
-    da[1:, 0] = ee          # d_i A_0 = E_i
-    da[3, 1] = bb[1]        # d_3 A_1 = B_2
-    da[1, 2] = bb[2]        # d_1 A_2 = B_3
-    da[2, 3] = bb[0]        # d_2 A_3 = B_1
-    da += 0.0               # a -0.0 component is a zero slope, as the form lists it
-
+    e1, e2, e3 = ee.tolist()
     b1, b2, b3 = bb.tolist()
-    slopes = tuple((int(lam), int(mu), float(da[lam, mu])) for lam, mu in zip(*np.nonzero(da)))
+    # d_i A_0 = E_i, d_3 A_1 = B_2, d_1 A_2 = B_3, d_2 A_3 = B_1; a zero
+    # component, -0.0 too, gives no slope
+    slopes = tuple((lam, mu, v) for lam, mu, v in (
+        (1, 0, e1), (1, 2, b3), (2, 0, e2), (2, 3, b1), (3, 0, e3), (3, 1, b2)) if v != 0.0)
 
     def components(x):
         return float(np.dot(ee, np.asarray(x[1:4]))), b2 * x[3], b3 * x[1], b1 * x[2]
 
-    return _declare(PotentialField(4, lambda x: np.array(components(x)), lambda x: da.copy()),
-                    lambda x: ((lambda: components(x)), slopes))
+    return _from_form(PotentialField, 4, lambda x: ((lambda: components(x)), slopes))
 
 
 def coulomb_potential(charge: float, center=(0.0, 0.0, 0.0)) -> PotentialField:
@@ -636,38 +637,20 @@ def coulomb_potential(charge: float, center=(0.0, 0.0, 0.0)) -> PotentialField:
 
     c1, c2, c3 = c.tolist()
 
-    def offset(x):
-        """x - center and its length (np.linalg.norm's bits), raising at the center."""
+    def form(x):
         d = [x[1] - c1, x[2] - c2, x[3] - c3]
         a = np.array(d)
-        rho = math.sqrt(a.dot(a))
+        rho = math.sqrt(a.dot(a))  # np.linalg.norm's bits
         if rho < 1e-12:
             raise DomainError("coulomb potential is singular at its center")
-        return d, rho
-
-    def value(x):
-        out = np.zeros(4)
-        out[0] = q / offset(x)[1]
-        return out
-
-    def slopes(d, rho):
         try:
             rho3 = rho ** 3
         except OverflowError:  # as numpy's power gives it
             rho3 = math.inf
-        return tuple((i, 0, -q * v / rho3) for i, v in enumerate(d, 1))
+        return (lambda: (q / rho, 0.0, 0.0, 0.0)), tuple(
+            (i, 0, -q * v / rho3) for i, v in enumerate(d, 1))
 
-    def partials(x):
-        da = np.zeros((4, 4))
-        for lam, mu, v in slopes(*offset(x)):
-            da[lam, mu] = v
-        return da
-
-    def form(x):
-        d, rho = offset(x)
-        return (lambda: (q / rho, 0.0, 0.0, 0.0)), slopes(d, rho)
-
-    return _declare(PotentialField(4, value, partials), form)
+    return _from_form(PotentialField, 4, form)
 
 
 def faraday_at(potential: PotentialField, x) -> Array:
@@ -751,7 +734,7 @@ def g_value(gfield: GTensorField, x, u):
     u = _check_point(u, gfield.dim, "vector")
     if u.shape != x.shape:
         raise DimensionMismatch(f"vector shape {u.shape} differs from point shape {x.shape}")
-    t = _field_at(gfield.value, x)
+    t = _fields_at(gfield, x, "value")[0]
     rank = t.ndim - x.ndim + 1
     if rank != 2 * gfield.order_half:
         raise DimensionMismatch(

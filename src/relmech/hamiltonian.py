@@ -37,11 +37,11 @@ from .geometry import (
     PotentialField,
     _check_diagonal,
     _dot,
-    _field_at,
     _fields_at,
     _float_form,
     _identity_cache,
     _inverse,
+    _scatter,
     fd_partials,
     inverse_metric_at,
     metric_at,
@@ -182,7 +182,7 @@ def _kinetic(std: StandardData, x, p) -> Array:
     charge 0, where the potential is not read."""
     if std.charge == 0.0:
         return np.asarray(p, dtype=float)
-    return p - std.charge * _field_at(std.potential.value, x)
+    return p - std.charge * _fields_at(std.potential, x, "value")[0]
 
 
 def _float_flow(std: StandardData):
@@ -213,13 +213,7 @@ def _float_flow(std: StandardData):
         return None
     m = metric.dim
 
-    def build_da(slopes_a, _):
-        da = [0.0] * (m * m)
-        for lam, mu, val in slopes_a:
-            da[lam * m + mu] = val
-        return np.array(da).reshape(m, m)
-
-    da_matrix = _identity_cache(build_da)
+    da_matrix = _identity_cache(lambda slopes_a, _: np.array(_scatter(slopes_a, m)).reshape(m, m))
     passed = None  # the last d that passed the condition test
 
     def stage(x, p):
@@ -409,9 +403,9 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     mixed = np.einsum("...mln,...n->...lm", dginv, w)
     da = None
     if e != 0.0:
-        da = _fields_at(std.potential, x, "partials")[0]
+        da, a = _fields_at(std.potential, x, "partials", "value")
         mixed = mixed - e * np.einsum("...ln,...mn->...lm", ginv, da)
-        ea = e * _field_at(std.potential.value, x)
+        ea = e * a
         w = (w + ea) - ea  # p - eA recomputed from p, as H's own gradient does
     gx = _standard_dh_dx(std, w, ginv, dginv, da)  # dH/dx at p
     return _dot(mixed / m, gp) - _dot(ginv, gx) / m

@@ -44,6 +44,7 @@ from .geometry import (
     _norm,
     _power,
     _scalar,
+    _scatter,
     contract_all,
     faraday_at,
     g_value,
@@ -406,7 +407,7 @@ def _float_three_acceleration(model: LagrangianModel):
     in a uniform field.
     """
     gf, mass, charge = model.gfield, model.mass, model.charge
-    form = _float_form(gf) if gf.order_half == 1 else None
+    form = _float_form(gf)
     potential_form = _float_form(model.potential) if charge != 0.0 else None
     if form is None or (charge != 0.0 and potential_form is None):
         return None
@@ -416,9 +417,7 @@ def _float_three_acceleration(model: LagrangianModel):
     def build_faraday(slopes_a, _):
         """(F[1:, 0], F[1:, 1:]), the block None where it has no entry that
         can be nonzero."""
-        da = [0.0] * (m * m)
-        for lam, mu, val in slopes_a:
-            da[lam * m + mu] = val
+        da = _scatter(slopes_a, m)
         block = None
         if any(lam > 0 and mu > 0 for lam, mu, _ in slopes_a):
             block = np.array([da[i * m + j] - da[j * m + i] for i in range(1, m)
@@ -485,6 +484,15 @@ def integrate_three_velocity(model: LagrangianModel, start: ThreeVelocity,
     A failure names the last good chart time q^0, not a proper time; a
     singular system for w (at the polar axis, for one) raises
     :class:`SingularMetric`.
+
+    Chart time is a parameter of the motion only while u^0 keeps its sign.
+    Where u^0 passes through 0, the condition that
+    :class:`relmech.kinematics.ZeroTimeVelocity` names, v = u / u^0 grows
+    without bound as q^0 nears that point (on a euclidean metric in a
+    uniform E and B field, for one), and the run ends as
+    :class:`StepRejected` "non-finite chart state (last good chart time
+    q^0 = ...)" once the state or a stage overflows; ``relmech simulate``
+    exits 3 with that line.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")

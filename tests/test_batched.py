@@ -1,6 +1,7 @@
 """Batched kernels: a stack of N points gives, row for row, the bits of N
 single-point calls (``np.array_equal``, not a tolerance)."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -11,7 +12,8 @@ import pytest
 import relmech as rm
 from relmech.checks import _CHECK_B, _CHECK_E, sample_point, sample_velocity
 from relmech.dynamics import geodesic_condition_terms
-from relmech.geometry import _christoffel_and_inverse, _field_at, _fields_at, contract_all
+from relmech.geometry import (_christoffel_and_inverse, _field_at, _fields_at, _float_form,
+                              contract_all)
 from relmech.hamiltonian import _bracket, _dginv, _standard_dh_dx
 from relmech.lagrangian import _velocity_form_pieces
 
@@ -287,18 +289,13 @@ def test_block_reads_equal_per_row_reads(name):
         x, _, _ = _states(rm.schwarzschild(1.0), 30, seed=4)  # r > 3: off every center
     else:
         x = np.random.default_rng(4).uniform(-2.0, 2.0, (30, field.dim))
-    potential = isinstance(field, rm.PotentialField)
     for batch in (x, x.reshape(5, 6, field.dim), x[:1]):
         for names in (("value",), ("partials",), ("value", "partials"), ("partials", "value")):
             before = dict(calls)
             got = _fields_at(counted, batch, *names)
             rows = batch.size // field.dim
-            if potential and "value" in names:  # A is read row by row
-                assert calls["form"] == before["form"]
-                assert calls["value"] - before["value"] == rows
-            else:
-                assert calls["form"] - before["form"] == rows
-                assert calls["value"] == before["value"]
+            assert calls["form"] - before["form"] == rows
+            assert calls["value"] == before["value"]
             for out, which in zip(got, names):
                 assert _same_bits(out, _per_row(getattr(field, which), batch))
     if isinstance(field, rm.PotentialField):
@@ -318,6 +315,20 @@ def _near_horizon_rows():
                   [0.2, 9.0, 0.7, 2.0], [0.3, 2.0 + 4e-9, 2.0, 1.0],
                   [0.4, 2.0 + 1e-5, 0.5, 4.0]])
     return rm.schwarzschild(1.0), x
+
+
+def test_float_form_is_for_order_one_alone(n2_gfield):
+    # an N = 2 G field that carries a metric's callables has no float form:
+    # g_value reads a batch row by row through its own value
+    quartic = dataclasses.replace(n2_gfield, value=lambda x: n2_gfield.value(x),
+                                  partials=lambda x: n2_gfield.partials(x))
+    quartic.value.float_form = quartic.partials.float_form = rm.minkowski().value.float_form
+    assert _float_form(quartic) is None
+    rng = np.random.default_rng(6)
+    x = rng.uniform(-2.0, 2.0, (7, 4))
+    u = rng.standard_normal((7, 4))
+    want = np.array([contract_all(n2_gfield.value(xi), ui, 4) for xi, ui in zip(x, u)])
+    assert _same_bits(rm.g_value(quartic, x, u), want)
 
 
 def test_block_read_where_inverse_metric_at_raises_reads_the_form():
@@ -371,6 +382,7 @@ def test_block_read_warns_as_the_callables():
               np.array([[0.0, 1.0, 1.0, 1e10], [0.0, 1.0, 1.0, 1.0]])),
              (rm.coulomb_potential(0.4, center=(-1e308, 0.0, 0.0)),
               np.array([[0.0, 1e308, 1.0, 1.0], [0.0, 2.0, 1.0, 1.0]]))]
+    heard, read = {}, {}
     for potential, x in cases:
         for name in ("value", "partials"):
             with warnings.catch_warnings(record=True) as rows:
@@ -381,4 +393,14 @@ def test_block_read_warns_as_the_callables():
                 got, = _fields_at(potential, x, name)
             assert _same_bits(got, want)
             assert [str(w.message) for w in block] == [str(w.message) for w in rows]
+            heard[name], read[name] = [str(w.message) for w in rows], want
     assert rows
+    # at Coulomb's first row x^1 - center^1 overflows; value also computes
+    # the slopes there, so it warns as partials does, and both give A = 0
+    # and the slopes -q (x - center) / |x - center|^3 = (nan, -0, -0)
+    assert heard["value"] == heard["partials"]
+    with np.errstate(all="ignore"):
+        da = np.zeros((4, 4))
+        da[1:, 0] = -0.4 * np.array([math.inf, 1.0, 1.0]) / math.inf
+    assert _same_bits(read["value"][0], np.zeros(4))
+    assert _same_bits(read["partials"][0], da)

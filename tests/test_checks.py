@@ -209,19 +209,17 @@ def test_form_reads_per_identity_sample(monkeypatch):
     # soldering's inverse, and g and dg for each of two residuals (5);
     # bracket: inverse and partials in each of two flows (4); RHS agreement:
     # the connection (2) and second_order_rhs's g and partials (2), which
-    # inverts the g it has read.
-    # project_to_shell's g_value reads ``value`` row by row (1).  The
-    # potential's form: F in noether, the soldering and the connection (3),
-    # dA in each flow (2) and in second_order_rhs (1); A is read row by row,
-    # in each flow (2) and in second_order_rhs (1).
+    # inverts the g it has read; project_to_shell's G (1).  The potential's
+    # form: F in noether, the soldering and the connection (3), A and dA in
+    # each flow (2 each), and A with dA together in second_order_rhs (1).
     metric, metric_calls = counting_forms(rm.schwarzschild(1.0))
     potential, potential_calls = counting_forms(rm.uniform_field(_CHECK_E, _CHECK_B))
     want = run_invariant_checks("schwarzschild", samples=100)
     monkeypatch.setattr(relmech.checks, "catalog_metric", lambda *args, **kwargs: metric)
     monkeypatch.setattr(relmech.checks, "uniform_field", lambda e, b: potential)
     assert run_invariant_checks("schwarzschild", samples=100) == want
-    assert metric_calls == {"value": 100, "partials": 0, "form": 100 * 19}
-    assert potential_calls == {"value": 100 * 3, "partials": 0, "form": 100 * 6}
+    assert metric_calls == {"value": 0, "partials": 0, "form": 100 * 20}
+    assert potential_calls == {"value": 0, "partials": 0, "form": 100 * 8}
 
 
 # -- batched evaluation ---------------------------------------------------------

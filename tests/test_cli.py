@@ -535,9 +535,10 @@ def _count_chart_time_stages(tmp_path, capsys, monkeypatch):
 
 
 def test_three_velocity_four_accelerations_per_step(tmp_path, capsys, monkeypatch):
-    # the G field keeps the metric's float form: each RK4 stage reads it once
+    # the G field keeps the metric's float form: each RK4 stage reads it
+    # once, and the lift reads it once per sample in each of its two G reads
     calls, forms = _count_chart_time_stages(tmp_path, capsys, monkeypatch)
-    assert (calls, forms) == (0, 4 * 25)
+    assert (calls, forms) == (0, 4 * 25 + 2 * 26)
 
 
 def test_three_velocity_generic_field_four_accelerations_per_step(tmp_path, capsys,
