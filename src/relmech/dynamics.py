@@ -159,8 +159,9 @@ def _float_acceleration(metric: MetricField, potential: PotentialField,
     m = metric.dim
 
     def solder(d, slopes_a):
-        da = _scatter(slopes_a, m)  # F = dA - dA^T, row by row
+        da = _scatter(slopes_a, m)
         row = [ratio * (1.0 / di) for di in d]
+        # ratio g^{ll} F[l, k], F = dA - dA^T, row by row
         return np.array([c * (da[l * m + k] - da[k * m + l]) for l, c in enumerate(row)
                          for k in range(m)]).reshape(m, m)
 

@@ -30,10 +30,10 @@ slopes)`` with the (lam, mu, d_lam A_mu) entries that can be nonzero and
 ``A()`` the components, computed only when called, since most stages read
 the slopes alone.  A form only reads the field: it gives its numbers or
 raises what ``value`` and ``partials`` raise there, with their messages.
-Whether g can be inverted is for the two float stages
-that stand in for g^-1 to decide, the geodesic and the Hamiltonian one:
-each makes the condition test of :func:`inverse_metric_at` on d,
-:func:`_check_diagonal`, before it divides by d.  A field whose ``value``
+Whether g can be inverted is for the two float stages that stand in for
+g^-1 to decide, the geodesic and the Hamiltonian one: each makes the
+condition test of :func:`inverse_metric_at` on d, :func:`_check_diagonal`,
+before it divides by d.  A field whose ``value``
 or ``partials`` was replaced declares no form (:func:`_float_form`), nor
 does a G field of order N > 1, and a ``from_function`` field declares one
 only when both of its callables carry the same form.
