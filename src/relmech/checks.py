@@ -6,13 +6,17 @@ residual against a pinned tolerance.  Reports are plain dictionaries so they
 serialize to JSON unchanged; given the same (metric, samples, seed) the
 report is fully deterministic.
 
-Samples are drawn one at a time, in the order a per-sample loop would draw
-them; where the metric declares a float form, each velocity is drawn in
-Python floats from its d = g_aa, with the bits and the random numbers of
-the numpy draw.  Each identity is then evaluated on a block of up to
-``_BLOCK`` samples at once through the batched kernels, which give every
-sample the bits its own evaluation would and read the block's fields
-through the float forms (:func:`relmech.geometry._fields_at`).
+An identity takes its samples in blocks of up to ``_BLOCK`` (1024), and
+draws each block whole, in this order: the block's points in one call,
+then its velocities, then the identity's other normal draws (the
+acceleration of the Noether identity, the momentum of the bracket) in one
+call.  The velocities are rejection sampled in rounds: each round draws
+one normal vector for every row still rejected, in row order, in one call,
+so the block size is part of the random-number order and of the report.
+Each identity is then evaluated on the block at once through the batched
+kernels, which give every sample the bits its own evaluation would and read
+the block's fields through the float forms
+(:func:`relmech.geometry._fields_at`).
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from .geometry import (
     _diagonal,
     _dot,
     _fields_at,
+    _first_failure,
     _float_form,
     _norm,
     catalog_metric,
@@ -71,78 +76,100 @@ _BLOCK = 1024
 
 
 def sample_point(metric: MetricField, rng: np.random.Generator) -> np.ndarray:
-    """A pseudo-random chart point inside the metric's domain.
+    """A pseudo-random chart point inside the metric's domain: one row of
+    :func:`_points`."""
+    return _points(metric, rng, 1)[0]
 
-    A Schwarzschild point is drawn in one ``rng.random(4)`` call as
-    low + (high - low) r, which gives the bits and leaves the generator in
-    the state of one scalar ``rng.uniform(low, high)`` call per coordinate.
+
+def _points(metric: MetricField, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` pseudo-random chart points (n, m) inside the metric's domain,
+    drawn in one call.
+
+    A Schwarzschild point is low + (high - low) r for r from
+    ``rng.random``, which gives the bits and leaves the generator in the
+    state of one scalar ``rng.uniform(low, high)`` call per coordinate.
     """
     if metric.catalog_id == "schwarzschild":
         big_m = metric.params.get("M", 1.0)
         low = np.array([-1.0, 3.0 * big_m, 0.4, 0.0])
         high = np.array([1.0, 20.0 * big_m, math.pi - 0.4, 2.0 * math.pi])
-        return low + (high - low) * rng.random(4)
-    return rng.uniform(-2.0, 2.0, metric.dim)
+        return low + (high - low) * rng.random((n, 4))
+    return rng.uniform(-2.0, 2.0, (n, metric.dim))
 
 
 def sample_velocity(metric: MetricField, x, rng: np.random.Generator,
                     margin: float = 0.05) -> np.ndarray:
-    """A pseudo-random velocity with G(x, u) > margin.
+    """A pseudo-random velocity with G(x, u) > margin at the point ``x``, or
+    at each row of a batch x (..., m).
 
     Components are drawn in an orthonormal frame of the metric with the
     first positive-signature direction boosted, then rejection sampled on the
-    sign of the form.  A diagonal metric is its own frame; any other metric
-    takes the eigenvectors of ``np.linalg.eigh``.
-
-    Where the metric declares a float form, d comes from it and a draw is
-    made in Python floats with the bits of the numpy draw: the same
-    ``standard_normal`` calls, entrywise products, and the sum of sig u u
-    left to right, as numpy sums fewer than 8 entries.  A point where d is
-    not finite takes the numpy draw.  Where an entry of d, or an eigenvalue
-    of g, is zero (Schwarzschild's pole, for one), the frame has no finite
-    scale, and the draw raises :class:`SingularMetric`.
+    sign of the form.  A diagonal metric is its own frame, with d = g_aa
+    from its float form where it declares one; any other metric takes the
+    eigenvectors of ``np.linalg.eigh``.  The draw goes in rounds: each draws
+    one ``rng.standard_normal`` vector for every row still rejected, in row
+    order and in one call, and a row that no round accepts in 200 raises
+    :class:`ConstraintUnreachable`.  A single point is a batch of one: the
+    same ``standard_normal`` draws as one call per round.  Where an entry of
+    d, or an eigenvalue of g, is zero (Schwarzschild's pole, for one), the
+    frame has no finite scale, and the draw raises :class:`SingularMetric`
+    before it draws.  Of a batch, the first row whose draw fails raises.
     """
     x = _check_point(x, metric.dim)
-    form = _float_form(metric) if x.ndim == 1 and metric.dim < 8 else None
-    if form is not None:
-        d = form(x.tolist())[0]
-        if 0.0 not in d and all(map(math.isfinite, d)):
-            return _float_velocity(d, rng, margin)
-    g = metric_at(metric, x)
-    d = _diagonal(g)
-    frame = None
-    if d is None:
-        d, frame = np.linalg.eigh(g)
-    if not d.all():
-        raise SingularMetric(f"metric is singular at x = {x}")
+    u, error = _velocities(metric, x.reshape(-1, metric.dim), rng, margin)
+    if error is not None:
+        raise error
+    return u.reshape(x.shape)
+
+
+def _velocities(metric: MetricField, x: np.ndarray, rng: np.random.Generator,
+                margin: float) -> tuple:
+    """:func:`sample_velocity` at the points x (n, m): ``(u, error)``, where
+    ``u`` holds the velocities of the rows before the first row whose draw
+    fails and ``error`` is what that row raises, None if none fails.  The
+    rounds draw for those rows alone."""
+    form = _float_form(metric)
+    ds, frames, error = [], {}, None
+    try:
+        if form is not None:
+            for row in x.tolist():
+                ds.append(form(row)[0])
+        else:
+            for row in x:
+                g = metric_at(metric, row)
+                d = _diagonal(g)
+                if d is None:
+                    d, frames[len(ds)] = np.linalg.eigh(g)
+                ds.append(d)
+    except COMPUTATION_ERRORS as exc:
+        error = exc
+    d = np.array(ds, dtype=float).reshape(len(ds), x.shape[-1])
+    zero = _first_failure(d.all(axis=-1))
+    if zero is not None:
+        d, error = d[:zero], SingularMetric(f"metric is singular at x = {x[zero]}")
+    n, m = d.shape
     sig = np.sign(d)
     scale = 1.0 / np.sqrt(np.abs(d))
-    k = int(np.argmax(sig > 0))
+    boost = np.argmax(sig > 0, axis=-1)
+    u = np.empty((n, m))
+    todo = np.arange(n)
     for _ in range(200):
-        n = rng.standard_normal(metric.dim)
-        uhat = 0.5 * n
-        uhat[k] = math.copysign(1.0 + abs(n[k]), n[k])
-        if float(np.sum(sig * uhat * uhat)) > margin:
-            return scale * uhat if frame is None else frame @ (scale * uhat)
-    raise ConstraintUnreachable("velocity sampling failed to find G > margin")
-
-
-def _float_velocity(d: tuple, rng: np.random.Generator, margin: float) -> np.ndarray:
-    """:func:`sample_velocity` for g = diag(d), d finite and nonzero, in
-    Python floats."""
-    sig = [1.0 if v > 0.0 else -1.0 for v in d]
-    scale = [1.0 / math.sqrt(abs(v)) for v in d]
-    k = sig.index(1.0) if 1.0 in sig else 0
-    for _ in range(200):
-        n = rng.standard_normal(len(d)).tolist()
-        uhat = [0.5 * v for v in n]
-        uhat[k] = math.copysign(1.0 + abs(n[k]), n[k])
-        total = 0.0
-        for s, v in zip(sig, uhat):
-            total += s * v * v
-        if total > margin:
-            return np.array([c * v for c, v in zip(scale, uhat)])
-    raise ConstraintUnreachable("velocity sampling failed to find G > margin")
+        if not todo.size:
+            break
+        z = rng.standard_normal((todo.size, m))
+        uhat = 0.5 * z
+        rows, k = np.arange(todo.size), boost[todo]
+        uhat[rows, k] = np.copysign(1.0 + np.abs(z[rows, k]), z[rows, k])
+        keep = np.sum(sig[todo] * uhat * uhat, axis=-1) > margin
+        u[todo[keep]] = scale[todo[keep]] * uhat[keep]
+        todo = todo[~keep]
+    if todo.size:
+        n, error = int(todo[0]), ConstraintUnreachable(
+            "velocity sampling failed to find G > margin")
+    for i, frame in frames.items():
+        if i < n:
+            u[i] = frame @ u[i]
+    return u[:n], error
 
 
 def _check_record(name: str, samples: int, worst: float) -> dict:
@@ -156,40 +183,40 @@ def _check_record(name: str, samples: int, worst: float) -> dict:
     }
 
 
-def _block_residuals(identity, rows) -> list:
-    """Residuals of ``identity`` on a block of drawn samples, in sample order.
+def _block_residuals(identity, columns) -> list:
+    """Residuals of ``identity`` on a block of drawn samples, its arguments
+    stacked in ``columns``, in sample order.
 
     The block is evaluated in one batched call.  If that raises, or meets a
     floating-point overflow, division by zero or invalid operation, the block
     is evaluated again sample by sample: the first failing sample then
     raises, and warns, exactly as a per-sample loop would.
     """
-    columns = [np.stack(column) for column in zip(*rows)]
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             return np.ravel(identity(*columns)).tolist()
     except COMPUTATION_ERRORS:
-        return [r for row in rows for r in np.ravel(identity(*row)).tolist()]
+        return [r for row in zip(*columns) for r in np.ravel(identity(*row)).tolist()]
 
 
 def _worst(identity, draw, samples: int) -> float:
     """The largest residual of ``identity`` over ``samples`` draws.
 
-    ``draw()`` returns one sample's arguments; ``identity`` takes them for
-    one sample or stacked for a block.  NaN residuals are passed over, as
+    ``draw(n)`` draws a block of n samples and returns ``(columns,
+    error)``: the identity's arguments, stacked, for the samples before the
+    first whose draw fails, and what that draw raises, None if none fails.
+    ``identity`` takes the arguments of one sample or of a block.  The
+    samples drawn before a failing one are evaluated first, so a failure
+    among them raises first.  NaN residuals are passed over, as
     ``max(worst, r)`` does.
     """
     worst = 0.0
     for start in range(0, samples, _BLOCK):
-        rows = []
-        try:
-            for _ in range(min(_BLOCK, samples - start)):
-                rows.append(draw())
-        except COMPUTATION_ERRORS:
-            if rows:  # a failure among the samples drawn before comes first
-                _block_residuals(identity, rows)
-            raise
-        worst = max(worst, *_block_residuals(identity, rows))
+        columns, error = draw(min(_BLOCK, samples - start))
+        if len(columns[0]):
+            worst = max(worst, *_block_residuals(identity, columns))
+        if error is not None:
+            raise error
     return worst
 
 
@@ -214,9 +241,17 @@ def run_invariant_checks(metric_id: str, samples: int = 1000, seed: int = 0,
     conn = connection_from(metric, potential, mass=1.0, charge=1.0)
     conn_free = levi_civita_connection(metric)
 
-    def state():
-        x = sample_point(metric, rng)
-        return x, sample_velocity(metric, x, rng)
+    def state(n):
+        x = _points(metric, rng, n)
+        u, error = _velocities(metric, x, rng, 0.05)
+        return [x[:len(u)], u], error
+
+    def state_and_normal(n):
+        columns, error = state(n)
+        return columns + [rng.standard_normal((len(columns[1]), dim))], error
+
+    def phase_point(n):
+        return [_points(metric, rng, n), rng.standard_normal((n, dim))], None
 
     def projector(x, u):
         n2 = 2 * gfield.order_half
@@ -247,11 +282,11 @@ def run_invariant_checks(metric_id: str, samples: int = 1000, seed: int = 0,
 
     identities = [
         ("noether_identity", lambda x, u, a: noether_residual(model, x, u, a),
-         lambda: (*state(), rng.standard_normal(dim))),
+         state_and_normal),
         ("projector_idempotence", projector, state),
         ("geodesic_condition", geodesic_condition, state),
         ("poisson_bracket", lambda x, p: np.abs(_bracket(ham, shell, x, p)),
-         lambda: (sample_point(metric, rng), rng.standard_normal(dim))),
+         phase_point),
         ("lagrangian_hamiltonian_rhs", rhs_agreement, state),
     ]
     checks = [_check_record(name, samples, _worst(identity, draw, samples))

@@ -224,8 +224,9 @@ def load_config(path: str) -> ScenarioConfig:
             cp.read_file(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"cannot parse config file {path!r}: {exc}") from exc
+    except configparser.Error as exc:  # whose message can span lines: one line here
+        raise ConfigError(f"cannot parse config file {path!r}: "
+                          f"{' '.join(str(exc).split())}") from exc
     _reject_unknown_keys(cp)
 
     scenario = _Section(cp, "scenario")

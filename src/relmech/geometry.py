@@ -60,7 +60,8 @@ The forms also serve block reads: :func:`metric_at`,
 of points through :func:`_fields_at`, one form call per row for the
 callables a reader names (a field and its partials together, where it
 reads both), with the bits and the errors of the per-row loop
-:func:`_field_at`.
+:func:`_field_at`.  Where every row gives the same objects, as a constant
+field's form does, the block takes the first row's numbers throughout.
 """
 
 from __future__ import annotations
@@ -235,6 +236,11 @@ def _fields_at(field, x, *names: str) -> list:
     potential's form reads the array row, as its callables pass it, since
     it computes with numpy scalars, and so warns where they warn.  A single
     point, and a field without a form, take the per-row loop.
+
+    Where every row's form call gives the first row's entries (or slopes)
+    object, as a constant field's does, the block is filled from the first
+    row: a field whose numbers do not change returns the same objects at
+    every call (the module docstring), so they hold the same numbers.
     """
     x = np.asarray(x)
     m = field.dim
@@ -251,18 +257,31 @@ def _fields_at(field, x, *names: str) -> list:
     shapes = {"value": (m,) if potential else (m, m),
               "partials": (m, m) if potential else (m, m, m)}
     outs = [np.zeros((n,) + shapes[name]) for name in names]
-    reads = [(name == "value", memoryview(out.reshape(-1)), out[0].size)
-             for name, out in zip(names, outs)]
-    for i in range(n):
-        entries, slopes = form(rows[i] if potential else rows[i].tolist())
-        for value, flat, size in reads:
+    reads = [(j, name == "value", memoryview(out.reshape(-1)), out[0].size)
+             for j, (name, out) in enumerate(zip(names, outs))]
+    # per read, the first row's object while every row so far gave it, else None
+    shared = [None] * len(reads)
+    for i, row in enumerate(rows if potential else rows.tolist()):
+        entries, slopes = form(row)
+        for j, value, flat, size in reads:
+            part = entries if value else slopes
+            if not i:
+                shared[j] = part
+            elif part is shared[j]:
+                continue
+            elif shared[j] is not None:  # rows 1 to i - 1 hold the first row's numbers
+                outs[j][1:i] = outs[j][0]
+                shared[j] = None
             base = i * size
             if value:
-                for k, v in enumerate(entries() if potential else entries):
+                for k, v in enumerate(part() if potential else part):
                     flat[base + k * mu_step] = v
             else:
-                for lam, mu, v in slopes:
+                for lam, mu, v in part:
                     flat[base + lam * lam_step + mu * mu_step] = v
+    for out, first in zip(outs, shared):
+        if first is not None:
+            out[1:] = out[0]
     return [out.reshape(x.shape[:-1] + out.shape[1:]) for out in outs]
 
 
@@ -357,7 +376,12 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
             )
         r, th = float(r), float(x[2])  # Python floats: the same bits, sooner
         f = 1.0 - 2.0 * big_m / r
-        df = 2.0 * big_m / (r * r)
+        try:
+            df = 2.0 * big_m / (r * r)
+        except ZeroDivisionError:  # r * r underflows, for M below about 1e-154
+            raise DomainError(
+                f"schwarzschild chart cannot evaluate the metric at r = {r:g}: r * r underflows"
+            ) from None
         s, c = math.sin(th), math.cos(th)
         return (f, -1.0 / f, -r * r, -r * r * s ** 2), (
             (1, 0, df), (1, 1, df / (f * f)), (1, 2, -2.0 * r),

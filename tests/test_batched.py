@@ -2,8 +2,10 @@
 single-point calls (``np.array_equal``, not a tolerance)."""
 
 import dataclasses
+import inspect
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -17,7 +19,8 @@ from relmech.geometry import (_christoffel_and_inverse, _field_at, _fields_at, _
 from relmech.hamiltonian import _bracket, _dginv, _standard_dh_dx
 from relmech.lagrangian import _velocity_form_pieces
 
-from conftest import counting_forms, dense_minkowski, random_velocity, shear_minkowski
+from conftest import (counting_forms, dense_minkowski, random_velocity, shear_minkowski,
+                      two_region_fields)
 
 METRICS = {
     "minkowski": lambda: rm.minkowski(),
@@ -305,6 +308,64 @@ def test_block_reads_equal_per_row_reads(name):
             for got, want in zip(_parts(read(field, x)),
                                  zip(*[_parts(read(field, r)) for r in x])):
                 assert _same_bits(got, np.stack(want))
+
+
+def _scatters(read):
+    """How often ``_fields_at`` stores an entry into its output (its
+    ``flat[...] = v`` lines) during ``read()``, counted with a line tracer."""
+    lines, first = inspect.getsourcelines(_fields_at)
+    stores = {first + i for i, line in enumerate(lines) if line.lstrip().startswith("flat[")}
+    code, count = _fields_at.__code__, [0]
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in stores:
+            count[0] += 1
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        read()
+    finally:
+        sys.settrace(None)
+    return count[0]
+
+
+@pytest.mark.parametrize("name, names", [
+    ("minkowski", ("value", "partials")), ("diagonal", ("value", "partials")),
+    ("zero", ("value", "partials")), ("uniform", ("partials",)),
+])
+def test_constant_field_block_read_fills_from_the_first_row(name, names):
+    # these forms give the same entries and slopes objects at every row, so
+    # a block read stores the first row's entries alone and copies them to
+    # the other rows, with the bits of the per-row loop, after one form call
+    # per row
+    field = FIELDS[name]()
+    counted, calls = counting_forms(field)
+    x, _, _ = _states(rm.schwarzschild(1.0), 30, seed=4)
+    for which in names:
+        got, = _fields_at(counted, x, which)
+        assert _same_bits(got, _field_at(getattr(field, which), x))
+    assert calls == {"value": 0, "partials": 0, "form": 30 * len(names)}
+    first_row = _scatters(lambda: _fields_at(field, x[:2], *names))
+    assert first_row > 0
+    assert _scatters(lambda: _fields_at(field, x, *names)) == first_row
+    # a form that gives new objects at every row stores every row
+    for field, which in ((rm.schwarzschild(1.0), "value"), (FIELDS["uniform"](), "value")):
+        assert _scatters(lambda: _fields_at(field, x, which)) == 15 * _scatters(
+            lambda: _fields_at(field, x[:2], which)) > 0
+
+
+@pytest.mark.parametrize("signs", ["--+-+", "---++", "-++++", "++++-", "+-+-+"])
+def test_block_read_of_two_constant_fields_equals_per_row_reads(signs):
+    # fields that give one constant object where x^1 < 0 and another
+    # elsewhere: a block whose rows switch between them gets the bits of the
+    # per-row loop, wherever the first switch falls
+    x = np.random.default_rng(9).uniform(0.5, 2.0, (len(signs), 4))
+    x[:, 1] *= [-1.0 if sign == "-" else 1.0 for sign in signs]
+    for field in two_region_fields(rm.minkowski()):
+        for which in ("value", "partials"):
+            got, = _fields_at(field, x, which)
+            assert _same_bits(got, _field_at(getattr(field, which), x))
 
 
 def _near_horizon_rows():

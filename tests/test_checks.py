@@ -85,10 +85,61 @@ def _numpy_sample_velocity(metric, x, rng, margin=0.05):
     raise rm.ConstraintUnreachable("velocity sampling failed to find G > margin")
 
 
+def _block_velocities(metric, xs, rng, margin=0.05):
+    """Velocities at the points ``xs`` as a block draw takes them, written as
+    loops with the expressions of ``_numpy_sample_velocity``: each round draws
+    one vector for each row still rejected, in row order, and a row that no
+    round accepts in 200 gives up."""
+    frames = []
+    for x in xs:
+        g = rm.metric_at(metric, x)
+        d = np.diag(g).copy()
+        frame = None
+        if np.count_nonzero(g) != np.count_nonzero(d):
+            d, frame = np.linalg.eigh(g)
+        frames.append((np.sign(d), 1.0 / np.sqrt(np.abs(d)), frame))
+    velocities = [None] * len(xs)
+    rejected = list(range(len(xs)))
+    for _ in range(200):
+        if not rejected:
+            return velocities
+        still = []
+        for i in rejected:
+            sig, scale, frame = frames[i]
+            k = int(np.argmax(sig > 0))
+            n = rng.standard_normal(metric.dim)
+            uhat = 0.5 * n
+            uhat[k] = math.copysign(1.0 + abs(n[k]), n[k])
+            if float(np.sum(sig * uhat * uhat)) > margin:
+                velocities[i] = scale * uhat if frame is None else frame @ (scale * uhat)
+            else:
+                still.append(i)
+        rejected = still
+    if rejected:
+        raise rm.ConstraintUnreachable("velocity sampling failed to find G > margin")
+    return velocities
+
+
+def _blocks(metric, rng, samples, velocity=False, normal=False):
+    """The samples of one identity, block by block (``relmech.checks._BLOCK``
+    each): a block's points, then their velocities, then one normal vector
+    per sample; each sample as the tuple (x[, u][, normal])."""
+    block = relmech.checks._BLOCK
+    for start in range(0, samples, block):
+        xs = [sample_point(metric, rng) for _ in range(min(block, samples - start))]
+        columns = [xs]
+        if velocity:
+            columns.append(_block_velocities(metric, xs, rng))
+        if normal:
+            columns.append([rng.standard_normal(metric.dim) for _ in xs])
+        yield from zip(*columns)
+
+
 def _reference_checks(metric_id, samples, seed, diag=None):
     """``run_invariant_checks`` before one-pass evaluation, loop for loop: 11
     inversions per Schwarzschild sample, and velocities drawn on numpy arrays.
-    Run it with the einsum paths patched in."""
+    Each identity draws its samples block by block, as ``_blocks`` gives
+    them.  Run it with the einsum paths patched in."""
     metric = rm.catalog_metric(metric_id, diag=diag)
     rng = np.random.default_rng(seed)
     dim = metric.dim
@@ -103,17 +154,12 @@ def _reference_checks(metric_id, samples, seed, diag=None):
     checks = []
 
     worst = 0.0
-    for _ in range(samples):
-        x = sample_point(metric, rng)
-        u = _numpy_sample_velocity(metric, x, rng)
-        a = rng.standard_normal(dim)
+    for x, u, a in _blocks(metric, rng, samples, velocity=True, normal=True):
         worst = max(worst, rm.noether_residual(model, x, u, a))
     checks.append(_check_record("noether_identity", samples, worst))
 
     worst = 0.0
-    for _ in range(samples):
-        x = sample_point(metric, rng)
-        u = _numpy_sample_velocity(metric, x, rng)
+    for x, u in _blocks(metric, rng, samples, velocity=True):
         n2 = 2 * gfield.order_half
         gt = np.asarray(gfield.value(x), float)
         g = float(contract_all(gt, u, n2))
@@ -127,9 +173,7 @@ def _reference_checks(metric_id, samples, seed, diag=None):
     checks.append(_check_record("projector_idempotence", samples, worst))
 
     worst = 0.0
-    for _ in range(samples):
-        x = sample_point(metric, rng)
-        u = _numpy_sample_velocity(metric, x, rng)
+    for x, u in _blocks(metric, rng, samples, velocity=True):
         for c in (conn_free, conn):
             res = abs(rm.check_geodesic_condition(c, metric, x, u))
             res /= rm.geodesic_condition_scale(c, metric, x, u)
@@ -137,16 +181,13 @@ def _reference_checks(metric_id, samples, seed, diag=None):
     checks.append(_check_record("geodesic_condition", samples, worst))
 
     worst = 0.0
-    for _ in range(samples):
-        x = sample_point(metric, rng)
-        p = rng.standard_normal(dim)
+    for x, p in _blocks(metric, rng, samples, normal=True):
         worst = max(worst, abs(_four_gradient_bracket(ham, shell, rm.PhaseState(x, p))))
     checks.append(_check_record("poisson_bracket", samples, worst))
 
     worst = 0.0
-    for _ in range(samples):
-        x = sample_point(metric, rng)
-        u = rm.project_to_shell(gfield, x, _numpy_sample_velocity(metric, x, rng))
+    for x, u in _blocks(metric, rng, samples, velocity=True):
+        u = rm.project_to_shell(gfield, x, u)
         a_geo = rm.geodesic_rhs(conn, x, u)
         a_ham = _second_order_rhs_two_inversions(ham, x, u)
         denom = max(float(np.max(np.abs(a_geo))), float(np.max(np.abs(a_ham))), 1e-12)
@@ -246,6 +287,21 @@ def _loop_worst(residuals):
     return worst
 
 
+def _block_draw(draw):
+    """A block draw for ``_worst`` from a per-sample ``draw()``: the samples
+    drawn before the first draw that raises, stacked, and what it raises."""
+    def block(n):
+        rows, error = [], None
+        try:
+            for _ in range(n):
+                rows.append(draw())
+        except rm.COMPUTATION_ERRORS as exc:
+            error = exc
+        return [np.array(column) for column in zip(*rows)] or [np.empty(0)], error
+
+    return block
+
+
 @pytest.mark.parametrize("values", [
     [0.25, math.nan, 0.5, math.nan, 0.125],
     [math.nan, 0.3, 0.1],
@@ -256,7 +312,7 @@ def test_nan_residual_reduces_as_the_loop(monkeypatch, values):
     monkeypatch.setattr(relmech.checks, "_BLOCK", 2)
     table = np.array(values)
     draws = iter(range(len(values)))
-    worst = _worst(lambda k: table[k], lambda: (next(draws),), len(values))
+    worst = _worst(lambda k: table[k], _block_draw(lambda: (next(draws),)), len(values))
     assert worst == _loop_worst(values)
 
 
@@ -276,11 +332,8 @@ def test_nan_residual_in_a_check(monkeypatch):
     metric = rm.minkowski()
     model = rm.LagrangianModel(rm.GTensorField.from_metric(metric),
                                rm.uniform_field(_CHECK_E, _CHECK_B), 1.0, 1.0)
-    loop = []
-    for _ in range(20):
-        x = sample_point(metric, rng)
-        u = _numpy_sample_velocity(metric, x, rng)
-        loop.append(float(patched(model, x, u, rng.standard_normal(4))))
+    loop = [float(patched(model, x, u, a))
+            for x, u, a in _blocks(metric, rng, 20, velocity=True, normal=True)]
     assert any(math.isnan(r) for r in loop)
     assert report["checks"][0]["max_residual"] == _loop_worst(loop)
 
@@ -295,7 +348,7 @@ def test_first_failing_sample_raises_as_in_the_loop():
 
     draws = iter(range(6))
     with pytest.raises(ValueError, match="^sample 3 failed$"):
-        _worst(identity, lambda: (next(draws),), 6)
+        _worst(identity, _block_draw(lambda: (next(draws),)), 6)
 
     # a failure while drawing comes after the failures of the samples drawn before it
     def draw():
@@ -306,10 +359,10 @@ def test_first_failing_sample_raises_as_in_the_loop():
 
     draws = iter(range(6))
     with pytest.raises(ValueError, match="^sample 3 failed$"):
-        _worst(identity, draw, 6)
+        _worst(identity, _block_draw(draw), 6)
     draws = iter(range(6))
     with pytest.raises(rm.ConstraintUnreachable, match="^draw 5 failed$"):
-        _worst(lambda k: 0.0 * np.asarray(k), draw, 6)
+        _worst(lambda k: 0.0 * np.asarray(k), _block_draw(draw), 6)
 
 
 def test_floating_point_exception_falls_back_to_the_loop():
@@ -326,7 +379,7 @@ def test_floating_point_exception_falls_back_to_the_loop():
     draws = iter(values)
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
-        worst = _worst(identity, lambda: (np.float64(next(draws)),), len(values))
+        worst = _worst(identity, _block_draw(lambda: (np.float64(next(draws)),)), len(values))
     assert worst == want == math.inf
     assert [str(w.message) for w in got] == [str(w.message) for w in loop]
     assert loop
@@ -343,8 +396,83 @@ def test_floating_point_exception_falls_back_to_the_loop():
     with warnings.catch_warnings(record=True) as got:
         warnings.simplefilter("always")
         with pytest.raises(ValueError, match="negative sample"):
-            _worst(failing, lambda: (np.float64(next(draws)),), 3)
+            _worst(failing, _block_draw(lambda: (np.float64(next(draws)),)), 3)
     assert not got
+
+
+# -- the block draw ---------------------------------------------------------------
+
+def _formless(entries):
+    """The constant metric diag(entries), declaring no float form."""
+    g = np.diag(entries)
+    return rm.MetricField(len(entries), lambda x: g.copy(), lambda x: np.zeros((len(entries),) * 3))
+
+
+def _timelike_where_t_is_positive():
+    """diag(1, -1, -1, -1) where x^0 > 0, else diag(-1, -1, -1, -1), which
+    has no timelike direction; declares no form."""
+    def value(x):
+        return np.diag([1.0 if x[0] > 0.0 else -1.0, -1.0, -1.0, -1.0])
+
+    return rm.MetricField(4, value, lambda x: np.zeros((4, 4, 4)))
+
+
+@pytest.mark.parametrize("metric, margin", [
+    (rm.diagonal_metric(DIAG), 0.9), (rm.schwarzschild(1.0), 0.9), (rm.minkowski(9), 0.05),
+    (_formless(DIAG), 0.9), (shear_minkowski(0.9)[0], 0.9),
+], ids=["diagonal", "schwarzschild", "minkowski-9", "formless", "non-diagonal"])
+def test_block_draw_equals_the_round_loop(metric, margin):
+    # a block of rows drawn at once has, row for row, the velocities and the
+    # generator state of the loop that draws round by round, rows that are
+    # rejected and drawn again included
+    points = np.random.default_rng(8)
+    for n in (1, 2, 37):
+        xs = relmech.checks._points(metric, points, n)
+        ours, theirs = np.random.default_rng(n), np.random.default_rng(n)
+        got, error = relmech.checks._velocities(metric, xs, ours, margin)
+        want = _block_velocities(metric, list(xs), theirs, margin)
+        assert error is None
+        assert got.shape == (n, metric.dim)
+        assert got.tobytes() == np.array(want).tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert sample_velocity(metric, xs, np.random.default_rng(n), margin).tobytes() == got.tobytes()
+    one_round = np.random.default_rng(37)
+    one_round.standard_normal((37, metric.dim))
+    assert ours.bit_generator.state != one_round.bit_generator.state  # a row was drawn again
+
+
+def test_block_draw_stops_at_the_first_failing_row():
+    # the rows before the first row whose draw fails are drawn as a block of
+    # their own, and that row's error comes back with them
+    metric = rm.schwarzschild(1.0)
+    xs = relmech.checks._points(metric, np.random.default_rng(2), 6)
+    xs[3, 2] = xs[5, 2] = 0.0  # rows 3 and 5 at the pole, where g_33 = 0
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    got, error = relmech.checks._velocities(metric, xs, ours, 0.05)
+    assert isinstance(error, rm.SingularMetric)
+    assert str(error) == f"metric is singular at x = {xs[3]}"
+    want = _block_velocities(metric, list(xs[:3]), theirs)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    with pytest.raises(rm.SingularMetric, match=re.escape(str(error))):
+        sample_velocity(metric, xs, np.random.default_rng(5))
+
+    # a row that no round accepts: the rows before it have velocities
+    metric = _timelike_where_t_is_positive()
+    xs = np.array([[0.5, 0.0, 0.0, 0.0], [0.25, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                   [1.0, 0.0, 2.0, 0.0]])
+    got, error = relmech.checks._velocities(metric, xs, np.random.default_rng(0), 0.05)
+    assert isinstance(error, rm.ConstraintUnreachable) and len(got) == 2
+    assert all(rm.g_value(rm.GTensorField.from_metric(metric), x, u) > 0.05
+               for x, u in zip(xs, got))
+
+
+@pytest.mark.parametrize("metric_id, diag", [
+    ("minkowski", None), ("euclidean", None), ("schwarzschild", None), ("diagonal", DIAG),
+])
+def test_check_passes_at_seeds_0_to_9(metric_id, diag):
+    for seed in range(10):
+        assert run_invariant_checks(metric_id, samples=1000, seed=seed, diag=diag)["pass"]
 
 
 # -- the float draw ---------------------------------------------------------------
@@ -397,23 +525,10 @@ def test_float_draw_sums_in_numpy_order():
     assert found >= 5
 
 
-def _formless(entries):
-    """The constant metric diag(entries), declaring no float form."""
-    g = np.diag(entries)
-    return rm.MetricField(len(entries), lambda x: g.copy(), lambda x: np.zeros((len(entries),) * 3))
-
-
-def _no_float_draw(monkeypatch):
-    def float_velocity(d, rng, margin):
-        raise AssertionError("the float draw was taken")
-
-    monkeypatch.setattr(relmech.checks, "_float_velocity", float_velocity)
-
-
-def test_metric_without_a_form_takes_the_numpy_draw(monkeypatch):
+def test_metric_without_a_form_takes_the_numpy_draw():
+    # d comes from ``value`` here, with the bits of the draw from the form
     metric = _formless(DIAG)
     assert relmech.geometry._float_form(metric) is None
-    _no_float_draw(monkeypatch)
     ours, theirs = np.random.default_rng(2), np.random.default_rng(2)
     for _ in range(100):
         x = sample_point(metric, ours)
@@ -427,36 +542,29 @@ def test_metric_without_a_form_takes_the_numpy_draw(monkeypatch):
     (rm.schwarzschild(1.0), [0.0, 10.0, 1e-7, 0.3]),  # just off the pole: cond ~ 1e14
     (rm.diagonal_metric([1.0, -1e-13, -1.0, -1.0]), [0.5, -1.0, 0.25, 2.0]),
 ], ids=["near-horizon", "near-pole", "diagonal"])
-def test_point_where_g_is_badly_conditioned_takes_the_float_draw(monkeypatch, metric, x):
+def test_point_where_g_is_badly_conditioned_draws_without_inverting(inversion_count,
+                                                                      metric, x):
     # inverse_metric_at rejects g here, which the draw never inverts: the
-    # float draw, with the numpy draw's bits and generator state
+    # draw has the numpy draw's bits and generator state
     x = np.array(x)
     with pytest.raises(rm.SingularMetric):
         rm.inverse_metric_at(metric, x)
-    draws = []
-    float_velocity = relmech.checks._float_velocity
-
-    def counted(d, rng, margin):
-        draws.append(d)
-        return float_velocity(d, rng, margin)
-
-    monkeypatch.setattr(relmech.checks, "_float_velocity", counted)
+    inverted = list(inversion_count)
     ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
     for _ in range(50):
         got = sample_velocity(metric, x, ours)
         assert got.tobytes() == _numpy_sample_velocity(metric, x, theirs).tobytes()
     assert ours.bit_generator.state == theirs.bit_generator.state
-    assert len(draws) == 50
+    assert inversion_count == inverted
 
 
 @pytest.mark.parametrize("theta", [0.0, -0.0])
-def test_schwarzschild_pole_takes_the_numpy_draw(monkeypatch, theta):
-    # g_33 is a zero there, which the float draw cannot divide by: the
-    # numpy draw finds the zero and raises before it draws, with no warning
-    # and the generator untouched
+def test_schwarzschild_pole_takes_the_numpy_draw(theta):
+    # g_33 is a zero there, which the draw cannot divide by: it finds the
+    # zero and raises before it draws, with no warning and the generator
+    # untouched
     metric = rm.schwarzschild(1.0)
     x = np.array([0.0, 10.0, theta, 0.3])
-    _no_float_draw(monkeypatch)
     rng = np.random.default_rng(4)
     state = rng.bit_generator.state
     with warnings.catch_warnings():
@@ -524,10 +632,9 @@ def test_unreachable_velocity_gives_up_after_200_draws(capsys):
     assert "\n" not in captured.err.strip() and "Traceback" not in captured.err
 
 
-def test_numpy_draw_gives_up_after_200_draws(monkeypatch):
-    # a metric without a form and without a timelike direction: the numpy
-    # draw gives up as the float draw does, after the same draws
-    _no_float_draw(monkeypatch)
+def test_numpy_draw_gives_up_after_200_draws():
+    # a metric without a form and without a timelike direction: the draw
+    # gives up as it does on a metric with a form, after the same draws
     ours, theirs = np.random.default_rng(0), np.random.default_rng(0)
     with pytest.raises(rm.ConstraintUnreachable, match="^velocity sampling failed to find G > margin$"):
         sample_velocity(_formless([-1.0, -1e-13, -1.0, -1.0]), np.zeros(4), ours)

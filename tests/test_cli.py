@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import relmech.cli as cli
 import relmech.lagrangian as lagrangian
+from relmech.checks import TOLERANCES
 from relmech.cli import main
 from relmech.errors import DomainError, RelMechError
 from relmech.geometry import PotentialField, faraday_at
@@ -881,6 +882,54 @@ def test_documented_config_errors_exit_2(tmp_path, capsys, changes, message):
     assert (code, out, err) == (2, "", f"config error: {message}\n")
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("kind = geodesic\n[scenario]\n",
+     "File contains no section headers. file: '{path}', line: 1 'kind = geodesic\\n'"),
+    ("[scenario]\nkind = geodesic\n[scenario]\nkind = hamiltonian\n",
+     "While reading from '{path}' [line 3]: section 'scenario' already exists"),
+])
+def test_unparsable_config_file_exits_2(tmp_path, capsys, text, reason):
+    # configparser's own message, on one line
+    path = write_config(tmp_path, "unparsable.ini", text)
+    code, out, err = run_cli(capsys, "simulate", path)
+    assert (code, out) == (2, "")
+    assert err == f"config error: cannot parse config file {path!r}: {reason.format(path=path)}\n"
+
+
+@pytest.mark.parametrize("tolerance", ["0", "-1"])
+def test_compare_tolerance_not_positive_exits_2(tmp_path, capsys, tolerance):
+    extra = f"\n[compare]\ntolerance = {tolerance}\n"
+    cfg = write_config(tmp_path, "tol.ini", COMPARE_BASE.format(extra=extra))
+    code, out, err = run_cli(capsys, "compare", cfg)
+    assert (code, out, err) == (2, "", "config error: compare.tolerance: must be > 0\n")
+
+
+@pytest.mark.parametrize("potential", [
+    {"potential.kind": "uniform_field"},
+    {"potential.kind": "coulomb", "potential.q": "1", "potential.center": None},
+])
+def test_potential_on_a_three_dimensional_chart_exits_2(tmp_path, capsys, potential):
+    cfg = write_scenario(tmp_path, {**potential, "manifold.dimension": "3",
+                                    "particle.x0": "0, 1, 1", "particle.u0": "1, 0, 0"})
+    code, out, err = run_cli(capsys, "simulate", cfg)
+    kind = potential["potential.kind"]
+    assert (code, out, err) == (2, "", f"config error: potential.kind: {kind} requires dimension 4\n")
+
+
+@pytest.mark.parametrize("kind", ["geodesic", "hamiltonian", "three_velocity", "compare"])
+def test_schwarzschild_point_where_r_squared_underflows_exits_2(tmp_path, capsys, kind):
+    # M = 1e-200 and r = 3e-200 lie inside the chart, but r * r underflows to
+    # 0 in the metric's slope 2M / r^2: a domain error that names r
+    cfg = write_scenario(tmp_path, {"scenario.kind": kind, "manifold.metric": "schwarzschild",
+                                    "manifold.M": "1e-200", "potential.kind": "none",
+                                    "particle.charge": "0", "particle.x0": "0, 3e-200, 1.0, 0.5",
+                                    "particle.u0": None, "particle.v0": "0, 0, 0"})
+    code, out, err = run_cli(capsys, "compare" if kind == "compare" else "simulate", cfg)
+    assert (code, out) == (2, "")
+    assert err == ("config error: particle.x0: outside the manifold domain (schwarzschild "
+                   "chart cannot evaluate the metric at r = 3e-200: r * r underflows)\n")
+
+
 def test_readme_example_config_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("```ini\n")[1].split("```")[0]
@@ -958,12 +1007,44 @@ def test_check_without_timelike_direction_exits_2(capsys):
 @pytest.mark.parametrize("diag, cond", [("1e300,-1,-1,-1", "1.000e+300"),
                                         ("1,-1e-13,-1,-1", "1.000e+13")])
 def test_check_singular_metric_names_first_sample(capsys, diag, cond):
-    # the first geodesic-condition sample, as the per-sample loop reported it
+    # the first geodesic-condition sample: the first point of that
+    # identity's first block
     code, out, err = run_cli(capsys, "check", "--metric", "diagonal", f"--diag={diag}")
     assert code == 2
     assert out == ""
     assert err == ("check failed: metric is numerically singular at x = "
-                   f"[-0.24378591  1.09775352  1.19003091  0.9864372 ] (cond ~ {cond})\n")
+                   f"[ 1.48521689 -1.67070684 -1.03252779 -1.04369077] (cond ~ {cond})\n")
+
+
+#: max_residual of each identity in ``check --samples 1025 --seed 0``: noether,
+#: projector, geodesic condition, bracket, right-hand sides
+CHECK_1025 = {
+    "minkowski": (8.126856497197847e-16, 2.1316282072803006e-13, 1.418521295183432e-16,
+                  0.0, 9.827235480284578e-16),
+    "euclidean": (9.212185244831293e-16, 2.8111794841581224e-16, 1.2284458444757442e-16,
+                  0.0, 3.4108284668986227e-15),
+    "schwarzschild": (7.004606653748394e-17, 4.263256414560601e-13, 3.228949344525505e-16,
+                      0.0, 9.0703613846979e-16),
+    "diagonal": (9.05407302297526e-16, 9.947598300641403e-14, 1.6565224323322605e-16,
+                 0.0, 3.2783778636548263e-15),
+}
+
+
+@pytest.mark.parametrize("metric", sorted(CHECK_1025))
+def test_check_report_one_past_a_block(capsys, metric):
+    # the report's bytes, pinned: 1025 samples are one block of 1024 and
+    # one more
+    extra = ["--diag=1.5,-0.75,-2,-1.25"] if metric == "diagonal" else []
+    code, out, err = run_cli(capsys, "check", "--metric", metric, "--samples", "1025",
+                             "--seed", "0", *extra)
+    assert (code, err) == (0, "")
+    names = ("noether_identity", "projector_idempotence", "geodesic_condition",
+             "poisson_bracket", "lagrangian_hamiltonian_rhs")
+    checks = [{"max_residual": r, "name": name, "pass": True, "samples": 1025,
+               "tolerance": TOLERANCES[name]}
+              for name, r in zip(names, CHECK_1025[metric])]
+    report = {"checks": checks, "metric": metric, "pass": True, "samples": 1025, "seed": 0}
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("diag", ["1e308,-1e308,-1,-1", "5e-324,-5e-324,-5e-324,-5e-324"])

@@ -14,8 +14,10 @@ The digest covers, in a fixed order:
   ``-1,-1e-13,-1,-1``, which gives up too, with a condition number of 1e13
   that the draw never tests; ``1,-1e-13,-1,-1``, which
   ``inverse_metric_at`` rejects at every point), at
-  seeds 0-3 with 50 and 1025 samples (1025 is one sample past a block):
-  the exit code, the JSON report and stderr;
+  seeds 0-3 with 50 and 1025 samples (1025 is one sample past a block),
+  and on each catalog metric at seed 0 with 2049 samples (one sample past
+  a second block, which a fault in a later block's draw changes): the exit
+  code, the JSON report and stderr;
 * each demo under ``demos/``, run in process with warnings as errors, as
   ``python -W error`` would run it: the exit code, stdout and stderr;
 * a coverage round of ``simulate`` and ``compare`` runs on paths that no
@@ -66,6 +68,8 @@ sys.dont_write_bytecode = True
 SEEDS = (0, 1, 2)
 CHECK_SEEDS = (0, 1, 2, 3)
 CHECK_SAMPLES = (50, 1025)
+#: samples of the one run per catalog metric (seed 0) that reaches a third block
+CHECK_THIRD_BLOCK = 2049
 CHECK_METRICS = (
     ("minkowski", []),
     ("euclidean", []),
@@ -271,6 +275,10 @@ def rounds(cli, tree: Path):
                 argv = ["check", "--metric", metric, "--samples", str(samples),
                         "--seed", str(seed)] + extra
                 checks.append((" ".join(argv[1:]), functools.partial(cli.main, argv), None))
+    for metric, extra in CHECK_METRICS[:4]:  # the catalog metrics
+        argv = ["check", "--metric", metric, "--samples", str(CHECK_THIRD_BLOCK),
+                "--seed", "0"] + extra
+        checks.append((" ".join(argv[1:]), functools.partial(cli.main, argv), None))
     yield "check", lambda work: checks
     demos = [(path.name, functools.partial(run_demo, path), None)
              for path in sorted((tree / "demos").glob("0*.py"))]
