@@ -475,7 +475,7 @@ def test_check_passes_at_seeds_0_to_9(metric_id, diag):
         assert run_invariant_checks(metric_id, samples=1000, seed=seed, diag=diag)["pass"]
 
 
-# -- the float draw ---------------------------------------------------------------
+# -- one point, a block of one ----------------------------------------------------
 
 @pytest.mark.parametrize("metric", [
     rm.minkowski(), rm.euclidean(), rm.schwarzschild(1.0), rm.diagonal_metric(DIAG),
