@@ -14,9 +14,11 @@ call.  The velocities are rejection sampled in rounds: each round draws
 one normal vector for every row still rejected, in row order, in one call,
 so the block size is part of the random-number order and of the report.
 Each identity is then evaluated on the block at once through the batched
-kernels, which give every sample the bits its own evaluation would and read
-the block's fields through the float forms
-(:func:`relmech.geometry._fields_at`).
+kernels, which give every sample the bits its own evaluation would.  Each
+of them reads a field of the block in one call of its float form on the
+block's columns (:func:`relmech.geometry._fields_at`), and the velocity
+draw reads d = g_aa the same way, so a block costs a fixed number of form
+calls, whatever its size.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .geometry import (
     _dot,
     _fields_at,
     _first_failure,
-    _float_form,
+    _form_block,
     _norm,
     catalog_metric,
     contract_all,
@@ -105,8 +107,9 @@ def sample_velocity(metric: MetricField, x, rng: np.random.Generator,
     Components are drawn in an orthonormal frame of the metric with the
     first positive-signature direction boosted, then rejection sampled on the
     sign of the form.  A diagonal metric is its own frame, with d = g_aa
-    from its float form where it declares one; any other metric takes the
-    eigenvectors of ``np.linalg.eigh``.  The draw goes in rounds: each draws
+    from one call of its float form on the rows where it declares one, else
+    from ``value`` at each row; any other metric takes the eigenvectors of
+    ``np.linalg.eigh``.  The draw goes in rounds: each draws
     one ``rng.standard_normal`` vector for every row still rejected, in row
     order and in one call, and a row that no round accepts in 200 raises
     :class:`ConstraintUnreachable`.  A single point is a batch of one: the
@@ -128,12 +131,11 @@ def _velocities(metric: MetricField, x: np.ndarray, rng: np.random.Generator,
     ``u`` holds the velocities of the rows before the first row whose draw
     fails and ``error`` is what that row raises, None if none fails.  The
     rounds draw for those rows alone."""
-    form = _float_form(metric)
+    block = _form_block(metric, x, ("value",))
     ds, frames, error = [], {}, None
     try:
-        if form is not None:
-            for row in x.tolist():
-                ds.append(form(row)[0])
+        if block is not None:
+            ds = block[0].diagonal(0, -2, -1)
         else:
             for row in x:
                 g = metric_at(metric, row)

@@ -23,20 +23,24 @@ Float forms.  Each catalog field is declared once, by its float form: a
 function of the point that gives the field's numbers as floats.  The
 integrators' RK4 stages read it, and :func:`_from_form` derives ``value``
 and ``partials`` from it, so they have its bits by construction; both
-carry it as ``float_form``.  A diagonal metric's form gives ``(d,
-slopes)`` with g = diag(d) and ``slopes`` the (mu, a, d_mu g_aa) entries
-that can be nonzero, in that index order; a potential's form gives ``(A,
-slopes)`` with the (lam, mu, d_lam A_mu) entries that can be nonzero and
-``A()`` the components, computed only when called, since most stages read
-the slopes alone.  A form only reads the field: it gives its numbers or
-raises what ``value`` and ``partials`` raise there, with their messages.
-Whether g can be inverted is for the two float stages that stand in for
-g^-1 to decide, the geodesic and the Hamiltonian one: each makes the
-condition test of :func:`inverse_metric_at` on d, :func:`_check_diagonal`,
-before it divides by d.  A field whose ``value``
-or ``partials`` was replaced declares no form (:func:`_float_form`), nor
-does a G field of order N > 1, and a ``from_function`` field declares one
-only when both of its callables carry the same form.
+carry it as ``float_form``.  A form takes one point, a row, or a block's
+columns: then ``x[k]`` is the array of the block's k-th coordinates, and
+each number the form gives is an array of the rows' numbers, or one
+number for every row, with each row's bits (see the block reads below).
+A diagonal metric's form gives ``(d, slopes)`` with g = diag(d) and
+``slopes`` the (mu, a, d_mu g_aa) entries that can be nonzero, in that
+index order; a potential's form gives ``(A, slopes)`` with the (lam, mu,
+d_lam A_mu) entries that can be nonzero and ``A()`` the components,
+computed only when called, since most stages read the slopes alone.  A
+form only reads the field: it gives its numbers or raises what ``value``
+and ``partials`` raise there, with their messages.  Whether g can be
+inverted is for the two float stages that stand in for g^-1 to decide, the
+geodesic and the Hamiltonian one: each makes the condition test of
+:func:`inverse_metric_at` on d, :func:`_check_diagonal`, before it divides
+by d.  A field whose ``value`` or ``partials`` was replaced declares no
+form (:func:`_float_form`), nor does a G field of order N > 1, and a
+``from_function`` field declares one only when both of its callables carry
+the same form.
 
 The float stages keep the force matrix they build from a form's d and
 slopes in an :func:`_identity_cache`: one entry, keyed by the identity of
@@ -57,11 +61,16 @@ object that passed it last: a constant metric is tested at the first call.
 The forms also serve block reads: :func:`metric_at`,
 :func:`inverse_metric_at`, the connection symbols, :func:`faraday_at`,
 :func:`g_value` and the batched kernels of the other modules read a batch
-of points through :func:`_fields_at`, one form call per row for the
-callables a reader names (a field and its partials together, where it
-reads both), with the bits and the errors of the per-row loop
-:func:`_field_at`.  Where every row gives the same objects, as a constant
-field's form does, the block takes the first row's numbers throughout.
+of points through :func:`_fields_at`, one form call for the whole batch
+and every callable a reader names (a field and its partials together,
+where it reads both), with the bits, the errors and the warnings of the
+per-row loop :func:`_field_at`.  A block's arithmetic is numpy's on the
+columns, which rounds as the floats of one row do, except where libm
+computes a number: Schwarzschild's sin, cos and ``s ** 2`` go entry by
+entry through Python floats (:func:`_libm`, :func:`_power`), and
+``uniform_field``'s E . x is one ddot per row.  A form that cannot take
+columns, as Coulomb's, raises there; that block, and a block where the
+form raises or sets a floating-point flag, is read row by row.
 """
 
 from __future__ import annotations
@@ -223,66 +232,73 @@ def _field_at(fn: FieldFn, x: Array) -> Array:
 
 def _fields_at(field, x, *names: str) -> list:
     """``_field_at(getattr(field, name), x)`` for each of ``names``, each
-    "value" or "partials", from one call of the field's float form per row
-    of a batch x (..., m).
+    "value" or "partials", with the bits, the first error and the warnings
+    of that per-row loop.
 
-    The reader names the callables it reads; one form call serves them
-    all.  Each row gets the bits of the callables: the entries the form
-    lists, zeros elsewhere.  The first row where the form raises raises the
-    callables' error there, with its message: a form raises what they
-    raise, and both callables of a field with a form fail at the same rows,
-    so that is the error of the per-row loop too.  A metric's form reads the
-    row as a list of floats, which is faster and rounds alike; a
-    potential's form reads the array row, as its callables pass it, since
-    it computes with numpy scalars, and so warns where they warn.  A single
-    point, and a field without a form, take the per-row loop.
-
-    Where every row's form call gives the first row's entries (or slopes)
-    object, as a constant field's does, the block is filled from the first
-    row: a field whose numbers do not change returns the same objects at
-    every call (the module docstring), so they hold the same numbers.
+    A batch x (..., m) of a field that declares a float form is read by one
+    call of the form on the batch's columns (:func:`_form_block`).  Where
+    that call cannot be made or fails, each callable reads the rows one by
+    one: a single point, a field without a form, a form that cannot take
+    columns (Coulomb's), and a batch where the form raises or sets a
+    floating-point flag, so that the first row where the form fails raises
+    there, and each row warns as the callables do.
     """
     x = np.asarray(x)
     m = field.dim
-    potential = isinstance(field, PotentialField)
-    batch = x.ndim > 1 and x.size and x.shape[-1] == m
-    form = _float_form(field) if batch else None
-    if form is None:
+    outs = None
+    if x.ndim > 1 and x.size and x.shape[-1] == m:
+        outs = _form_block(field, x.reshape(-1, m), names)
+    if outs is None:
         return [_field_at(getattr(field, name), x) for name in names]
-    rows = x.reshape(-1, m)
-    n = len(rows)
+    return [out.reshape(x.shape[:-1] + out.shape[1:]) for out in outs]
+
+
+def _form_block(field, rows: Array, names) -> Optional[list]:
+    """The arrays of ``field``'s callables in ``names`` at the rows (n, m),
+    from one call of its float form on their columns, ``rows.T``; None where
+    the field declares no form, or where that call (a potential's ``A()``
+    too, where ``names`` reads the value) raises or sets a floating-point
+    flag.
+
+    The form gives each entry and slope as an array of the rows' numbers or
+    as one number for every row, and each is stored whole where the
+    callables put it, into zeros.  Array arithmetic rounds as the floats of
+    one row do, and a form computes what numpy cannot round alike (libm's
+    sin, cos and pow) entry by entry, so each row gets the callables' bits.
+    """
+    form = _float_form(field)
+    if form is None:
+        return None
+    n, m = rows.shape
+    potential = isinstance(field, PotentialField)
     # flat offsets within one row: slope (lam, mu) at lam * lam_step + mu *
-    # mu_step, d_k at k * mu_step
+    # mu_step, entry k at k * mu_step
     lam_step, mu_step = (m, 1) if potential else (m * m, m + 1)
     shapes = {"value": (m,) if potential else (m, m),
               "partials": (m, m) if potential else (m, m, m)}
     outs = [np.zeros((n,) + shapes[name]) for name in names]
-    reads = [(j, name == "value", memoryview(out.reshape(-1)), out[0].size)
-             for j, (name, out) in enumerate(zip(names, outs))]
-    # per read, the first row's object while every row so far gave it, else None
-    shared = [None] * len(reads)
-    for i, row in enumerate(rows if potential else rows.tolist()):
-        entries, slopes = form(row)
-        for j, value, flat, size in reads:
-            part = entries if value else slopes
-            if not i:
-                shared[j] = part
-            elif part is shared[j]:
-                continue
-            elif shared[j] is not None:  # rows 1 to i - 1 hold the first row's numbers
-                outs[j][1:i] = outs[j][0]
-                shared[j] = None
-            base = i * size
-            if value:
-                for k, v in enumerate(part() if potential else part):
-                    flat[base + k * mu_step] = v
-            else:
-                for lam, mu, v in part:
-                    flat[base + lam * lam_step + mu * mu_step] = v
-    for out, first in zip(outs, shared):
-        if first is not None:
-            out[1:] = out[0]
-    return [out.reshape(x.shape[:-1] + out.shape[1:]) for out in outs]
+    try:
+        with np.errstate(all="raise"):
+            entries, slopes = form(rows.T)
+            if potential and "value" in names:
+                entries = entries()
+            for name, out in zip(names, outs):
+                flat = out.reshape(n, -1)
+                if name == "value":
+                    for k, v in enumerate(entries):
+                        flat[:, k * mu_step] = v
+                else:
+                    for lam, mu, v in slopes:
+                        flat[:, lam * lam_step + mu * mu_step] = v
+    except Exception:  # whatever a form that cannot take columns raises: the
+        return None  # per-row loop raises or warns as the callables do
+    return outs
+
+
+def _libm(fn: Callable, v: Array) -> Array:
+    """``fn`` of each entry of ``v`` through Python floats, as at one point:
+    numpy's own sin, cos and power can round otherwise (:func:`_power`)."""
+    return np.array(list(map(fn, v.tolist())))
 
 
 # ---------------------------------------------------------------------------
@@ -367,25 +383,36 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
     if not big_m > 0:
         raise ValueError(f"schwarzschild mass must be positive, got {big_m!r}")
     r_min = 2.0 * big_m * (1.0 + 1e-9)
+    two_m = 2.0 * big_m
 
     def form(x):
-        r = x[1]
-        if not r > r_min:
-            raise DomainError(
-                f"schwarzschild chart requires r > 2M = {2 * big_m:g}; got r = {r:g}"
-            )
-        r, th = float(r), float(x[2])  # Python floats: the same bits, sooner
-        f = 1.0 - 2.0 * big_m / r
+        r, th = x[1], x[2]
+        if r.__class__ is Array:  # a block's columns; the per-row loop names
+            # the first row outside the chart
+            if not (r > r_min).all():
+                raise DomainError(f"schwarzschild chart requires r > 2M = {2 * big_m:g}")
+            s, c = _libm(math.sin, th), _libm(math.cos, th)
+            ss = _power(s, 2)
+        else:
+            if not r > r_min:
+                raise DomainError(
+                    f"schwarzschild chart requires r > 2M = {2 * big_m:g}; got r = {r:g}"
+                )
+            r, th = float(r), float(th)  # Python floats: the same bits, sooner
+            s, c = math.sin(th), math.cos(th)
+            ss = s ** 2
+        f = 1.0 - two_m / r
+        rr = r * r
         try:
-            df = 2.0 * big_m / (r * r)
+            df = two_m / rr
         except ZeroDivisionError:  # r * r underflows, for M below about 1e-154
             raise DomainError(
                 f"schwarzschild chart cannot evaluate the metric at r = {r:g}: r * r underflows"
             ) from None
-        s, c = math.sin(th), math.cos(th)
-        return (f, -1.0 / f, -r * r, -r * r * s ** 2), (
-            (1, 0, df), (1, 1, df / (f * f)), (1, 2, -2.0 * r),
-            (1, 3, -2.0 * r * s * s), (2, 3, -2.0 * r * r * s * c))
+        r2 = -2.0 * r
+        return (f, -1.0 / f, -rr, -rr * ss), (
+            (1, 0, df), (1, 1, df / (f * f)), (1, 2, r2),
+            (1, 3, r2 * s * s), (2, 3, r2 * r * s * c))
 
     return _from_form(MetricField, 4, form, "schwarzschild", {"M": big_m})
 
@@ -647,7 +674,9 @@ def uniform_field(e_field=(0.0, 0.0, 0.0), b_field=(0.0, 0.0, 0.0)) -> Potential
         (1, 0, e1), (1, 2, b3), (2, 0, e2), (2, 3, b1), (3, 0, e3), (3, 1, b2)) if v != 0.0)
 
     def components(x):
-        return float(np.dot(ee, np.asarray(x[1:4]))), b2 * x[3], b3 * x[1], b1 * x[2]
+        xs = np.asarray(x[1:4])  # a point's (x^1, x^2, x^3), or a block's three columns
+        e_x = float(np.dot(ee, xs)) if xs.ndim == 1 else _dot(ee, xs.T)  # one ddot per row
+        return e_x, b2 * x[3], b3 * x[1], b1 * x[2]
 
     return _from_form(PotentialField, 4, lambda x: ((lambda: components(x)), slopes))
 

@@ -10,17 +10,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import relmech as rm
 from relmech.checks import _CHECK_B, _CHECK_E, sample_point, sample_velocity
 from relmech.dynamics import geodesic_condition_terms
 from relmech.geometry import (_christoffel_and_inverse, _field_at, _fields_at, _float_form,
-                              contract_all)
+                              _form_block, contract_all)
 from relmech.hamiltonian import _bracket, _dginv, _standard_dh_dx
 from relmech.lagrangian import _velocity_form_pieces
 
-from conftest import (counting_forms, dense_minkowski, random_velocity, shear_minkowski,
-                      two_region_fields)
+from conftest import (counting_forms, dense_minkowski, random_velocity, same_bits,
+                      shear_minkowski, two_region_fields)
 
 METRICS = {
     "minkowski": lambda: rm.minkowski(),
@@ -292,13 +293,17 @@ def test_block_reads_equal_per_row_reads(name):
         x, _, _ = _states(rm.schwarzschild(1.0), 30, seed=4)  # r > 3: off every center
     else:
         x = np.random.default_rng(4).uniform(-2.0, 2.0, (30, field.dim))
+    # a block read is one form call on the block's columns; Coulomb's form
+    # cannot take columns, so its callables then read each row
+    per_row = name == "coulomb"
     for batch in (x, x.reshape(5, 6, field.dim), x[:1]):
         for names in (("value",), ("partials",), ("value", "partials"), ("partials", "value")):
             before = dict(calls)
             got = _fields_at(counted, batch, *names)
             rows = batch.size // field.dim
-            assert calls["form"] - before["form"] == rows
-            assert calls["value"] == before["value"]
+            assert calls["form"] - before["form"] == 1
+            for which in ("value", "partials"):
+                assert calls[which] - before[which] == per_row * rows * names.count(which)
             for out, which in zip(got, names):
                 assert _same_bits(out, _per_row(getattr(field, which), batch))
     if isinstance(field, rm.PotentialField):
@@ -310,12 +315,12 @@ def test_block_reads_equal_per_row_reads(name):
                 assert _same_bits(got, np.stack(want))
 
 
-def _scatters(read):
-    """How often ``_fields_at`` stores an entry into its output (its
+def _stores(read):
+    """How often ``_form_block`` stores a column into its output (its
     ``flat[...] = v`` lines) during ``read()``, counted with a line tracer."""
-    lines, first = inspect.getsourcelines(_fields_at)
+    lines, first = inspect.getsourcelines(_form_block)
     stores = {first + i for i, line in enumerate(lines) if line.lstrip().startswith("flat[")}
-    code, count = _fields_at.__code__, [0]
+    code, count = _form_block.__code__, [0]
 
     def local(frame, event, arg):
         if event == "line" and frame.f_lineno in stores:
@@ -335,24 +340,23 @@ def _scatters(read):
     ("zero", ("value", "partials")), ("uniform", ("partials",)),
 ])
 def test_constant_field_block_read_fills_from_the_first_row(name, names):
-    # these forms give the same entries and slopes objects at every row, so
-    # a block read stores the first row's entries alone and copies them to
-    # the other rows, with the bits of the per-row loop, after one form call
-    # per row
+    # these forms give one number per entry and slope for every row, so a
+    # block read stores each of them into its column once, with the bits of
+    # the per-row loop, after one form call per block
     field = FIELDS[name]()
     counted, calls = counting_forms(field)
     x, _, _ = _states(rm.schwarzschild(1.0), 30, seed=4)
     for which in names:
         got, = _fields_at(counted, x, which)
         assert _same_bits(got, _field_at(getattr(field, which), x))
-    assert calls == {"value": 0, "partials": 0, "form": 30 * len(names)}
-    first_row = _scatters(lambda: _fields_at(field, x[:2], *names))
-    assert first_row > 0
-    assert _scatters(lambda: _fields_at(field, x, *names)) == first_row
-    # a form that gives new objects at every row stores every row
+    assert calls == {"value": 0, "partials": 0, "form": len(names)}
+    one_row = _stores(lambda: _fields_at(field, x[:1], *names))
+    assert one_row > 0
+    assert _stores(lambda: _fields_at(field, x, *names)) == one_row
+    # a form that gives new numbers at every row stores a column per entry too
     for field, which in ((rm.schwarzschild(1.0), "value"), (FIELDS["uniform"](), "value")):
-        assert _scatters(lambda: _fields_at(field, x, which)) == 15 * _scatters(
-            lambda: _fields_at(field, x[:2], which)) > 0
+        assert _stores(lambda: _fields_at(field, x, which)) == _stores(
+            lambda: _fields_at(field, x[:1], which)) == 4
 
 
 @pytest.mark.parametrize("signs", ["--+-+", "---++", "-++++", "++++-", "+-+-+"])
@@ -401,7 +405,7 @@ def test_block_read_where_inverse_metric_at_raises_reads_the_form():
             rm.inverse_metric_at(metric, row)
     counted, calls = counting_forms(metric)
     g, dg = _fields_at(counted, x, "value", "partials")
-    assert calls == {"value": 0, "partials": 0, "form": 5}
+    assert calls == {"value": 0, "partials": 0, "form": 1}
     assert _same_bits(g, _per_row(metric.value, x))
     assert _same_bits(dg, _per_row(metric.partials, x))
     assert _same_bits(rm.metric_at(metric, x), _per_row(metric.value, x))
@@ -465,3 +469,107 @@ def test_block_read_warns_as_the_callables():
         da[1:, 0] = -0.4 * np.array([math.inf, 1.0, 1.0]) / math.inf
     assert _same_bits(read["value"][0], np.zeros(4))
     assert _same_bits(read["partials"][0], da)
+
+
+
+def test_coulomb_slopes_where_rho_cubed_overflows():
+    # at |x - center| = 1.02e103, rho ** 3 overflows: the form takes it as
+    # inf, as numpy's power gives it, so the slopes -q (x - center) / rho ** 3
+    # are zeros with the signs of -q (x - center), and A_0 = q / rho stays
+    # finite, without a warning; a block read (Coulomb's form cannot take
+    # columns) reads the row the same way
+    coulomb = rm.coulomb_potential(0.4)
+    far = np.array([0.0, 1e103, -2e102, 3.0])
+    rho = 1.019803902718557e+103  # math.sqrt of the float dot of x - center with itself
+    with pytest.raises(OverflowError):
+        rho ** 3
+    a = np.array([0.4 / rho, 0.0, 0.0, 0.0])
+    da = np.zeros((4, 4))
+    da[1:, 0] = [-0.0, 0.0, -0.0]
+    x = np.stack([far, [0.0, 1.0, 2.0, -0.5], far])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_bits(coulomb.value(far), a)
+        assert same_bits(coulomb.partials(far), da)
+        got_a, got_da = _fields_at(coulomb, x, "value", "partials")
+        assert same_bits(got_a[[0, 2]], np.stack([a, a]))
+        assert same_bits(got_da[[0, 2]], np.stack([da, da]))
+        assert same_bits(rm.faraday_at(coulomb, x)[0], da - da.T)
+
+# -- a block read is the per-row loop, in bits, errors and warnings -----------
+
+#: every catalog field; the Schwarzschild masses where r * r underflows to
+#: subnormals (1e-160) and to zero (1e-170) at every chart point drawn
+PROPERTY_FIELDS = dict(FIELDS, **{
+    "schwarzschild-1e-160": lambda: rm.schwarzschild(1e-160),
+    "schwarzschild-1e-170": lambda: rm.schwarzschild(1e-170),
+    "uniform-big-b": lambda: rm.uniform_field((0.3, 0.0, 0.0), (0.0, 1e300, 0.0)),
+})
+READS = (("value",), ("partials",), ("value", "partials"), ("partials", "value"))
+
+
+#: angles where libm's sin(theta) ** 2 rounds otherwise than sin(theta) *
+#: sin(theta), as numpy's square does (numpy 2.4.6 and glibc, x86-64)
+POW_ANGLES = (2.5877173235361224, 2.0563873261059507, 1.706452346438978)
+
+
+def _special_row(kind, mass, rng):
+    """A chart row of the given kind: just above Schwarzschild's r_min, at
+    the pole, at a POW_ANGLES theta, inside the horizon, at Coulomb's center
+    (0.5, -0.25, 0), or at |x| of 1e103 (Coulomb's rho ** 3 overflows) or
+    1e200 (r * r and B x overflow)."""
+    t, th, ph = rng.uniform(-1.0, 1.0), rng.uniform(0.4, math.pi - 0.4), rng.uniform(0.0, 6.0)
+    r_min = 2.0 * mass * (1.0 + 1e-9)
+    return {
+        "near-horizon": [t, r_min * (1.0 + rng.choice([2.0 ** -50, 1e-12, 1e-7])), th, ph],
+        "pole": [t, rng.uniform(3.0, 20.0) * mass, rng.choice([0.0, -0.0, math.pi]), ph],
+        "pow": [t, rng.uniform(3.0, 20.0) * mass, rng.choice(POW_ANGLES), ph],
+        "inside": [t, 1.5 * mass, th, ph],
+        "center": [t, 0.5, -0.25, 0.0],
+        "far": [t, 1e103, th, ph],
+        "huge": [t, 1e200, -1e200, 1e200],
+    }[kind]
+
+
+def _read(read):
+    """(outputs, (error type, message), warnings) of ``read()``."""
+    with warnings.catch_warnings(record=True) as heard:
+        warnings.simplefilter("always")
+        try:
+            out, error = read(), None
+        except Exception as exc:
+            out, error = None, (type(exc), str(exc))
+    return out, error, [(w.category, str(w.message)) for w in heard]
+
+
+@given(name=st.sampled_from(sorted(PROPERTY_FIELDS)), names=st.sampled_from(READS),
+       n=st.sampled_from([1, 2, 37, 1024]), seed=st.integers(0, 2 ** 32 - 1),
+       specials=st.lists(st.tuples(st.sampled_from(
+           ["near-horizon", "pole", "pow", "inside", "center", "far", "huge"]),
+           st.floats(0.0, 1.0)), max_size=4))
+@example(name="schwarzschild", names=("value",), n=37, seed=1, specials=[("pow", 0.5)])
+@example(name="schwarzschild", names=("partials", "value"), n=1024, seed=2,
+         specials=[("near-horizon", 0.1), ("pole", 0.6)])
+@example(name="schwarzschild-1e-160", names=("value", "partials"), n=2, seed=3, specials=[])
+@example(name="coulomb", names=("value",), n=37, seed=4, specials=[("far", 0.3)])
+@settings(max_examples=150, deadline=None)
+def test_block_read_is_the_per_row_loop(name, names, n, seed, specials):
+    field = PROPERTY_FIELDS[name]()
+    mass = field.params["M"] if name.startswith("schwarzschild") else 1.0
+    rng = np.random.default_rng(seed)
+    x = np.column_stack([rng.uniform(-1.0, 1.0, n), rng.uniform(3.0, 20.0, n) * mass,
+                         rng.uniform(0.4, math.pi - 0.4, n), rng.uniform(0.0, 6.0, n)])
+    for kind, where in specials:
+        x[min(int(where * n), n - 1)] = _special_row(kind, mass, rng)
+    x = x[:, :field.dim]
+    counted, calls = counting_forms(field)
+    got, got_error, got_warnings = _read(lambda: _fields_at(counted, x, *names))
+    want, want_error, want_warnings = _read(
+        lambda: [_field_at(getattr(field, which), x) for which in names])
+    assert got_error == want_error
+    assert got_warnings == want_warnings
+    if want is not None:
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+    # ordinary rows of a form that takes columns are read in one call
+    if not specials and name not in ("coulomb", "schwarzschild-1e-160", "schwarzschild-1e-170"):
+        assert calls == {"value": 0, "partials": 0, "form": 1}

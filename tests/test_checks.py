@@ -243,24 +243,33 @@ def test_six_inversions_per_identity_sample(inversion_count):
 
 
 def test_form_reads_per_identity_sample(monkeypatch):
-    # each block read is one float-form call per sample, reading g and its
+    # each block read is one float-form call per block, reading g and its
     # partials together where a kernel reads them one after the other:
-    # draws: one per velocity (4); noether: G and dG (1); projector: G (1);
-    # geodesic condition: the connection's inverse and partials, the
+    # draws: one per velocity block (4); noether: G and dG (1); projector: G
+    # (1); geodesic condition: the connection's inverse and partials, the
     # soldering's inverse, and g and dg for each of two residuals (5);
     # bracket: inverse and partials in each of two flows (4); RHS agreement:
     # the connection (2) and second_order_rhs's g and partials (2), which
     # inverts the g it has read; project_to_shell's G (1).  The potential's
     # form: F in noether, the soldering and the connection (3), A and dA in
     # each flow (2 each), and A with dA together in second_order_rhs (1).
+    # 100 samples are one block per identity, or 7 of up to 16 samples.
+    sizes = {relmech.checks._BLOCK: 1, 16: 7}
+    want = {}
+    for block in sizes:
+        monkeypatch.setattr(relmech.checks, "_BLOCK", block)
+        want[block] = run_invariant_checks("schwarzschild", samples=100)
     metric, metric_calls = counting_forms(rm.schwarzschild(1.0))
     potential, potential_calls = counting_forms(rm.uniform_field(_CHECK_E, _CHECK_B))
-    want = run_invariant_checks("schwarzschild", samples=100)
     monkeypatch.setattr(relmech.checks, "catalog_metric", lambda *args, **kwargs: metric)
     monkeypatch.setattr(relmech.checks, "uniform_field", lambda e, b: potential)
-    assert run_invariant_checks("schwarzschild", samples=100) == want
-    assert metric_calls == {"value": 0, "partials": 0, "form": 100 * 20}
-    assert potential_calls == {"value": 0, "partials": 0, "form": 100 * 8}
+    for block, blocks in sizes.items():
+        monkeypatch.setattr(relmech.checks, "_BLOCK", block)
+        for calls in (metric_calls, potential_calls):
+            calls.update(value=0, partials=0, form=0)
+        assert run_invariant_checks("schwarzschild", samples=100) == want[block]
+        assert metric_calls == {"value": 0, "partials": 0, "form": blocks * 20}
+        assert potential_calls == {"value": 0, "partials": 0, "form": blocks * 8}
 
 
 # -- batched evaluation ---------------------------------------------------------

@@ -403,6 +403,14 @@ def test_faraday_antisymmetric_everywhere():
 
 # -- velocity form -----------------------------------------------------------
 
+@pytest.mark.parametrize("t", [3, -0.0, [1, 2, 5], np.array([0.5, -0.0, 7.25])],
+                         ids=["int", "negative-zero", "int-list", "vector"])
+def test_symmetrize_gives_rank_zero_and_one_input_as_floats(t):
+    # an array of at most one axis has one permutation of its axes: the
+    # input itself, as a float array
+    assert same_bits(rm.symmetrize(t), np.asarray(t, dtype=float))
+
+
 def test_g_value_examples(mink_gf):
     assert rm.g_value(mink_gf, X0, np.array([1.0, 0, 0, 0])) == 1.0
     assert rm.g_value(mink_gf, X0, np.zeros(4)) == 0.0
