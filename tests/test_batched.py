@@ -20,8 +20,8 @@ from relmech.geometry import (_christoffel_and_inverse, _field_at, _fields_at, _
 from relmech.hamiltonian import _bracket, _dginv, _standard_dh_dx
 from relmech.lagrangian import _velocity_form_pieces
 
-from conftest import (counting_forms, dense_minkowski, random_velocity, same_bits,
-                      shear_minkowski, two_region_fields)
+from conftest import (counting_forms, dense_minkowski, random_velocity, shear_minkowski,
+                      two_region_fields)
 
 METRICS = {
     "minkowski": lambda: rm.minkowski(),
@@ -489,24 +489,25 @@ def test_coulomb_slopes_where_rho_cubed_overflows():
     x = np.stack([far, [0.0, 1.0, 2.0, -0.5], far])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert same_bits(coulomb.value(far), a)
-        assert same_bits(coulomb.partials(far), da)
+        assert _same_bits(coulomb.value(far), a)
+        assert _same_bits(coulomb.partials(far), da)
         got_a, got_da = _fields_at(coulomb, x, "value", "partials")
-        assert same_bits(got_a[[0, 2]], np.stack([a, a]))
-        assert same_bits(got_da[[0, 2]], np.stack([da, da]))
-        assert same_bits(rm.faraday_at(coulomb, x)[0], da - da.T)
+        assert _same_bits(got_a[[0, 2]], np.stack([a, a]))
+        assert _same_bits(got_da[[0, 2]], np.stack([da, da]))
+        assert _same_bits(rm.faraday_at(coulomb, x)[0], da - da.T)
+
 
 # -- a block read is the per-row loop, in bits, errors and warnings -----------
 
-#: every catalog field; the Schwarzschild masses where r * r underflows to
-#: subnormals (1e-160) and to zero (1e-170) at every chart point drawn
+#: every catalog field; Schwarzschild at the masses where r * r underflows to
+#: subnormals (1e-160) and to zero (1e-170) at every chart point drawn; a
+#: uniform field whose B x overflows at the "huge" rows
 PROPERTY_FIELDS = dict(FIELDS, **{
     "schwarzschild-1e-160": lambda: rm.schwarzschild(1e-160),
     "schwarzschild-1e-170": lambda: rm.schwarzschild(1e-170),
     "uniform-big-b": lambda: rm.uniform_field((0.3, 0.0, 0.0), (0.0, 1e300, 0.0)),
 })
 READS = (("value",), ("partials",), ("value", "partials"), ("partials", "value"))
-
 
 #: angles where libm's sin(theta) ** 2 rounds otherwise than sin(theta) *
 #: sin(theta), as numpy's square does (numpy 2.4.6 and glibc, x86-64)
@@ -569,7 +570,7 @@ def test_block_read_is_the_per_row_loop(name, names, n, seed, specials):
     assert got_error == want_error
     assert got_warnings == want_warnings
     if want is not None:
-        assert all(same_bits(a, b) for a, b in zip(got, want))
+        assert all(_same_bits(a, b) for a, b in zip(got, want))
     # ordinary rows of a form that takes columns are read in one call
     if not specials and name not in ("coulomb", "schwarzschild-1e-160", "schwarzschild-1e-170"):
         assert calls == {"value": 0, "partials": 0, "form": 1}
