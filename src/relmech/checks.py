@@ -18,7 +18,11 @@ kernels, which give every sample the bits its own evaluation would.  Each
 of them reads a field of the block in one call of its float form on the
 block's columns (:func:`relmech.geometry._fields_at`), and the velocity
 draw reads d = g_aa the same way, so a block costs a fixed number of form
-calls, whatever its size.
+calls, whatever its size.  An identity reads each field once, g with its
+partials and A with dA, inverts g once and shares what it computed among
+its kernels, which are the helpers that the library's public kernels wrap
+(the connection symbols, the hyperboloid terms, the Hamiltonian flows and
+the second-order reduction), so it checks the arithmetic the library runs.
 """
 
 from __future__ import annotations
@@ -29,35 +33,34 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynamics import (
-    connection_from,
-    geodesic_condition_terms,
-    geodesic_rhs,
-    levi_civita_connection,
-    project_to_shell,
+    _condition_halves,
+    _condition_terms,
+    _rescale,
+    _soldering,
+    _symbol_coefficients,
 )
 from .errors import COMPUTATION_ERRORS, ConstraintUnreachable, SingularMetric
 from .geometry import (
     GTensorField,
     MetricField,
     _check_point,
+    _christoffel,
     _diagonal,
     _dot,
+    _faraday,
     _fields_at,
     _first_failure,
     _form_block,
+    _inverse_and_partials,
     _norm,
     catalog_metric,
     contract_all,
+    faraday_at,
     metric_at,
     uniform_field,
     zero_potential,
 )
-from .hamiltonian import (
-    _bracket,
-    mass_shell_scalar,
-    second_order_rhs,
-    standard_hamiltonian,
-)
+from .hamiltonian import _second_order, _standard_bracket, standard_hamiltonian
 from .lagrangian import LagrangianModel, noether_residual
 
 TOLERANCES = {
@@ -238,10 +241,9 @@ def run_invariant_checks(metric_id: str, samples: int = 1000, seed: int = 0,
     gfield = GTensorField.from_metric(metric)
     potential = uniform_field(_CHECK_E, _CHECK_B) if dim == 4 else zero_potential(dim)
     model = LagrangianModel(gfield, potential, mass=1.0, charge=1.0)
-    ham = standard_hamiltonian(metric, potential, mass=1.0, charge=1.0)
-    shell = mass_shell_scalar(ham)
-    conn = connection_from(metric, potential, mass=1.0, charge=1.0)
-    conn_free = levi_civita_connection(metric)
+    std = standard_hamiltonian(metric, potential, mass=1.0, charge=1.0).standard
+    # the charged connection's, connection_from(metric, potential, 1.0, 1.0)
+    ratio = std.charge / std.mass
 
     def state(n):
         x = _points(metric, rng, n)
@@ -266,18 +268,30 @@ def run_invariant_checks(metric_id: str, samples: int = 1000, seed: int = 0,
                          np.max(np.abs(_dot(proj, u)), axis=-1) / _norm(u)], axis=-1)
 
     def geodesic_condition(x, u):
-        k_free = conn_free.K(x, u)
-        # conn.K(x, u) adds the soldering term to the same metric symbols
+        # the K of the free connection, and of the charged one, which adds
+        # the soldering term to the same symbols
+        g, ginv, dg = _inverse_and_partials(metric, x)
+        halves = _condition_halves(g, dg, u)
+        del g  # a block's arrays go once they are used: the symbols' are large
+        k_free = _symbol_coefficients(_christoffel(ginv, dg), u)
+        del dg
+        k_charged = k_free + _soldering(ratio, ginv, faraday_at(potential, x))
         residuals = []
-        for k in (k_free, k_free + conn.soldering(x, u)):
-            res, scale = geodesic_condition_terms(metric, x, u, k)
+        for k in (k_free, k_charged):
+            res, scale = _condition_terms(halves, k)
             residuals.append(np.abs(res) / scale)
         return np.stack(residuals, axis=-1)
 
     def rhs_agreement(x, u):
-        u = project_to_shell(gfield, x, u)
-        a_geo = geodesic_rhs(conn, x, u)
-        a_ham = second_order_rhs(ham, x, u)
+        # geodesic_rhs of the charged connection and second_order_rhs at
+        # project_to_shell(gfield, x, u), with G from the same g
+        g, ginv, dg = _inverse_and_partials(metric, x)
+        u = _rescale(u, contract_all(g, u, 2), 1)
+        da, a = _fields_at(potential, x, "partials", "value")
+        a_ham = _second_order(std, u, g, ginv, dg, da, a)
+        del g, a  # a block's arrays go once they are used: the symbols' are large
+        k = _symbol_coefficients(_christoffel(ginv, dg), u)
+        a_geo = _dot(k + _soldering(ratio, ginv, _faraday(da)), u)
         big = lambda a: np.max(np.abs(a), axis=-1)
         denom = np.maximum(np.maximum(big(a_geo), big(a_ham)), 1e-12)
         return big(a_ham - a_geo) / denom
@@ -287,7 +301,7 @@ def run_invariant_checks(metric_id: str, samples: int = 1000, seed: int = 0,
          state_and_normal),
         ("projector_idempotence", projector, state),
         ("geodesic_condition", geodesic_condition, state),
-        ("poisson_bracket", lambda x, p: np.abs(_bracket(ham, shell, x, p)),
+        ("poisson_bracket", lambda x, p: np.abs(_standard_bracket(std, x, p)),
          phase_point),
         ("lagrangian_hamiltonian_rhs", rhs_agreement, state),
     ]

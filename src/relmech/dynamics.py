@@ -34,12 +34,13 @@ from .geometry import (
     PotentialField,
     _check_diagonal,
     _check_point,
-    _christoffel_and_inverse,
+    _christoffel,
     _dot,
     _fields_at,
     _first_failure,
     _float_form,
     _identity_cache,
+    _inverse_and_partials,
     _power,
     _scalar,
     _scatter,
@@ -107,23 +108,32 @@ def connection_from(metric: MetricField, potential: PotentialField,
         raise ValueError("metric and potential dimensions differ")
     ratio = float(charge) / float(mass)
 
-    def solder(ginv, x):
-        return ratio * ginv @ faraday_at(potential, x)
-
     def soldering(x, u):
-        return solder(inverse_metric_at(metric, x), x)
+        return _soldering(ratio, inverse_metric_at(metric, x), faraday_at(potential, x))
 
     def coeffs(x, u):
-        c, ginv = _christoffel_and_inverse(metric, x)
-        k = np.einsum("...lmn,...n->...ml", c, u)
+        ginv, dg = _inverse_and_partials(metric, x)[1:]  # g is not kept
+        k = _symbol_coefficients(_christoffel(ginv, dg), u)
         if ratio != 0.0:
-            k = k + solder(ginv, x)
+            k = k + _soldering(ratio, ginv, faraday_at(potential, x))
         return k
 
     stage = _float_acceleration(metric, potential, ratio)
     if stage is not None:
         coeffs._float_stage = stage
     return Connection(metric.dim, coeffs, soldering)
+
+
+def _symbol_coefficients(c: Array, u: Array) -> Array:
+    """K^mu_lam = C[lam, mu, nu] u^nu of the connection symbols ``c``, the
+    metric part of ``K``, at one state or for a batch."""
+    return np.einsum("...lmn,...n->...ml", c, u)
+
+
+def _soldering(ratio: float, ginv: Array, f: Array) -> Array:
+    """The soldering term ratio g^{mu nu} F_{nu lam} of ``K`` from g^-1 and
+    F, at one point or for a batch."""
+    return ratio * ginv @ f
 
 
 def _float_acceleration(metric: MetricField, potential: PotentialField,
@@ -217,13 +227,26 @@ def geodesic_condition_terms(metric: MetricField, x, u, k):
     two arrays for a batch x, u (..., m) with k (..., m, m).
     """
     x = _check_point(x, metric.dim)
-    u = np.asarray(u, dtype=float)
     dg, g = _fields_at(metric, x, "partials", "value")
+    return _condition_terms(_condition_halves(g, dg, np.asarray(u, dtype=float)), k)
+
+
+def _condition_halves(g: Array, dg: Array, u: Array) -> tuple:
+    """The parts of :func:`geodesic_condition_terms` that do not depend on
+    K, from g and its partials at a state or a batch: u, |u|, the d g term
+    and its absolute scale, u g and |u| |g|."""
     au = np.abs(u)
-    t1 = np.einsum("...lmn,...m,...l,...n->...", dg, u, u, u)
-    t2 = 2.0 * _dot(_vecmat(u, g), _dot(k, u))
-    s1 = np.einsum("...lmn,...m,...l,...n->...", np.abs(dg), au, au, au)
-    s2 = 2.0 * _dot(_vecmat(au, np.abs(g)), _dot(np.abs(k), au))
+    return (u, au, np.einsum("...lmn,...m,...l,...n->...", dg, u, u, u),
+            np.einsum("...lmn,...m,...l,...n->...", np.abs(dg), au, au, au),
+            _vecmat(u, g), _vecmat(au, np.abs(g)))
+
+
+def _condition_terms(halves: tuple, k: Array) -> tuple:
+    """:func:`geodesic_condition_terms` from its K-independent
+    ``halves`` (:func:`_condition_halves`) and the coefficients ``k``."""
+    u, au, t1, s1, ug, aug = halves
+    t2 = 2.0 * _dot(ug, _dot(k, u))
+    s2 = 2.0 * _dot(aug, _dot(np.abs(k), au))
     t1, t2, s1, s2 = map(_scalar, (t1, t2, s1, s2))
     return t1 + t2, s1 + s2 + 1e-30
 

@@ -95,6 +95,9 @@ FD_STEP = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
 _COND_LIMIT = 1e12
 
+#: the smallest normal float; below it a product keeps few significant bits
+_TINY = float(np.finfo(float).tiny)
+
 
 def fd_partials(f: FieldFn, x: Array) -> Array:
     """Central finite differences of ``f`` at ``x``.
@@ -391,6 +394,9 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
             # the first row outside the chart
             if not (r > r_min).all():
                 raise DomainError(f"schwarzschild chart requires r > 2M = {2 * big_m:g}")
+            rr = r * r
+            if not (rr >= _TINY).all():
+                raise DomainError("schwarzschild chart cannot evaluate the metric: r * r underflows")
             s, c = _libm(math.sin, th), _libm(math.cos, th)
             ss = _power(s, 2)
         else:
@@ -399,16 +405,16 @@ def schwarzschild(mass: float = 1.0) -> MetricField:
                     f"schwarzschild chart requires r > 2M = {2 * big_m:g}; got r = {r:g}"
                 )
             r, th = float(r), float(th)  # Python floats: the same bits, sooner
+            rr = r * r
+            if rr < _TINY:  # subnormal or 0, for M below about 1e-154: g_22, g_33
+                # and 2M / r^2 would keep few bits or none
+                raise DomainError(
+                    f"schwarzschild chart cannot evaluate the metric at r = {r:g}: r * r underflows"
+                )
             s, c = math.sin(th), math.cos(th)
             ss = s ** 2
         f = 1.0 - two_m / r
-        rr = r * r
-        try:
-            df = two_m / rr
-        except ZeroDivisionError:  # r * r underflows, for M below about 1e-154
-            raise DomainError(
-                f"schwarzschild chart cannot evaluate the metric at r = {r:g}: r * r underflows"
-            ) from None
+        df = two_m / rr
         r2 = -2.0 * r
         return (f, -1.0 / f, -rr, -rr * ss), (
             (1, 0, df), (1, 1, df / (f * f)), (1, 2, r2),
@@ -600,21 +606,26 @@ def _check_condition(cond, x) -> None:
         )
 
 
-def _christoffel_and_inverse(metric: MetricField, x) -> tuple[Array, Array]:
-    """Connection symbols and inverse metric at ``x`` (or a batch) from one
-    inversion."""
+def _inverse_and_partials(metric: MetricField, x) -> tuple[Array, Array, Array]:
+    """(g, g^-1, d g) of ``metric`` at ``x``, or for a batch: g and its
+    partials from one read, g^-1 from one inversion, as
+    :func:`inverse_metric_at` inverts."""
     x = _check_point(x, metric.dim)
-    ginv = inverse_metric_at(metric, x)
-    dg = _fields_at(metric, x, "partials")[0]
+    g, dg = _fields_at(metric, x, "value", "partials")
+    return g, _inverse(g, x), dg
+
+
+def _christoffel(ginv: Array, dg: Array) -> Array:
+    """Connection symbols from g^-1 and the partials of g, at one point or
+    for a batch (leading axes)."""
     # S[mu, beta, nu] = d_mu g_{beta nu} + d_nu g_{beta mu} - d_beta g_{mu nu}
     s = dg + dg.swapaxes(-1, -3)
-    s -= dg.swapaxes(-3, -2)
-    del dg  # in place from here on: a batch's temporaries are large
+    s -= dg.swapaxes(-3, -2)  # in place where it can be: a batch's temporaries are large
     s = ginv[..., None, :, :] @ s  # g^{lam beta} S[mu, beta, nu], one matrix per mu
     s *= -0.5
     c = s + s.swapaxes(-1, -3)
     c *= 0.5
-    return c, ginv
+    return c
 
 
 def christoffel_at(metric: MetricField, x) -> Array:
@@ -624,7 +635,7 @@ def christoffel_at(metric: MetricField, x) -> Array:
     negative of the textbook Christoffel symbols); they are symmetric in the
     outer indices mu, nu.  Constant metrics give identically zero.
     """
-    return _christoffel_and_inverse(metric, x)[0]
+    return _christoffel(*_inverse_and_partials(metric, x)[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +727,12 @@ def faraday_at(potential: PotentialField, x) -> Array:
             f"potential partials must be {(potential.dim,) * 2}, "
             f"got {da.shape[x.ndim - 1:]}"
         )
+    return _faraday(da)
+
+
+def _faraday(da: Array) -> Array:
+    """F_{lam mu} = d_lam A_mu - d_mu A_lam from the partials of A, at one
+    point or for a batch (leading axes)."""
     return da - da.swapaxes(-1, -2)
 
 

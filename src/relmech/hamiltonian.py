@@ -36,11 +36,12 @@ from .geometry import (
     MetricField,
     PotentialField,
     _check_diagonal,
+    _check_point,
     _dot,
     _fields_at,
     _float_form,
     _identity_cache,
-    _inverse,
+    _inverse_and_partials,
     _scatter,
     fd_partials,
     inverse_metric_at,
@@ -164,11 +165,7 @@ def standard_hamiltonian(metric: MetricField, potential: PotentialField,
         return _dot(inverse_metric_at(metric, x), w) / m
 
     def flow(x, p):
-        w = _kinetic(std, x, p)
-        ginv = inverse_metric_at(metric, x)
-        dginv = _dginv(ginv, _fields_at(metric, x, "partials")[0])
-        da = None if e == 0.0 else _fields_at(potential, x, "partials")[0]
-        return _dot(ginv, w) / m, -_standard_dh_dx(std, w, ginv, dginv, da)
+        return _h_flow(std, _flow_parts(std, x, p))
 
     stage = _float_flow(std)
     if stage is not None:
@@ -245,17 +242,58 @@ def _float_flow(std: StandardData):
     return form, stage, energy
 
 
-def _standard_dh_dx(std: StandardData, w: Array, ginv: Array, dginv: Array,
-                    da: Optional[Array]) -> Array:
-    """d_lam H of the standard family from w = p - eA, g^{-1}, its partials
-    and the partials of A (None at charge 0, where they are not read) at one
-    point, or for a batch (leading axes)."""
+def _flow_parts(std: StandardData, x, p) -> tuple:
+    """(g^-1 w, tm, tp) of the standard family at x, p, or for a batch:
+    the parts that the flows of H (:func:`_h_flow`) and of H_T
+    (:func:`_ht_flow`) each combine their own way, from w = p - eA and
+    :func:`_dh_terms`.  One read of the potential (A with dA, none at
+    charge 0), one of the metric (g with dg), one inversion and one
+    :func:`_dginv`."""
+    x = _check_point(x, std.metric.dim)
+    if std.charge == 0.0:
+        w, da = np.asarray(p, dtype=float), None
+    else:
+        da, a = _fields_at(std.potential, x, "partials", "value")
+        w = p - std.charge * a
+    ginv, dg = _inverse_and_partials(std.metric, x)[1:]  # g is not kept
+    return (_dot(ginv, w),) + _dh_terms(w, ginv, _dginv(ginv, dg), da)
+
+
+def _dh_terms(w: Array, ginv: Array, dginv: Array, da: Optional[Array]) -> tuple:
+    """(tm, tp): tm_lam = d_lam g^{ab} w_a w_b and tp_lam = g^{ab} w_a
+    d_lam A_b (None where ``da`` is, at charge 0), from w = p - eA, g^-1,
+    its partials and those of A, at one point or for a batch."""
+    tm = np.einsum("...lab,...a,...b->...l", dginv, w, w)
+    if da is None:
+        return tm, None
+    return tm, np.einsum("...ab,...a,...lb->...l", ginv, w, da)
+
+
+def _standard_dh_dx(std: StandardData, tm: Array, tp: Optional[Array]) -> Array:
+    """d_lam H of the standard family from :func:`_dh_terms`."""
     m, e = std.mass, std.charge
-    t_metric = 0.5 * np.einsum("...lab,...a,...b->...l", dginv, w, w) / m
+    t_metric = 0.5 * tm / m
     if e == 0.0:
         return t_metric
-    t_pot = -(e / m) * np.einsum("...ab,...a,...lb->...l", ginv, w, da)
+    t_pot = -(e / m) * tp
     return t_metric + t_pot
+
+
+def _h_flow(std: StandardData, parts: tuple) -> tuple:
+    """The flow (dH/dp, -dH/dx) of H from :func:`_flow_parts`."""
+    gw, tm, tp = parts
+    return gw / std.mass, -_standard_dh_dx(std, tm, tp)
+
+
+def _ht_flow(std: StandardData, parts: tuple) -> tuple:
+    """The flow of H_T = g^{ab} w_a w_b / mass^2 - 1 from
+    :func:`_flow_parts`, combined on its own, not as (2 / mass) times the
+    flow of H, so that {H, H_T} compares two computations."""
+    gw, t, tp = parts
+    e, m2 = std.charge, std.mass ** 2
+    if e != 0.0:
+        t = t - 2.0 * e * tp
+    return 2.0 * gw / m2, -(t / m2)
 
 
 def _shell_metric(h: HamiltonianModel, metric: Optional[MetricField]) -> MetricField:
@@ -300,20 +338,13 @@ def mass_shell_scalar(h: HamiltonianModel,
         return custom_hamiltonian(h.dim, value)
 
     std = h.standard
-    e, m2 = std.charge, std.mass ** 2
+    m2 = std.mass ** 2
 
     def grad_p(x, p):
         return 2.0 * _dot(inverse_metric_at(std.metric, x), _kinetic(std, x, p)) / m2
 
     def flow(x, p):
-        w = _kinetic(std, x, p)
-        ginv = inverse_metric_at(std.metric, x)
-        dg = _fields_at(std.metric, x, "partials")[0]
-        t = np.einsum("...lab,...a,...b->...l", _dginv(ginv, dg), w, w)
-        if e != 0.0:
-            da = _fields_at(std.potential, x, "partials")[0]
-            t = t - 2.0 * e * np.einsum("...ab,...a,...lb->...l", ginv, w, da)
-        return 2.0 * _dot(ginv, w) / m2, -(t / m2)
+        return _ht_flow(std, _flow_parts(std, x, p))
 
     return HamiltonianModel(h.dim, value, lambda x, p: -flow(x, p)[1], grad_p, flow)
 
@@ -336,9 +367,21 @@ def poisson_bracket(f: HamiltonianModel, g: HamiltonianModel,
 
 def _bracket(f: HamiltonianModel, g: HamiltonianModel, x, p):
     """:func:`poisson_bracket` at x, p, or for a batch (..., m) of them."""
-    fp, fx = f.flow(x, p)
-    gp, gx = g.flow(x, p)
+    return _bracket_of(f.flow(x, p), g.flow(x, p))
+
+
+def _bracket_of(f_flow: tuple, g_flow: tuple):
+    """{f, g} from the flows (d_p, -d_x) of f and of g."""
+    (fp, fx), (gp, gx) = f_flow, g_flow
     return _dot(fp, gx) - _dot(fx, gp)
+
+
+def _standard_bracket(std: StandardData, x, p):
+    """{H, H_T} of the standard family at x, p, or for a batch, with the
+    flows of ``standard_hamiltonian`` and ``mass_shell_scalar`` combined
+    from one :func:`_flow_parts`."""
+    parts = _flow_parts(std, x, p)
+    return _bracket_of(_h_flow(std, parts), _ht_flow(std, parts))
 
 
 def coordinate_scalar(dim: int, lam: int) -> HamiltonianModel:
@@ -392,22 +435,29 @@ def second_order_rhs(h: HamiltonianModel, x, u) -> Array:
     std = h.standard
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
-    m, e = std.mass, std.charge
-    g = metric_at(std.metric, x)
-    ginv = _inverse(g, x)
-    dginv = _dginv(ginv, _fields_at(std.metric, x, "partials")[0])
+    g, ginv, dg = _inverse_and_partials(std.metric, x)
+    da = a = None
+    if std.charge != 0.0:
+        da, a = _fields_at(std.potential, x, "partials", "value")
+    return _second_order(std, u, g, ginv, dg, da, a)
 
+
+def _second_order(std: StandardData, u: Array, g: Array, ginv: Array, dg: Array,
+                  da: Optional[Array], a: Optional[Array]) -> Array:
+    """:func:`second_order_rhs` from g, g^-1 and the partials of g, and the
+    partials and components of A (None at charge 0), at one state or for a
+    batch."""
+    m, e = std.mass, std.charge
+    dginv = _dginv(ginv, dg)
     w = m * _dot(g, u)                   # kinetic momenta p - eA
     gp = _dot(ginv, w) / m               # dH/dp, equals u up to rounding
     # mixed[lam, mu] = d_mu dH/dp_lam
     mixed = np.einsum("...mln,...n->...lm", dginv, w)
-    da = None
     if e != 0.0:
-        da, a = _fields_at(std.potential, x, "partials", "value")
         mixed = mixed - e * np.einsum("...ln,...mn->...lm", ginv, da)
         ea = e * a
         w = (w + ea) - ea  # p - eA recomputed from p, as H's own gradient does
-    gx = _standard_dh_dx(std, w, ginv, dginv, da)  # dH/dx at p
+    gx = _standard_dh_dx(std, *_dh_terms(w, ginv, dginv, da))  # dH/dx at p
     return _dot(mixed / m, gp) - _dot(ginv, gx) / m
 
 

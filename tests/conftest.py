@@ -87,11 +87,10 @@ def random_state(metric, gfield, rng, margin=0.1):
 @pytest.fixture
 def inversion_count(monkeypatch):
     """Count the metrics that geometry's ``_inverse`` inverts, the one
-    inversion behind inverse_metric_at, as geometry and hamiltonian see it:
-    [matrices, calls].  A batch x (..., m) counts one matrix per point, a
-    single point one."""
+    inversion behind inverse_metric_at, as every module of relmech that
+    holds it sees it: [matrices, calls].  A batch x (..., m) counts one
+    matrix per point, a single point one."""
     import relmech.geometry
-    import relmech.hamiltonian
 
     calls = [0, 0]
     inverse = relmech.geometry._inverse
@@ -101,8 +100,9 @@ def inversion_count(monkeypatch):
         calls[1] += 1
         return inverse(g, x)
 
-    for mod in (relmech.geometry, relmech.hamiltonian):
-        monkeypatch.setattr(mod, "_inverse", counted)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("relmech.") and getattr(mod, "_inverse", None) is inverse:
+            monkeypatch.setattr(mod, "_inverse", counted)
     return calls
 
 

@@ -15,9 +15,10 @@ from hypothesis import example, given, settings, strategies as st
 import relmech as rm
 from relmech.checks import _CHECK_B, _CHECK_E, sample_point, sample_velocity
 from relmech.dynamics import geodesic_condition_terms
-from relmech.geometry import (_christoffel_and_inverse, _field_at, _fields_at, _float_form,
-                              _form_block, contract_all)
-from relmech.hamiltonian import _bracket, _dginv, _standard_dh_dx
+from relmech.geometry import (_field_at, _fields_at, _float_form, _form_block,
+                              _inverse_and_partials, contract_all)
+from relmech.hamiltonian import (_bracket, _dginv, _dh_terms, _flow_parts, _standard_bracket,
+                                 _standard_dh_dx)
 from relmech.lagrangian import _velocity_form_pieces
 
 from conftest import (counting_forms, dense_minkowski, random_velocity, shear_minkowski,
@@ -89,7 +90,8 @@ def test_geometry_kernels(metric, states):
     x, u, _ = states
     assert_rows(lambda x: rm.metric_at(metric, x), x)
     assert_rows(lambda x: rm.inverse_metric_at(metric, x), x)
-    assert_rows(lambda x: _christoffel_and_inverse(metric, x), x)
+    assert_rows(lambda x: _inverse_and_partials(metric, x), x)
+    assert_rows(lambda x: rm.christoffel_at(metric, x), x)
     gfield = rm.GTensorField.from_metric(metric)
     assert_rows(lambda x, u: rm.g_value(gfield, x, u), x, u)
     assert_rows(lambda x, u: contract_all(rm.metric_at(metric, x), u, 1), x, u)
@@ -122,12 +124,17 @@ def test_hamiltonian_kernels(metric, states, potential):
         assert_rows(h.grad_x, x, p)
         assert_rows(h.grad_p, x, p)
     assert_rows(lambda x, p: _bracket(ham, shell, x, p), x, p)
+    assert_rows(lambda x, p: _flow_parts(std, x, p), x, p)
+    assert_rows(lambda x, p: _standard_bracket(std, x, p), x, p)
+    # check's bracket, from one _flow_parts, is the bracket of the two flows
+    assert np.array_equal(_standard_bracket(std, x, p), _bracket(ham, shell, x, p))
     assert_rows(lambda x, u: rm.second_order_rhs(ham, x, u), x, u)
 
     def dh_dx(x, p):
         ginv = rm.inverse_metric_at(metric, x)
         dginv = _dginv(ginv, _field_at(metric.partials, x))
-        return dginv, _standard_dh_dx(std, p, ginv, dginv, _field_at(potential.partials, x))
+        terms = _dh_terms(p, ginv, dginv, _field_at(potential.partials, x))
+        return (dginv,) + terms + (_standard_dh_dx(std, *terms),)
 
     assert_rows(dh_dx, x, p)
 
@@ -309,7 +316,7 @@ def test_block_reads_equal_per_row_reads(name):
     if isinstance(field, rm.PotentialField):
         assert _same_bits(rm.faraday_at(field, x), np.stack([rm.faraday_at(field, r) for r in x]))
     else:
-        for read in (rm.metric_at, rm.inverse_metric_at, _christoffel_and_inverse):
+        for read in (rm.metric_at, rm.inverse_metric_at, _inverse_and_partials, rm.christoffel_at):
             for got, want in zip(_parts(read(field, x)),
                                  zip(*[_parts(read(field, r)) for r in x])):
                 assert _same_bits(got, np.stack(want))
@@ -499,10 +506,13 @@ def test_coulomb_slopes_where_rho_cubed_overflows():
 
 # -- a block read is the per-row loop, in bits, errors and warnings -----------
 
-#: every catalog field; Schwarzschild at the masses where r * r underflows to
-#: subnormals (1e-160) and to zero (1e-170) at every chart point drawn; a
-#: uniform field whose B x overflows at the "huge" rows
+#: every catalog field; Schwarzschild at a mass where r * r is still normal
+#: (1e-150), and at the masses where it underflows to subnormals (1e-160)
+#: and to zero (1e-170) at every chart point drawn, where both reads raise
+#: the domain error that names r; a uniform field whose B x overflows at
+#: the "huge" rows
 PROPERTY_FIELDS = dict(FIELDS, **{
+    "schwarzschild-1e-150": lambda: rm.schwarzschild(1e-150),
     "schwarzschild-1e-160": lambda: rm.schwarzschild(1e-160),
     "schwarzschild-1e-170": lambda: rm.schwarzschild(1e-170),
     "uniform-big-b": lambda: rm.uniform_field((0.3, 0.0, 0.0), (0.0, 1e300, 0.0)),
@@ -551,6 +561,7 @@ def _read(read):
 @example(name="schwarzschild", names=("value",), n=37, seed=1, specials=[("pow", 0.5)])
 @example(name="schwarzschild", names=("partials", "value"), n=1024, seed=2,
          specials=[("near-horizon", 0.1), ("pole", 0.6)])
+@example(name="schwarzschild-1e-150", names=("value", "partials"), n=37, seed=3, specials=[])
 @example(name="schwarzschild-1e-160", names=("value", "partials"), n=2, seed=3, specials=[])
 @example(name="coulomb", names=("value",), n=37, seed=4, specials=[("far", 0.3)])
 @settings(max_examples=150, deadline=None)

@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import warnings
@@ -19,7 +20,7 @@ from relmech.checks import (
     sample_point,
     sample_velocity,
 )
-from relmech.geometry import _check_point, contract_all
+from relmech.geometry import contract_all
 
 from conftest import counting_forms, dense_minkowski, shear_minkowski
 
@@ -28,17 +29,36 @@ DIAG = (1.5, -0.75, -2.0, -1.25)
 
 # -- the per-sample loops as they were before one-pass evaluation --------------------
 
-def _einsum_christoffel_and_inverse(metric, x):
-    """Connection symbols through the einsum for every inverse."""
-    dg = np.asarray(metric.partials(_check_point(x, metric.dim)), dtype=float)
-    ginv = rm.inverse_metric_at(metric, x)
+def _einsum_christoffel(ginv, dg):
+    """Connection symbols through the einsum, at one point."""
     s = dg + dg.transpose(2, 1, 0) - dg.transpose(1, 0, 2)
     c = -0.5 * np.einsum("lb,mbn->mln", ginv, s)
-    return 0.5 * (c + c.transpose(2, 1, 0)), ginv
+    return 0.5 * (c + c.transpose(2, 1, 0))
 
 
 def _einsum_dginv(ginv, dg):
     return -np.einsum("ac,lcd,db->lab", ginv, dg, ginv)
+
+
+def _patch_einsum_paths(monkeypatch):
+    """Put the einsum forms in place of the helpers that the library's
+    connection symbols and Hamiltonian flows call (the ones ``check`` calls
+    too), for the reference loops; returns their call counts, so that a test
+    can see the patches reached."""
+    calls = {"symbols": 0, "dginv": 0}
+
+    def symbols(ginv, dg):
+        calls["symbols"] += 1
+        return _einsum_christoffel(ginv, dg)
+
+    def dginv(ginv, dg):
+        calls["dginv"] += 1
+        return _einsum_dginv(ginv, dg)
+
+    assert relmech.dynamics._christoffel is relmech.checks._christoffel
+    monkeypatch.setattr(relmech.dynamics, "_christoffel", symbols)
+    monkeypatch.setattr(relmech.hamiltonian, "_dginv", dginv)
+    return calls
 
 
 def _four_gradient_bracket(f, g, s):
@@ -209,10 +229,9 @@ def _reference_checks(metric_id, samples, seed, diag=None):
 @pytest.mark.parametrize("seed", [0, 5])
 def test_report_equals_reference_loops(monkeypatch, metric_id, diag, seed):
     report = run_invariant_checks(metric_id, samples=150, seed=seed, diag=diag)
-    monkeypatch.setattr(relmech.dynamics, "_christoffel_and_inverse",
-                        _einsum_christoffel_and_inverse)
-    monkeypatch.setattr(relmech.hamiltonian, "_dginv", _einsum_dginv)
+    calls = _patch_einsum_paths(monkeypatch)
     assert report == _reference_checks(metric_id, 150, seed, diag)
+    assert calls["symbols"] and calls["dginv"]
 
 
 def test_dginv_equals_einsum_on_a_dense_chart():
@@ -229,31 +248,51 @@ def test_dginv_equals_einsum_on_a_dense_chart():
                                    _einsum_dginv(ginv, dg), rtol=1e-13, atol=1e-15)
 
 
-def test_six_inversions_per_identity_sample(inversion_count):
-    # geodesic condition: free K + soldering (2); bracket: two flows (2);
-    # RHS agreement: geodesic_rhs + second_order_rhs (2)
+def test_three_inversions_per_identity_sample(monkeypatch, inversion_count):
+    # one inversion per block in each identity that inverts: the geodesic
+    # condition (the free symbols and the soldering term share it), the
+    # bracket (the flows of H and H_T share it) and the RHS agreement
+    # (geodesic_rhs and second_order_rhs share it)
     run_invariant_checks("schwarzschild", samples=100)
-    assert inversion_count[0] == 600
-    # each block of samples is inverted in one call per use, however many
-    # samples the block holds
-    calls = inversion_count[1]
+    assert inversion_count == [300, 3]
+    # one call per block, however many samples the block holds: 1000
+    # samples are one block per identity, 100 are 7 of up to 16
     run_invariant_checks("schwarzschild", samples=1000)
-    assert inversion_count[1] - calls == calls
+    assert inversion_count == [3300, 6]
+    monkeypatch.setattr(relmech.checks, "_BLOCK", 16)
+    run_invariant_checks("schwarzschild", samples=100)
+    assert inversion_count == [3600, 6 + 3 * 7]
+
+
+def test_one_dginv_per_bracket_block(monkeypatch):
+    # the flows of H and H_T share the bracket block's one _dginv;
+    # second_order_rhs makes the RHS agreement's one
+    dginv, callers = relmech.hamiltonian._dginv, []
+
+    def counted(ginv, dg):
+        callers.append(inspect.currentframe().f_back.f_code.co_name)
+        return dginv(ginv, dg)
+
+    monkeypatch.setattr(relmech.hamiltonian, "_dginv", counted)
+    for block, blocks in ((relmech.checks._BLOCK, 1), (16, 7)):
+        monkeypatch.setattr(relmech.checks, "_BLOCK", block)
+        callers.clear()
+        run_invariant_checks("schwarzschild", samples=100)
+        assert sorted(callers) == ["_flow_parts"] * blocks + ["_second_order"] * blocks
 
 
 
 def test_form_reads_per_identity_sample(monkeypatch):
-    # each block read is one float-form call per block, reading g and its
-    # partials together where a kernel reads them one after the other:
+    # each identity reads each field of a block in one float-form call, g
+    # with its partials and A with dA, and its kernels share what it read:
     # draws: one per velocity block (4); noether: G and dG (1); projector: G
-    # (1); geodesic condition: the connection's inverse and partials, the
-    # soldering's inverse, and g and dg for each of two residuals (5);
-    # bracket: inverse and partials in each of two flows (4); RHS agreement:
-    # the connection (2) and second_order_rhs's g and partials (2), which
-    # inverts the g it has read; project_to_shell's G (1).  The potential's
-    # form: F in noether, the soldering and the connection (3), A and dA in
-    # each flow (2 each), and A with dA together in second_order_rhs (1).
-    # 100 samples are one block per identity, or 7 of up to 16 samples.
+    # (1); geodesic condition: g and dg for both connections, the soldering
+    # term and both residuals (1); bracket: g and dg for both flows (1); RHS
+    # agreement: g and dg for project_to_shell's G, geodesic_rhs and
+    # second_order_rhs (1).  The potential's form: F in noether (1), F in
+    # the geodesic condition's soldering term (1), A and dA for both flows
+    # (1), and A and dA for both right-hand sides (1).  100 samples are one
+    # block per identity, or 7 of up to 16 samples.
     sizes = {relmech.checks._BLOCK: 1, 16: 7}
     want = {}
     for block in sizes:
@@ -268,8 +307,8 @@ def test_form_reads_per_identity_sample(monkeypatch):
         for calls in (metric_calls, potential_calls):
             calls.update(value=0, partials=0, form=0)
         assert run_invariant_checks("schwarzschild", samples=100) == want[block]
-        assert metric_calls == {"value": 0, "partials": 0, "form": blocks * 20}
-        assert potential_calls == {"value": 0, "partials": 0, "form": blocks * 8}
+        assert metric_calls == {"value": 0, "partials": 0, "form": blocks * 9}
+        assert potential_calls == {"value": 0, "partials": 0, "form": blocks * 4}
 
 
 # -- batched evaluation ---------------------------------------------------------
@@ -283,10 +322,9 @@ def test_block_plus_one_equals_reference_loops(monkeypatch, metric_id, diag, blo
         monkeypatch.setattr(relmech.checks, "_BLOCK", block)
     samples = relmech.checks._BLOCK + 1
     report = run_invariant_checks(metric_id, samples=samples, seed=3, diag=diag)
-    monkeypatch.setattr(relmech.dynamics, "_christoffel_and_inverse",
-                        _einsum_christoffel_and_inverse)
-    monkeypatch.setattr(relmech.hamiltonian, "_dginv", _einsum_dginv)
+    calls = _patch_einsum_paths(monkeypatch)
     assert report == _reference_checks(metric_id, samples, seed=3, diag=diag)
+    assert calls["symbols"] and calls["dginv"]
 
 
 def _loop_worst(residuals):

@@ -3,7 +3,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -930,6 +933,20 @@ def test_schwarzschild_point_where_r_squared_underflows_exits_2(tmp_path, capsys
                    "chart cannot evaluate the metric at r = 3e-200: r * r underflows)\n")
 
 
+@pytest.mark.parametrize("kind", ["geodesic", "hamiltonian", "three_velocity", "compare"])
+def test_schwarzschild_point_where_r_squared_is_subnormal_exits_2(tmp_path, capsys, kind):
+    # M = 1e-160 and r = 3e-160: r * r = 9e-320 is subnormal and would keep
+    # 7 bits of g_22 and g_33, so it is the same domain error as r * r = 0
+    cfg = write_scenario(tmp_path, {"scenario.kind": kind, "manifold.metric": "schwarzschild",
+                                    "manifold.M": "1e-160", "potential.kind": "none",
+                                    "particle.charge": "0", "particle.x0": "0, 3e-160, 1.0, 0.5",
+                                    "particle.u0": None, "particle.v0": "0, 0, 0"})
+    code, out, err = run_cli(capsys, "compare" if kind == "compare" else "simulate", cfg)
+    assert (code, out) == (2, "")
+    assert err == ("config error: particle.x0: outside the manifold domain (schwarzschild "
+                   "chart cannot evaluate the metric at r = 3e-160: r * r underflows)\n")
+
+
 def test_readme_example_config_loads(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("```ini\n")[1].split("```")[0]
@@ -1547,3 +1564,25 @@ def test_huge_every_keeps_first_and_last_sample(tmp_path, capsys, kind):
     code, out, err = run_cli(capsys, "simulate", cfg)
     assert code == 0 and err == ""
     assert ": 2 samples," in out
+
+
+def _console(*argv):
+    """``python -m relmech.cli ARGV`` in a fresh interpreter, on this
+    checkout's ``src``: the exit code, stdout and stderr."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+    done = subprocess.run([sys.executable, "-m", "relmech.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_console_main_exits_with_the_code_of_main(capsys):
+    # the entry point of the installed script: sys.exit(main()) in its own
+    # process prints what main prints in this one and exits with its code
+    argv = ["check", "--metric", "minkowski", "--samples", "5", "--seed", "0"]
+    want = run_cli(capsys, *argv)
+    assert want[0] == 0 and want[2] == "" and json.loads(want[1])["pass"] is True
+    assert _console(*argv) == want
+    code, out, err = _console("check", "--metric", "minkowski", "--samples", "0")
+    assert (code, out, err) == (2, "", "--samples must be >= 1\n")

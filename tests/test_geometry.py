@@ -77,6 +77,32 @@ def test_schwarzschild_domain_messages(schw):
     assert got == want
 
 
+@pytest.mark.parametrize("mass, r", [
+    (1e-160, 3e-160),  # r * r subnormal and inexact: 9e-320 keeps 7 bits
+    (2.0 ** -532, 2.0 ** -530),  # r * r = 2^-1060, an exact subnormal, which sets no flag
+    (1e-200, 3e-200),  # r * r = 0
+], ids=["subnormal", "exact-subnormal", "zero"])
+def test_schwarzschild_where_r_squared_is_not_normal_raises(mass, r):
+    # g_22 = -r * r and g_33 would keep a few bits of r^2 or none, so a row
+    # read and a block read raise the domain error that names r; a point
+    # where r * r is normal reads, at the same mass
+    metric = rm.schwarzschild(mass)
+    assert 2.0 * mass < r
+    message = f"schwarzschild chart cannot evaluate the metric at r = {r:g}: r * r underflows"
+
+    def point(radius):
+        return np.array([0.0, radius, 1.0, 0.5])
+
+    for read in (metric.value, metric.partials):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            read(point(r))
+    rows = np.stack([point(1e-150), point(r), point(1e-150)])
+    for read in (rm.metric_at, rm.inverse_metric_at, rm.christoffel_at):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            read(metric, rows)
+    assert rm.metric_at(metric, point(1e-150))[2, 2] == -1e-150 * 1e-150
+
+
 def test_every_reader_respects_the_wall():
     # a chart that ends at x^1 = 4, walled in value and partials: every
     # reader of the field calls one of them, so each raises the wall's error

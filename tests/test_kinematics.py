@@ -16,7 +16,7 @@ from relmech.errors import (
     ZeroVector,
 )
 
-from conftest import CHART_FIELDS, chart_field, random_point, random_state, same_bits
+from conftest import CHART_FIELDS, chart_field, declared, random_point, random_state, same_bits
 
 LN2 = math.log(2.0)
 
@@ -345,6 +345,25 @@ def _raises_as_reference(samples, gfield, sign=1):
     with pytest.raises(type(expected.value), match=re.escape(str(expected.value))):
         rm.lift_three_solution(samples, gfield, sign)
     return expected.value
+
+
+def test_lift_raises_the_batch_error_where_every_sample_lifts(mink):
+    # a float form that breaks its promise on a block's columns (g = -1
+    # there, Minkowski's d at a row): the batched Gbar is not positive, yet
+    # every one-sample lift passes, so the lift raises the batch's error and
+    # computes nothing from the block it read
+    def form(x):
+        if x[1].__class__ is np.ndarray:
+            return (-1.0, -1.0, -1.0, -1.0), ()
+        return (1.0, -1.0, -1.0, -1.0), ()
+
+    gfield = rm.GTensorField.from_metric(declared(mink, form))
+    samples = [rm.ThreeVelocity(0.1 * k, np.zeros(3), np.array([0.1, 0.0, 0.0]))
+               for k in range(3)]
+    for s in samples:
+        rm.four_from_three(s, gfield)
+    with pytest.raises(ConstraintUnreachable, match="^a reduced form Gbar is not positive$"):
+        rm.lift_three_solution(samples, gfield)
 
 
 def test_lift_failures_equal_per_sample_loop(mink_gf, schw_gf):
