@@ -112,7 +112,7 @@ def connection_from(metric: MetricField, potential: PotentialField,
         return _soldering(ratio, inverse_metric_at(metric, x), faraday_at(potential, x))
 
     def coeffs(x, u):
-        ginv, dg = _inverse_and_partials(metric, x)[1:]  # g is not kept
+        ginv, dg = _inverse_and_partials(metric, x)[1:]  # not g: a batch's arrays are large
         k = _symbol_coefficients(_christoffel(ginv, dg), u)
         if ratio != 0.0:
             k = k + _soldering(ratio, ginv, faraday_at(potential, x))

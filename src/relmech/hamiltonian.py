@@ -255,7 +255,7 @@ def _flow_parts(std: StandardData, x, p) -> tuple:
     else:
         da, a = _fields_at(std.potential, x, "partials", "value")
         w = p - std.charge * a
-    ginv, dg = _inverse_and_partials(std.metric, x)[1:]  # g is not kept
+    ginv, dg = _inverse_and_partials(std.metric, x)[1:]  # not g: a batch's arrays are large
     return (_dot(ginv, w),) + _dh_terms(w, ginv, _dginv(ginv, dg), da)
 
 
